@@ -17,10 +17,9 @@ import numpy as np
 
 from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
-    curved_polygon, straighten_mesh
-from .quadrature import curved_polygon_quadrature
-from .solver import apply_dirichlet, assemble, build_dof_map, solve
-from .vem import Coefficient, interpolate, local_operators
+    straighten_mesh
+from .solver import OperatorBlock, apply_dirichlet, assemble, build_dof_map, solve
+from .vem import ChunkOperators, Coefficient, element_chunks
 
 
 def _by_label(table, label):
@@ -176,31 +175,34 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
                    boost: int = 2) -> tuple[float, float]:
     """Relative H1-seminorm and L2 errors of u_ex - Pi_nabla u_h.
 
-    Integrated elementwise at degree 2k+2 (plus the curved-side boost);
-    reuses the local operators of ``system`` when given.
+    Integrated elementwise at degree 2k+2 (plus the curved-side boost),
+    one chunk of like elements at a time; reuses the projectors of
+    ``system`` when given.
     """
-    dof_map = build_dof_map(mesh, k) if system is None else system.dof_map
-    num_h1 = den_h1 = num_l2 = den_l2 = 0.0
-    coeff = problem.coefficient()
-    for p, element in enumerate(mesh.elements):
-        if system is None:
-            ops = local_operators(mesh, p, k, coeff, boost=boost)
-        else:
-            ops = system.local_operators[p]
-        coeffs = ops.pi_nabla @ solution[dof_map.element_dofs(ops)]
-        rule = curved_polygon_quadrature(curved_polygon(mesh, p), k + 2, boost)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        w = rule.weights
-        basis = ops.basis
-        uh = basis.eval(x, y) @ coeffs
-        gxb, gyb = basis.grad(x, y)
-        uhx, uhy = gxb @ coeffs, gyb @ coeffs
-        ue = problem.exact_for(element.label)(x, y)
-        uex, uey = problem.gradient_for(element.label)(x, y)
-        num_h1 += w @ ((uex - uhx) ** 2 + (uey - uhy) ** 2)
-        den_h1 += w @ (uex ** 2 + uey ** 2)
-        num_l2 += w @ ((ue - uh) ** 2)
-        den_l2 += w @ (ue ** 2)
+    if system is None:
+        dof_map = build_dof_map(mesh, k)
+        blocks = [OperatorBlock(chunk, dof_map.element_dofs(chunk),
+                                ChunkOperators(chunk, boost).pi_nabla)
+                  for chunk in element_chunks(mesh, k)]
+    else:
+        blocks = system.blocks
+    # per element: |grad e|^2, |grad u|^2, e^2, u^2 integrated
+    parts = np.empty((4, len(mesh.elements)))
+    for block in blocks:
+        chunk = block.chunk
+        coeffs = block.pi_nabla @ solution[block.dofs][..., None]
+        x, y, w = chunk.rule(k + 2, boost)
+        gxb, gyb = chunk.basis_grad(x, y)
+        uh = (chunk.basis(x, y) @ coeffs)[..., 0]
+        uhx, uhy = (gxb @ coeffs)[..., 0], (gyb @ coeffs)[..., 0]
+        ue = chunk.by_label(problem.exact_for, x, y)
+        uex, uey = chunk.by_label(problem.gradient_for, x, y)
+        parts[:, chunk.elements] = [np.vecdot(w, (uex - uhx) ** 2 + (uey - uhy) ** 2),
+                                    np.vecdot(w, uex ** 2 + uey ** 2),
+                                    np.vecdot(w, (ue - uh) ** 2),
+                                    np.vecdot(w, ue ** 2)]
+    # running sums in element order, as a loop over elements adds them
+    num_h1, den_h1, num_l2, den_l2 = np.add.accumulate(parts, axis=1)[:, -1]
     return float(np.sqrt(num_h1 / den_h1)), float(np.sqrt(num_l2 / den_l2))
 
 
@@ -331,8 +333,7 @@ def run_patch_test(k: int, n: int = 2, solver_method: str = "direct",
     apply_dirichlet(system, u)
     solution = solve(system, method=solver_method, tol=1e-14)
     reference = np.zeros(system.dof_map.total)
-    for p in range(len(mesh.elements)):
-        ops = system.local_operators[p]
-        reference[system.dof_map.element_dofs(ops)] = interpolate(mesh, p, k, u)
+    for block in system.blocks:
+        reference[block.dofs] = block.chunk.interpolate(u)
     scale = float(np.max(np.abs(reference)))
     return float(np.max(np.abs(solution - reference))) / scale

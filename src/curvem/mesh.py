@@ -73,7 +73,7 @@ class Mesh:
     def build(cls, vertices, edges, elements) -> "Mesh":
         """Finalize a mesh from raw entity lists; raises MeshError."""
         mesh = cls(vertices=list(vertices), edges=list(edges), elements=list(elements))
-        errors = _conformity_errors(mesh)
+        errors = _finiteness_errors(mesh) or _conformity_errors(mesh)
         if errors:
             raise MeshError("; ".join(errors[:5]))
         _derive_topology(mesh)
@@ -86,6 +86,18 @@ class Mesh:
     def traversal_endpoints(self, edge_id: int, sign: int) -> tuple[int, int]:
         edge = self.edges[edge_id]
         return (edge.v0, edge.v1) if sign > 0 else (edge.v1, edge.v0)
+
+
+def _finiteness_errors(mesh: Mesh) -> list[str]:
+    """Vertices and curved edges whose numbers are nan or infinite."""
+    errors = [f"vertex {i}: non-finite position {tuple(map(float, v.position))}"
+              for i, v in enumerate(mesh.vertices) if not np.all(np.isfinite(v.position))]
+    for i, edge in enumerate(mesh.edges):
+        seg = edge.segment
+        if seg is not None and not np.all(np.isfinite(
+                [seg.t0, seg.t1, *seg.curve.param_interval, *seg.curve.params])):
+            errors.append(f"edge {i}: curve {seg.curve.id!r} has a non-finite parameter")
+    return errors
 
 
 def _conformity_errors(mesh: Mesh) -> list[str]:

@@ -54,9 +54,12 @@ def _take(records, what: str):
 
 def _parse_float(ln, token, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         _fail(ln, f"bad {what} {token!r}")
+    if not np.isfinite(value):
+        _fail(ln, f"non-finite {what} {token!r}")
+    return value
 
 
 def _parse_int(ln, token, what):

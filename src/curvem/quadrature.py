@@ -13,6 +13,10 @@ the parameter and the point count is raised instead (see
 Nodes can fall outside the region (between the boundary and the vertical
 line x = alpha), so integrands must be defined and smooth on the rule's
 bounding rectangle, recorded in the rule metadata.
+
+``green_rule`` builds the rules of a batch of like polygons at once, as
+arrays of shape (polygons, points); the one-polygon rules are its batches
+of one.
 """
 
 from __future__ import annotations
@@ -143,20 +147,22 @@ def _freeze_rule(nodes, weights) -> QuadratureRule1D:
 def lagrange_values(nodes, x) -> np.ndarray:
     """Values of the Lagrange basis on ``nodes`` at points ``x``.
 
-    Barycentric form; entry [i, j] is ell_j(x[i]).
+    Barycentric form; entry [..., i, j] is ell_j(x[..., i]).  Leading axes
+    of ``nodes`` (..., m) and ``x`` (..., q) are batch axes.
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.asarray(x, dtype=float)
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    bw = 1.0 / np.prod(diff, axis=1)
-    dx = x[:, None] - nodes[None, :]
-    hit_i, hit_j = np.nonzero(dx == 0.0)
+    diff = nodes[..., :, None] - nodes[..., None, :]
+    diag = np.arange(nodes.shape[-1])
+    diff[..., diag, diag] = 1.0
+    bw = 1.0 / np.prod(diff, axis=-1)
+    dx = x[..., :, None] - nodes[..., None, :]
+    hit = dx == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = bw[None, :] / dx
-        vals = terms / np.sum(terms, axis=1, keepdims=True)
-    vals[hit_i] = 0.0
-    vals[hit_i, hit_j] = 1.0
+        terms = bw[..., None, :] / dx
+        vals = terms / np.sum(terms, axis=-1, keepdims=True)
+    vals[hit.any(axis=-1)] = 0.0
+    vals[hit] = 1.0
     return vals
 
 
@@ -247,97 +253,143 @@ class CurvedPolygon:
         return any(isinstance(p, CurvedPiece) for p in self.pieces)
 
 
-def _chord_area(vertices: np.ndarray) -> float:
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+@dataclass(frozen=True)
+class SideBatch:
+    """Side j of E polygons that share their side pattern, in traversal order.
+
+    ``start`` and ``end`` are the traversal endpoints, shape (E, 2).  A
+    curved side also holds the curve of each polygon (the polygons may lie
+    on different curves), the parameter interval (t0, t1) of each, shape
+    (E,), and ``sign``, -1.0 where the traversal runs t1 -> t0.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    curves: tuple = ()
+    t0: np.ndarray | None = None
+    t1: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+    @property
+    def is_curved(self) -> bool:
+        return bool(self.curves)
+
+    @property
+    def half(self) -> np.ndarray:
+        """Half the parameter length, shape (E, 1)."""
+        return (0.5 * (self.t1 - self.t0))[:, None]
+
+    def params(self, nodes) -> np.ndarray:
+        """Curve parameters of reference nodes in [-1, 1], shape (E, m)."""
+        return (0.5 * (self.t0 + self.t1))[:, None] + self.half * nodes[None, :]
+
+    def trace(self, t):
+        """gamma(t) and gamma'(t), each (E, m, 2), one call per distinct curve."""
+        groups: dict[int, tuple] = {}
+        for i, curve in enumerate(self.curves):
+            groups.setdefault(id(curve), (curve, []))[1].append(i)
+        gamma = np.empty(t.shape + (2,))
+        dgamma = np.empty(t.shape + (2,))
+        for curve, rows in groups.values():
+            tt = t[rows]
+            gamma[rows] = curve.eval(tt.ravel()).reshape(tt.shape + (2,))
+            dgamma[rows] = curve.eval_derivative(tt.ravel()).reshape(tt.shape + (2,))
+        return gamma, dgamma
 
 
-def _signed_area(poly: CurvedPolygon) -> float:
-    """Green-theorem signed area of the possibly curved boundary loop.
+def _polygon_sides(poly: CurvedPolygon) -> tuple[SideBatch, ...]:
+    """The sides of one polygon as a batch of E = 1."""
+    v = poly.vertices
+    sides = []
+    for i, piece in enumerate(poly.pieces):
+        if isinstance(piece, StraightPiece):
+            sides.append(SideBatch(np.asarray(piece.p0, float)[None],
+                                   np.asarray(piece.p1, float)[None]))
+        else:
+            seg = piece.segment
+            sides.append(SideBatch(
+                v[i][None], v[(i + 1) % len(v)][None], curves=(seg.curve,),
+                t0=np.array([seg.t0]), t1=np.array([seg.t1]),
+                sign=np.array([-1.0 if piece.reversed else 1.0])))
+    return tuple(sides)
+
+
+def _signed_areas(sides) -> np.ndarray:
+    """Green-theorem signed areas of possibly curved boundary loops, shape (E,).
 
     The chord polygon alone cannot decide orientation: a strongly curved
     side (think half disk over a single diameter) can carry all the area.
     """
-    total = 0.0
     rule = gauss_legendre(12)
-    for piece in poly.pieces:
-        if isinstance(piece, StraightPiece):
-            total += 0.5 * (piece.p0[0] * piece.p1[1] - piece.p1[0] * piece.p0[1])
+    total = np.zeros(len(sides[0].start))
+    for side in sides:
+        if side.is_curved:
+            g, d = side.trace(side.params(rule.nodes))
+            cross = g[..., 0] * d[..., 1] - g[..., 1] * d[..., 0]
+            total += side.sign * 0.5 * side.half[:, 0] * np.vecdot(rule.weights, cross)
         else:
-            seg = piece.segment
-            sign = -1.0 if piece.reversed else 1.0
-            half = 0.5 * (seg.t1 - seg.t0)
-            t = 0.5 * (seg.t0 + seg.t1) + half * rule.nodes
-            g = seg.curve.eval(t)
-            d = seg.curve.eval_derivative(t)
-            cross = g[:, 0] * d[:, 1] - g[:, 1] * d[:, 0]
-            total += sign * 0.5 * half * float(rule.weights @ cross)
+            p0, p1 = side.start, side.end
+            total += 0.5 * (p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1])
     return total
 
 
-def _check_polygon(poly: CurvedPolygon) -> float:
-    area = _signed_area(poly)
-    scale = float(np.max(np.abs(poly.vertices))) + 1.0
-    if abs(area) < 1e-14 * scale * scale:
+def _check_polygons(vertices, sides) -> None:
+    area = _signed_areas(sides)
+    scale = np.max(np.abs(vertices), axis=(1, 2)) + 1.0
+    if np.any(np.abs(area) < 1e-14 * scale * scale):
         raise QuadratureError("degenerate (zero-area) polygon")
-    if area < 0.0:
+    if np.any(area < 0.0):
         raise QuadratureError("polygon must be counterclockwise")
-    return area
 
 
-def _straight_contribution(p0, p1, alpha, rule):
-    """Green-rule nodes/weights for one straight side."""
-    x0, y0 = p0
-    x1, y1 = p1
-    if y1 == y0:
-        return None
-    tj, vj = rule.nodes, rule.weights
-    xj = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * tj
-    yj = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * tj
-    xm = 0.5 * (xj[:, None] + alpha) + 0.5 * (xj[:, None] - alpha) * tj[None, :]
-    w = 0.25 * (y1 - y0) * (xj[:, None] - alpha) * vj[:, None] * vj[None, :]
-    pts = np.stack([xm.ravel(), np.repeat(yj, len(tj))], axis=-1)
-    return pts, w.ravel()
+def green_rule(vertices, sides, n_straight: int, n_curved: int):
+    """Green-rule nodes and weights of E like polygons.
 
-
-def _curved_contribution(piece: CurvedPiece, alpha, rule):
-    """Green-rule nodes/weights for one curved side.
-
-    The outer rule lives in parameter space; the traversal direction only
-    flips the sign of dy = gamma_2' dt.
+    ``vertices`` is the chord polygons, shape (E, n, 2), and ``sides`` one
+    ``SideBatch`` per side.  Straight sides use ``n_straight`` points per
+    direction and curved sides ``n_curved``.  Horizontal straight sides
+    carry no nodes, so they must be horizontal in every polygon or in none.
+    Returns x, y and w, each of shape (E, Q).
     """
-    seg = piece.segment
-    sign = -1.0 if piece.reversed else 1.0
-    half = 0.5 * (seg.t1 - seg.t0)
-    tj = 0.5 * (seg.t0 + seg.t1) + half * rule.nodes
-    gamma = seg.curve.eval(tj)
-    dgamma = seg.curve.eval_derivative(tj)
-    xj, yj = gamma[:, 0], gamma[:, 1]
-    vj = rule.weights
-    xm = 0.5 * (xj[:, None] + alpha) + 0.5 * (xj[:, None] - alpha) * rule.nodes[None, :]
-    w = (sign * half * 0.5 * (xj[:, None] - alpha)
-         * dgamma[:, 1][:, None] * vj[:, None] * vj[None, :])
-    pts = np.stack([xm.ravel(), np.repeat(yj, len(tj))], axis=-1)
-    return pts, w.ravel()
+    _check_polygons(vertices, sides)
+    alpha = np.ascontiguousarray(vertices[:, :, 0]).mean(axis=1)[:, None, None]
+    e = len(vertices)
+    rule_s = gauss_legendre(n_straight)
+    rule_c = gauss_legendre(n_curved) if n_curved else None
+    xs, ys, ws = [], [], []
+    for side in sides:
+        if side.is_curved:
+            # outer rule in parameter space; the traversal direction only
+            # flips the sign of dy = gamma_2' dt
+            rule = rule_c
+            gamma, dgamma = side.trace(side.params(rule.nodes))
+            xj, yj = gamma[..., 0], gamma[..., 1]
+            scale = (side.sign[:, None] * side.half * 0.5)[:, :, None] * (xj[:, :, None] - alpha) \
+                * dgamma[..., 1][:, :, None]
+        else:
+            horizontal = side.start[:, 1] == side.end[:, 1]
+            if horizontal.all():
+                continue
+            if horizontal.any():
+                raise QuadratureError("green_rule: a side is horizontal in only some polygons")
+            rule = rule_s
+            (x0, y0), (x1, y1) = side.start.T[:, :, None], side.end.T[:, :, None]
+            xj = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * rule.nodes
+            yj = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * rule.nodes
+            scale = (0.25 * (y1 - y0))[:, :, None] * (xj[:, :, None] - alpha)
+        nodes, vj = rule.nodes, rule.weights
+        xm = 0.5 * (xj[:, :, None] + alpha) + 0.5 * (xj[:, :, None] - alpha) * nodes
+        w = scale * vj[:, None] * vj[None, :]
+        xs.append(xm.reshape(e, -1))
+        ys.append(np.repeat(yj, len(nodes), axis=1))
+        ws.append(w.reshape(e, -1))
+    return np.concatenate(xs, axis=1), np.concatenate(ys, axis=1), np.concatenate(ws, axis=1)
 
 
 def _assemble_rule(poly, n_straight, n_curved) -> QuadratureRule2D:
-    _check_polygon(poly)
-    alpha = float(np.mean(poly.vertices[:, 0]))
-    rule_s = gauss_legendre(n_straight)
-    rule_c = gauss_legendre(n_curved) if n_curved else None
-    all_pts = []
-    all_w = []
-    for piece in poly.pieces:
-        if isinstance(piece, StraightPiece):
-            contrib = _straight_contribution(piece.p0, piece.p1, alpha, rule_s)
-        else:
-            contrib = _curved_contribution(piece, alpha, rule_c)
-        if contrib is not None:
-            all_pts.append(contrib[0])
-            all_w.append(contrib[1])
-    points = np.concatenate(all_pts, axis=0)
-    weights = np.concatenate(all_w)
+    x, y, w = green_rule(poly.vertices[None], _polygon_sides(poly), n_straight, n_curved)
+    points = np.stack([x[0], y[0]], axis=-1)
+    weights = w[0]
     xs = np.concatenate([points[:, 0], poly.vertices[:, 0]])
     ys = np.concatenate([points[:, 1], poly.vertices[:, 1]])
     rect = (float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
@@ -370,8 +422,13 @@ def curved_polygon_quadrature(poly: CurvedPolygon, k: int, boost: int = 2) -> Qu
     for the non-polynomial parametrization.  The counts are recorded on the
     returned rule.
     """
+    return _assemble_rule(poly, *rule_points(k, boost))
+
+
+def rule_points(k: int, boost: int) -> tuple[int, int]:
+    """Points per direction of the degree-k rule: k straight, k+1+boost curved."""
     if k < 1:
         raise QuadratureError(f"curved_polygon_quadrature: k={k} must be >= 1")
     if boost < 0:
         raise QuadratureError(f"curved_polygon_quadrature: boost={boost} must be >= 0")
-    return _assemble_rule(poly, k, k + 1 + boost)
+    return k, k + 1 + boost

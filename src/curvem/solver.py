@@ -4,9 +4,11 @@ Global DoF numbering is blockwise: vertex values first, then k-1 interior
 DoFs per edge (in each edge's canonical direction, so neighbouring elements
 agree), then the interior moments element by element.  The stiffness matrix
 is accumulated as sorted triplets of its lower triangle and mirrored, which
-makes the assembled matrix exactly symmetric and the assembly independent
-of element order; the reduction is deterministic, so repeated runs produce
-bit-identical systems.
+makes the assembled matrix exactly symmetric.  Local operators come from
+the chunked kernel of :mod:`curvem.vem`; their triplets and load entries are
+laid out in element order before any sum is taken, so every entry
+accumulates in the order of an element-by-element loop, whatever the
+chunking, and repeated runs produce bit-identical systems.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .mesh import Mesh
-from .vem import Coefficient, LocalOperators, edge_dof_points, local_operators, n_moments
+from .vem import (ChunkOperators, Coefficient, ElementChunk, dof_count, edge_dof_points,
+                  element_chunks, n_moments)
 
 _DENSE_LIMIT = 2000
 
@@ -57,17 +60,18 @@ class DofMap:
         return (self.n_vertices + self.n_edges * (self.k - 1)
                 + p * n_moments(self.k) + beta)
 
-    def element_dofs(self, ops: LocalOperators) -> np.ndarray:
-        """Global indices matching the local DoF layout."""
-        out = np.empty(len(ops.dofs), dtype=np.int64)
-        for i, d in enumerate(ops.dofs):
-            if d.kind == "vertex":
-                out[i] = d.entity
-            elif d.kind == "moment":
-                out[i] = self.moment_dof(ops.element, d.index)
-            else:
-                out[i] = self.edge_dof(d.entity, d.index)
-        return out
+    def element_dofs(self, chunk: ElementChunk) -> np.ndarray:
+        """Global indices matching the local DoF layout, shape (E, n_dof)."""
+        k = self.k
+        e, n = chunk.edge_ids.shape
+        out = np.empty((e, n, k), dtype=np.int64)
+        out[:, :, 0] = chunk.vertex_ids
+        if k > 1:
+            j = np.arange(k - 1)
+            along = np.where(chunk.signs[:, :, None] > 0, j, k - 2 - j)
+            out[:, :, 1:] = self.edge_dof(chunk.edge_ids[:, :, None], along)
+        moments = self.moment_dof(chunk.elements[:, None], np.arange(n_moments(k)))
+        return np.concatenate([out.reshape(e, n * k), moments], axis=1)
 
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
@@ -92,17 +96,30 @@ def build_dof_map(mesh: Mesh, k: int) -> DofMap:
 
 
 @dataclass
+class OperatorBlock:
+    """What postprocessing keeps of one chunk of like elements."""
+
+    chunk: ElementChunk
+    dofs: np.ndarray      # (E, n_dof) global DoF indices
+    pi_nabla: np.ndarray  # (E, dim P_k, n_dof)
+
+
+@dataclass
 class LinearSystem:
     """Assembled global system plus the Dirichlet elimination record."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dof_map: DofMap
-    local_operators: list[LocalOperators] = field(repr=False)
+    blocks: list[OperatorBlock] = field(repr=False)
     boundary_values: np.ndarray | None = None
     interior: np.ndarray | None = None
     reduced_matrix: sparse.csr_matrix | None = None
     reduced_rhs: np.ndarray | None = None
+
+
+def _starts(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
 def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
@@ -110,24 +127,34 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
     """Assemble stiffness and load of the degree-k discretization."""
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
-    rhs = np.zeros(total)
-    ops_list = []
-    rows, cols, vals = [], [], []
-    for p in range(len(mesh.elements)):
-        ops = local_operators(mesh, p, k, coeff, boost=boost, load_degree=load_degree)
-        ops_list.append(ops)
-        gdofs = dof_map.element_dofs(ops)
-        rhs[gdofs] += ops.load
-        gi = np.broadcast_to(gdofs[:, None], ops.stiffness.shape)
-        gj = np.broadcast_to(gdofs[None, :], ops.stiffness.shape)
-        lower = gi >= gj
-        rows.append(gi[lower])
-        cols.append(gj[lower])
-        vals.append(ops.stiffness[lower])
+    n_local = np.array([dof_count(len(el.edge_loop), k) for el in mesh.elements])
+    load_start = _starts(n_local)
+    tri_start = _starts(n_local * (n_local + 1) // 2)
+    load_dofs = np.empty(load_start[-1], dtype=np.int64)
+    load_vals = np.empty(load_start[-1])
+    rows = np.empty(tri_start[-1], dtype=np.int64)
+    cols = np.empty(tri_start[-1], dtype=np.int64)
+    vals = np.empty(tri_start[-1])
+    blocks = []
+    for chunk in element_chunks(mesh, k):
+        ops = ChunkOperators(chunk, boost)
+        gdofs = dof_map.element_dofs(chunk)
+        kappa = [coeff.kappa(int(label)) for label in chunk.labels]
+        at = load_start[chunk.elements, None] + np.arange(chunk.n_dof)
+        load_dofs[at] = gdofs
+        load_vals[at] = ops.load(coeff.source_for, load_degree)
+        # the upper triangle of an exactly symmetric matrix, as lower-triangle
+        # triplets of the global matrix
+        iu, ju = np.triu_indices(chunk.n_dof)
+        at = tri_start[chunk.elements, None] + np.arange(len(iu))
+        rows[at] = np.maximum(gdofs[:, iu], gdofs[:, ju])
+        cols[at] = np.minimum(gdofs[:, iu], gdofs[:, ju])
+        vals[at] = ops.stiffness(kappa)[:, iu, ju]
+        blocks.append(OperatorBlock(chunk=chunk, dofs=gdofs, pi_nabla=ops.pi_nabla))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    rhs = np.zeros(total)
+    np.add.at(rhs, load_dofs, load_vals)
+    # stable sort: equal entries stay in element order for the sums
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     boundary = np.nonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))[0] + 1
@@ -136,8 +163,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
     lower = sparse.csr_matrix((summed, (rows[starts], cols[starts])),
                               shape=(total, total))
     matrix = (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()
-    return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map,
-                        local_operators=ops_list)
+    return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
 
 
 def apply_dirichlet(system: LinearSystem, g) -> None:

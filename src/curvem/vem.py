@@ -20,6 +20,15 @@ straight edges; on curved edges the trace is the Lagrange interpolant of
 the DoF values in the curve parameter, integrated with a boosted
 Gauss-Legendre rule.  Interior integrals use the Green-rule quadrature of
 :mod:`curvem.quadrature`.
+
+All of it runs on chunks of at most ``CHUNK_SIZE`` like elements
+(``element_chunks``): elements with the same edge count, the same curved
+sides and the same horizontal straight sides, whose quadrature rules and
+local matrices therefore have equal shapes and stack along a leading axis.
+Every product is a stacked ``np.matmul`` whose operands have the layout of
+the per-element product, so an element's operators are the same bits
+whichever chunk computes them; ``local_operators`` and the other
+one-element functions are views of a chunk of one.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .mesh import Mesh, curved_polygon
-from .quadrature import (curved_polygon_quadrature, gauss_legendre, gauss_lobatto,
-                         lagrange_values)
+from .mesh import Mesh
+from .quadrature import (SideBatch, gauss_legendre, gauss_lobatto, green_rule,
+                         lagrange_values, rule_points)
 
 
 class ElementOperatorError(Exception):
@@ -39,6 +48,43 @@ class ElementOperatorError(Exception):
 
 
 _COND_LIMIT = 1e13
+
+CHUNK_SIZE = 128  # elements per kernel batch; bounds the kernel's memory
+
+
+def _exponents(degree: int) -> list[tuple[int, int]]:
+    return [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
+
+
+def _powers(t, n):
+    out = np.ones(np.shape(t) + (n + 1,))
+    for a in range(1, n + 1):
+        out[..., a] = out[..., a - 1] * t
+    return out
+
+
+def _monomials(degree, xi, eta) -> np.ndarray:
+    """xi^a eta^b over the basis exponents, shape xi.shape + (dim,)."""
+    exponents = _exponents(degree)
+    xp, yp = _powers(xi, degree), _powers(eta, degree)
+    out = np.empty(np.shape(xi) + (len(exponents),))
+    for i, (a, b) in enumerate(exponents):
+        out[..., i] = xp[..., a] * yp[..., b]
+    return out
+
+
+def _monomial_gradients(degree, xi, eta, h):
+    """Gradients of the scaled monomials; ``h`` broadcasts against xi."""
+    exponents = _exponents(degree)
+    xp, yp = _powers(xi, degree), _powers(eta, degree)
+    gx = np.zeros(np.shape(xi) + (len(exponents),))
+    gy = np.zeros(np.shape(xi) + (len(exponents),))
+    for i, (a, b) in enumerate(exponents):
+        if a:
+            gx[..., i] = a / h * xp[..., a - 1] * yp[..., b]
+        if b:
+            gy[..., i] = b / h * xp[..., a] * yp[..., b - 1]
+    return gx, gy
 
 
 class ScaledMonomialBasis:
@@ -52,39 +98,24 @@ class ScaledMonomialBasis:
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.h = float(h)
-        self.exponents = [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
+        self.exponents = _exponents(degree)
         self._index = {e: i for i, e in enumerate(self.exponents)}
 
     @property
     def dim(self) -> int:
         return len(self.exponents)
 
-    def _powers(self, t, n):
-        out = np.ones(np.shape(t) + (n + 1,))
-        for a in range(1, n + 1):
-            out[..., a] = out[..., a - 1] * t
-        return out
+    def _scaled(self, x, y):
+        return ((np.asarray(x, float) - self.center[0]) / self.h,
+                (np.asarray(y, float) - self.center[1]) / self.h)
 
     def eval(self, x, y) -> np.ndarray:
         """Values, shape (..., dim)."""
-        xi = (np.asarray(x, float) - self.center[0]) / self.h
-        eta = (np.asarray(y, float) - self.center[1]) / self.h
-        xp = self._powers(xi, self.degree)
-        yp = self._powers(eta, self.degree)
-        return np.stack([xp[..., a] * yp[..., b] for a, b in self.exponents], axis=-1)
+        return _monomials(self.degree, *self._scaled(x, y))
 
     def grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives, two arrays of shape (..., dim)."""
-        xi = (np.asarray(x, float) - self.center[0]) / self.h
-        eta = (np.asarray(y, float) - self.center[1]) / self.h
-        xp = self._powers(xi, self.degree)
-        yp = self._powers(eta, self.degree)
-        zero = np.zeros(np.shape(xi))
-        gx = np.stack([a / self.h * xp[..., a - 1] * yp[..., b] if a else zero
-                       for a, b in self.exponents], axis=-1)
-        gy = np.stack([b / self.h * xp[..., a] * yp[..., b - 1] if b else zero
-                       for a, b in self.exponents], axis=-1)
-        return gx, gy
+        return _monomial_gradients(self.degree, *self._scaled(x, y), self.h)
 
     def laplacian_terms(self, index: int) -> list[tuple[int, float]]:
         """Expansion of the Laplacian of basis member ``index`` in the basis."""
@@ -164,6 +195,7 @@ def layout_dofs(mesh: Mesh, element_id: int, k: int) -> list[DofDescriptor]:
     return dofs
 
 
+
 @dataclass(frozen=True)
 class Coefficient:
     """Problem data: piecewise-constant diffusion and source by element label.
@@ -213,142 +245,282 @@ class LocalOperators:
     load: np.ndarray
 
 
-class _ElementContext:
-    """Shared geometric and projection data for one element."""
+def _values(f, x, y):
+    """f at points (x, y) of any shape, called on flattened arrays.
 
-    def __init__(self, mesh: Mesh, element_id: int, k: int, boost: int):
-        self.mesh = mesh
-        self.element_id = element_id
-        self.k = k
-        self.boost = boost
-        element = mesh.elements[element_id]
-        self.element = element
-        self.basis = ScaledMonomialBasis(k, element.centroid, element.diameter)
-        self.poly = curved_polygon(mesh, element_id)
-        self.dofs = layout_dofs(mesh, element_id, k)
-        self.n_bnd = len(element.edge_loop) * k
-        self.n_dof = len(self.dofs)
-        self.area = element.area
-        self.perimeter = sum(mesh.edges[eid].length for eid, _ in element.edge_loop)
+    Returns an array shaped like x, or a tuple of them when f returns one.
+    """
+    out = f(x.ravel(), y.ravel())
+    if isinstance(out, tuple):
+        return tuple(np.broadcast_to(np.asarray(o, dtype=float), (x.size,)).reshape(x.shape)
+                     for o in out)
+    return np.broadcast_to(np.asarray(out, dtype=float), (x.size,)).reshape(x.shape)
 
-        rule = curved_polygon_quadrature(self.poly, k, boost)
-        gx, gy = self.basis.grad(rule.points[:, 0], rule.points[:, 1])
-        w = rule.weights
-        self.g_tilde = gx.T @ (gx * w[:, None]) + gy.T @ (gy * w[:, None])
-        nm = n_moments(k)
+
+@dataclass(frozen=True, eq=False)
+class ElementChunk:
+    """Geometry and DoF layout of up to ``CHUNK_SIZE`` like elements.
+
+    Per-element arrays stack along a leading axis of length E, in the order
+    of ``elements``; ``n`` is the shared edge count.  Side j runs from
+    corner j to corner j+1.
+    """
+
+    k: int
+    elements: np.ndarray    # (E,) element ids
+    labels: np.ndarray      # (E,)
+    vertex_ids: np.ndarray  # (E, n)
+    edge_ids: np.ndarray    # (E, n)
+    signs: np.ndarray       # (E, n) +1 where side j runs from its edge's v0 to v1
+    vertices: np.ndarray    # (E, n, 2) corner positions
+    sides: tuple            # n SideBatch
+    lengths: np.ndarray     # (E, n) edge lengths, arc length on curved edges
+    center: np.ndarray      # (E, 2) chord centroids
+    h: np.ndarray           # (E,) diameters
+    area: np.ndarray        # (E,)
+    dof_points: np.ndarray  # (E, n k, 2) boundary DoF locations in local order
+
+    @property
+    def n_bnd(self) -> int:
+        return self.vertex_ids.shape[1] * self.k
+
+    @property
+    def n_dof(self) -> int:
+        return dof_count(self.vertex_ids.shape[1], self.k)
+
+    def rule(self, k: int, boost: int):
+        """The Green rule ``curved_polygon_quadrature`` builds for degree k:
+        x, y and w of shape (E, Q)."""
+        return green_rule(self.vertices, self.sides, *rule_points(k, boost))
+
+    def _scaled(self, x, y):
+        h = self.h[:, None]
+        return (x - self.center[:, 0, None]) / h, (y - self.center[:, 1, None]) / h
+
+    def basis(self, x, y) -> np.ndarray:
+        """Scaled monomials of degree <= k at points (E, m): shape (E, m, dim)."""
+        return _monomials(self.k, *self._scaled(x, y))
+
+    def basis_grad(self, x, y):
+        return _monomial_gradients(self.k, *self._scaled(x, y), self.h[:, None])
+
+    def by_label(self, lookup: Callable, x, y):
+        """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m)."""
+        out = None
+        for label in np.unique(self.labels):
+            rows = self.labels == label
+            vals = _values(lookup(int(label)), x[rows], y[rows])
+            vals = vals if isinstance(vals, tuple) else (vals,)
+            if out is None:
+                out = tuple(np.empty(x.shape) for _ in vals)
+            for o, v in zip(out, vals):
+                o[rows] = v
+        return out if len(out) > 1 else out[0]
+
+    def interpolate(self, u, boost: int = 2) -> np.ndarray:
+        """DoF vectors of a smooth function: point values plus scaled moments."""
+        e = len(self.elements)
+        out = np.empty((e, self.n_dof))
+        pts = self.dof_points.reshape(-1, 2)
+        out[:, :self.n_bnd] = _values(u, pts[:, 0], pts[:, 1]).reshape(e, self.n_bnd)
+        nm = n_moments(self.k)
         if nm:
-            vals = self.basis.eval(rule.points[:, 0], rule.points[:, 1])
-            self.mass_rect = vals[:, :nm].T @ (vals * w[:, None])
-        else:
-            self.mass_rect = np.empty((0, self.basis.dim))
+            x, y, w = self.rule(self.k + 2, boost)
+            vals = self.basis(x, y)[..., :nm]
+            out[:, self.n_bnd:] = ((w * _values(u, x, y))[:, None, :] @ vals)[:, 0] \
+                / self.area[:, None]
+        return out
 
-        self._boundary_terms()
-        self._projectors()
+
+def _signature(mesh: Mesh, element) -> tuple[str, ...]:
+    """Per side: curved ("c"), horizontal straight ("h") or other straight ("s")."""
+    ys = [mesh.vertices[v].position[1] for v in element.vertices]
+    return tuple("c" if mesh.edges[eid].segment is not None
+                 else "h" if ys[j] == ys[(j + 1) % len(ys)] else "s"
+                 for j, (eid, _) in enumerate(element.edge_loop))
+
+
+def _gather(mesh: Mesh, k: int, signature, ids) -> ElementChunk:
+    els = [mesh.elements[p] for p in ids]
+    n = len(signature)
+    edge_ids = np.array([[eid for eid, _ in el.edge_loop] for el in els], dtype=np.int64)
+    signs = np.array([[sign for _, sign in el.edge_loop] for el in els], dtype=np.int64)
+    vertices = np.array([[mesh.vertices[v].position for v in el.vertices] for el in els])
+    edges = [[mesh.edges[eid] for eid in row] for row in edge_ids.tolist()]
+    sides = []
+    for j in range(n):
+        start, end = vertices[:, j], vertices[:, (j + 1) % n]
+        if signature[j] == "c":
+            segs = [row[j].segment for row in edges]
+            sides.append(SideBatch(
+                start, end, curves=tuple(seg.curve for seg in segs),
+                t0=np.array([seg.t0 for seg in segs]), t1=np.array([seg.t1 for seg in segs]),
+                sign=signs[:, j].astype(float)))
+        else:
+            sides.append(SideBatch(start, end))
+
+    # boundary DoF points: each corner, then the interior Gauss-Lobatto
+    # points of its outgoing edge, placed in the edge's v0 -> v1 direction
+    # and walked in traversal order
+    nodes = gauss_lobatto(k + 1).nodes[1:-1]
+    points = np.empty((len(els), n, k, 2))
+    for j, side in enumerate(sides):
+        points[:, j, 0] = side.start
+        if k == 1:
+            continue
+        forward = signs[:, j, None] > 0
+        if side.is_curved:
+            inner = side.trace(side.params(nodes))[0]
+        else:
+            p0 = np.where(forward, side.start, side.end)[:, None, :]
+            p1 = np.where(forward, side.end, side.start)[:, None, :]
+            inner = p0 + 0.5 * (nodes[:, None] + 1.0) * (p1 - p0)
+        points[:, j, 1:] = np.where(forward[..., None], inner, inner[:, ::-1])
+
+    return ElementChunk(
+        k=k, elements=np.array(ids, dtype=np.int64),
+        labels=np.array([el.label for el in els], dtype=np.int64),
+        vertex_ids=np.array([el.vertices for el in els], dtype=np.int64),
+        edge_ids=edge_ids, signs=signs, vertices=vertices, sides=tuple(sides),
+        lengths=np.array([[edge.length for edge in row] for row in edges]),
+        center=np.array([el.centroid for el in els]),
+        h=np.array([el.diameter for el in els]),
+        area=np.array([el.area for el in els]),
+        dof_points=points.reshape(len(els), n * k, 2))
+
+
+def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
+    """Chunks of at most ``CHUNK_SIZE`` like elements covering ``elements``.
+
+    ``elements`` defaults to the whole mesh.  Each chunk keeps the order of
+    ``elements``; chunks come grouped by signature, signatures in order of
+    first appearance.
+    """
+    ids = range(len(mesh.elements)) if elements is None else elements
+    groups: dict[tuple, list[int]] = {}
+    for p in ids:
+        groups.setdefault(_signature(mesh, mesh.elements[p]), []).append(p)
+    return [_gather(mesh, k, signature, members[i:i + CHUNK_SIZE])
+            for signature, members in groups.items()
+            for i in range(0, len(members), CHUNK_SIZE)]
+
+
+class ChunkOperators:
+    """Projectors of one chunk of like elements; stiffness and load on request.
+
+    The G, B and D matrices of the Hitchhiker's-guide construction, built
+    for all elements of the chunk at once.
+    """
+
+    def __init__(self, chunk: ElementChunk, boost: int = 2):
+        self.chunk = chunk
+        self.boost = boost
+        nm = n_moments(chunk.k)
+        x, y, w = chunk.rule(chunk.k, boost)
+        gx, gy = chunk.basis_grad(x, y)
+        wc = w[..., None]
+        self.g_tilde = gx.mT @ (gx * wc) + gy.mT @ (gy * wc)
+        if nm:
+            vals = chunk.basis(x, y)
+            self.mass_rect = vals[..., :nm].mT @ (vals * wc)
+        else:
+            self.mass_rect = np.empty((len(chunk.elements), 0, gx.shape[-1]))
+        self._projectors(*self._boundary_terms())
 
     def _boundary_terms(self):
         """Flux matrix, boundary averages of DoFs and of monomials."""
-        mesh, k, basis = self.mesh, self.k, self.basis
-        nk = basis.dim
-        self.b_flux = np.zeros((nk, self.n_dof))
-        self.bavg = np.zeros(self.n_dof)
-        self.mavg = np.zeros(nk)
+        chunk, k = self.chunk, self.chunk.k
+        e, nk, n_bnd = len(chunk.elements), len(_exponents(k)), chunk.n_bnd
+        b_flux = np.zeros((e, nk, chunk.n_dof))
+        bavg = np.zeros((e, chunk.n_dof))
+        mavg = np.zeros((e, nk))
         lobatto = gauss_lobatto(k + 1)
         legendre = gauss_legendre(k + 1 + self.boost)
-        for piece, (eid, sign) in enumerate(self.element.edge_loop):
-            edge = mesh.edges[eid]
-            slots = [piece * k] + list(range(piece * k + 1, piece * k + k)) \
-                + [(piece + 1) * k % self.n_bnd]
-            a, b = mesh.traversal_endpoints(eid, sign)
-            pa = mesh.vertices[a].position
-            pb = mesh.vertices[b].position
-            if edge.segment is None:
-                pts = pa[None, :] + 0.5 * (lobatto.nodes[:, None] + 1.0) * (pb - pa)[None, :]
-                length = edge.length
-                w = 0.5 * length * lobatto.weights
-                d = (pb - pa) / length
-                normal = np.array([d[1], -d[0]])
-                gx, gy = basis.grad(pts[:, 0], pts[:, 1])
-                flux = gx * normal[0] + gy * normal[1]
-                for row, slot in enumerate(slots):
-                    self.b_flux[:, slot] += w[row] * flux[row]
-                    self.bavg[slot] += w[row]
-                self.mavg += w @ basis.eval(pts[:, 0], pts[:, 1])
-            else:
-                seg = edge.segment
-                half = 0.5 * (seg.t1 - seg.t0)
-                t_dof = 0.5 * (seg.t0 + seg.t1) + half * lobatto.nodes
-                if sign < 0:
-                    t_dof = t_dof[::-1]
-                tq = 0.5 * (seg.t0 + seg.t1) + half * legendre.nodes
-                wq = half * legendre.weights
+        for piece, side in enumerate(chunk.sides):
+            slots = list(range(piece * k, piece * k + k)) + [(piece + 1) * k % n_bnd]
+            if side.is_curved:
+                t_dof = side.params(lobatto.nodes)
+                t_dof = np.where(side.sign[:, None] < 0, t_dof[:, ::-1], t_dof)
+                tq = side.params(legendre.nodes)
+                wq = side.half * legendre.weights
                 trace = lagrange_values(t_dof, tq)
-                gamma = seg.curve.eval(tq)
-                dgamma = seg.curve.eval_derivative(tq)
-                gx, gy = basis.grad(gamma[:, 0], gamma[:, 1])
-                flux = sign * (gx * dgamma[:, 1][:, None] - gy * dgamma[:, 0][:, None])
-                speed = np.hypot(dgamma[:, 0], dgamma[:, 1])
+                gamma, dgamma = side.trace(tq)
+                gx, gy = chunk.basis_grad(gamma[..., 0], gamma[..., 1])
+                flux = side.sign[:, None, None] * (gx * dgamma[..., 1, None]
+                                                   - gy * dgamma[..., 0, None])
+                wspeed = wq * np.hypot(dgamma[..., 0], dgamma[..., 1])
                 for col, slot in enumerate(slots):
-                    self.b_flux[:, slot] += (wq * trace[:, col]) @ flux
-                    self.bavg[slot] += float((wq * speed) @ trace[:, col])
-                self.mavg += (wq * speed) @ basis.eval(gamma[:, 0], gamma[:, 1])
+                    b_flux[:, :, slot] += ((wq * trace[..., col])[:, None, :] @ flux)[:, 0]
+                    bavg[:, slot] += np.vecdot(wspeed, trace[..., col])
+                mavg += (wspeed[:, None, :] @ chunk.basis(gamma[..., 0], gamma[..., 1]))[:, 0]
+            else:
+                pa, pb = side.start[:, None, :], side.end[:, None, :]
+                pts = pa + 0.5 * (lobatto.nodes[:, None] + 1.0) * (pb - pa)
+                length = chunk.lengths[:, piece, None]
+                w = 0.5 * length * lobatto.weights
+                d = (side.end - side.start) / length
+                gx, gy = chunk.basis_grad(pts[..., 0], pts[..., 1])
+                flux = gx * d[:, 1, None, None] + gy * (-d[:, 0])[:, None, None]
+                for row, slot in enumerate(slots):
+                    b_flux[:, :, slot] += w[:, row, None] * flux[:, row]
+                    bavg[:, slot] += w[:, row]
+                mavg += (w[:, None, :] @ chunk.basis(pts[..., 0], pts[..., 1]))[:, 0]
+        return b_flux, bavg, mavg
 
-    def _projectors(self):
-        basis, k = self.basis, self.k
-        nk = basis.dim
+    def _check(self, cond, what: str) -> None:
+        bad = ~(cond <= _COND_LIMIT)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ElementOperatorError(
+                f"element {self.chunk.elements[i]}: {what} has condition {cond[i]:.3e}")
+
+    def _projectors(self, b_flux, bavg, mavg):
+        chunk, k = self.chunk, self.chunk.k
+        e, nk, n_dof, n_bnd = len(chunk.elements), b_flux.shape[1], chunk.n_dof, chunk.n_bnd
         nm = n_moments(k)
+        perimeter = chunk.lengths[:, 0]
+        for j in range(1, chunk.lengths.shape[1]):
+            perimeter = perimeter + chunk.lengths[:, j]
+        perimeter = perimeter[:, None]
 
-        b_mat = self.b_flux.copy()
-        for alpha in range(nk):
-            for beta, coeff in basis.laplacian_terms(alpha):
-                b_mat[alpha, self.n_bnd + beta] -= coeff * self.area
-        b_mat[0, :] = self.bavg / self.perimeter
+        b_mat = b_flux
+        h2 = chunk.h * chunk.h
+        index = {ab: i for i, ab in enumerate(_exponents(k))}
+        for alpha, (a, b) in enumerate(_exponents(k)):
+            if a >= 2:
+                b_mat[:, alpha, n_bnd + index[a - 2, b]] -= a * (a - 1) / h2 * chunk.area
+            if b >= 2:
+                b_mat[:, alpha, n_bnd + index[a, b - 2]] -= b * (b - 1) / h2 * chunk.area
+        b_mat[:, 0, :] = bavg / perimeter
 
         g_mat = self.g_tilde.copy()
-        g_mat[0, :] = self.mavg / self.perimeter
-
-        cond = np.linalg.cond(g_mat)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise ElementOperatorError(
-                f"element {self.element_id}: H1 projector system has condition "
-                f"{cond:.3e}")
+        g_mat[:, 0, :] = mavg / perimeter
+        self._check(np.linalg.cond(g_mat), "H1 projector system")
         self.pi_nabla = np.linalg.solve(g_mat, b_mat)
 
-        point_rows = np.array([d.point for d in self.dofs[:self.n_bnd]])
-        d_mat = np.empty((self.n_dof, nk))
-        d_mat[:self.n_bnd] = basis.eval(point_rows[:, 0], point_rows[:, 1])
+        d_mat = np.empty((e, n_dof, nk))
+        d_mat[:, :n_bnd] = chunk.basis(chunk.dof_points[..., 0], chunk.dof_points[..., 1])
         if nm:
-            d_mat[self.n_bnd:] = self.mass_rect / self.area
-        self.d_mat = d_mat
-
-        if nm:
-            h_mat = self.mass_rect[:, :nm]
-            cond = np.linalg.cond(h_mat)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise ElementOperatorError(
-                    f"element {self.element_id}: moment mass matrix has condition "
-                    f"{cond:.3e}")
-            self.pi0 = np.zeros((nm, self.n_dof))
-            self.pi0[:, self.n_bnd:] = self.area * np.linalg.inv(h_mat)
+            d_mat[:, n_bnd:] = self.mass_rect / chunk.area[:, None, None]
+            h_mat = self.mass_rect[..., :nm]
+            self._check(np.linalg.cond(h_mat), "moment mass matrix")
+            self.pi0 = np.zeros((e, nm, n_dof))
+            self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * np.linalg.inv(h_mat)
         else:
             # degree 1: the only computable constant projection is the
             # average of the boundary DoFs
-            self.pi0 = np.full((1, self.n_dof), 1.0 / self.n_dof)
+            self.pi0 = np.full((e, 1, n_dof), 1.0 / n_dof)
+        self.d_mat = d_mat
 
-    def stiffness(self, kappa: float) -> np.ndarray:
-        consistency = self.pi_nabla.T @ self.g_tilde @ self.pi_nabla
-        residual = np.eye(self.n_dof) - self.d_mat @ self.pi_nabla
-        k_mat = kappa * (consistency + residual.T @ residual)
-        return 0.5 * (k_mat + k_mat.T)
+    def stiffness(self, kappa) -> np.ndarray:
+        """Local stiffness matrices for per-element diffusion ``kappa`` (E,)."""
+        consistency = self.pi_nabla.mT @ self.g_tilde @ self.pi_nabla
+        residual = np.eye(self.chunk.n_dof) - self.d_mat @ self.pi_nabla
+        k_mat = np.asarray(kappa, dtype=float)[:, None, None] * (consistency + residual.mT @ residual)
+        return 0.5 * (k_mat + k_mat.mT)
 
-    def _source_moments(self, f, degree: int) -> np.ndarray:
-        rule_k = (degree + 3) // 2
-        rule = curved_polygon_quadrature(self.poly, rule_k, self.boost)
-        fvals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-        vals = self.basis.eval(rule.points[:, 0], rule.points[:, 1])
-        return (rule.weights * fvals) @ vals
-
-    def load(self, f, degree: int | None = None) -> np.ndarray:
-        """Load vector for (f, v).
+    def load(self, source_for: Callable, degree: int | None = None) -> np.ndarray:
+        """Load vectors for (f, v), with ``source_for(label)`` giving f.
 
         The leading term pairs the projection of f onto P_{k-2} with the
         exact interior moments of v (the boundary average of v for k = 1).
@@ -356,17 +528,25 @@ class _ElementContext:
         projection residual of f is paired with the H1 projection of v as
         a correction.  The correction vanishes whenever f lies in P_{k-2},
         keeping polynomial solutions with polynomial sources reproduced to
-        solver precision.
+        solver precision.  The source is integrated with a rule exact to
+        ``degree`` (default 2k+2) on straight sides.
         """
-        degree = 2 * self.k + 2 if degree is None else degree
-        moments = self._source_moments(f, degree)
-        nm = max(n_moments(self.k), 1)
-        lead = self.pi0.T @ moments[:nm]
-        if self.k == 1:
+        chunk, k = self.chunk, self.chunk.k
+        degree = 2 * k + 2 if degree is None else degree
+        x, y, w = chunk.rule((degree + 3) // 2, self.boost)
+        fvals = chunk.by_label(source_for, x, y)
+        moments = ((w * fvals)[:, None, :] @ chunk.basis(x, y))[:, 0]
+        nm = max(n_moments(k), 1)
+        lead = (self.pi0.mT @ moments[:, :nm, None])[..., 0]
+        if k == 1:
             return lead
-        coeff = np.linalg.solve(self.mass_rect[:, :nm], moments[:nm])
-        residual = moments - self.mass_rect.T @ coeff
-        return lead + self.pi_nabla.T @ residual
+        coeff = np.linalg.solve(self.mass_rect[..., :nm], moments[:, :nm, None])
+        residual = moments - (self.mass_rect.mT @ coeff)[..., 0]
+        return lead + (self.pi_nabla.mT @ residual[..., None])[..., 0]
+
+
+def _one(mesh: Mesh, element_id: int, k: int) -> ElementChunk:
+    return element_chunks(mesh, k, [element_id])[0]
 
 
 def compute_pi_nabla(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.ndarray:
@@ -376,7 +556,7 @@ def compute_pi_nabla(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.
     the element's scaled monomials; the projection is pinned by matching
     the boundary average.
     """
-    return _ElementContext(mesh, element_id, k, boost).pi_nabla
+    return ChunkOperators(_one(mesh, element_id, k), boost).pi_nabla[0]
 
 
 def compute_pi0(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.ndarray:
@@ -385,7 +565,7 @@ def compute_pi0(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.ndarr
     For k = 1 this degenerates to the single row averaging the boundary
     DoFs, the constant pairing used by the load.
     """
-    return _ElementContext(mesh, element_id, k, boost).pi0
+    return ChunkOperators(_one(mesh, element_id, k), boost).pi0[0]
 
 
 def local_stiffness(mesh: Mesh, element_id: int, k: int, kappa: float = 1.0,
@@ -394,38 +574,30 @@ def local_stiffness(mesh: Mesh, element_id: int, k: int, kappa: float = 1.0,
 
     Its kernel contains the DoF vector of the constant function.
     """
-    return _ElementContext(mesh, element_id, k, boost).stiffness(kappa)
+    return ChunkOperators(_one(mesh, element_id, k), boost).stiffness([kappa])[0]
 
 
 def local_load(mesh: Mesh, element_id: int, k: int, f, degree: int | None = None,
                boost: int = 2) -> np.ndarray:
     """Local load vector; the source is integrated with a rule exact to
     ``degree`` (default 2k+2) on straight sides."""
-    return _ElementContext(mesh, element_id, k, boost).load(f, degree)
+    return ChunkOperators(_one(mesh, element_id, k), boost).load(lambda label: f, degree)[0]
 
 
 def local_operators(mesh: Mesh, element_id: int, k: int, coeff: Coefficient,
                     boost: int = 2, load_degree: int | None = None) -> LocalOperators:
-    """Build all local operators of one element in a single pass."""
-    ctx = _ElementContext(mesh, element_id, k, boost)
-    label = mesh.elements[element_id].label
+    """All local operators of one element: a chunk of one element."""
+    ops = ChunkOperators(_one(mesh, element_id, k), boost)
+    element = mesh.elements[element_id]
     return LocalOperators(
-        element=element_id, k=k, basis=ctx.basis, dofs=ctx.dofs,
-        pi_nabla=ctx.pi_nabla, pi0=ctx.pi0,
-        stiffness=ctx.stiffness(coeff.kappa(label)),
-        load=ctx.load(coeff.source_for(label), load_degree))
+        element=element_id, k=k,
+        basis=ScaledMonomialBasis(k, element.centroid, element.diameter),
+        dofs=layout_dofs(mesh, element_id, k),
+        pi_nabla=ops.pi_nabla[0], pi0=ops.pi0[0],
+        stiffness=ops.stiffness([coeff.kappa(element.label)])[0],
+        load=ops.load(coeff.source_for, load_degree)[0])
 
 
 def interpolate(mesh: Mesh, element_id: int, k: int, u, boost: int = 2) -> np.ndarray:
     """DoF vector of a smooth function: point values plus scaled moments."""
-    ctx = _ElementContext(mesh, element_id, k, boost)
-    out = np.empty(ctx.n_dof)
-    pts = np.array([d.point for d in ctx.dofs[:ctx.n_bnd]])
-    out[:ctx.n_bnd] = u(pts[:, 0], pts[:, 1])
-    nm = n_moments(k)
-    if nm:
-        rule = curved_polygon_quadrature(ctx.poly, k + 2, boost)
-        uvals = np.asarray(u(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-        vals = ctx.basis.eval(rule.points[:, 0], rule.points[:, 1])[:, :nm]
-        out[ctx.n_bnd:] = ((rule.weights * uvals) @ vals) / ctx.area
-    return out
+    return _one(mesh, element_id, k).interpolate(u, boost)[0]

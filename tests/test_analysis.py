@@ -89,9 +89,9 @@ def test_compute_errors_of_interpolant_shrink_under_refinement():
         dof_map = build_dof_map(mesh, k)
         vec = np.zeros(dof_map.total)
         system = assemble(mesh, k, prob.coefficient())
-        for p in range(len(mesh.elements)):
-            ops = system.local_operators[p]
-            vec[dof_map.element_dofs(ops)] = interpolate(mesh, p, k, prob.exact)
+        for block in system.blocks:
+            for p, gdofs in zip(block.chunk.elements, block.dofs):
+                vec[gdofs] = interpolate(mesh, p, k, prob.exact)
         errs[n] = compute_errors(mesh, k, vec, prob)
     assert errs[4][0] < 0.2 and errs[4][1] < 0.05
     assert errs[8][0] < 0.5 * errs[4][0]

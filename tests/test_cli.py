@@ -195,6 +195,13 @@ THIN_QUAD = (
     "p 4 1 2 3 4\nlabel 1\n")
 
 
+def test_main_non_finite_mesh_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text(THIN_QUAD.replace("v 1 1", "v 1 nan"), encoding="utf-8")
+    assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_CONFIG
+    assert "line 5: non-finite coordinate" in capsys.readouterr().err
+
+
 def test_main_quality_failure_exits_3(tmp_path, capsys):
     path = tmp_path / "thin.txt"
     path.write_text(THIN_QUAD, encoding="utf-8")

@@ -1,0 +1,170 @@
+"""The chunked element kernel: exact agreement with one-element views and
+with the per-element reference values, chunking, and degree 4."""
+
+import numpy as np
+import pytest
+
+from curvem import (
+    Coefficient,
+    CurveSegment,
+    Edge,
+    Element,
+    Mesh,
+    Vertex,
+    assemble,
+    build_annulus_interface_mesh,
+    build_mapped_tensor_mesh,
+    graph_curve,
+    interpolate,
+    local_operators,
+    run_convergence,
+    run_patch_test,
+)
+from curvem import test1_boundary_curves as boundary_curves
+from curvem import test1_problem as problem1
+from curvem import test2_problem as problem2
+from curvem import vem
+from curvem.cli import PATCH_TOL
+from curvem.vem import ChunkOperators, element_chunks
+
+# (k, n, n_dof, err_h1, err_l2) of `curvem run test1-curved` and
+# `curvem run test2` as computed element by element before the kernel was
+# batched.  CG stops at a relative residual of 1e-12, so a kernel that
+# merely reorders its floating-point sums moves these errors by up to 1e-9.
+TEST1_REFERENCE = [
+    (1, 4, 25, 0.44848381012001665, 0.14351501925756413),
+    (1, 8, 81, 0.22716907625819457, 0.04552637427014896),
+    (1, 16, 289, 0.11152813385727951, 0.012093593029765938),
+    (2, 4, 81, 0.12977011461439342, 0.016111971714803854),
+    (2, 8, 289, 0.03683471098399932, 0.0023015085065088824),
+    (2, 16, 1089, 0.009494521456757358, 0.00029836661789195445),
+    (3, 4, 153, 0.039955125688330484, 0.004061722168226906),
+    (3, 8, 561, 0.005657505965766972, 0.0002862083058805052),
+    (3, 16, 2145, 0.0007269588563834429, 1.798799668079097e-05),
+]
+TEST2_REFERENCE = [
+    (1, 2, 33, 0.3109031140731584, 0.05778233602808622),
+    (1, 4, 129, 0.14939525873877654, 0.01699372238261179),
+    (1, 8, 513, 0.07408455663189892, 0.004407570068400602),
+    (2, 2, 121, 0.015803671029482866, 0.0025580795309896867),
+    (2, 4, 497, 0.00408273754936499, 0.00033010905683845336),
+    (2, 8, 2017, 0.0010328656747497572, 4.1729563811418654e-05),
+    (3, 2, 237, 0.004240948841852366, 0.000591878179687704),
+    (3, 4, 985, 0.0005619434197920829, 3.723316211901411e-05),
+    (3, 8, 4017, 7.17437332174303e-05, 2.320844265322247e-06),
+]
+
+
+@pytest.mark.parametrize("problem, reference", [(problem1, TEST1_REFERENCE),
+                                                (problem2, TEST2_REFERENCE)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_errors_match_per_element_reference(problem, reference, k):
+    rows = [r for r in reference if r[0] == k]
+    report = run_convergence(problem(), k, [r[1] for r in rows])
+    for row, (_, n, n_dof, err_h1, err_l2) in zip(report.rows, rows):
+        assert row.n == n and row.n_dof == n_dof
+        assert row.err_h1 == pytest.approx(err_h1, rel=1e-12, abs=0)
+        assert row.err_l2 == pytest.approx(err_l2, rel=1e-12, abs=0)
+
+
+def test_chunks_group_like_elements():
+    # like elements share a chunk even when their curves differ
+    assert len(element_chunks(two_curve_mesh(), 2)) == 1
+    mesh = build_mapped_tensor_mesh(16, *boundary_curves())
+    chunks = element_chunks(mesh, 2)
+    covered = np.concatenate([c.elements for c in chunks])
+    assert sorted(covered.tolist()) == list(range(len(mesh.elements)))
+    assert max(len(c.elements) for c in chunks) == vem.CHUNK_SIZE
+    for chunk in chunks:
+        assert len(chunk.elements) <= vem.CHUNK_SIZE
+        assert np.all(np.diff(chunk.elements) > 0)
+        # like elements: the same curved sides and Green-rule size
+        curved = {tuple(mesh.edges[eid].is_curved for eid in row)
+                  for row in chunk.edge_ids.tolist()}
+        assert len(curved) == 1
+        x, _, _ = chunk.rule(2, 2)
+        assert x.shape[0] == len(chunk.elements)
+
+
+def two_curve_mesh():
+    """Two like elements whose curved sides lie on different curves."""
+    vertices, edges, elements = [], [], []
+    for i, (lo, hi) in enumerate(((0.0, 1.0), (2.0, 3.0))):
+        curve = graph_curve(f"g{i}", amplitude=0.05, frequency=np.pi * (i + 1),
+                            param_interval=(lo, hi))
+        base = len(vertices)
+        vertices += [Vertex(position=curve.eval(lo)), Vertex(position=curve.eval(hi)),
+                     Vertex(position=np.array([hi, 1.0])), Vertex(position=np.array([lo, 1.0]))]
+        first = len(edges)
+        edges += [Edge(v0=base, v1=base + 1, segment=CurveSegment(curve, lo, hi)),
+                  Edge(v0=base + 1, v1=base + 2), Edge(v0=base + 2, v1=base + 3),
+                  Edge(v0=base + 3, v1=base)]
+        elements.append(Element(edge_loop=[(first + j, 1) for j in range(4)], label=i + 1))
+    return Mesh.build(vertices, edges, elements)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: build_annulus_interface_mesh(2, 8),
+                                       two_curve_mesh])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_element_view_is_a_slice_of_the_chunked_kernel(k, make_mesh):
+    prob = problem2()
+    mesh = make_mesh()
+    coeff = prob.coefficient()
+    smooth = lambda x, y: np.sin(3.0 * x) * np.exp(y)
+    for chunk in element_chunks(mesh, k):
+        ops = ChunkOperators(chunk, boost=2)
+        kappa = [coeff.kappa(int(label)) for label in chunk.labels]
+        stiffness = ops.stiffness(kappa)
+        load = ops.load(coeff.source_for)
+        interp = chunk.interpolate(smooth)
+        for i, p in enumerate(chunk.elements):
+            view = local_operators(mesh, p, k, coeff)
+            assert np.array_equal(view.stiffness, stiffness[i])
+            assert np.array_equal(view.load, load[i])
+            assert np.array_equal(view.pi_nabla, ops.pi_nabla[i])
+            assert np.array_equal(view.pi0, ops.pi0[i])
+            assert np.array_equal(interpolate(mesh, p, k, smooth), interp[i])
+
+
+def test_assembly_does_not_depend_on_the_chunk_size(monkeypatch):
+    prob = problem1()
+    mesh = prob.mesh_factory(8)
+    system = assemble(mesh, 3, prob.coefficient())
+    monkeypatch.setattr(vem, "CHUNK_SIZE", 5)
+    small = assemble(mesh, 3, prob.coefficient())
+    assert len(small.blocks) > len(system.blocks)
+    assert np.array_equal(system.rhs, small.rhs)
+    assert np.array_equal(system.matrix.indptr, small.matrix.indptr)
+    assert np.array_equal(system.matrix.indices, small.matrix.indices)
+    assert np.array_equal(system.matrix.data, small.matrix.data)
+
+
+def test_degree_4_patch_test():
+    assert run_patch_test(4) <= PATCH_TOL
+
+
+def test_degree_4_stiffness_kernel_is_the_constant():
+    # the same check as for k = 1..3, through the chunked kernel on every
+    # element at once
+    one = lambda x, y: np.ones(np.shape(x))
+    for mesh in (build_mapped_tensor_mesh(2, *boundary_curves()),
+                 build_annulus_interface_mesh(2, 8)):
+        for chunk in element_chunks(mesh, 4):
+            k_mat = ChunkOperators(chunk, boost=6).stiffness(np.ones(len(chunk.elements)))
+            d_const = chunk.interpolate(one, boost=6)
+            for km, d in zip(k_mat, d_const):
+                scale = np.abs(km).max()
+                assert np.abs(km @ d).max() <= 1e-10 * scale
+                eigs = np.linalg.eigvalsh(km)
+                assert eigs[0] > -1e-12 * scale
+                # the kernel is one-dimensional; at k = 4 the next eigenvalue
+                # is about 7e-7 of the largest entry on these meshes
+                assert eigs[1] > 1e-8 * scale
+
+
+def test_singular_element_names_the_element():
+    mesh = build_mapped_tensor_mesh(2)
+    # a collapsed diameter makes the scaled monomials degenerate
+    mesh.elements[3].diameter = 1e-9
+    with pytest.raises(vem.ElementOperatorError, match="element 3: H1 projector"):
+        assemble(mesh, 2, Coefficient())

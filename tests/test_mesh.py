@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvem import (CurveSegment, Edge, Element, Mesh, MeshError, Vertex,
+from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError, Vertex,
                     arc_length, build_annulus_interface_mesh,
                     build_mapped_tensor_mesh, circle_curve, curved_polygon,
                     graph_curve, straighten_mesh, validate_mesh)
@@ -54,6 +54,30 @@ def test_build_rejects_doubly_used_direction():
              Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])]
     with pytest.raises(MeshError):
         Mesh.build(mesh_verts, edges, loops)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_vertex(bad):
+    vertices = [Vertex(position=np.array(p, dtype=float))
+                for p in [(0, 0), (1, 0), (1, bad), (0, 1)]]
+    edges = [Edge(v0=0, v1=1), Edge(v0=1, v1=2), Edge(v0=2, v1=3), Edge(v0=3, v1=0)]
+    with pytest.raises(MeshError, match="vertex 2: non-finite position"):
+        Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_curve_parameter(bad):
+    # a curve record built directly, past the checks of the curve builders
+    c = circle_curve("c", (0, 0), 1.0)
+    odd = BoundaryCurve(id="c", param_interval=c.param_interval, kind="circle",
+                        params=(0.0, 0.0, 1.0, bad, 0.0), _fn=c._fn, _dfn=c._dfn)
+    vertices = [Vertex(position=np.array([1.0, 0.0])),
+                Vertex(position=np.array([0.0, 1.0])),
+                Vertex(position=np.array([-1.0, -1.0]))]
+    edges = [Edge(v0=0, v1=1, segment=CurveSegment(odd, 0.0, np.pi / 2)),
+             Edge(v0=1, v1=2), Edge(v0=2, v1=0)]
+    with pytest.raises(MeshError, match="edge 0: curve 'c' has a non-finite parameter"):
+        Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1)])])
 
 
 def test_mapped_mesh_identity_when_straight():

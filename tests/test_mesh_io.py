@@ -106,6 +106,18 @@ def test_malformed_files_report_line_numbers(mangle, line_no, fragment):
     assert f"line {line_no}:" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_numbers_are_rejected(token):
+    with pytest.raises(MeshFormatError, match="non-finite coordinate") as err:
+        parse_mesh(_square_text().replace("v 1 1", f"v 1 {token}"))
+    assert "line 5:" in str(err.value)
+    curved = _square_text().replace("counts 4 0 4 1", "counts 4 1 4 1").replace(
+        "v 0 0", f"c arc circle 0 1 0 0 1 {token} 0\nv 0 0")
+    with pytest.raises(MeshFormatError, match="non-finite curve parameter") as err:
+        parse_mesh(curved)
+    assert "line 3:" in str(err.value)
+
+
 def test_truncated_file_reports_what_was_expected():
     text = "\n".join(_square_text().splitlines()[:6]) + "\n"
     with pytest.raises(MeshFormatError, match="unexpected end of file"):

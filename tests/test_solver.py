@@ -52,11 +52,12 @@ def test_element_dofs_cover_global_range():
     k = 3
     system = assemble(mesh, k, Coefficient())
     seen = set()
-    for ops in system.local_operators:
-        gdofs = system.dof_map.element_dofs(ops)
-        assert len(set(gdofs)) == len(gdofs) == dof_count(
-            len(mesh.elements[ops.element].edge_loop), k)
-        seen.update(gdofs.tolist())
+    for block in system.blocks:
+        assert np.array_equal(block.dofs, system.dof_map.element_dofs(block.chunk))
+        for p, gdofs in zip(block.chunk.elements, block.dofs):
+            assert len(set(gdofs)) == len(gdofs) == dof_count(
+                len(mesh.elements[p].edge_loop), k)
+            seen.update(gdofs.tolist())
     assert seen == set(range(system.dof_map.total))
 
 
