@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
 
 _ENDPOINT_TOL = 1e-12
 _CURVE_SAMPLES = 8
+# Elements per kernel LP in validate_mesh; one LP for a whole large mesh costs
+# more time and memory than a few small ones.
+LP_CHUNK_SIZE = 128
 
 
 class MeshError(Exception):
@@ -117,6 +121,8 @@ def _conformity_errors(mesh: Mesh) -> list[str]:
                     errors.append(
                         f"edge {i}: vertex {vid} is {gap:.2e} away from curve "
                         f"{seg.curve.id!r} at t={t}")
+    if not mesh.elements:
+        errors.append("mesh has no elements")
     for p, element in enumerate(mesh.elements):
         if len(element.edge_loop) < 3:
             errors.append(f"element {p}: fewer than 3 edges")
@@ -456,27 +462,6 @@ class MeshQualityReport:
         return min(e.star_ratio for e in self.elements)
 
 
-def _kernel_inradius(polyline: np.ndarray) -> float:
-    """Chebyshev radius of the kernel of a CCW polygon (0 if empty).
-
-    Solved as a small LP: maximize r subject to the disk of radius r
-    around (x, y) lying left of every directed side.
-    """
-    d = np.roll(polyline, -1, axis=0) - polyline
-    normals = np.stack([-d[:, 1], d[:, 0]], axis=-1)
-    norms = np.hypot(normals[:, 0], normals[:, 1])
-    keep = norms > 1e-300
-    normals, norms, base = normals[keep], norms[keep], polyline[keep]
-    a_ub = np.column_stack([-normals, norms])
-    b_ub = -np.sum(normals * base, axis=1)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0.0, None)],
-                  method="highs")
-    if not res.success:
-        return 0.0
-    return float(res.x[2])
-
-
 def _element_polyline(mesh: Mesh, element: Element) -> np.ndarray:
     pts = []
     for eid, sign in element.edge_loop:
@@ -489,6 +474,39 @@ def _element_polyline(mesh: Mesh, element: Element) -> np.ndarray:
     return np.concatenate(pts, axis=0)
 
 
+def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.ndarray:
+    """Chebyshev radii of the kernels of consecutive elements' polylines.
+
+    One LP for the chunk: maximize the sum of the radii r_e subject to the
+    disk of radius r_e around (x_e, y_e) lying left of every directed side
+    of element e.  The blocks share no variable, so each r_e is maximal on
+    its own.  r_e is free with upper bound diameter_e, which keeps the LP
+    feasible and bounded; an empty kernel shows as r_e < 0.
+    """
+    polys = [_element_polyline(mesh, mesh.elements[p]) for p in elements]
+    owner = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
+    pts = np.concatenate(polys)
+    d = np.concatenate([np.roll(poly, -1, axis=0) - poly for poly in polys])
+    normals = np.stack([-d[:, 1], d[:, 0]], axis=-1)
+    norms = np.hypot(normals[:, 0], normals[:, 1])
+    keep = norms > 1e-300
+    normals, norms, base, owner = normals[keep], norms[keep], pts[keep], owner[keep]
+    rows = np.repeat(np.arange(len(owner)), 3)
+    cols = (3 * owner[:, None] + np.arange(3)).ravel()
+    vals = np.column_stack([-normals, norms]).ravel()
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(polys)))
+    b_ub = -np.sum(normals * base, axis=1)
+    c = np.zeros(3 * len(polys))
+    c[2::3] = -1.0
+    bounds = np.tile([-np.inf, np.inf], (3 * len(polys), 1))
+    bounds[2::3, 1] = diameters
+    res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise MeshError(f"kernel LP of elements {elements.start}..{elements.stop - 1} "
+                        f"failed: {res.message}")
+    return res.x[2::3]
+
+
 def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     """Check conformity and the two shape-regularity assumptions.
 
@@ -496,17 +514,24 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     least rho times the element diameter, and the element must be
     star-shaped with respect to a disk of radius rho times the diameter.
     Star-shapedness is tested on the boundary polyline (chord corners plus
-    samples along curved edges) via the kernel's Chebyshev radius.
+    samples along curved edges) via the kernel's Chebyshev radius, found by
+    one LP per chunk of ``LP_CHUNK_SIZE`` elements; an empty kernel gives
+    ratio 0.  Raises MeshError if HiGHS fails on a chunk.
     """
     conformity = _conformity_errors(mesh)
-    checks = []
-    for p, element in enumerate(mesh.elements):
-        lengths = [mesh.edges[eid].length for eid, _ in element.edge_loop]
-        edge_ratio = min(lengths) / element.diameter
-        star_ratio = _kernel_inradius(_element_polyline(mesh, element)) / element.diameter
-        checks.append(ElementQuality(
-            element=p, edge_ratio=edge_ratio, star_ratio=star_ratio,
-            ok=edge_ratio >= rho and star_ratio >= rho))
-    ok = not conformity and all(c.ok for c in checks)
-    return MeshQualityReport(rho=rho, ok=ok, conformity_errors=conformity,
-                             elements=checks)
+    diameters = np.array([el.diameter for el in mesh.elements])
+    n_edges = np.array([len(el.edge_loop) for el in mesh.elements], dtype=int)
+    lengths = np.array([mesh.edges[eid].length
+                        for el in mesh.elements for eid, _ in el.edge_loop])
+    edge_ratio = np.minimum.reduceat(lengths, np.cumsum(n_edges) - n_edges) / diameters
+    radii = np.empty(len(mesh.elements))
+    for lo in range(0, len(mesh.elements), LP_CHUNK_SIZE):
+        chunk = range(lo, min(lo + LP_CHUNK_SIZE, len(mesh.elements)))
+        radii[lo:chunk.stop] = _kernel_inradii(mesh, chunk, diameters[lo:chunk.stop])
+    star_ratio = np.maximum(radii, 0.0) / diameters
+    ok = (edge_ratio >= rho) & (star_ratio >= rho)
+    checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),
+                             star_ratio=float(star_ratio[p]), ok=bool(ok[p]))
+              for p in range(len(mesh.elements))]
+    return MeshQualityReport(rho=rho, ok=not conformity and bool(np.all(ok)),
+                             conformity_errors=conformity, elements=checks)

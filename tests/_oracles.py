@@ -5,6 +5,8 @@ Simpson instead of Gauss-Kronrod, explicit recursion instead of library
 calls) so a shared bug cannot hide.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -51,3 +53,28 @@ def finite_difference_gradient(f, x, y, h=1e-6):
 def finite_difference_laplacian(f, x, y, h=1e-5):
     return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h)
             - 4.0 * f(x, y)) / (h * h)
+
+
+def kernel_chebyshev_radius(polygon):
+    """Radius of the largest disk in the kernel of a CCW polygon (0 if empty).
+
+    Vertex enumeration instead of an LP.  The disk of radius r around c lies
+    left of side i when u_i . c - r >= u_i . p_i (u_i the inward unit normal).
+    The largest r is reached where three side lines are at distance r from
+    c, so every triple of side lines is solved as a 3x3 system and the
+    feasible solution with the largest r is kept.
+    """
+    p = np.asarray(polygon, dtype=float)
+    d = np.roll(p, -1, axis=0) - p
+    length = np.hypot(d[:, 0], d[:, 1])
+    keep = length > 0.0
+    unit = np.stack([-d[keep, 1], d[keep, 0]], axis=-1) / length[keep, None]
+    offset = np.sum(unit * p[keep], axis=1)
+    triples = np.array(list(itertools.combinations(range(len(unit)), 3)))
+    mat = np.concatenate([unit[triples], -np.ones(triples.shape + (1,))], axis=-1)
+    regular = np.abs(np.linalg.det(mat)) > 1e-12
+    sol = np.linalg.solve(mat[regular], offset[triples][regular][..., None])[..., 0]
+    slack = sol[:, :2] @ unit.T - sol[:, 2:] - offset
+    scale = np.max(np.ptp(p, axis=0))
+    feasible = np.all(slack >= -1e-12 * scale, axis=1) & (sol[:, 2] >= 0.0)
+    return float(np.max(sol[feasible, 2], initial=0.0))

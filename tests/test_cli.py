@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curvem import build_mapped_tensor_mesh, export_mesh
+from curvem import build_annulus_interface_mesh, build_mapped_tensor_mesh, export_mesh
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.cli import (
     EXIT_CONFIG,
@@ -230,6 +230,48 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "none.txt"),
                  "--rho", "0.05"]) == EXIT_CONFIG
     assert "cannot read input" in capsys.readouterr().err
+
+
+def test_validate_empty_mesh_exits_3(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("curvem-mesh 1\ncounts 0 0 0 0\n", encoding="utf-8")
+    assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_MESH
+    assert "mesh error: mesh has no elements" in capsys.readouterr().err
+
+
+# stdout of `curvem validate` on the test2 n=4 mesh; only the first 20 bad
+# elements are listed
+VALIDATE_TEST2_N4_RHO_0_3 = """\
+{path}: 120 elements, worst edge ratio 0.3204, worst star ratio 0.1795 (rho = 0.3)
+element 0: edge ratio 0.3902, star ratio 0.2753
+element 1: edge ratio 0.3902, star ratio 0.2753
+element 2: edge ratio 0.3902, star ratio 0.2753
+element 3: edge ratio 0.3902, star ratio 0.2753
+element 4: edge ratio 0.3902, star ratio 0.2753
+element 5: edge ratio 0.3902, star ratio 0.2753
+element 6: edge ratio 0.3902, star ratio 0.2753
+element 7: edge ratio 0.3902, star ratio 0.2753
+element 8: edge ratio 0.3416, star ratio 0.2804
+element 9: edge ratio 0.3416, star ratio 0.2804
+element 10: edge ratio 0.3416, star ratio 0.2804
+element 11: edge ratio 0.3416, star ratio 0.2804
+element 12: edge ratio 0.3416, star ratio 0.2804
+element 13: edge ratio 0.3416, star ratio 0.2804
+element 14: edge ratio 0.3416, star ratio 0.2804
+element 15: edge ratio 0.3416, star ratio 0.2804
+element 16: edge ratio 0.3416, star ratio 0.2804
+element 17: edge ratio 0.3416, star ratio 0.2804
+element 18: edge ratio 0.3416, star ratio 0.2804
+element 19: edge ratio 0.3416, star ratio 0.2804
+mesh quality: FAIL
+"""
+
+
+def test_validate_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "test2_n4.txt"
+    export_mesh(build_annulus_interface_mesh(4, 16), path)
+    assert main(["validate", str(path), "--rho", "0.3"]) == EXIT_MESH
+    assert capsys.readouterr().out == VALIDATE_TEST2_N4_RHO_0_3.format(path=path)
 
 
 def test_quadrature_audit_shortcut(tmp_path, capsys):

@@ -6,6 +6,9 @@ from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError,
                     build_mapped_tensor_mesh, circle_curve, curved_polygon,
                     graph_curve, straighten_mesh, validate_mesh)
 from curvem import test1_boundary_curves as boundary_curves
+from curvem.mesh import LP_CHUNK_SIZE, _element_polyline
+
+from _oracles import kernel_chebyshev_radius
 
 
 def unit_square_mesh():
@@ -54,6 +57,11 @@ def test_build_rejects_doubly_used_direction():
              Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])]
     with pytest.raises(MeshError):
         Mesh.build(mesh_verts, edges, loops)
+
+
+def test_build_rejects_empty_mesh():
+    with pytest.raises(MeshError, match="mesh has no elements"):
+        Mesh.build([], [], [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -211,3 +219,71 @@ def test_validate_mesh_star_ratio_detects_thin_kernel():
     report = validate_mesh(mesh, 0.3)
     assert report.worst_star_ratio < 0.3
     assert not report.ok
+
+
+def oracle_star_ratios(mesh):
+    return np.array([kernel_chebyshev_radius(_element_polyline(mesh, el)) / el.diameter
+                     for el in mesh.elements])
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_mapped_tensor_mesh(16, *boundary_curves()),  # two LP chunks
+    lambda: build_annulus_interface_mesh(4, 16),
+    lambda: straighten_mesh(build_mapped_tensor_mesh(8, *boundary_curves())),
+], ids=["test1-n16", "test2-n4", "test1-straight-n8"])
+def test_validate_star_ratios_match_vertex_enumeration(make_mesh):
+    mesh = make_mesh()
+    report = validate_mesh(mesh, 0.03)
+    star = np.array([q.star_ratio for q in report.elements])
+    assert np.allclose(star, oracle_star_ratios(mesh), rtol=1e-10, atol=0.0)
+    assert np.all(star > 0.0)
+
+
+def test_validate_flags_exactly_the_elements_the_oracle_flags():
+    # vertex (5, 8) of the 16x16 grid touches elements 116, 117 (first LP
+    # chunk) and 132, 133 (second); the shift makes 133 non-convex
+    base = build_mapped_tensor_mesh(16)
+    vertices = [Vertex(position=v.position.copy()) for v in base.vertices]
+    vertices[8 * 17 + 5].position += np.array([0.7, 0.7]) / 16
+    mesh = Mesh.build(vertices, [Edge(v0=e.v0, v1=e.v1) for e in base.edges],
+                      [Element(edge_loop=list(el.edge_loop)) for el in base.elements])
+    assert 117 < LP_CHUNK_SIZE <= 132
+    rho = 0.23
+    report = validate_mesh(mesh, rho)
+    edge = np.array([min(mesh.edges[eid].length for eid, _ in el.edge_loop) / el.diameter
+                     for el in mesh.elements])
+    expected = np.flatnonzero((edge < rho) | (oracle_star_ratios(mesh) < rho))
+    assert expected.tolist() == [117, 132, 133]
+    assert [q.element for q in report.elements if not q.ok] == expected.tolist()
+    assert [q.edge_ratio for q in report.elements] == edge.tolist()
+    assert not report.ok
+
+
+def test_validate_empty_kernel_gives_zero_star_ratio():
+    # two-tooth comb: the inner sides of the teeth face away from each other
+    vertices = [Vertex(position=np.array(p, dtype=float))
+                for p in [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]]
+    edges = [Edge(v0=i, v1=(i + 1) % 8) for i in range(8)]
+    comb = Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(8)])])
+    report = validate_mesh(comb, 0.05)
+    assert report.elements[0].star_ratio == 0.0
+    assert kernel_chebyshev_radius(_element_polyline(comb, comb.elements[0])) == 0.0
+    assert not report.ok
+
+
+def test_validate_names_the_chunk_whose_lp_fails(monkeypatch):
+    import curvem.mesh as mesh_module
+
+    real = mesh_module.linprog
+    calls = []
+
+    def fail_second_chunk(*args, **kwargs):
+        calls.append(1)
+        res = real(*args, **kwargs)
+        if len(calls) == 2:
+            res.success, res.message = False, "injected failure"
+        return res
+
+    monkeypatch.setattr(mesh_module, "linprog", fail_second_chunk)
+    with pytest.raises(MeshError, match="elements 128..255 failed: injected failure"):
+        validate_mesh(build_mapped_tensor_mesh(16), 0.05)
