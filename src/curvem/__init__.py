@@ -14,47 +14,39 @@ from .analysis import (ConvergenceReport, ConvergenceRow, ManufacturedProblem,
                        run_patch_test, test1_boundary_curves, test1_problem,
                        test2_problem)
 from .geometry import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
-                       circle_curve, curve_from_params, eval_point,
-                       eval_tangent_normal, generic_curve, graph_curve)
+                       circle_curve, curve_from_params, generic_curve,
+                       graph_curve)
 from .mesh import (Edge, Element, ElementQuality, Mesh, MeshError,
                    MeshQualityReport, Vertex, build_annulus_interface_mesh,
                    build_mapped_tensor_mesh, curved_polygon, straighten_mesh,
                    validate_mesh)
 from .mesh_io import (MeshFormatError, export_mesh, format_mesh, import_mesh,
                       parse_mesh)
-from .quadrature import (CurvedPiece, CurvedPolygon, EdgeQuadrature,
-                         QuadratureError, QuadratureRule1D, QuadratureRule2D,
-                         StraightPiece, curved_polygon_quadrature,
-                         edge_quadrature, gauss_legendre, gauss_lobatto,
-                         lagrange_values, polygon_quadrature)
+from .quadrature import (CurvedPiece, CurvedPolygon, QuadratureError,
+                         QuadratureRule1D, QuadratureRule2D, StraightPiece,
+                         curved_polygon_quadrature, gauss_legendre,
+                         gauss_lobatto, lagrange_values, polygon_quadrature)
 from .solver import (DofMap, LinearSystem, NotSPDError, SolverError,
                      apply_dirichlet, assemble, build_dof_map, solve)
-from .vem import (Coefficient, DofDescriptor, ElementOperatorError,
-                  LocalOperators, ScaledMonomialBasis, compute_pi0,
-                  compute_pi_nabla, dof_count, edge_dof_points, interpolate,
-                  layout_dofs, local_load, local_operators, local_stiffness,
-                  n_moments)
+from .vem import (Coefficient, ElementOperatorError, dof_count,
+                  edge_dof_points, n_moments)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryCurve", "Coefficient", "ConvergenceReport", "ConvergenceRow",
-    "CurveSegment", "CurvedPiece", "CurvedPolygon", "DofDescriptor", "DofMap",
-    "Edge", "EdgeQuadrature", "Element", "ElementOperatorError",
-    "ElementQuality", "GeometryError", "LinearSystem", "LocalOperators",
-    "ManufacturedProblem", "Mesh", "MeshError", "MeshFormatError",
-    "MeshQualityReport", "NotSPDError", "QuadratureError", "QuadratureRule1D",
-    "QuadratureRule2D", "RateFit", "ScaledMonomialBasis", "SolverError",
+    "CurveSegment", "CurvedPiece", "CurvedPolygon", "DofMap", "Edge",
+    "Element", "ElementOperatorError", "ElementQuality", "GeometryError",
+    "LinearSystem", "ManufacturedProblem", "Mesh", "MeshError",
+    "MeshFormatError", "MeshQualityReport", "NotSPDError", "QuadratureError",
+    "QuadratureRule1D", "QuadratureRule2D", "RateFit", "SolverError",
     "StraightPiece", "Vertex", "apply_dirichlet", "arc_length", "assemble",
     "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
-    "circle_curve", "compute_errors", "compute_pi0", "compute_pi_nabla",
-    "curve_from_params", "curved_polygon", "curved_polygon_quadrature",
-    "dof_count", "edge_dof_points", "edge_quadrature", "eval_point",
-    "eval_tangent_normal", "export_mesh", "fit_rates", "format_mesh",
-    "gauss_legendre", "gauss_lobatto", "generic_curve", "graph_curve",
-    "import_mesh", "interpolate", "lagrange_values", "layout_dofs",
-    "local_load", "local_operators", "local_stiffness", "n_moments",
-    "parse_mesh", "polygon_quadrature", "run_convergence", "run_patch_test",
-    "solve", "straighten_mesh", "test1_boundary_curves", "test1_problem",
-    "test2_problem", "validate_mesh",
+    "circle_curve", "compute_errors", "curve_from_params", "curved_polygon",
+    "curved_polygon_quadrature", "dof_count", "edge_dof_points", "export_mesh",
+    "fit_rates", "format_mesh", "gauss_legendre", "gauss_lobatto",
+    "generic_curve", "graph_curve", "import_mesh", "lagrange_values",
+    "n_moments", "parse_mesh", "polygon_quadrature", "run_convergence",
+    "run_patch_test", "solve", "straighten_mesh", "test1_boundary_curves",
+    "test1_problem", "test2_problem", "validate_mesh",
 ]

@@ -1,7 +1,9 @@
 """Command-line driver: convergence experiments, mesh checks, quadrature audits.
 
 Exit codes: 0 success, 1 threshold or audit violation, 2 configuration or
-file-parse errors, 3 mesh conformity/quality failures, 4 solver failures.
+file-parse errors, 3 mesh conformity/quality failures and elements whose
+local operators cannot be built (a label without problem data, a singular
+projector), 4 solver failures.
 
 Options can come from a flat ``key = value`` config file (``--config``);
 command-line flags override file values and unknown keys are rejected.
@@ -28,6 +30,7 @@ from .quadrature import (CurvedPolygon, QuadratureError, curved_polygon_quadratu
                          polygon_quadrature)
 from .reference import fan_integrate, polygon_integrate
 from .solver import SolverError
+from .vem import ElementOperatorError
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -475,9 +478,14 @@ def _cmd_validate(args) -> int:
           f"worst star ratio {report.worst_star_ratio:.4f} (rho = {rho})")
     for message in report.conformity_errors:
         print(f"conformity: {message}")
-    for q in bad[:20]:
+    if bad:
+        print(f"{len(bad)} of {len(mesh.elements)} elements below rho")
+    listed = bad[:20]
+    for q in listed:
         print(f"element {q.element}: edge ratio {q.edge_ratio:.4f}, "
               f"star ratio {q.star_ratio:.4f}")
+    if len(bad) > len(listed):
+        print(f"... {len(bad) - len(listed)} more not listed")
     print("mesh quality: " + ("pass" if report.ok else "FAIL"))
     return EXIT_OK if report.ok else EXIT_MESH
 
@@ -535,7 +543,7 @@ def main(argv=None) -> int:
     except MeshFormatError as exc:
         print(f"mesh file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MeshError, GeometryError, QuadratureError) as exc:
+    except (MeshError, GeometryError, QuadratureError, ElementOperatorError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
     except SolverError as exc:

@@ -188,32 +188,6 @@ def _check_range(segment: CurveSegment, t) -> np.ndarray:
     return t
 
 
-def eval_point(segment: CurveSegment, t):
-    """gamma(t) for t in the segment's sub-interval."""
-    return segment.curve.eval(_check_range(segment, t))
-
-
-def eval_tangent_normal(segment: CurveSegment, t, outward_sign=1.0):
-    """Unit tangent, unit normal and speed at parameter t.
-
-    The normal is (gamma2', -gamma1')/speed times ``outward_sign``; the mesh
-    supplies the sign that makes it point out of the element owning the edge.
-
-    Returns
-    -------
-    tangent, normal : ndarray, shape (..., 2)
-    speed : ndarray or float
-    """
-    t = _check_range(segment, t)
-    d = segment.curve.eval_derivative(t)
-    speed = np.hypot(d[..., 0], d[..., 1])
-    if np.any(speed < 1e-14):
-        raise GeometryError(f"curve {segment.curve.id!r}: zero speed at t={t}")
-    tangent = d / speed[..., None]
-    normal = outward_sign * np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
-    return tangent, normal, speed
-
-
 def arc_length(segment: CurveSegment, t_lo=None, t_hi=None, rel_tol=1e-12) -> float:
     """Arc length of the segment (or of [t_lo, t_hi] within it).
 

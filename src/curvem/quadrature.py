@@ -1,4 +1,4 @@
-"""Gauss rules on intervals, edges and (curved) polygons.
+"""Gauss rules on intervals and (curved) polygons.
 
 The 2D rules integrate over a polygon bounded by straight sides and
 optionally one or more exactly parametrized curved sides, without any
@@ -164,54 +164,6 @@ def lagrange_values(nodes, x) -> np.ndarray:
     vals[hit.any(axis=-1)] = 0.0
     vals[hit] = 1.0
     return vals
-
-
-@dataclass(frozen=True)
-class EdgeQuadrature:
-    """Rule for ds-integrals along one edge.
-
-    ``params`` are curve parameters t for curved edges and reference
-    coordinates in [-1, 1] for straight ones; ``points`` are the physical
-    nodes and ``weights`` include the arc-length metric.
-    """
-
-    params: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def edge_quadrature(geometry, n: int, family: str = "legendre") -> EdgeQuadrature:
-    """Quadrature for integrals ds along a straight or curved edge.
-
-    Parameters
-    ----------
-    geometry : (p0, p1) pair of points, or CurveSegment
-    n : int
-        Point count.
-    family : "legendre" or "lobatto"
-    """
-    if family == "legendre":
-        rule = gauss_legendre(n)
-    elif family == "lobatto":
-        rule = gauss_lobatto(n)
-    else:
-        raise QuadratureError(f"unknown quadrature family {family!r}")
-    if isinstance(geometry, CurveSegment):
-        t0, t1 = geometry.t0, geometry.t1
-        half = 0.5 * (t1 - t0)
-        t = 0.5 * (t0 + t1) + half * rule.nodes
-        points = geometry.curve.eval(t)
-        d = geometry.curve.eval_derivative(t)
-        weights = rule.weights * half * np.hypot(d[:, 0], d[:, 1])
-        return EdgeQuadrature(params=t, points=points, weights=weights)
-    p0 = np.asarray(geometry[0], dtype=float)
-    p1 = np.asarray(geometry[1], dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-    if length < 1e-300:
-        raise QuadratureError("degenerate straight edge")
-    points = p0[None, :] + 0.5 * (rule.nodes[:, None] + 1.0) * (p1 - p0)[None, :]
-    weights = rule.weights * 0.5 * length
-    return EdgeQuadrature(params=rule.nodes.copy(), points=points, weights=weights)
 
 
 @dataclass(frozen=True)

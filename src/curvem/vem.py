@@ -27,8 +27,7 @@ sides and the same horizontal straight sides, whose quadrature rules and
 local matrices therefore have equal shapes and stack along a leading axis.
 Every product is a stacked ``np.matmul`` whose operands have the layout of
 the per-element product, so an element's operators are the same bits
-whichever chunk computes them; ``local_operators`` and the other
-one-element functions are views of a chunk of one.
+whichever chunk computes them.
 """
 
 from __future__ import annotations
@@ -87,65 +86,6 @@ def _monomial_gradients(degree, xi, eta, h):
     return gx, gy
 
 
-class ScaledMonomialBasis:
-    """Monomials ((x-xc)/h)^a ((y-yc)/h)^b, ordered by degree then lexicographically.
-
-    Centered at the element's chord centroid and scaled by its diameter, so
-    every basis function is bounded by about 1 on the element.
-    """
-
-    def __init__(self, degree: int, center, h: float):
-        self.degree = degree
-        self.center = np.asarray(center, dtype=float)
-        self.h = float(h)
-        self.exponents = _exponents(degree)
-        self._index = {e: i for i, e in enumerate(self.exponents)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    def _scaled(self, x, y):
-        return ((np.asarray(x, float) - self.center[0]) / self.h,
-                (np.asarray(y, float) - self.center[1]) / self.h)
-
-    def eval(self, x, y) -> np.ndarray:
-        """Values, shape (..., dim)."""
-        return _monomials(self.degree, *self._scaled(x, y))
-
-    def grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivatives, two arrays of shape (..., dim)."""
-        return _monomial_gradients(self.degree, *self._scaled(x, y), self.h)
-
-    def laplacian_terms(self, index: int) -> list[tuple[int, float]]:
-        """Expansion of the Laplacian of basis member ``index`` in the basis."""
-        a, b = self.exponents[index]
-        h2 = self.h * self.h
-        terms = []
-        if a >= 2:
-            terms.append((self._index[a - 2, b], a * (a - 1) / h2))
-        if b >= 2:
-            terms.append((self._index[a, b - 2], b * (b - 1) / h2))
-        return terms
-
-
-@dataclass(frozen=True)
-class DofDescriptor:
-    """One degree of freedom: kind, owning entity, index within it.
-
-    Kinds are "vertex", "edge" (interior Gauss-Lobatto point of a straight
-    edge), "curved_edge" (image of an interior Gauss-Lobatto parameter
-    under the edge's curve) and "moment".  ``index`` counts interior edge
-    points in the edge's canonical v0 -> v1 direction, or the monomial for
-    moments.  Point DoFs carry their evaluation point.
-    """
-
-    kind: str
-    entity: int
-    index: int
-    point: np.ndarray | None = None
-
-
 def n_moments(k: int) -> int:
     return k * (k - 1) // 2
 
@@ -171,29 +111,6 @@ def edge_dof_points(mesh: Mesh, edge_id: int, k: int):
     seg = edge.segment
     t = 0.5 * (seg.t0 + seg.t1) + 0.5 * (seg.t1 - seg.t0) * nodes
     return t, seg.curve.eval(t).reshape(-1, 2)
-
-
-def layout_dofs(mesh: Mesh, element_id: int, k: int) -> list[DofDescriptor]:
-    """Element DoFs in local order: boundary walk, then interior moments.
-
-    The boundary walk visits each corner followed by the interior points of
-    the outgoing edge in traversal order; shared edges expose the same
-    canonical indices to both elements.
-    """
-    element = mesh.elements[element_id]
-    dofs = []
-    for (eid, sign), vid in zip(element.edge_loop, element.vertices):
-        edge = mesh.edges[eid]
-        dofs.append(DofDescriptor("vertex", vid, 0, mesh.vertices[vid].position))
-        _, points = edge_dof_points(mesh, eid, k)
-        kind = "curved_edge" if edge.is_curved else "edge"
-        order = range(k - 1) if sign > 0 else range(k - 2, -1, -1)
-        for j in order:
-            dofs.append(DofDescriptor(kind, eid, j, points[j]))
-    for beta in range(n_moments(k)):
-        dofs.append(DofDescriptor("moment", element_id, beta))
-    return dofs
-
 
 
 @dataclass(frozen=True)
@@ -229,20 +146,6 @@ class Coefficient:
             except KeyError:
                 raise ElementOperatorError(f"no source for label {label}") from None
         return self.source
-
-
-@dataclass
-class LocalOperators:
-    """Everything assembly and postprocessing need from one element."""
-
-    element: int
-    k: int
-    basis: ScaledMonomialBasis
-    dofs: list[DofDescriptor]
-    pi_nabla: np.ndarray
-    pi0: np.ndarray
-    stiffness: np.ndarray
-    load: np.ndarray
 
 
 def _values(f, x, y):
@@ -543,61 +446,3 @@ class ChunkOperators:
         coeff = np.linalg.solve(self.mass_rect[..., :nm], moments[:, :nm, None])
         residual = moments - (self.mass_rect.mT @ coeff)[..., 0]
         return lead + (self.pi_nabla.mT @ residual[..., None])[..., 0]
-
-
-def _one(mesh: Mesh, element_id: int, k: int) -> ElementChunk:
-    return element_chunks(mesh, k, [element_id])[0]
-
-
-def compute_pi_nabla(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.ndarray:
-    """Coefficients of the H1 projector, shape (dim P_k, n_dof).
-
-    Column i expands the projection of the i-th canonical basis function in
-    the element's scaled monomials; the projection is pinned by matching
-    the boundary average.
-    """
-    return ChunkOperators(_one(mesh, element_id, k), boost).pi_nabla[0]
-
-
-def compute_pi0(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> np.ndarray:
-    """Coefficients of the L2 projector onto P_{k-2} from interior moments.
-
-    For k = 1 this degenerates to the single row averaging the boundary
-    DoFs, the constant pairing used by the load.
-    """
-    return ChunkOperators(_one(mesh, element_id, k), boost).pi0[0]
-
-
-def local_stiffness(mesh: Mesh, element_id: int, k: int, kappa: float = 1.0,
-                    boost: int = 2) -> np.ndarray:
-    """Symmetric local stiffness: projected form plus dofi-dofi stabilization.
-
-    Its kernel contains the DoF vector of the constant function.
-    """
-    return ChunkOperators(_one(mesh, element_id, k), boost).stiffness([kappa])[0]
-
-
-def local_load(mesh: Mesh, element_id: int, k: int, f, degree: int | None = None,
-               boost: int = 2) -> np.ndarray:
-    """Local load vector; the source is integrated with a rule exact to
-    ``degree`` (default 2k+2) on straight sides."""
-    return ChunkOperators(_one(mesh, element_id, k), boost).load(lambda label: f, degree)[0]
-
-
-def local_operators(mesh: Mesh, element_id: int, k: int, coeff: Coefficient,
-                    boost: int = 2, load_degree: int | None = None) -> LocalOperators:
-    """All local operators of one element: a chunk of one element."""
-    ops = ChunkOperators(_one(mesh, element_id, k), boost)
-    element = mesh.elements[element_id]
-    return LocalOperators(
-        element=element_id, k=k,
-        basis=ScaledMonomialBasis(k, element.centroid, element.diameter),
-        dofs=layout_dofs(mesh, element_id, k),
-        pi_nabla=ops.pi_nabla[0], pi0=ops.pi0[0],
-        stiffness=ops.stiffness([coeff.kappa(element.label)])[0],
-        load=ops.load(coeff.source_for, load_degree)[0])
-
-
-def interpolate(mesh: Mesh, element_id: int, k: int, u, boost: int = 2) -> np.ndarray:
-    """DoF vector of a smooth function: point values plus scaled moments."""
-    return _one(mesh, element_id, k).interpolate(u, boost)[0]

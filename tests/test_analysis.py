@@ -9,7 +9,6 @@ from curvem import (
     build_mapped_tensor_mesh,
     compute_errors,
     fit_rates,
-    interpolate,
     run_convergence,
     run_patch_test,
     solve,
@@ -90,8 +89,7 @@ def test_compute_errors_of_interpolant_shrink_under_refinement():
         vec = np.zeros(dof_map.total)
         system = assemble(mesh, k, prob.coefficient())
         for block in system.blocks:
-            for p, gdofs in zip(block.chunk.elements, block.dofs):
-                vec[gdofs] = interpolate(mesh, p, k, prob.exact)
+            vec[block.dofs] = block.chunk.interpolate(prob.exact)
         errs[n] = compute_errors(mesh, k, vec, prob)
     assert errs[4][0] < 0.2 and errs[4][1] < 0.05
     assert errs[8][0] < 0.5 * errs[4][0]

@@ -211,6 +211,17 @@ def test_main_quality_failure_exits_3(tmp_path, capsys):
     assert "conformity errors" in capsys.readouterr().err
 
 
+def test_main_label_without_problem_data_exits_3(tmp_path, capsys):
+    mesh = build_annulus_interface_mesh(2, 8)
+    mesh.elements[0].label = 3
+    path = tmp_path / "label3.txt"
+    export_mesh(mesh, path)
+    code = main(["run", "test2", "--k", "1", "--mesh", str(path), str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_MESH
+    assert "mesh error: no diffusion value for label 3" in capsys.readouterr().err
+
+
 def test_main_solver_limit_exits_4(tmp_path, capsys):
     code = main(["run", "patch", "--k", "2", "--n", "24",
                  "--out", str(tmp_path / "out")])
@@ -243,6 +254,7 @@ def test_validate_empty_mesh_exits_3(tmp_path, capsys):
 # elements are listed
 VALIDATE_TEST2_N4_RHO_0_3 = """\
 {path}: 120 elements, worst edge ratio 0.3204, worst star ratio 0.1795 (rho = 0.3)
+88 of 120 elements below rho
 element 0: edge ratio 0.3902, star ratio 0.2753
 element 1: edge ratio 0.3902, star ratio 0.2753
 element 2: edge ratio 0.3902, star ratio 0.2753
@@ -263,6 +275,7 @@ element 16: edge ratio 0.3416, star ratio 0.2804
 element 17: edge ratio 0.3416, star ratio 0.2804
 element 18: edge ratio 0.3416, star ratio 0.2804
 element 19: edge ratio 0.3416, star ratio 0.2804
+... 68 more not listed
 mesh quality: FAIL
 """
 

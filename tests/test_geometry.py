@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from curvem import (CurveSegment, GeometryError, arc_length, circle_curve,
-                    curve_from_params, eval_point, eval_tangent_normal,
-                    generic_curve, graph_curve)
+                    curve_from_params, generic_curve, graph_curve)
 
 from _oracles import simpson_arc_length
 
@@ -53,20 +52,6 @@ def test_segment_validates_interval():
         CurveSegment(c, 1.0, 1.0)
     with pytest.raises(GeometryError):
         CurveSegment(c, -1.0, 1.0)
-
-
-def test_eval_tangent_normal_orthogonal_unit():
-    c = circle_curve("c", (0, 0), 2.0)
-    seg = CurveSegment(c, 0.2, 1.7)
-    for t in (0.2, 0.9, 1.7):
-        tangent, normal, speed = eval_tangent_normal(seg, t)
-        assert np.hypot(*tangent) == pytest.approx(1.0, abs=1e-14)
-        assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-14)
-        assert abs(np.dot(tangent, normal)) < 1e-14
-        assert speed == pytest.approx(2.0, abs=1e-13)
-        # CCW circle: right-hand normal points away from the center
-        point = eval_point(seg, t)
-        assert np.dot(normal, point / np.hypot(*point)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_arc_length_circle_exact():

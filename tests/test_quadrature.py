@@ -3,8 +3,8 @@ import pytest
 
 from curvem import (CurvedPiece, CurvedPolygon, CurveSegment, QuadratureError,
                     StraightPiece, circle_curve, curved_polygon_quadrature,
-                    edge_quadrature, gauss_legendre, gauss_lobatto, graph_curve,
-                    lagrange_values, polygon_quadrature)
+                    gauss_legendre, gauss_lobatto, graph_curve, lagrange_values,
+                    polygon_quadrature)
 from curvem.reference import fan_integrate, polygon_integrate, triangulate
 
 from _oracles import shoelace_area
@@ -56,21 +56,6 @@ def test_lagrange_values_partition_and_interpolation():
     # exact node hits reproduce the identity rows
     hit = lagrange_values(nodes, nodes)
     assert np.allclose(hit, np.eye(5), atol=1e-14)
-
-
-def test_edge_quadrature_straight_length_and_moment():
-    q = edge_quadrature((np.array([0.0, 0.0]), np.array([3.0, 4.0])), 4)
-    assert q.weights.sum() == pytest.approx(5.0, rel=1e-14)
-    assert np.dot(q.weights, q.points[:, 0]) == pytest.approx(5.0 * 1.5, rel=1e-14)
-
-
-def test_edge_quadrature_curved_arc():
-    c = circle_curve("c", (0, 0), 1.0)
-    seg = CurveSegment(c, 0.0, np.pi / 2)
-    q = edge_quadrature(seg, 12)
-    assert q.weights.sum() == pytest.approx(np.pi / 2, rel=1e-13)
-    # int over the quarter arc of x ds = 1
-    assert np.dot(q.weights, q.points[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_triangulate_covers_nonconvex_polygon():

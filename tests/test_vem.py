@@ -1,4 +1,5 @@
-"""Local element operators: projectors, stiffness, and load."""
+"""Local element operators: projectors, stiffness, and load, through
+one-element chunks of the kernel."""
 
 import numpy as np
 import pytest
@@ -6,23 +7,17 @@ import pytest
 from curvem import (
     Coefficient,
     ElementOperatorError,
-    ScaledMonomialBasis,
     build_annulus_interface_mesh,
+    build_dof_map,
     build_mapped_tensor_mesh,
-    compute_pi0,
-    compute_pi_nabla,
     dof_count,
     edge_dof_points,
-    interpolate,
-    layout_dofs,
-    local_load,
-    local_operators,
-    local_stiffness,
     n_moments,
     polygon_quadrature,
 )
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.quadrature import CurvedPolygon
+from curvem.vem import ChunkOperators, element_chunks
 
 from _oracles import finite_difference_gradient
 
@@ -35,42 +30,46 @@ def curved_mesh(n=2):
     return build_mapped_tensor_mesh(n, *boundary_curves())
 
 
+def one_element(mesh, k, p=0):
+    return element_chunks(mesh, k, [p])[0]
+
+
+def monomial(chunk, j):
+    """The j-th scaled monomial of a one-element chunk as a function f(x, y)."""
+    return lambda x, y: chunk.basis(x, y)[0, ..., j]
+
+
+def scaled_point(chunk, xi, eta):
+    """The point whose scaled coordinates in the chunk's element are (xi, eta)."""
+    (xc, yc), h = chunk.center[0], chunk.h[0]
+    return np.array([[xc + xi * h]]), np.array([[yc + eta * h]])
+
+
 def test_basis_dimension_and_ordering():
-    basis = ScaledMonomialBasis(3, (0.0, 0.0), 1.0)
-    assert basis.dim == 10
-    # degree blocks, lexicographic in (a, b) within each block
-    assert basis.exponents[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    vals = basis.eval(2.0, 3.0)
-    assert vals[0] == 1.0
-    assert vals[1] == 3.0
-    assert vals[2] == 2.0
-    assert vals[4] == 6.0
+    chunk = one_element(unit_square_mesh(), 3)
+    vals = chunk.basis(*scaled_point(chunk, 2.0, 3.0))[0, 0]
+    assert vals.shape == (10,)
+    # degree blocks, lexicographic in (a, b) within each block:
+    # (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), (0,3), (1,2), (2,1), (3,0)
+    assert vals == pytest.approx([1, 3, 2, 9, 6, 4, 27, 18, 12, 8], rel=1e-14)
 
 
 def test_basis_is_scaled_and_centered():
-    basis = ScaledMonomialBasis(2, (1.5, -0.5), 2.0)
-    vals = basis.eval(1.5, -0.5)
+    chunk = one_element(curved_mesh(), 2)
+    vals = chunk.basis(chunk.center[:, :1], chunk.center[:, 1:])[0, 0]
     assert np.allclose(vals, [1, 0, 0, 0, 0, 0], atol=0)
-    # one diameter away along x: xi = 1
-    assert basis.eval(3.5, -0.5)[basis.exponents.index((1, 0))] == 1.0
+    # one diameter away along x: xi = 1, the monomial of exponent (1, 0)
+    vals = chunk.basis(*scaled_point(chunk, 1.0, 0.0))[0, 0]
+    assert vals == pytest.approx([1, 0, 1, 0, 0, 1], abs=1e-15)
 
 
 def test_basis_gradient_matches_finite_differences():
-    basis = ScaledMonomialBasis(3, (0.3, 0.7), 0.9)
-    x, y = 0.55, 0.41
-    gx, gy = basis.grad(x, y)
-    fx, fy = finite_difference_gradient(
-        lambda p, q: basis.eval(p, q), x, y)
+    chunk = one_element(curved_mesh(), 3, p=1)
+    x, y = scaled_point(chunk, 0.3, -0.2)
+    gx, gy = chunk.basis_grad(x, y)
+    fx, fy = finite_difference_gradient(chunk.basis, x, y)
     assert np.allclose(gx, fx, atol=2e-9)
     assert np.allclose(gy, fy, atol=2e-9)
-
-
-def test_basis_laplacian_terms():
-    basis = ScaledMonomialBasis(3, (0.0, 0.0), 2.0)
-    # Laplacian of (x/h)^2 (y/h) is (2/h^2)(y/h)
-    idx = basis.exponents.index((2, 1))
-    assert basis.laplacian_terms(idx) == [(basis.exponents.index((0, 1)), 0.5)]
-    assert basis.laplacian_terms(0) == []
 
 
 @pytest.mark.parametrize("k, nm", [(1, 0), (2, 1), (3, 3), (4, 6)])
@@ -106,42 +105,54 @@ def test_edge_dof_points_lie_on_curve():
 def test_layout_walks_boundary_then_moments():
     mesh = curved_mesh()
     k = 3
-    dofs = layout_dofs(mesh, 0, k)
-    n_edges = len(mesh.elements[0].edge_loop)
-    assert len(dofs) == dof_count(n_edges, k)
-    kinds = [d.kind for d in dofs]
-    assert kinds.count("vertex") == n_edges
-    assert kinds[-n_moments(k):] == ["moment"] * n_moments(k)
-    # walk alternates corner, then k-1 interior points of the outgoing edge
-    for piece in range(n_edges):
-        assert kinds[piece * k] == "vertex"
-        assert all(kd in ("edge", "curved_edge")
-                   for kd in kinds[piece * k + 1: piece * k + k])
+    chunk = one_element(mesh, k)
+    dof_map = build_dof_map(mesh, k)
+    dofs = dof_map.element_dofs(chunk)[0]
+    element = mesh.elements[0]
+    n_edges = len(element.edge_loop)
+    assert len(dofs) == chunk.n_dof == dof_count(n_edges, k)
+    assert chunk.dof_points.shape == (1, n_edges * k, 2)
+    assert list(dofs[-n_moments(k):]) == [dof_map.moment_dof(0, beta)
+                                         for beta in range(n_moments(k))]
+    # walk alternates corner, then k-1 interior points of the outgoing edge,
+    # whose canonical indices run in traversal order
+    for piece, ((eid, sign), vid) in enumerate(zip(element.edge_loop, element.vertices)):
+        assert dofs[piece * k] == dof_map.vertex_dof(vid)
+        assert np.array_equal(chunk.dof_points[0, piece * k], mesh.vertices[vid].position)
+        order = list(range(k - 1)) if sign > 0 else list(range(k - 2, -1, -1))
+        assert list(dofs[piece * k + 1: piece * k + k]) == [dof_map.edge_dof(eid, j)
+                                                           for j in order]
+        _, points = edge_dof_points(mesh, eid, k)
+        assert np.array_equal(chunk.dof_points[0, piece * k + 1: piece * k + k],
+                              points[order])
 
 
 def test_shared_edge_exposes_identical_points_to_both_elements():
-    mesh = build_mapped_tensor_mesh(2)
-    shared = next(e for e in range(len(mesh.edges))
-                  if len(mesh.edges[e].elements) == 2)
     k = 3
-    seen = []
-    for elem in mesh.edges[shared].elements:
-        pts = [d.point for d in layout_dofs(mesh, elem, k)
-               if d.kind == "edge" and d.entity == shared]
-        order = [d.index for d in layout_dofs(mesh, elem, k)
-                 if d.kind == "edge" and d.entity == shared]
-        seen.append({i: tuple(p) for i, p in zip(order, pts)})
-    assert seen[0] == seen[1]
+    for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
+        dof_map = build_dof_map(mesh, k)
+        seen, shared = {}, 0
+        for chunk in element_chunks(mesh, k):
+            dofs = dof_map.element_dofs(chunk)[:, :chunk.n_bnd]
+            for gdof, point in zip(dofs.ravel().tolist(),
+                                   chunk.dof_points.reshape(-1, 2).tolist()):
+                if gdof in seen:
+                    shared += 1
+                    assert seen[gdof] == point
+                seen[gdof] = point
+        # every interior edge is seen from both sides
+        interior = sum(len(edge.elements) == 2 for edge in mesh.edges)
+        assert shared >= interior * (k - 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_projector_reproduces_polynomials_on_straight_element(k):
-    mesh = unit_square_mesh()
-    ops = local_operators(mesh, 0, k, Coefficient())
-    for j, (a, b) in enumerate(ops.basis.exponents):
-        u = lambda x, y: ops.basis.eval(x, y)[..., j]
-        coeffs = ops.pi_nabla @ interpolate(mesh, 0, k, u)
-        expect = np.zeros(ops.basis.dim)
+    chunk = one_element(unit_square_mesh(), k)
+    ops = ChunkOperators(chunk)
+    dim = ops.pi_nabla.shape[1]
+    for j in range(dim):
+        coeffs = ops.pi_nabla[0] @ chunk.interpolate(monomial(chunk, j))[0]
+        expect = np.zeros(dim)
         expect[j] = 1.0
         assert np.allclose(coeffs, expect, atol=1e-12)
 
@@ -149,20 +160,22 @@ def test_projector_reproduces_polynomials_on_straight_element(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stiffness_is_exact_for_polynomials_on_straight_element(k):
     mesh = unit_square_mesh()
-    ops = local_operators(mesh, 0, k, Coefficient())
-    basis = ops.basis
+    chunk = one_element(mesh, k)
+    ops = ChunkOperators(chunk)
+    k_mat = ops.stiffness([1.0])[0]
+    dim = ops.pi_nabla.shape[1]
     rule = polygon_quadrature(
         CurvedPolygon.from_vertices([v.position for v in
                                      (mesh.vertices[i] for i in
                                       mesh.elements[0].vertices)]), k)
-    for i in range(basis.dim):
-        for j in range(i, basis.dim):
-            ui = interpolate(mesh, 0, k, lambda x, y: basis.eval(x, y)[..., i])
-            uj = interpolate(mesh, 0, k, lambda x, y: basis.eval(x, y)[..., j])
+    for i in range(dim):
+        for j in range(i, dim):
+            ui = chunk.interpolate(monomial(chunk, i))[0]
+            uj = chunk.interpolate(monomial(chunk, j))[0]
             def grad_dot(x, y):
-                gx, gy = basis.grad(x, y)
-                return gx[..., i] * gx[..., j] + gy[..., i] * gy[..., j]
-            assert ui @ ops.stiffness @ uj == pytest.approx(
+                gx, gy = chunk.basis_grad(x, y)
+                return gx[0, :, i] * gx[0, :, j] + gy[0, :, i] * gy[0, :, j]
+            assert ui @ k_mat @ uj == pytest.approx(
                 rule.integrate(grad_dot), abs=1e-11)
 
 
@@ -174,27 +187,25 @@ def test_stiffness_kernel_is_the_constant_dof_vector(k):
     # accuracy; boost 6 puts that below 1e-10 even on the coarsest meshes.
     one = lambda x, y: np.ones(np.shape(x))
     for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
-        for elem in range(len(mesh.elements)):
-            k_mat = local_stiffness(mesh, elem, k, boost=6)
-            d_const = interpolate(mesh, elem, k, one, boost=6)
-            scale = np.abs(k_mat).max()
-            assert np.abs(k_mat @ d_const).max() <= 1e-10 * scale
-            eigs = np.linalg.eigvalsh(k_mat)
-            assert eigs[0] > -1e-12 * scale
-            assert eigs[1] > 1e-6 * scale
+        for chunk in element_chunks(mesh, k):
+            k_mats = ChunkOperators(chunk, boost=6).stiffness(np.ones(len(chunk.elements)))
+            for k_mat, d_const in zip(k_mats, chunk.interpolate(one, boost=6)):
+                scale = np.abs(k_mat).max()
+                assert np.abs(k_mat @ d_const).max() <= 1e-10 * scale
+                eigs = np.linalg.eigvalsh(k_mat)
+                assert eigs[0] > -1e-12 * scale
+                assert eigs[1] > 1e-6 * scale
 
 
 def test_stiffness_is_exactly_symmetric_and_scales_with_kappa():
-    mesh = curved_mesh()
-    k_mat = local_stiffness(mesh, 0, 2)
+    ops = ChunkOperators(one_element(curved_mesh(), 2))
+    k_mat = ops.stiffness([1.0])[0]
     assert np.array_equal(k_mat, k_mat.T)
-    assert np.allclose(local_stiffness(mesh, 0, 2, kappa=5.0), 5.0 * k_mat,
-                       rtol=1e-15, atol=0)
+    assert np.allclose(ops.stiffness([5.0])[0], 5.0 * k_mat, rtol=1e-15, atol=0)
 
 
 def test_pi0_rows_for_k1_average_boundary_dofs():
-    mesh = unit_square_mesh()
-    pi0 = compute_pi0(mesh, 0, 1)
+    pi0 = ChunkOperators(one_element(unit_square_mesh(), 1)).pi0[0]
     assert pi0.shape == (1, 4)
     assert np.all(pi0 == 0.25)
 
@@ -205,8 +216,9 @@ def test_pi_nabla_maps_constants_to_constants():
     curved = curved_mesh()
     for k in (1, 2, 3):
         for mesh, atol, boost in ((square, 1e-13, 2), (curved, 1e-11, 6)):
-            pi = compute_pi_nabla(mesh, 0, k, boost=boost)
-            coeffs = pi @ interpolate(mesh, 0, k, one, boost=boost)
+            chunk = one_element(mesh, k)
+            pi = ChunkOperators(chunk, boost=boost).pi_nabla[0]
+            coeffs = pi @ chunk.interpolate(one, boost=boost)[0]
             expect = np.zeros(pi.shape[0])
             expect[0] = 1.0
             assert np.allclose(coeffs, expect, atol=atol)
@@ -217,10 +229,11 @@ def test_constant_source_loads():
     one = lambda x, y: np.ones(np.shape(x))
     area = mesh.elements[0].area
     # k = 1 pairs f with the boundary-average of the test function
-    assert np.allclose(local_load(mesh, 0, 1, one), area / 4, atol=1e-14)
+    load = ChunkOperators(one_element(mesh, 1)).load(lambda label: one)[0]
+    assert np.allclose(load, area / 4, atol=1e-14)
     # k >= 2 pairs f with interior moments; the projection residual of a
     # P_{k-2} source vanishes, leaving only the moment DoF entry
-    load = local_load(mesh, 0, 2, one)
+    load = ChunkOperators(one_element(mesh, 2)).load(lambda label: one)[0]
     expect = np.zeros(dof_count(4, 2))
     expect[-1] = area
     assert np.allclose(load, expect, atol=1e-13)
@@ -230,16 +243,17 @@ def test_constant_source_loads():
 def test_load_paired_with_constant_gives_element_integral(k):
     mesh = curved_mesh()
     f = lambda x, y: 2.0 - 3.0 * x + 0.5 * y
-    load = local_load(mesh, 0, k, f)
-    ops = local_operators(mesh, 0, k, Coefficient(source=f))
-    assert np.allclose(load, ops.load, atol=0)
+    chunk = one_element(mesh, k)
+    ops = ChunkOperators(chunk)
+    load = ops.load(lambda label: f)[0]
+    assert np.array_equal(load, ops.load(Coefficient(source=f).source_for)[0])
     # pairing with the DoF vector of 1 recovers the element integral of f:
     # the projection residual of f is orthogonal to constants
     from curvem import curved_polygon_quadrature
     from curvem.mesh import curved_polygon
     one = lambda x, y: np.ones(np.shape(x))
     rule = curved_polygon_quadrature(curved_polygon(mesh, 0), k + 2, 4)
-    assert load @ interpolate(mesh, 0, k, one) == pytest.approx(
+    assert load @ chunk.interpolate(one)[0] == pytest.approx(
         rule.integrate(f), rel=5e-10)
 
 
@@ -260,14 +274,13 @@ def test_interpolate_reproduces_point_and_moment_dofs():
     mesh = curved_mesh()
     k = 2
     u = lambda x, y: x + 2 * y
-    dofs = interpolate(mesh, 0, k, u)
-    layout = layout_dofs(mesh, 0, k)
-    for d, val in zip(layout, dofs):
-        if d.point is not None:
-            assert val == pytest.approx(u(*d.point), abs=1e-15)
+    chunk = one_element(mesh, k)
+    dofs = chunk.interpolate(u)[0]
+    for val, point in zip(dofs, chunk.dof_points[0]):
+        assert val == pytest.approx(u(*point), abs=1e-15)
     # the projected interpolant approximates the function well even on a
     # curved element, where affine functions are not in the local space
-    ops = local_operators(mesh, 0, k, Coefficient())
-    coeffs = ops.pi_nabla @ dofs
+    coeffs = ChunkOperators(chunk).pi_nabla[0] @ dofs
     x, y = mesh.elements[0].centroid
-    assert ops.basis.eval(x, y) @ coeffs == pytest.approx(u(x, y), abs=5e-3)
+    assert chunk.basis(np.array([[x]]), np.array([[y]]))[0, 0] @ coeffs == pytest.approx(
+        u(x, y), abs=5e-3)
