@@ -27,7 +27,8 @@ sides and the same horizontal straight sides, whose quadrature rules and
 local matrices therefore have equal shapes and stack along a leading axis.
 Every product is a stacked ``np.matmul`` whose operands have the layout of
 the per-element product, so an element's operators are the same bits
-whichever chunk computes them.
+whichever chunk computes them; ``local_operators`` builds them for one
+element alone.
 """
 
 from __future__ import annotations
@@ -446,3 +447,12 @@ class ChunkOperators:
         coeff = np.linalg.solve(self.mass_rect[..., :nm], moments[:, :nm, None])
         residual = moments - (self.mass_rect.mT @ coeff)[..., 0]
         return lead + (self.pi_nabla.mT @ residual[..., None])[..., 0]
+
+
+def local_operators(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> ChunkOperators:
+    """Operators of one element: ``ChunkOperators`` of a chunk of one.
+
+    Row 0 of every stack holds the same bits as the element's row in any
+    larger chunk.
+    """
+    return ChunkOperators(element_chunks(mesh, k, [element_id])[0], boost)

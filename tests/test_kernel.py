@@ -24,7 +24,7 @@ from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import vem
 from curvem.cli import PATCH_TOL
-from curvem.vem import ChunkOperators, element_chunks
+from curvem.vem import ChunkOperators, element_chunks, local_operators
 
 # (k, n, n_dof, err_h1, err_l2) of `curvem run test1-curved` and
 # `curvem run test2` as computed element by element before the kernel was
@@ -119,8 +119,8 @@ def test_one_element_view_is_a_slice_of_the_chunked_kernel(k, make_mesh):
         load = ops.load(coeff.source_for)
         interp = chunk.interpolate(smooth)
         for i, p in enumerate(chunk.elements):
-            one = element_chunks(mesh, k, [p])[0]
-            view = ChunkOperators(one, boost=2)
+            view = local_operators(mesh, p, k, boost=2)
+            one = view.chunk
             assert np.array_equal(view.stiffness(kappa[i:i + 1])[0], stiffness[i])
             assert np.array_equal(view.load(coeff.source_for)[0], load[i])
             assert np.array_equal(view.pi_nabla[0], ops.pi_nabla[i])

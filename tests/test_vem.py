@@ -1,6 +1,8 @@
 """Local element operators: projectors, stiffness, and load, through
 one-element chunks of the kernel."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from curvem import (
 )
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.quadrature import CurvedPolygon
-from curvem.vem import ChunkOperators, element_chunks
+from curvem.vem import ChunkOperators, element_chunks, local_operators
 
 from _oracles import finite_difference_gradient
 
@@ -131,24 +133,25 @@ def test_shared_edge_exposes_identical_points_to_both_elements():
     k = 3
     for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
         dof_map = build_dof_map(mesh, k)
-        seen, shared = {}, 0
+        seen, visits = {}, Counter()
         for chunk in element_chunks(mesh, k):
             dofs = dof_map.element_dofs(chunk)[:, :chunk.n_bnd]
             for gdof, point in zip(dofs.ravel().tolist(),
                                    chunk.dof_points.reshape(-1, 2).tolist()):
+                visits[gdof] += 1
                 if gdof in seen:
-                    shared += 1
                     assert seen[gdof] == point
                 seen[gdof] = point
-        # every interior edge is seen from both sides
-        interior = sum(len(edge.elements) == 2 for edge in mesh.edges)
-        assert shared >= interior * (k - 1)
+        # each of an interior edge's k-1 DoFs is seen from both sides
+        for eid, edge in enumerate(mesh.edges):
+            if len(edge.elements) == 2:
+                assert [visits[dof_map.edge_dof(eid, j)] for j in range(k - 1)] == [2] * (k - 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_projector_reproduces_polynomials_on_straight_element(k):
-    chunk = one_element(unit_square_mesh(), k)
-    ops = ChunkOperators(chunk)
+    ops = local_operators(unit_square_mesh(), 0, k)
+    chunk = ops.chunk
     dim = ops.pi_nabla.shape[1]
     for j in range(dim):
         coeffs = ops.pi_nabla[0] @ chunk.interpolate(monomial(chunk, j))[0]
@@ -160,8 +163,8 @@ def test_projector_reproduces_polynomials_on_straight_element(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stiffness_is_exact_for_polynomials_on_straight_element(k):
     mesh = unit_square_mesh()
-    chunk = one_element(mesh, k)
-    ops = ChunkOperators(chunk)
+    ops = local_operators(mesh, 0, k)
+    chunk = ops.chunk
     k_mat = ops.stiffness([1.0])[0]
     dim = ops.pi_nabla.shape[1]
     rule = polygon_quadrature(
@@ -198,14 +201,14 @@ def test_stiffness_kernel_is_the_constant_dof_vector(k):
 
 
 def test_stiffness_is_exactly_symmetric_and_scales_with_kappa():
-    ops = ChunkOperators(one_element(curved_mesh(), 2))
+    ops = local_operators(curved_mesh(), 0, 2)
     k_mat = ops.stiffness([1.0])[0]
     assert np.array_equal(k_mat, k_mat.T)
     assert np.allclose(ops.stiffness([5.0])[0], 5.0 * k_mat, rtol=1e-15, atol=0)
 
 
 def test_pi0_rows_for_k1_average_boundary_dofs():
-    pi0 = ChunkOperators(one_element(unit_square_mesh(), 1)).pi0[0]
+    pi0 = local_operators(unit_square_mesh(), 0, 1).pi0[0]
     assert pi0.shape == (1, 4)
     assert np.all(pi0 == 0.25)
 
@@ -216,9 +219,9 @@ def test_pi_nabla_maps_constants_to_constants():
     curved = curved_mesh()
     for k in (1, 2, 3):
         for mesh, atol, boost in ((square, 1e-13, 2), (curved, 1e-11, 6)):
-            chunk = one_element(mesh, k)
-            pi = ChunkOperators(chunk, boost=boost).pi_nabla[0]
-            coeffs = pi @ chunk.interpolate(one, boost=boost)[0]
+            ops = local_operators(mesh, 0, k, boost=boost)
+            pi = ops.pi_nabla[0]
+            coeffs = pi @ ops.chunk.interpolate(one, boost=boost)[0]
             expect = np.zeros(pi.shape[0])
             expect[0] = 1.0
             assert np.allclose(coeffs, expect, atol=atol)
@@ -229,11 +232,11 @@ def test_constant_source_loads():
     one = lambda x, y: np.ones(np.shape(x))
     area = mesh.elements[0].area
     # k = 1 pairs f with the boundary-average of the test function
-    load = ChunkOperators(one_element(mesh, 1)).load(lambda label: one)[0]
+    load = local_operators(mesh, 0, 1).load(lambda label: one)[0]
     assert np.allclose(load, area / 4, atol=1e-14)
     # k >= 2 pairs f with interior moments; the projection residual of a
     # P_{k-2} source vanishes, leaving only the moment DoF entry
-    load = ChunkOperators(one_element(mesh, 2)).load(lambda label: one)[0]
+    load = local_operators(mesh, 0, 2).load(lambda label: one)[0]
     expect = np.zeros(dof_count(4, 2))
     expect[-1] = area
     assert np.allclose(load, expect, atol=1e-13)
@@ -243,8 +246,8 @@ def test_constant_source_loads():
 def test_load_paired_with_constant_gives_element_integral(k):
     mesh = curved_mesh()
     f = lambda x, y: 2.0 - 3.0 * x + 0.5 * y
-    chunk = one_element(mesh, k)
-    ops = ChunkOperators(chunk)
+    ops = local_operators(mesh, 0, k)
+    chunk = ops.chunk
     load = ops.load(lambda label: f)[0]
     assert np.array_equal(load, ops.load(Coefficient(source=f).source_for)[0])
     # pairing with the DoF vector of 1 recovers the element integral of f:
@@ -274,13 +277,14 @@ def test_interpolate_reproduces_point_and_moment_dofs():
     mesh = curved_mesh()
     k = 2
     u = lambda x, y: x + 2 * y
-    chunk = one_element(mesh, k)
+    ops = local_operators(mesh, 0, k)
+    chunk = ops.chunk
     dofs = chunk.interpolate(u)[0]
     for val, point in zip(dofs, chunk.dof_points[0]):
         assert val == pytest.approx(u(*point), abs=1e-15)
     # the projected interpolant approximates the function well even on a
     # curved element, where affine functions are not in the local space
-    coeffs = ChunkOperators(chunk).pi_nabla[0] @ dofs
+    coeffs = ops.pi_nabla[0] @ dofs
     x, y = mesh.elements[0].centroid
     assert chunk.basis(np.array([[x]]), np.array([[y]]))[0, 0] @ coeffs == pytest.approx(
         u(x, y), abs=5e-3)
