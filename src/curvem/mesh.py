@@ -3,9 +3,27 @@
 Entities are index-based: edges store vertex indices plus an optional
 ``CurveSegment``, elements store a counterclockwise loop of signed edge
 references (positive sign = traversal from v0 to v1).  ``Mesh.build``
-finalizes a mesh: conformity is checked, adjacency and boundary flags are
-derived, and per-element geometry (area, chord centroid, diameter) is
-computed once.
+finalizes a mesh: conformity is checked, and topology and per-element
+geometry are derived once, in one vectorized pass, into flat arrays on the
+mesh (V vertices, N edges, P elements, L element sides in all):
+
+* ``points`` (V, 2) vertex positions and ``vertex_on_boundary`` (V,);
+* ``edge_vertices`` (N, 2) endpoints, ``edge_lengths`` (N,) (arc length on
+  curved edges), ``edge_on_boundary`` (N,), ``edge_curved`` (N,) and
+  ``edge_params`` (N, 2), the curve parameters (t0, t1) of curved edges
+  (nan on straight ones);
+* the element loops in one ragged layout: the sides of element p are rows
+  ``loop_offsets[p]:loop_offsets[p + 1]`` of ``loop_edges``, ``loop_signs``
+  and ``loop_corners`` (the vertex each side starts at), all of shape (L,);
+* ``labels``, ``areas``, ``centroids`` (P, 2) of the chord polygons and
+  ``diameters`` (P,).
+
+The ``Vertex``, ``Edge`` and ``Element`` objects carry the same values as
+attributes; the solver and the validation read the arrays.  The arrays
+reproduce an element-by-element loop bit for bit: elements are grouped by
+edge count, side contributions to an area are added in loop order, and each
+curved side keeps its own 24-point dot product (see the README's notes on
+floating-point reproducibility).
 
 Two structured generators cover the solver's test domains: a tensor grid
 mapped between two boundary graphs, and a polar grid on the unit disk with
@@ -16,18 +34,23 @@ meshes enter through ``mesh_io.import_mesh``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
+from .quadrature import (CurvedPiece, CurvedPolygon, StraightPiece, gauss_legendre,
+                         trace_curves)
 
 _ENDPOINT_TOL = 1e-12
 _CURVE_SAMPLES = 8
 # Elements per kernel LP in validate_mesh; one LP for a whole large mesh costs
 # more time and memory than a few small ones.
 LP_CHUNK_SIZE = 128
+# Point pairs per block of the diameter computation; bounds its memory.
+_PAIRS_PER_BLOCK = 1 << 16
 
 
 class MeshError(Exception):
@@ -65,6 +88,10 @@ class Element:
     diameter: float = 0.0
 
 
+def _derived():
+    return field(default=None, repr=False, compare=False)
+
+
 @dataclass
 class Mesh:
     vertices: list[Vertex]
@@ -72,188 +99,359 @@ class Mesh:
     elements: list[Element]
     curves: dict[str, BoundaryCurve] = field(default_factory=dict)
     h: float = 0.0
+    # derived by ``build``; see the module docstring
+    points: np.ndarray = _derived()
+    vertex_on_boundary: np.ndarray = _derived()
+    edge_vertices: np.ndarray = _derived()
+    edge_lengths: np.ndarray = _derived()
+    edge_on_boundary: np.ndarray = _derived()
+    edge_curved: np.ndarray = _derived()
+    edge_params: np.ndarray = _derived()
+    loop_offsets: np.ndarray = _derived()
+    loop_edges: np.ndarray = _derived()
+    loop_signs: np.ndarray = _derived()
+    loop_corners: np.ndarray = _derived()
+    labels: np.ndarray = _derived()
+    areas: np.ndarray = _derived()
+    centroids: np.ndarray = _derived()
+    diameters: np.ndarray = _derived()
 
     @classmethod
     def build(cls, vertices, edges, elements) -> "Mesh":
         """Finalize a mesh from raw entity lists; raises MeshError."""
         mesh = cls(vertices=list(vertices), edges=list(edges), elements=list(elements))
-        errors = _finiteness_errors(mesh) or _conformity_errors(mesh)
+        errors = _read_entities(mesh) or _conformity_errors(mesh)
         if errors:
             raise MeshError("; ".join(errors[:5]))
         _derive_topology(mesh)
         _derive_geometry(mesh)
+        _fill_entities(mesh)
         return mesh
 
-    def positions(self, ids) -> np.ndarray:
-        return np.array([self.vertices[i].position for i in ids])
 
-    def traversal_endpoints(self, edge_id: int, sign: int) -> tuple[int, int]:
-        edge = self.edges[edge_id]
-        return (edge.v0, edge.v1) if sign > 0 else (edge.v1, edge.v0)
+def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
+    """Positions as a (V, 2) array, or None and the vertices whose position
+    is not a 2-vector."""
+    failure = None
+    try:
+        points = np.array([v.position for v in vertices], dtype=float)
+        if points.shape == (len(vertices), 2) or not vertices:
+            return points.reshape(-1, 2), []
+    except ValueError as exc:  # positions of different shapes, or not numbers
+        failure = exc
+    errors = [f"vertex {i}: position must have 2 coordinates, got shape {np.shape(v.position)}"
+              for i, v in enumerate(vertices) if np.shape(v.position) != (2,)]
+    if not errors:
+        raise failure
+    return None, errors
 
 
-def _finiteness_errors(mesh: Mesh) -> list[str]:
-    """Vertices and curved edges whose numbers are nan or infinite."""
-    errors = [f"vertex {i}: non-finite position {tuple(map(float, v.position))}"
-              for i, v in enumerate(mesh.vertices) if not np.all(np.isfinite(v.position))]
-    for i, edge in enumerate(mesh.edges):
-        seg = edge.segment
-        if seg is not None and not np.all(np.isfinite(
+def _read_entities(mesh: Mesh) -> list[str]:
+    """Copy the entity lists into arrays; report vertices that are not finite
+    2-vectors and curved edges with a non-finite parameter."""
+    points, errors = _vertex_points(mesh.vertices)
+    if points is not None:
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        errors = [f"vertex {i}: non-finite position {tuple(points[i].tolist())}"
+                  for i in bad.tolist()]
+    curved = [i for i, edge in enumerate(mesh.edges) if edge.segment is not None]
+    params = np.full((len(mesh.edges), 2), np.nan)
+    for i in curved:
+        seg = mesh.edges[i].segment
+        params[i] = seg.t0, seg.t1
+        if not np.all(np.isfinite(
                 [seg.t0, seg.t1, *seg.curve.param_interval, *seg.curve.params])):
             errors.append(f"edge {i}: curve {seg.curve.id!r} has a non-finite parameter")
-    return errors
+    if errors:
+        return errors
+
+    mesh.points = points
+    mesh.edge_vertices = np.fromiter(
+        chain.from_iterable((edge.v0, edge.v1) for edge in mesh.edges),
+        dtype=np.int64, count=2 * len(mesh.edges)).reshape(-1, 2)
+    mesh.edge_curved = np.zeros(len(mesh.edges), dtype=bool)
+    mesh.edge_curved[curved] = True
+    mesh.edge_params = params
+    sizes = np.fromiter((len(el.edge_loop) for el in mesh.elements), dtype=np.int64,
+                        count=len(mesh.elements))
+    mesh.loop_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    loop = np.fromiter(chain.from_iterable(chain.from_iterable(
+        el.edge_loop for el in mesh.elements)), dtype=np.int64,
+        count=2 * int(mesh.loop_offsets[-1])).reshape(-1, 2)
+    mesh.loop_edges = np.ascontiguousarray(loop[:, 0])
+    mesh.loop_signs = np.ascontiguousarray(loop[:, 1])
+    mesh.labels = np.fromiter((el.label for el in mesh.elements), dtype=np.int64,
+                              count=len(mesh.elements))
+    return []
+
+
+def curve_points(mesh: Mesh, edge_ids, t):
+    """gamma(t) and gamma'(t) on curved edges, row i of ``t`` on edge
+    ``edge_ids[i]``; each of shape t.shape + (2,)."""
+    return trace_curves(tuple(mesh.edges[eid].segment.curve
+                              for eid in np.asarray(edge_ids).tolist()), t)
+
+
+def _edge_samples(mesh: Mesh, edge_ids: np.ndarray) -> np.ndarray:
+    """Interior samples of curved edges, v0 -> v1, shape (m, _CURVE_SAMPLES, 2)."""
+    t0, t1 = mesh.edge_params[edge_ids].T
+    t = np.linspace(t0, t1, _CURVE_SAMPLES + 2, axis=-1)[:, 1:-1]
+    return curve_points(mesh, edge_ids, t)[0]
+
+
+def _loop_owner(mesh: Mesh) -> np.ndarray:
+    """The element of each side, shape (L,)."""
+    return np.repeat(np.arange(len(mesh.loop_offsets) - 1), np.diff(mesh.loop_offsets))
+
+
+def _loop_rows(mesh: Mesh, ids) -> np.ndarray:
+    """The side rows of elements ``ids``, concatenated in order."""
+    sizes = np.diff(mesh.loop_offsets)[ids]
+    before = np.cumsum(sizes) - sizes
+    return np.repeat(mesh.loop_offsets[ids] - before, sizes) + np.arange(int(sizes.sum()))
+
+
+def _next_side(mesh: Mesh) -> np.ndarray:
+    """Row of the side that follows each side in its element's loop, shape (L,)."""
+    nxt = np.arange(1, len(mesh.loop_edges) + 1)
+    full = np.diff(mesh.loop_offsets) > 0
+    nxt[mesh.loop_offsets[1:][full] - 1] = mesh.loop_offsets[:-1][full]
+    return nxt
 
 
 def _conformity_errors(mesh: Mesh) -> list[str]:
     """Collect structural problems instead of failing on the first one."""
-    errors = []
-    nv, ne = len(mesh.vertices), len(mesh.edges)
-    for i, edge in enumerate(mesh.edges):
-        if not (0 <= edge.v0 < nv and 0 <= edge.v1 < nv) or edge.v0 == edge.v1:
-            errors.append(f"edge {i}: bad vertex pair ({edge.v0}, {edge.v1})")
-            continue
-        if edge.segment is not None:
-            seg = edge.segment
-            scale = 1.0 + float(np.max(np.abs(mesh.vertices[edge.v0].position)))
-            for vid, t in ((edge.v0, seg.t0), (edge.v1, seg.t1)):
-                gap = np.hypot(*(seg.curve.eval(t) - mesh.vertices[vid].position))
-                if gap > _ENDPOINT_TOL * scale:
-                    errors.append(
-                        f"edge {i}: vertex {vid} is {gap:.2e} away from curve "
-                        f"{seg.curve.id!r} at t={t}")
-    if not mesh.elements:
+    nv, ne = len(mesh.points), len(mesh.edge_vertices)
+    v0, v1 = mesh.edge_vertices.T
+    bad_pair = (v0 < 0) | (v0 >= nv) | (v1 < 0) | (v1 >= nv) | (v0 == v1)
+    by_edge = {i: [f"edge {i}: bad vertex pair ({v0[i]}, {v1[i]})"]
+               for i in np.flatnonzero(bad_pair).tolist()}
+    check = np.flatnonzero(mesh.edge_curved & ~bad_pair)
+    if len(check):
+        ends = mesh.edge_vertices[check]
+        pos = mesh.points[ends]
+        diff = curve_points(mesh, check, mesh.edge_params[check])[0] - pos
+        gap = np.hypot(diff[..., 0], diff[..., 1])
+        scale = 1.0 + np.max(np.abs(pos[:, 0]), axis=1)
+        for row, end in zip(*np.nonzero(gap > _ENDPOINT_TOL * scale[:, None])):
+            i = int(check[row])
+            seg = mesh.edges[i].segment
+            by_edge.setdefault(i, []).append(
+                f"edge {i}: vertex {ends[row, end]} is {gap[row, end]:.2e} away from curve "
+                f"{seg.curve.id!r} at t={(seg.t0, seg.t1)[end]}")
+    errors = [msg for i in sorted(by_edge) for msg in by_edge[i]]
+
+    sizes = np.diff(mesh.loop_offsets)
+    if not len(sizes):
         errors.append("mesh has no elements")
-    for p, element in enumerate(mesh.elements):
-        if len(element.edge_loop) < 3:
+    eids, signs = mesh.loop_edges, mesh.loop_signs
+    owner = _loop_owner(mesh)
+
+    def owners_of(entries):
+        flags = np.zeros(len(sizes), dtype=bool)
+        flags[owner[entries]] = True
+        return flags
+
+    in_range = (eids >= 0) & (eids < ne)
+    order = np.lexsort((eids, owner))
+    twice = (owner[order][1:] == owner[order][:-1]) & (eids[order][1:] == eids[order][:-1])
+    # traversal endpoints; an edge index out of range reads the pair (-1, -1)
+    ends = np.vstack([mesh.edge_vertices, [[-1, -1]]])[np.where(in_range, eids, ne)]
+    forward = signs > 0
+    start = np.where(forward, ends[:, 0], ends[:, 1])
+    finish = np.where(forward, ends[:, 1], ends[:, 0])
+    nxt = _next_side(mesh)
+    breaks = np.flatnonzero(finish != start[nxt])
+    first_break = np.full(len(sizes), -1)
+    broken, at = np.unique(owner[breaks], return_index=True)
+    first_break[broken] = breaks[at]
+
+    few = sizes < 3
+    outside = owners_of(~in_range)
+    repeated = owners_of(order[1:][twice])
+    for p in np.flatnonzero(few | outside | repeated | (first_break >= 0)).tolist():
+        if few[p]:
             errors.append(f"element {p}: fewer than 3 edges")
-            continue
-        if any(not (0 <= eid < ne) for eid, _ in element.edge_loop):
+        elif outside[p]:
             errors.append(f"element {p}: edge index out of range")
-            continue
-        seen = [eid for eid, _ in element.edge_loop]
-        if len(set(seen)) != len(seen):
+        elif repeated[p]:
             errors.append(f"element {p}: repeated edge in loop")
-            continue
-        for pos, (eid, sign) in enumerate(element.edge_loop):
-            _, end = mesh.traversal_endpoints(eid, sign)
-            nxt_eid, nxt_sign = element.edge_loop[(pos + 1) % len(element.edge_loop)]
-            start, _ = mesh.traversal_endpoints(nxt_eid, nxt_sign)
-            if end != start:
-                errors.append(f"element {p}: loop breaks between edges {eid} and {nxt_eid}")
-                break
+        else:
+            j = first_break[p]
+            errors.append(f"element {p}: loop breaks between edges {eids[j]} and {eids[nxt[j]]}")
     if not errors:
-        counts = np.zeros(ne, dtype=int)
-        signed = np.zeros(ne, dtype=int)
-        for element in mesh.elements:
-            for eid, sign in element.edge_loop:
-                counts[eid] += 1
-                signed[eid] += sign
-        for i in range(ne):
+        counts = np.bincount(eids, minlength=ne)
+        signed = np.bincount(eids, weights=signs, minlength=ne)
+        for i in np.flatnonzero((counts == 0) | (counts > 2)
+                                | ((counts == 2) & (signed != 0))).tolist():
             if counts[i] == 0:
                 errors.append(f"edge {i}: referenced by no element")
             elif counts[i] > 2:
                 errors.append(f"edge {i}: shared by {counts[i]} elements")
-            elif counts[i] == 2 and signed[i] != 0:
+            else:
                 errors.append(f"edge {i}: traversed twice in the same direction")
     return errors
 
 
 def _derive_topology(mesh: Mesh) -> None:
-    adjacency = [[] for _ in mesh.edges]
-    for p, element in enumerate(mesh.elements):
-        element.vertices = [mesh.traversal_endpoints(eid, sign)[0]
-                            for eid, sign in element.edge_loop]
-        for eid, _ in element.edge_loop:
-            adjacency[eid].append(p)
+    ends = mesh.edge_vertices[mesh.loop_edges]
+    mesh.loop_corners = np.where(mesh.loop_signs > 0, ends[:, 0], ends[:, 1])
+    mesh.edge_on_boundary = np.bincount(mesh.loop_edges, minlength=len(mesh.edges)) == 1
+    mesh.vertex_on_boundary = np.zeros(len(mesh.points), dtype=bool)
+    mesh.vertex_on_boundary[mesh.edge_vertices[mesh.edge_on_boundary].ravel()] = True
     curves: dict[str, BoundaryCurve] = {}
-    for i, edge in enumerate(mesh.edges):
-        edge.elements = tuple(adjacency[i])
-        edge.on_boundary = len(adjacency[i]) == 1
-        if edge.on_boundary:
-            for vid in (edge.v0, edge.v1):
-                mesh.vertices[vid].on_boundary = True
-        if edge.segment is not None:
-            curve = edge.segment.curve
-            if curves.get(curve.id, curve) is not curve:
-                raise MeshError(f"two distinct curves share the id {curve.id!r}")
-            curves[curve.id] = curve
+    for i in np.flatnonzero(mesh.edge_curved).tolist():
+        curve = mesh.edges[i].segment.curve
+        if curves.get(curve.id, curve) is not curve:
+            raise MeshError(f"two distinct curves share the id {curve.id!r}")
+        curves[curve.id] = curve
     mesh.curves = curves
 
 
-def _edge_samples(edge: Edge, n: int = _CURVE_SAMPLES) -> np.ndarray:
-    seg = edge.segment
-    t = np.linspace(seg.t0, seg.t1, n + 2)[1:-1]
-    return seg.curve.eval(t)
+def _edge_lengths(mesh: Mesh) -> np.ndarray:
+    """Chord lengths, arc lengths on curved edges; raises at the first edge of
+    length zero, as a loop over the edges would."""
+    ends = mesh.points[mesh.edge_vertices]
+    diff = ends[:, 1] - ends[:, 0]
+    lengths = np.hypot(diff[:, 0], diff[:, 1])
+    straight_bad = np.flatnonzero((lengths <= 0.0) & ~mesh.edge_curved)
+    stop = int(straight_bad[0]) if len(straight_bad) else len(lengths)
+    for i in np.flatnonzero(mesh.edge_curved[:stop]).tolist():
+        lengths[i] = arc_length(mesh.edges[i].segment)
+    bad = np.flatnonzero(lengths[:stop + 1] <= 0.0)
+    if len(bad):
+        v0, v1 = mesh.edge_vertices[bad[0]].tolist()
+        raise MeshError(f"degenerate edge between vertices {v0} and {v1}")
+    return lengths
+
+
+def _diameters(clouds: np.ndarray) -> np.ndarray:
+    """Largest point distance within each cloud of shape (E, m, 2)."""
+    out = np.empty(len(clouds))
+    m = clouds.shape[1]
+    block = max(1, _PAIRS_PER_BLOCK // (m * m))
+    for lo in range(0, len(clouds), block):
+        x, y = clouds[lo:lo + block, :, 0], clouds[lo:lo + block, :, 1]
+        dx = x[:, :, None] - x[:, None, :]
+        dy = y[:, :, None] - y[:, None, :]
+        out[lo:lo + block] = np.sqrt(np.max(dx * dx + dy * dy, axis=(1, 2)))
+    return out
 
 
 def _derive_geometry(mesh: Mesh) -> None:
-    from .quadrature import gauss_legendre
+    """Edge lengths and element areas, chord centroids and diameters.
 
+    Elements are handled in groups of equal edge count with the arithmetic
+    of an element-by-element loop: the area is the chord polygon's
+    Green-theorem sum with each curved side's 24-point rule term added in
+    loop order, and the diameter spans the corners and 8 samples per curved
+    side.
+    """
     rule = gauss_legendre(24)
-    for edge in mesh.edges:
-        p0 = mesh.vertices[edge.v0].position
-        p1 = mesh.vertices[edge.v1].position
-        if edge.segment is None:
-            edge.length = float(np.hypot(*(p1 - p0)))
-        else:
-            edge.length = arc_length(edge.segment)
-        if edge.length <= 0.0:
-            raise MeshError(f"degenerate edge between vertices {edge.v0} and {edge.v1}")
+    mesh.edge_lengths = _edge_lengths(mesh)
 
-    for p, element in enumerate(mesh.elements):
-        verts = mesh.positions(element.vertices)
-        x, y = verts[:, 0], verts[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
+    # the 24-point rule on every curved edge
+    curved = np.flatnonzero(mesh.edge_curved)
+    t0, t1 = mesh.edge_params[curved].T
+    half = 0.5 * (t1 - t0)
+    t = (0.5 * (t0 + t1))[:, None] + half[:, None] * rule.nodes
+    gamma, dgamma = curve_points(mesh, curved, t)
+    gamma_x, dgamma_y = gamma[..., 0], dgamma[..., 1]
+    samples = _edge_samples(mesh, curved)
+
+    sizes = np.diff(mesh.loop_offsets)
+    side_curved = mesh.edge_curved[mesh.loop_edges]
+    n_curved = np.bincount(_loop_owner(mesh), weights=side_curved, minlength=len(sizes))
+    chord = np.empty(len(sizes))
+    area = np.empty(len(sizes))
+    moments = np.empty((len(sizes), 2))
+    diameter = np.empty(len(sizes))
+    for n in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == n)
+        rows = mesh.loop_offsets[ids, None] + np.arange(n)
+        verts = mesh.points[mesh.loop_corners[rows]]
+        x, y = verts[..., 0], verts[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * yn - xn * y
-        chord_area = 0.5 * float(np.sum(cross))
-        if chord_area <= 0.0:
-            raise MeshError(f"element {p}: chord polygon is not counterclockwise "
-                            f"(signed area {chord_area:.3e})")
-        element.centroid = np.array([float(np.sum((x + xn) * cross)),
-                                     float(np.sum((y + yn) * cross))]) / (6.0 * chord_area)
+        chord[ids] = 0.5 * np.sum(cross, axis=1)
+        moments[ids, 0] = np.sum((x + xn) * cross, axis=1)
+        moments[ids, 1] = np.sum((y + yn) * cross, axis=1)
 
-        alpha = float(np.mean(x))
-        area = 0.0
-        pts = [verts]
-        for eid, sign in element.edge_loop:
-            edge = mesh.edges[eid]
-            a, b = mesh.traversal_endpoints(eid, sign)
-            pa, pb = mesh.vertices[a].position, mesh.vertices[b].position
-            if edge.segment is None:
-                area += (0.5 * (pa[0] + pb[0]) - alpha) * (pb[1] - pa[1])
-            else:
-                seg = edge.segment
-                half = 0.5 * (seg.t1 - seg.t0)
-                t = 0.5 * (seg.t0 + seg.t1) + half * rule.nodes
-                gamma = seg.curve.eval(t)
-                dgamma = seg.curve.eval_derivative(t)
-                area += sign * half * float(
-                    rule.weights @ ((gamma[:, 0] - alpha) * dgamma[:, 1]))
-                pts.append(_edge_samples(edge))
-        if area <= 0.0:
-            raise MeshError(f"element {p}: nonpositive area {area:.3e}")
+        alpha = np.mean(x, axis=1)
+        terms = (0.5 * (x + xn) - alpha[:, None]) * (yn - y)
+        at = np.nonzero(side_curved[rows])
+        if len(at[0]):
+            slot = np.searchsorted(curved, mesh.loop_edges[rows][at])
+            values = (gamma_x[slot] - alpha[at[0], None]) * dgamma_y[slot]
+            dots = np.array([rule.weights @ v for v in values])
+            terms[at] = mesh.loop_signs[rows][at] * half[slot] * dots
+        total = np.zeros(len(ids))
+        for j in range(n):
+            total += terms[:, j]
+        area[ids] = total
+
+        for c in np.unique(n_curved[ids]).astype(int).tolist():
+            sub = n_curved[ids] == c
+            cloud = verts[sub]
+            if c:
+                slot = np.searchsorted(curved, mesh.loop_edges[rows[sub]][side_curved[rows[sub]]])
+                cloud = np.concatenate(
+                    [cloud, samples[slot].reshape(len(cloud), c * _CURVE_SAMPLES, 2)], axis=1)
+            diameter[ids[sub]] = _diameters(cloud)
+
+    bad = np.flatnonzero((chord <= 0.0) | (area <= 0.0))
+    if len(bad):
+        p = int(bad[0])
+        if chord[p] <= 0.0:
+            raise MeshError(f"element {p}: chord polygon is not counterclockwise "
+                            f"(signed area {chord[p]:.3e})")
+        raise MeshError(f"element {p}: nonpositive area {area[p]:.3e}")
+    mesh.areas = area
+    mesh.centroids = moments / (6.0 * chord)[:, None]
+    mesh.diameters = diameter
+    mesh.h = float(np.max(diameter))
+
+
+def _fill_entities(mesh: Mesh) -> None:
+    """Copy the derived arrays onto the Vertex, Edge and Element objects."""
+    for vertex, flag in zip(mesh.vertices, mesh.vertex_on_boundary.tolist()):
+        vertex.on_boundary = flag
+    # one int object per vertex and per element id, shared by every list
+    # and tuple that holds it
+    vertex_ids = list(range(len(mesh.vertices)))
+    element_ids = list(range(len(mesh.elements)))
+    # the elements of each edge, in element order
+    owner = _loop_owner(mesh)[np.argsort(mesh.loop_edges, kind="stable")]
+    last = np.cumsum(np.bincount(mesh.loop_edges, minlength=len(mesh.edges))) - 1
+    pairs = zip(owner[last - 1].tolist(), owner[last].tolist())
+    for edge, length, boundary, (a, b) in zip(mesh.edges, mesh.edge_lengths.tolist(),
+                                               mesh.edge_on_boundary.tolist(), pairs):
+        edge.length = length
+        edge.on_boundary = boundary
+        edge.elements = (element_ids[b],) if boundary else (element_ids[a], element_ids[b])
+    corners = list(map(vertex_ids.__getitem__, mesh.loop_corners.tolist()))
+    offsets = mesh.loop_offsets.tolist()
+    for p, (element, area, centroid, diameter) in enumerate(zip(
+            mesh.elements, mesh.areas.tolist(), mesh.centroids, mesh.diameters.tolist())):
+        element.vertices = corners[offsets[p]:offsets[p + 1]]
         element.area = area
-        cloud = np.concatenate(pts, axis=0)
-        diff = cloud[:, None, :] - cloud[None, :, :]
-        element.diameter = float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
-    mesh.h = max(el.diameter for el in mesh.elements)
+        element.centroid = centroid
+        element.diameter = diameter
 
 
 def curved_polygon(mesh: Mesh, element_id: int):
     """Boundary description of one element for the quadrature module."""
-    from .quadrature import CurvedPiece, CurvedPolygon, StraightPiece
-
-    element = mesh.elements[element_id]
+    rows = np.arange(mesh.loop_offsets[element_id], mesh.loop_offsets[element_id + 1])
+    corners = mesh.points[mesh.loop_corners[rows]]
     pieces = []
-    for eid, sign in element.edge_loop:
-        edge = mesh.edges[eid]
-        if edge.segment is None:
-            a, b = mesh.traversal_endpoints(eid, sign)
-            pieces.append(StraightPiece(mesh.vertices[a].position,
-                                        mesh.vertices[b].position))
+    for j, (eid, sign) in enumerate(zip(mesh.loop_edges[rows].tolist(),
+                                        mesh.loop_signs[rows].tolist())):
+        segment = mesh.edges[eid].segment
+        if segment is None:
+            pieces.append(StraightPiece(corners[j], corners[(j + 1) % len(rows)]))
         else:
-            pieces.append(CurvedPiece(edge.segment, reversed=sign < 0))
-    return CurvedPolygon(vertices=mesh.positions(element.vertices), pieces=tuple(pieces))
+            pieces.append(CurvedPiece(segment, reversed=sign < 0))
+    return CurvedPolygon(vertices=corners, pieces=tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +660,28 @@ class MeshQualityReport:
         return min(e.star_ratio for e in self.elements)
 
 
-def _element_polyline(mesh: Mesh, element: Element) -> np.ndarray:
-    pts = []
-    for eid, sign in element.edge_loop:
-        edge = mesh.edges[eid]
-        a, _ = mesh.traversal_endpoints(eid, sign)
-        pts.append(mesh.vertices[a].position[None, :])
-        if edge.segment is not None:
-            samples = _edge_samples(edge)
-            pts.append(samples if sign > 0 else samples[::-1])
-    return np.concatenate(pts, axis=0)
+def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary polylines of elements ``ids``, concatenated.
+
+    Each is walked in traversal order: every corner, followed on a curved
+    side by 8 samples of the curve.  Returns the points (M, 2) and the
+    position in ``ids`` of each point's element (M,).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = _loop_rows(mesh, ids)
+    edges, signs = mesh.loop_edges[rows], mesh.loop_signs[rows]
+    curved = np.flatnonzero(mesh.edge_curved[edges])
+    count = np.ones(len(rows), dtype=np.int64)
+    count[curved] += _CURVE_SAMPLES
+    start = np.cumsum(count) - count
+    pts = np.empty((int(count.sum()), 2))
+    pts[start] = mesh.points[mesh.loop_corners[rows]]
+    if len(curved):
+        samples = _edge_samples(mesh, edges[curved])
+        samples = np.where(signs[curved, None, None] > 0, samples, samples[:, ::-1])
+        pts[start[curved, None] + 1 + np.arange(_CURVE_SAMPLES)] = samples
+    sides = np.repeat(np.arange(len(ids)), np.diff(mesh.loop_offsets)[ids])
+    return pts, np.repeat(sides, count)
 
 
 def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.ndarray:
@@ -483,10 +693,12 @@ def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.nd
     its own.  r_e is free with upper bound diameter_e, which keeps the LP
     feasible and bounded; an empty kernel shows as r_e < 0.
     """
-    polys = [_element_polyline(mesh, mesh.elements[p]) for p in elements]
-    owner = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
-    pts = np.concatenate(polys)
-    d = np.concatenate([np.roll(poly, -1, axis=0) - poly for poly in polys])
+    pts, owner = _polylines(mesh, elements)
+    # each point's successor on its polyline, wrapping around at the end
+    index = np.arange(len(pts))
+    last = np.searchsorted(owner, owner, side="right") - 1
+    nxt = np.where(index == last, np.searchsorted(owner, owner), index + 1)
+    d = pts[nxt] - pts
     normals = np.stack([-d[:, 1], d[:, 0]], axis=-1)
     norms = np.hypot(normals[:, 0], normals[:, 1])
     keep = norms > 1e-300
@@ -494,11 +706,11 @@ def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.nd
     rows = np.repeat(np.arange(len(owner)), 3)
     cols = (3 * owner[:, None] + np.arange(3)).ravel()
     vals = np.column_stack([-normals, norms]).ravel()
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(polys)))
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(elements)))
     b_ub = -np.sum(normals * base, axis=1)
-    c = np.zeros(3 * len(polys))
+    c = np.zeros(3 * len(elements))
     c[2::3] = -1.0
-    bounds = np.tile([-np.inf, np.inf], (3 * len(polys), 1))
+    bounds = np.tile([-np.inf, np.inf], (3 * len(elements), 1))
     bounds[2::3, 1] = diameters
     res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
@@ -519,11 +731,9 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     ratio 0.  Raises MeshError if HiGHS fails on a chunk.
     """
     conformity = _conformity_errors(mesh)
-    diameters = np.array([el.diameter for el in mesh.elements])
-    n_edges = np.array([len(el.edge_loop) for el in mesh.elements], dtype=int)
-    lengths = np.array([mesh.edges[eid].length
-                        for el in mesh.elements for eid, _ in el.edge_loop])
-    edge_ratio = np.minimum.reduceat(lengths, np.cumsum(n_edges) - n_edges) / diameters
+    diameters = mesh.diameters
+    lengths = mesh.edge_lengths[mesh.loop_edges]
+    edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / diameters
     radii = np.empty(len(mesh.elements))
     for lo in range(0, len(mesh.elements), LP_CHUNK_SIZE):
         chunk = range(lo, min(lo + LP_CHUNK_SIZE, len(mesh.elements)))

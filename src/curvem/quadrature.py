@@ -237,16 +237,25 @@ class SideBatch:
 
     def trace(self, t):
         """gamma(t) and gamma'(t), each (E, m, 2), one call per distinct curve."""
-        groups: dict[int, tuple] = {}
-        for i, curve in enumerate(self.curves):
-            groups.setdefault(id(curve), (curve, []))[1].append(i)
-        gamma = np.empty(t.shape + (2,))
-        dgamma = np.empty(t.shape + (2,))
-        for curve, rows in groups.values():
-            tt = t[rows]
-            gamma[rows] = curve.eval(tt.ravel()).reshape(tt.shape + (2,))
-            dgamma[rows] = curve.eval_derivative(tt.ravel()).reshape(tt.shape + (2,))
-        return gamma, dgamma
+        return trace_curves(self.curves, t)
+
+
+def trace_curves(curves, t):
+    """gamma(t) and gamma'(t) with row i of ``t`` on ``curves[i]``.
+
+    Each has shape t.shape + (2,); every distinct curve is evaluated in one
+    call on all of its rows.
+    """
+    groups: dict[int, tuple] = {}
+    for i, curve in enumerate(curves):
+        groups.setdefault(id(curve), (curve, []))[1].append(i)
+    gamma = np.empty(t.shape + (2,))
+    dgamma = np.empty(t.shape + (2,))
+    for curve, rows in groups.values():
+        tt = t[rows]
+        gamma[rows] = curve.eval(tt.ravel()).reshape(tt.shape + (2,))
+        dgamma[rows] = curve.eval_derivative(tt.ravel()).reshape(tt.shape + (2,))
+    return gamma, dgamma
 
 
 def _polygon_sides(poly: CurvedPolygon) -> tuple[SideBatch, ...]:

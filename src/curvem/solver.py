@@ -76,23 +76,15 @@ class DofMap:
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
     """Number the DoFs of the degree-k space and locate the boundary ones."""
-    bdofs = []
-    bpoints = []
     nv = len(mesh.vertices)
-    for v, vertex in enumerate(mesh.vertices):
-        if vertex.on_boundary:
-            bdofs.append(v)
-            bpoints.append(vertex.position)
-    for e, edge in enumerate(mesh.edges):
-        if edge.on_boundary and k > 1:
-            _, points = edge_dof_points(mesh, e, k)
-            for j in range(k - 1):
-                bdofs.append(nv + e * (k - 1) + j)
-                bpoints.append(points[j])
+    vertices = np.flatnonzero(mesh.vertex_on_boundary)
+    edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
+    _, points = edge_dof_points(mesh, edges, k)
+    edge_dofs = nv + edges[:, None] * (k - 1) + np.arange(k - 1)
     return DofMap(
         k=k, n_vertices=nv, n_edges=len(mesh.edges), n_elements=len(mesh.elements),
-        boundary_dofs=np.array(bdofs, dtype=np.int64),
-        boundary_points=np.array(bpoints).reshape(-1, 2))
+        boundary_dofs=np.concatenate([vertices, edge_dofs.ravel()]).astype(np.int64),
+        boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
 
 
 @dataclass
@@ -127,7 +119,13 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
     """Assemble stiffness and load of the degree-k discretization."""
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
-    n_local = np.array([dof_count(len(el.edge_loop), k) for el in mesh.elements])
+    n_local = dof_count(np.diff(mesh.loop_offsets), k)
+    # one diffusion lookup per label, in order of first appearance
+    labels, first, inverse = np.unique(mesh.labels, return_index=True, return_inverse=True)
+    per_label = np.empty(len(labels))
+    for i in np.argsort(first).tolist():
+        per_label[i] = coeff.kappa(int(labels[i]))
+    kappa = per_label[inverse.reshape(-1)]
     load_start = _starts(n_local)
     tri_start = _starts(n_local * (n_local + 1) // 2)
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
@@ -139,7 +137,6 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
     for chunk in element_chunks(mesh, k):
         ops = ChunkOperators(chunk, boost)
         gdofs = dof_map.element_dofs(chunk)
-        kappa = [coeff.kappa(int(label)) for label in chunk.labels]
         at = load_start[chunk.elements, None] + np.arange(chunk.n_dof)
         load_dofs[at] = gdofs
         load_vals[at] = ops.load(coeff.source_for, load_degree)
@@ -149,7 +146,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
         at = tri_start[chunk.elements, None] + np.arange(len(iu))
         rows[at] = np.maximum(gdofs[:, iu], gdofs[:, ju])
         cols[at] = np.minimum(gdofs[:, iu], gdofs[:, ju])
-        vals[at] = ops.stiffness(kappa)[:, iu, ju]
+        vals[at] = ops.stiffness(kappa[chunk.elements])[:, iu, ju]
         blocks.append(OperatorBlock(chunk=chunk, dofs=gdofs, pi_nabla=ops.pi_nabla))
 
     rhs = np.zeros(total)
@@ -188,7 +185,12 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
 
 
 def _cg(matrix, b, tol, maxiter):
-    """Jacobi-preconditioned conjugate gradients with SPD monitoring."""
+    """Jacobi-preconditioned conjugate gradients with SPD monitoring.
+
+    The updates run in place on preallocated vectors.  Each is the same
+    floating-point operation as its textbook form, so the iterates keep
+    their bits.
+    """
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         raise NotSPDError("nonpositive diagonal entry in reduced matrix")
@@ -199,6 +201,7 @@ def _cg(matrix, b, tol, maxiter):
     r = b.copy()
     z = r / diag
     p = z.copy()
+    step = np.empty_like(b)
     rz = float(r @ z)
     for _ in range(maxiter):
         ap = matrix @ p
@@ -206,13 +209,15 @@ def _cg(matrix, b, tol, maxiter):
         if pap <= 0.0:
             raise NotSPDError(f"non-positive curvature p.A.p = {pap:.3e}")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=step)
+        ap *= alpha
+        r -= ap
         if float(np.linalg.norm(r)) <= tol * bnorm:
             return x
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverError(f"CG did not reach relative residual {tol:.1e} "
                       f"in {maxiter} iterations")

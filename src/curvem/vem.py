@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, curve_points
 from .quadrature import (SideBatch, gauss_legendre, gauss_lobatto, green_rule,
                          lagrange_values, rule_points)
 
@@ -96,22 +96,27 @@ def dof_count(n_edges: int, k: int) -> int:
     return n_edges * k + n_moments(k)
 
 
-def edge_dof_points(mesh: Mesh, edge_id: int, k: int):
-    """Interior edge DoF locations in canonical v0 -> v1 order.
+def edge_dof_points(mesh: Mesh, edge_ids, k: int):
+    """Interior edge DoF locations in each edge's canonical v0 -> v1 order.
 
-    Returns (params, points): params are curve parameters for curved edges
-    and reference coordinates in (-1, 1) for straight ones.
+    ``edge_ids`` is an edge index or an array of them.  Returns (params,
+    points) of shapes edge_ids.shape + (k-1,) and + (k-1, 2): params are
+    curve parameters on curved edges and reference coordinates in (-1, 1)
+    on straight ones.
     """
-    edge = mesh.edges[edge_id]
+    ids = np.asarray(edge_ids, dtype=np.int64)
+    flat = ids.reshape(-1)
     nodes = gauss_lobatto(k + 1).nodes[1:-1] if k > 1 else np.empty(0)
-    if edge.segment is None:
-        p0 = mesh.vertices[edge.v0].position
-        p1 = mesh.vertices[edge.v1].position
-        points = p0[None, :] + 0.5 * (nodes[:, None] + 1.0) * (p1 - p0)[None, :]
-        return nodes, points
-    seg = edge.segment
-    t = 0.5 * (seg.t0 + seg.t1) + 0.5 * (seg.t1 - seg.t0) * nodes
-    return t, seg.curve.eval(t).reshape(-1, 2)
+    ends = mesh.points[mesh.edge_vertices[flat]]
+    p0, p1 = ends[:, :1], ends[:, 1:]
+    points = p0 + 0.5 * (nodes[:, None] + 1.0) * (p1 - p0)
+    params = np.broadcast_to(nodes, (len(flat), len(nodes))).copy()
+    curved = np.flatnonzero(mesh.edge_curved[flat])
+    if len(curved):
+        t0, t1 = mesh.edge_params[flat[curved]].T[..., None]
+        params[curved] = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes
+        points[curved] = curve_points(mesh, flat[curved], params[curved])[0]
+    return params.reshape(ids.shape + nodes.shape), points.reshape(ids.shape + (len(nodes), 2))
 
 
 @dataclass(frozen=True)
@@ -236,61 +241,68 @@ class ElementChunk:
         return out
 
 
-def _signature(mesh: Mesh, element) -> tuple[str, ...]:
-    """Per side: curved ("c"), horizontal straight ("h") or other straight ("s")."""
-    ys = [mesh.vertices[v].position[1] for v in element.vertices]
-    return tuple("c" if mesh.edges[eid].segment is not None
-                 else "h" if ys[j] == ys[(j + 1) % len(ys)] else "s"
-                 for j, (eid, _) in enumerate(element.edge_loop))
+def _signature_groups(mesh: Mesh, ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Elements ``ids`` grouped by signature: (side codes, members) pairs.
+
+    Side j of a signature is curved (0), horizontal straight (1) or other
+    straight (2).  Signatures come in order of first appearance, members in
+    the order of ``ids``.
+    """
+    sizes = np.diff(mesh.loop_offsets)[ids]
+    key = np.empty(len(ids), dtype=np.int64)
+    table = []
+    for n in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == n)
+        rows = mesh.loop_offsets[ids[at], None] + np.arange(n)
+        y = mesh.points[mesh.loop_corners[rows], 1]
+        codes = np.where(mesh.edge_curved[mesh.loop_edges[rows]], 0,
+                         np.where(y == np.roll(y, -1, axis=1), 1, 2))
+        unique, inverse = np.unique(codes, axis=0, return_inverse=True)
+        key[at] = len(table) + inverse.reshape(-1)
+        table.extend(unique)
+    groups, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                               return_counts=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(groups), dtype=np.int64)
+    rank[by_first] = np.arange(len(groups))
+    members = ids[np.argsort(rank[inverse.reshape(-1)], kind="stable")]
+    return [(table[groups[g]], part) for g, part in
+            zip(by_first, np.split(members, np.cumsum(counts[by_first])[:-1]))]
 
 
-def _gather(mesh: Mesh, k: int, signature, ids) -> ElementChunk:
-    els = [mesh.elements[p] for p in ids]
-    n = len(signature)
-    edge_ids = np.array([[eid for eid, _ in el.edge_loop] for el in els], dtype=np.int64)
-    signs = np.array([[sign for _, sign in el.edge_loop] for el in els], dtype=np.int64)
-    vertices = np.array([[mesh.vertices[v].position for v in el.vertices] for el in els])
-    edges = [[mesh.edges[eid] for eid in row] for row in edge_ids.tolist()]
+def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementChunk:
+    n = len(codes)
+    rows = mesh.loop_offsets[ids, None] + np.arange(n)
+    edge_ids = mesh.loop_edges[rows]
+    signs = mesh.loop_signs[rows]
+    vertex_ids = mesh.loop_corners[rows]
+    vertices = mesh.points[vertex_ids]
     sides = []
     for j in range(n):
         start, end = vertices[:, j], vertices[:, (j + 1) % n]
-        if signature[j] == "c":
-            segs = [row[j].segment for row in edges]
+        if codes[j] == 0:
+            t0, t1 = mesh.edge_params[edge_ids[:, j]].T
             sides.append(SideBatch(
-                start, end, curves=tuple(seg.curve for seg in segs),
-                t0=np.array([seg.t0 for seg in segs]), t1=np.array([seg.t1 for seg in segs]),
-                sign=signs[:, j].astype(float)))
+                start, end, curves=tuple(mesh.edges[eid].segment.curve
+                                         for eid in edge_ids[:, j].tolist()),
+                t0=t0, t1=t1, sign=signs[:, j].astype(float)))
         else:
             sides.append(SideBatch(start, end))
 
     # boundary DoF points: each corner, then the interior Gauss-Lobatto
-    # points of its outgoing edge, placed in the edge's v0 -> v1 direction
-    # and walked in traversal order
-    nodes = gauss_lobatto(k + 1).nodes[1:-1]
-    points = np.empty((len(els), n, k, 2))
-    for j, side in enumerate(sides):
-        points[:, j, 0] = side.start
-        if k == 1:
-            continue
-        forward = signs[:, j, None] > 0
-        if side.is_curved:
-            inner = side.trace(side.params(nodes))[0]
-        else:
-            p0 = np.where(forward, side.start, side.end)[:, None, :]
-            p1 = np.where(forward, side.end, side.start)[:, None, :]
-            inner = p0 + 0.5 * (nodes[:, None] + 1.0) * (p1 - p0)
-        points[:, j, 1:] = np.where(forward[..., None], inner, inner[:, ::-1])
+    # points of its outgoing edge, walked in traversal order
+    points = np.empty((len(ids), n, k, 2))
+    points[:, :, 0] = vertices
+    if k > 1:
+        inner = edge_dof_points(mesh, edge_ids, k)[1]
+        points[:, :, 1:] = np.where(signs[..., None, None] > 0, inner, inner[:, :, ::-1])
 
     return ElementChunk(
-        k=k, elements=np.array(ids, dtype=np.int64),
-        labels=np.array([el.label for el in els], dtype=np.int64),
-        vertex_ids=np.array([el.vertices for el in els], dtype=np.int64),
+        k=k, elements=ids, labels=mesh.labels[ids], vertex_ids=vertex_ids,
         edge_ids=edge_ids, signs=signs, vertices=vertices, sides=tuple(sides),
-        lengths=np.array([[edge.length for edge in row] for row in edges]),
-        center=np.array([el.centroid for el in els]),
-        h=np.array([el.diameter for el in els]),
-        area=np.array([el.area for el in els]),
-        dof_points=points.reshape(len(els), n * k, 2))
+        lengths=mesh.edge_lengths[edge_ids], center=mesh.centroids[ids],
+        h=mesh.diameters[ids], area=mesh.areas[ids],
+        dof_points=points.reshape(len(ids), n * k, 2))
 
 
 def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
@@ -300,12 +312,10 @@ def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
     ``elements``; chunks come grouped by signature, signatures in order of
     first appearance.
     """
-    ids = range(len(mesh.elements)) if elements is None else elements
-    groups: dict[tuple, list[int]] = {}
-    for p in ids:
-        groups.setdefault(_signature(mesh, mesh.elements[p]), []).append(p)
-    return [_gather(mesh, k, signature, members[i:i + CHUNK_SIZE])
-            for signature, members in groups.items()
+    ids = (np.arange(len(mesh.elements)) if elements is None
+           else np.asarray(elements, dtype=np.int64).reshape(-1))
+    return [_gather(mesh, k, codes, members[i:i + CHUNK_SIZE])
+            for codes, members in _signature_groups(mesh, ids)
             for i in range(0, len(members), CHUNK_SIZE)]
 
 

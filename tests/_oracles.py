@@ -78,3 +78,94 @@ def kernel_chebyshev_radius(polygon):
     scale = np.max(np.ptp(p, axis=0))
     feasible = np.all(slack >= -1e-12 * scale, axis=1) & (sol[:, 2] >= 0.0)
     return float(np.max(sol[feasible, 2], initial=0.0))
+
+
+def element_loop_geometry(mesh):
+    """Edge lengths and element areas, centroids and diameters, one element
+    at a time: the loop ``Mesh.build`` ran before it computed them as arrays.
+
+    Reads the ``Vertex``, ``Edge`` and ``Element`` objects only.  Returns
+    (lengths, areas, centroids, diameters, h).
+    """
+    from curvem.geometry import arc_length
+    from curvem.quadrature import gauss_legendre
+
+    def positions(ids):
+        return np.array([mesh.vertices[i].position for i in ids])
+
+    def traversal_endpoints(edge_id, sign):
+        edge = mesh.edges[edge_id]
+        return (edge.v0, edge.v1) if sign > 0 else (edge.v1, edge.v0)
+
+    def edge_samples(edge, n=8):
+        seg = edge.segment
+        t = np.linspace(seg.t0, seg.t1, n + 2)[1:-1]
+        return seg.curve.eval(t)
+
+    rule = gauss_legendre(24)
+    lengths = []
+    for edge in mesh.edges:
+        p0 = mesh.vertices[edge.v0].position
+        p1 = mesh.vertices[edge.v1].position
+        if edge.segment is None:
+            lengths.append(float(np.hypot(*(p1 - p0))))
+        else:
+            lengths.append(arc_length(edge.segment))
+
+    areas, centroids, diameters = [], [], []
+    for element in mesh.elements:
+        verts = positions(element.vertices)
+        x, y = verts[:, 0], verts[:, 1]
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        chord_area = 0.5 * float(np.sum(cross))
+        centroids.append(np.array([float(np.sum((x + xn) * cross)),
+                                   float(np.sum((y + yn) * cross))]) / (6.0 * chord_area))
+
+        alpha = float(np.mean(x))
+        area = 0.0
+        pts = [verts]
+        for eid, sign in element.edge_loop:
+            edge = mesh.edges[eid]
+            a, b = traversal_endpoints(eid, sign)
+            pa, pb = mesh.vertices[a].position, mesh.vertices[b].position
+            if edge.segment is None:
+                area += (0.5 * (pa[0] + pb[0]) - alpha) * (pb[1] - pa[1])
+            else:
+                seg = edge.segment
+                half = 0.5 * (seg.t1 - seg.t0)
+                t = 0.5 * (seg.t0 + seg.t1) + half * rule.nodes
+                gamma = seg.curve.eval(t)
+                dgamma = seg.curve.eval_derivative(t)
+                area += sign * half * float(
+                    rule.weights @ ((gamma[:, 0] - alpha) * dgamma[:, 1]))
+                pts.append(edge_samples(edge))
+        areas.append(area)
+        cloud = np.concatenate(pts, axis=0)
+        diff = cloud[:, None, :] - cloud[None, :, :]
+        diameters.append(float(np.sqrt(np.max(np.sum(diff * diff, axis=-1)))))
+    return (np.array(lengths), np.array(areas), np.array(centroids), np.array(diameters),
+            max(diameters))
+
+
+def textbook_cg(matrix, b, tol, maxiter):
+    """Jacobi-preconditioned CG, each update written as a new array."""
+    diag = matrix.diagonal()
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(maxiter):
+        ap = matrix @ p
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            return x
+        z = r / diag
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise RuntimeError("textbook_cg did not converge")

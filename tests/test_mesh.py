@@ -6,9 +6,11 @@ from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError,
                     build_mapped_tensor_mesh, circle_curve, curved_polygon,
                     graph_curve, straighten_mesh, validate_mesh)
 from curvem import test1_boundary_curves as boundary_curves
-from curvem.mesh import LP_CHUNK_SIZE, _element_polyline
+from curvem import test1_problem as problem1
+from curvem import test2_problem as problem2
+from curvem.mesh import LP_CHUNK_SIZE, _polylines
 
-from _oracles import kernel_chebyshev_radius
+from _oracles import element_loop_geometry, kernel_chebyshev_radius
 
 
 def unit_square_mesh():
@@ -222,8 +224,8 @@ def test_validate_mesh_star_ratio_detects_thin_kernel():
 
 
 def oracle_star_ratios(mesh):
-    return np.array([kernel_chebyshev_radius(_element_polyline(mesh, el)) / el.diameter
-                     for el in mesh.elements])
+    return np.array([kernel_chebyshev_radius(_polylines(mesh, [p])[0]) / el.diameter
+                     for p, el in enumerate(mesh.elements)])
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -267,7 +269,7 @@ def test_validate_empty_kernel_gives_zero_star_ratio():
     comb = Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(8)])])
     report = validate_mesh(comb, 0.05)
     assert report.elements[0].star_ratio == 0.0
-    assert kernel_chebyshev_radius(_element_polyline(comb, comb.elements[0])) == 0.0
+    assert kernel_chebyshev_radius(_polylines(comb, [0])[0]) == 0.0
     assert not report.ok
 
 
@@ -287,3 +289,237 @@ def test_validate_names_the_chunk_whose_lp_fails(monkeypatch):
     monkeypatch.setattr(mesh_module, "linprog", fail_second_chunk)
     with pytest.raises(MeshError, match="elements 128..255 failed: injected failure"):
         validate_mesh(build_mapped_tensor_mesh(16), 0.05)
+
+
+# ---------------------------------------------------------------------------
+# geometry arrays against the element-by-element loop
+
+
+def shifted_mesh(n, seed, fraction=0.2):
+    """Test1 mesh with every interior vertex moved by a seeded random vector
+    of length at most fraction * h."""
+    base = problem1().mesh_factory(n)
+    rng = np.random.default_rng(seed)
+    vertices = []
+    for vertex in base.vertices:
+        position = vertex.position.copy()
+        if not vertex.on_boundary:
+            radius = fraction * base.h * np.sqrt(rng.uniform())
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            position += radius * np.array([np.cos(angle), np.sin(angle)])
+        vertices.append(Vertex(position=position, curve_ref=vertex.curve_ref))
+    return Mesh.build(vertices, [Edge(v0=e.v0, v1=e.v1, segment=e.segment) for e in base.edges],
+                      [Element(edge_loop=list(el.edge_loop)) for el in base.elements])
+
+
+def mixed_polygon_mesh(n=8):
+    """Curved test1 mesh with runs of 1 to 5 cells of a row merged into one
+    polygon (4 to 12 sides, up to 5 of them curved) and every fourth single
+    cell split into two triangles."""
+    base = build_mapped_tensor_mesh(n, *boundary_curves())
+    vertices = [Vertex(position=v.position.copy()) for v in base.vertices]
+    edges = [Edge(v0=e.v0, v1=e.v1, segment=e.segment) for e in base.edges]
+    loops = []
+    runs = 0
+    for j in range(n):
+        i, width = 0, 1 + j % 5
+        while i < n:
+            cells = [base.elements[j * n + c] for c in range(i, min(i + width, n))]
+            if len(cells) == 1 and runs % 4 == 0:
+                bottom, right, top, left = cells[0].edge_loop
+                corners = cells[0].vertices
+                edges.append(Edge(v0=corners[0], v1=corners[2]))
+                diagonal = len(edges) - 1
+                loops += [[bottom, right, (diagonal, -1)], [(diagonal, 1), top, left]]
+            else:
+                loops.append([c.edge_loop[0] for c in cells] + [cells[-1].edge_loop[1]]
+                             + [c.edge_loop[2] for c in reversed(cells)]
+                             + [cells[0].edge_loop[3]])
+            runs += 1
+            i += len(cells)
+            width = width % 5 + 1
+    # drop the vertical edges inside merged runs
+    used = sorted({eid for loop in loops for eid, _ in loop})
+    renumber = {old: new for new, old in enumerate(used)}
+    return Mesh.build(vertices, [edges[old] for old in used],
+                      [Element(edge_loop=[(renumber[e], s) for e, s in loop]) for loop in loops])
+
+
+GEOMETRY_MESHES = {
+    **{f"test1-n{n}": (lambda n=n: problem1().mesh_factory(n)) for n in (4, 8, 16, 32)},
+    "test1-straight-n8": lambda: straighten_mesh(problem1().mesh_factory(8)),
+    **{f"test2-n{n}": (lambda n=n: problem2().mesh_factory(n)) for n in (2, 4, 8, 16)},
+    "shifted-n16": lambda: shifted_mesh(16, seed=3),
+    "mixed-polygons-n8": mixed_polygon_mesh,
+}
+
+
+@pytest.mark.parametrize("name", GEOMETRY_MESHES)
+def test_geometry_arrays_equal_the_element_loop(name):
+    mesh = GEOMETRY_MESHES[name]()
+    lengths, areas, centroids, diameters, h = element_loop_geometry(mesh)
+    assert np.array_equal(mesh.edge_lengths, lengths)
+    assert np.array_equal(mesh.areas, areas)
+    assert np.array_equal(mesh.centroids, centroids)
+    assert np.array_equal(mesh.diameters, diameters)
+    assert mesh.h == h
+    # the entity objects carry the same values
+    assert [e.length for e in mesh.edges] == lengths.tolist()
+    assert [el.area for el in mesh.elements] == areas.tolist()
+    assert [el.diameter for el in mesh.elements] == diameters.tolist()
+    assert np.array_equal([el.centroid for el in mesh.elements], centroids)
+
+
+def test_mixed_polygon_mesh_covers_3_to_12_sides():
+    mesh = mixed_polygon_mesh()
+    sizes = {len(el.edge_loop) for el in mesh.elements}
+    assert min(sizes) == 3 and max(sizes) == 12 and 8 in sizes
+    curved_sides = [sum(mesh.edges[eid].is_curved for eid, _ in el.edge_loop)
+                    for el in mesh.elements]
+    assert max(curved_sides) >= 3
+    assert sum(el.area for el in mesh.elements) == pytest.approx(
+        sum(el.area for el in build_mapped_tensor_mesh(8, *boundary_curves()).elements),
+        rel=1e-13)
+
+
+def test_topology_arrays_match_the_entities():
+    mesh = mixed_polygon_mesh()
+    for p, el in enumerate(mesh.elements):
+        rows = slice(mesh.loop_offsets[p], mesh.loop_offsets[p + 1])
+        assert mesh.loop_edges[rows].tolist() == [eid for eid, _ in el.edge_loop]
+        assert mesh.loop_signs[rows].tolist() == [sign for _, sign in el.edge_loop]
+        assert mesh.loop_corners[rows].tolist() == el.vertices
+        assert np.array_equal(mesh.points[el.vertices],
+                              [mesh.vertices[v].position for v in el.vertices])
+    for i, edge in enumerate(mesh.edges):
+        assert mesh.edge_vertices[i].tolist() == [edge.v0, edge.v1]
+        assert mesh.edge_on_boundary[i] == edge.on_boundary == (len(edge.elements) == 1)
+        assert mesh.edge_curved[i] == edge.is_curved
+        assert all(i in [eid for eid, _ in mesh.elements[p].edge_loop] for p in edge.elements)
+    assert mesh.vertex_on_boundary.tolist() == [v.on_boundary for v in mesh.vertices]
+
+
+# ---------------------------------------------------------------------------
+# MeshError messages, pinned from the element-by-element implementation
+
+
+def _square(points=((0, 0), (1, 0), (1, 1), (0, 1))):
+    return ([Vertex(position=np.array(p, dtype=float)) for p in points],
+            [Edge(v0=i, v1=(i + 1) % 4) for i in range(4)])
+
+
+def _sliver_with_inward_arc(shift=0.0):
+    """A 2 x 0.1 rectangle whose top side dips along a half circle of radius
+    1 below the bottom side: counterclockwise chords, negative area."""
+    dip = circle_curve("dip", (1.0 + shift, 0.1), 1.0)
+    vertices = [Vertex(position=np.array([shift, 0.0])),
+                Vertex(position=np.array([2.0 + shift, 0.0])),
+                Vertex(position=dip.eval(2 * np.pi)), Vertex(position=dip.eval(np.pi))]
+    edges = [Edge(v0=0, v1=1), Edge(v0=1, v1=2),
+             Edge(v0=3, v1=2, segment=CurveSegment(dip, np.pi, 2 * np.pi)), Edge(v0=3, v1=0)]
+    return vertices, edges, [(0, 1), (1, 1), (2, -1), (3, 1)]
+
+
+def _zero_length_edge():
+    vertices, edges = _square(((0, 0), (1, 0), (1, 0), (0, 1)))
+    return vertices, edges, [Element(edge_loop=[(i, 1) for i in range(4)])]
+
+
+def _clockwise_square():
+    vertices, edges = _square()
+    return vertices, edges, [Element(edge_loop=[(3, -1), (2, -1), (1, -1), (0, -1)])]
+
+
+def _negative_curved_area():
+    vertices, edges, loop = _sliver_with_inward_arc()
+    return vertices, edges, [Element(edge_loop=loop)]
+
+
+def _edge_and_element_faults():
+    c = circle_curve("c", (0, 0), 1.0)
+    vertices = [Vertex(position=np.array(p, dtype=float))
+                for p in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 2.0)]]
+    edges = [Edge(v0=0, v1=1), Edge(v0=1, v1=1), Edge(v0=2, v1=3),
+             Edge(v0=2, v1=4, segment=CurveSegment(c, 0.0, 1.0)),  # both ends off the circle
+             Edge(v0=3, v1=9), Edge(v0=3, v1=0), Edge(v0=1, v1=2)]
+    elements = [Element(edge_loop=[(0, 1), (6, 1)]),
+                Element(edge_loop=[(0, 1), (6, 1), (2, 1), (5, 1)]),
+                Element(edge_loop=[(0, 1), (6, 1), (12, 1)]),
+                Element(edge_loop=[(0, 1), (6, 1), (0, 1)]),
+                Element(edge_loop=[(0, 1), (2, 1), (6, 1), (5, 1)])]
+    return vertices, edges, elements
+
+
+def _element_faults():
+    vertices, edges = _square()
+    elements = [Element(edge_loop=[(0, 1), (1, 1)]),
+                Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)]),
+                Element(edge_loop=[(0, 1), (1, 1), (7, 1)]),
+                Element(edge_loop=[(0, 1), (1, 1), (0, 1)]),
+                Element(edge_loop=[(0, 1), (2, 1), (1, 1), (3, 1)]),
+                Element(edge_loop=[(0, -1), (3, -1), (2, -1), (1, 1)])]
+    return vertices, edges, elements
+
+
+def _edge_use_faults():
+    vertices, edges = _square()
+    edges += [Edge(v0=0, v1=2), Edge(v0=1, v1=3)]
+    elements = [Element(edge_loop=[(i, 1) for i in range(4)]),
+                Element(edge_loop=[(0, 1), (1, 1), (4, -1)]),
+                Element(edge_loop=[(0, 1), (1, 1), (4, -1)])]
+    return vertices, edges, elements
+
+
+def _disjoint(*kinds):
+    """Separate elements side by side: a good square ("ok"), a clockwise
+    square ("cw") or the sliver with negative area ("arc")."""
+    vertices, edges, elements = [], [], []
+    for slot, kind in enumerate(kinds):
+        if kind == "arc":
+            v, e, loop = _sliver_with_inward_arc(shift=10.0 * slot)
+        else:
+            v, e = _square([(x + 10.0 * slot, y) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))])
+            loop = ([(i, 1) for i in range(4)] if kind == "ok"
+                    else [(3, -1), (2, -1), (1, -1), (0, -1)])
+        nv, ne = len(vertices), len(edges)
+        vertices += v
+        edges += [Edge(v0=x.v0 + nv, v1=x.v1 + nv, segment=x.segment) for x in e]
+        elements.append(Element(edge_loop=[(i + ne, sign) for i, sign in loop]))
+    return vertices, edges, elements
+
+
+@pytest.mark.parametrize("make, message", [
+    (_zero_length_edge, "degenerate edge between vertices 1 and 2"),
+    (_clockwise_square,
+     "element 0: chord polygon is not counterclockwise (signed area -1.000e+00)"),
+    (_negative_curved_area, "element 0: nonpositive area -1.371e+00"),
+    (_edge_and_element_faults,
+     "edge 1: bad vertex pair (1, 1); "
+     "edge 3: vertex 2 is 1.00e+00 away from curve 'c' at t=0.0; "
+     "edge 3: vertex 4 is 1.16e+00 away from curve 'c' at t=1.0; "
+     "edge 4: bad vertex pair (3, 9); element 0: fewer than 3 edges"),
+    (_element_faults,
+     "element 0: fewer than 3 edges; element 2: edge index out of range; "
+     "element 3: repeated edge in loop; element 4: loop breaks between edges 0 and 2; "
+     "element 5: loop breaks between edges 2 and 1"),
+    (_edge_use_faults,
+     "edge 0: shared by 3 elements; edge 1: shared by 3 elements; "
+     "edge 4: traversed twice in the same direction; edge 5: referenced by no element"),
+    (lambda: _disjoint("ok", "arc", "ok", "cw"), "element 1: nonpositive area -1.371e+00"),
+    (lambda: _disjoint("ok", "cw", "arc"),
+     "element 1: chord polygon is not counterclockwise (signed area -1.000e+00)"),
+], ids=["zero-length-edge", "clockwise", "curved-negative-area", "edge-and-element-faults",
+        "element-faults", "edge-use-faults", "negative-area-first", "clockwise-first"])
+def test_build_error_messages_are_pinned(make, message):
+    with pytest.raises(MeshError) as info:
+        Mesh.build(*make())
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("position", [[0, 1, 5], [0.0]], ids=["three", "one"])
+def test_build_rejects_position_that_is_not_a_2_vector(position):
+    vertices, edges = _square()
+    vertices[3] = Vertex(position=np.array(position))
+    with pytest.raises(MeshError, match=r"vertex 3: position must have 2 coordinates, "
+                                        r"got shape \(\d,\)"):
+        Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(4)])])

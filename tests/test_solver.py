@@ -18,6 +18,9 @@ from curvem import (
     solve,
 )
 from curvem import test1_boundary_curves as boundary_curves
+from curvem import test2_problem as problem2
+
+from _oracles import textbook_cg
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -105,6 +108,20 @@ def test_cg_matches_direct():
         x_direct = solve(system, method="direct")
         scale = np.abs(x_direct).max()
         assert np.abs(x_cg - x_direct).max() <= 1e-9 * scale
+
+
+def test_cg_iterates_match_the_textbook_loop():
+    # the in-place updates of the solver are the same operations as the
+    # textbook ones, so the solution carries the same bits
+    problem = problem2()
+    system = assemble(problem.mesh_factory(4), 3, problem.coefficient())
+    apply_dirichlet(system, problem.boundary)
+    u = solve(system, method="cg", tol=1e-12)
+    n = system.reduced_matrix.shape[0]
+    expected = system.boundary_values.copy()
+    expected[system.interior] = textbook_cg(system.reduced_matrix, system.reduced_rhs,
+                                            1e-12, max(1000, 40 * n))
+    assert np.array_equal(u, expected)
 
 
 def test_cg_is_deterministic():
