@@ -18,14 +18,12 @@ from .geometry import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
                        graph_curve)
 from .mesh import (Edge, Element, ElementQuality, Mesh, MeshError,
                    MeshQualityReport, Vertex, build_annulus_interface_mesh,
-                   build_mapped_tensor_mesh, curved_polygon, straighten_mesh,
-                   validate_mesh)
+                   build_mapped_tensor_mesh, straighten_mesh, validate_mesh)
 from .mesh_io import (MeshFormatError, export_mesh, format_mesh, import_mesh,
                       parse_mesh)
-from .quadrature import (CurvedPiece, CurvedPolygon, QuadratureError,
-                         QuadratureRule1D, QuadratureRule2D, StraightPiece,
-                         curved_polygon_quadrature, gauss_legendre,
-                         gauss_lobatto, lagrange_values, polygon_quadrature)
+from .quadrature import (QuadratureError, QuadratureRule1D, QuadratureRule2D,
+                         gauss_legendre, gauss_lobatto, lagrange_values,
+                         polygon_quadrature)
 from .solver import (DofMap, LinearSystem, NotSPDError, SolverError,
                      apply_dirichlet, assemble, build_dof_map, solve)
 from .vem import (Coefficient, ElementOperatorError, dof_count,
@@ -35,18 +33,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryCurve", "Coefficient", "ConvergenceReport", "ConvergenceRow",
-    "CurveSegment", "CurvedPiece", "CurvedPolygon", "DofMap", "Edge",
-    "Element", "ElementOperatorError", "ElementQuality", "GeometryError",
-    "LinearSystem", "ManufacturedProblem", "Mesh", "MeshError",
-    "MeshFormatError", "MeshQualityReport", "NotSPDError", "QuadratureError",
-    "QuadratureRule1D", "QuadratureRule2D", "RateFit", "SolverError",
-    "StraightPiece", "Vertex", "apply_dirichlet", "arc_length", "assemble",
+    "CurveSegment", "DofMap", "Edge", "Element", "ElementOperatorError",
+    "ElementQuality", "GeometryError", "LinearSystem", "ManufacturedProblem",
+    "Mesh", "MeshError", "MeshFormatError", "MeshQualityReport", "NotSPDError",
+    "QuadratureError", "QuadratureRule1D", "QuadratureRule2D", "RateFit",
+    "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",
     "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
-    "circle_curve", "compute_errors", "curve_from_params", "curved_polygon",
-    "curved_polygon_quadrature", "dof_count", "edge_dof_points", "export_mesh",
-    "fit_rates", "format_mesh", "gauss_legendre", "gauss_lobatto",
-    "generic_curve", "graph_curve", "import_mesh", "lagrange_values",
-    "n_moments", "parse_mesh", "polygon_quadrature", "run_convergence",
-    "run_patch_test", "solve", "straighten_mesh", "test1_boundary_curves",
-    "test1_problem", "test2_problem", "validate_mesh",
+    "circle_curve", "compute_errors", "curve_from_params", "dof_count",
+    "edge_dof_points", "export_mesh", "fit_rates", "format_mesh",
+    "gauss_legendre", "gauss_lobatto", "generic_curve", "graph_curve",
+    "import_mesh", "lagrange_values", "n_moments", "parse_mesh",
+    "polygon_quadrature", "run_convergence", "run_patch_test", "solve",
+    "straighten_mesh", "test1_boundary_curves", "test1_problem",
+    "test2_problem", "validate_mesh",
 ]

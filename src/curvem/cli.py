@@ -23,14 +23,13 @@ import numpy as np
 from .analysis import (fit_rates, run_convergence, run_patch_test, test1_problem,
                        test2_problem)
 from .geometry import CurveSegment, GeometryError, circle_curve
-from .mesh import (Edge, Element, Mesh, MeshError, Vertex, curved_polygon,
-                   straighten_mesh, validate_mesh)
+from .mesh import (Edge, Element, Mesh, MeshError, Vertex, straighten_mesh,
+                   validate_mesh)
 from .mesh_io import MeshFormatError, import_mesh
-from .quadrature import (CurvedPolygon, QuadratureError, curved_polygon_quadrature,
-                         polygon_quadrature)
+from .quadrature import QuadratureError, polygon_quadrature
 from .reference import fan_integrate, polygon_integrate
 from .solver import SolverError
-from .vem import ElementOperatorError
+from .vem import ElementOperatorError, element_chunks
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -223,7 +222,7 @@ def audit_polygon_exactness(m_list, trials: int, seed: int):
     for m_order in m_list:
         for trial in range(trials):
             verts = random_star_polygon(rng)
-            rule = polygon_quadrature(CurvedPolygon.from_vertices(verts), m_order)
+            rule = polygon_quadrature(verts, m_order)
             worst = 0.0
             for a, b in _monomials_up_to(2 * m_order):
                 f = lambda x, y, a=a, b=b: x ** a * y ** b
@@ -252,30 +251,39 @@ def quarter_disk_mesh() -> Mesh:
 def audit_disk_area(boost: int = 2, k: int = 4) -> float:
     """Absolute gap between pi and the quadrature area of the quarter-disk mesh."""
     mesh = quarter_disk_mesh()
-    one = lambda x, y: np.ones(np.shape(x))
-    total = sum(curved_polygon_quadrature(curved_polygon(mesh, p), k, boost).integrate(one)
-                for p in range(len(mesh.elements)))
-    return abs(total - float(np.pi))
+    areas = [0.0] * len(mesh.elements)
+    for chunk in element_chunks(mesh, k):
+        x, y, w = chunk.rule(k, boost)
+        for i, p in enumerate(chunk.elements.tolist()):
+            areas[p] = float(w[i] @ np.ones(x.shape[1]))
+    return abs(sum(areas) - float(np.pi))
 
 
 def _curved_sample_element():
     """First element of the coarse sinusoidal-boundary mesh (one curved side)."""
     problem = test1_problem()
-    mesh = problem.mesh_factory(4)
-    return curved_polygon(mesh, 0)
+    return element_chunks(problem.mesh_factory(4), 3, [0])[0]
+
+
+def _monomial_oracles(chunk):
+    """Fan-oracle integrals of the monomials up to degree 4 over a chunk of one."""
+    return [(a, b, fan_integrate(chunk.vertices[0], chunk.sides,
+                                 lambda x, y, a=a, b=b: x ** a * y ** b, n=32))
+            for a, b in _monomials_up_to(4)]
+
+
+def _monomial_gaps(chunk, oracles, k: int, boost: int):
+    """Relative gaps (a, b, rel) between the chunk's degree-k rule and the oracles."""
+    x, y, w = chunk.rule(k, boost)
+    return [(a, b, abs(float(w[0] @ (x[0] ** a * y[0] ** b)) - oracle)
+             / max(abs(oracle), 1e-30))
+            for a, b, oracle in oracles]
 
 
 def audit_curved_monomials(boost: int = 2):
     """Relative gap to the fan oracle for monomials up to degree 4."""
-    poly = _curved_sample_element()
-    rule = curved_polygon_quadrature(poly, 3, boost)
-    rows = []
-    for a, b in _monomials_up_to(4):
-        f = lambda x, y, a=a, b=b: x ** a * y ** b
-        oracle = fan_integrate(poly, f, n=32)
-        rel = abs(rule.integrate(f) - oracle) / max(abs(oracle), 1e-30)
-        rows.append((a, b, rel))
-    return rows
+    chunk = _curved_sample_element()
+    return _monomial_gaps(chunk, _monomial_oracles(chunk), 3, boost)
 
 
 def audit_boost_monotonicity(boosts=(0, 2, 4, 6)):
@@ -285,18 +293,12 @@ def audit_boost_monotonicity(boosts=(0, 2, 4, 6)):
     both values sit at rounding level.
     """
     cases = [("test1-element", _curved_sample_element(), 3),
-             ("quarter-disk", curved_polygon(quarter_disk_mesh(), 0), 3)]
+             ("quarter-disk", element_chunks(quarter_disk_mesh(), 3, [0])[0], 3)]
     rows = []
-    for name, poly, k in cases:
-        errs = []
-        for boost in boosts:
-            rule = curved_polygon_quadrature(poly, k, boost)
-            worst = 0.0
-            for a, b in _monomials_up_to(4):
-                f = lambda x, y, a=a, b=b: x ** a * y ** b
-                oracle = fan_integrate(poly, f, n=32)
-                worst = max(worst, abs(rule.integrate(f) - oracle) / max(abs(oracle), 1e-30))
-            errs.append(worst)
+    for name, chunk, k in cases:
+        oracles = _monomial_oracles(chunk)
+        errs = [max(rel for _, _, rel in _monomial_gaps(chunk, oracles, k, boost))
+                for boost in boosts]
         rows.append((name, tuple(boosts), errs))
     return rows
 

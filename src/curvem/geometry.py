@@ -178,36 +178,22 @@ class CurveSegment:
                 f"parameter interval [{a}, {b}]")
 
 
-def _check_range(segment: CurveSegment, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    slack = 1e-12 * (segment.t1 - segment.t0)
-    if np.any(t < segment.t0 - slack) or np.any(t > segment.t1 + slack):
-        raise GeometryError(
-            f"curve {segment.curve.id!r}: parameter outside segment "
-            f"[{segment.t0}, {segment.t1}]")
-    return t
-
-
-def arc_length(segment: CurveSegment, t_lo=None, t_hi=None, rel_tol=1e-12) -> float:
-    """Arc length of the segment (or of [t_lo, t_hi] within it).
+def arc_length(segment: CurveSegment) -> float:
+    """Arc length of the segment.
 
     Adaptive Gauss-Kronrod integration of the speed; raises if the
-    integrator cannot certify the requested relative tolerance.
+    integrator cannot certify a relative accuracy of 1e-12.
     """
-    lo = segment.t0 if t_lo is None else float(t_lo)
-    hi = segment.t1 if t_hi is None else float(t_hi)
-    _check_range(segment, [lo, hi])
-    if hi <= lo:
-        return 0.0
     curve = segment.curve
 
     def speed(t):
         d = curve.eval_derivative(t)
         return float(np.hypot(d[0], d[1]))
 
-    value, abserr, *_ = quad(speed, lo, hi, epsabs=1e-15, epsrel=rel_tol,
+    lo, hi = segment.t0, segment.t1
+    value, abserr, *_ = quad(speed, lo, hi, epsabs=1e-15, epsrel=1e-12,
                              limit=200, full_output=True)
-    if abserr > max(rel_tol * abs(value), 1e-13):
+    if abserr > max(1e-12 * abs(value), 1e-13):
         raise GeometryError(
             f"curve {curve.id!r}: arc length on [{lo}, {hi}] did not converge "
             f"(estimated error {abserr:.2e})")

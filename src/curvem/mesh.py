@@ -41,8 +41,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
-from .quadrature import (CurvedPiece, CurvedPolygon, StraightPiece, gauss_legendre,
-                         trace_curves)
+from .quadrature import gauss_legendre, trace_curves
 
 _ENDPOINT_TOL = 1e-12
 _CURVE_SAMPLES = 8
@@ -439,21 +438,6 @@ def _fill_entities(mesh: Mesh) -> None:
         element.diameter = diameter
 
 
-def curved_polygon(mesh: Mesh, element_id: int):
-    """Boundary description of one element for the quadrature module."""
-    rows = np.arange(mesh.loop_offsets[element_id], mesh.loop_offsets[element_id + 1])
-    corners = mesh.points[mesh.loop_corners[rows]]
-    pieces = []
-    for j, (eid, sign) in enumerate(zip(mesh.loop_edges[rows].tolist(),
-                                        mesh.loop_signs[rows].tolist())):
-        segment = mesh.edges[eid].segment
-        if segment is None:
-            pieces.append(StraightPiece(corners[j], corners[(j + 1) % len(rows)]))
-        else:
-            pieces.append(CurvedPiece(segment, reversed=sign < 0))
-    return CurvedPolygon(vertices=corners, pieces=tuple(pieces))
-
-
 # ---------------------------------------------------------------------------
 # structured generators
 
@@ -684,16 +668,22 @@ def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.repeat(sides, count)
 
 
-def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.ndarray:
+def _kernel_inradii(mesh: Mesh, elements: range) -> np.ndarray:
     """Chebyshev radii of the kernels of consecutive elements' polylines.
 
     One LP for the chunk: maximize the sum of the radii r_e subject to the
     disk of radius r_e around (x_e, y_e) lying left of every directed side
     of element e.  The blocks share no variable, so each r_e is maximal on
-    its own.  r_e is free with upper bound diameter_e, which keeps the LP
+    its own.  Each block is written in its element's own frame: coordinates
+    relative to the centroid in units of the diameter, and unit side
+    normals, so HiGHS's absolute tolerances mean the same on every element
+    and on every side.  r_e is free with upper bound 1, which keeps the LP
     feasible and bounded; an empty kernel shows as r_e < 0.
     """
-    pts, owner = _polylines(mesh, elements)
+    ids = np.asarray(elements)
+    diameters = mesh.diameters[ids]
+    pts, owner = _polylines(mesh, ids)
+    pts = (pts - mesh.centroids[ids][owner]) / diameters[owner, None]
     # each point's successor on its polyline, wrapping around at the end
     index = np.arange(len(pts))
     last = np.searchsorted(owner, owner, side="right") - 1
@@ -702,21 +692,22 @@ def _kernel_inradii(mesh: Mesh, elements: range, diameters: np.ndarray) -> np.nd
     normals = np.stack([-d[:, 1], d[:, 0]], axis=-1)
     norms = np.hypot(normals[:, 0], normals[:, 1])
     keep = norms > 1e-300
-    normals, norms, base, owner = normals[keep], norms[keep], pts[keep], owner[keep]
+    normals = normals[keep] / norms[keep, None]
+    base, owner = pts[keep], owner[keep]
     rows = np.repeat(np.arange(len(owner)), 3)
     cols = (3 * owner[:, None] + np.arange(3)).ravel()
-    vals = np.column_stack([-normals, norms]).ravel()
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(elements)))
+    vals = np.column_stack([-normals, np.ones(len(owner))]).ravel()
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(ids)))
     b_ub = -np.sum(normals * base, axis=1)
-    c = np.zeros(3 * len(elements))
+    c = np.zeros(3 * len(ids))
     c[2::3] = -1.0
-    bounds = np.tile([-np.inf, np.inf], (3 * len(elements), 1))
-    bounds[2::3, 1] = diameters
+    bounds = np.tile([-np.inf, np.inf], (3 * len(ids), 1))
+    bounds[2::3, 1] = 1.0
     res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise MeshError(f"kernel LP of elements {elements.start}..{elements.stop - 1} "
                         f"failed: {res.message}")
-    return res.x[2::3]
+    return res.x[2::3] * diameters
 
 
 def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
@@ -737,7 +728,7 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     radii = np.empty(len(mesh.elements))
     for lo in range(0, len(mesh.elements), LP_CHUNK_SIZE):
         chunk = range(lo, min(lo + LP_CHUNK_SIZE, len(mesh.elements)))
-        radii[lo:chunk.stop] = _kernel_inradii(mesh, chunk, diameters[lo:chunk.stop])
+        radii[lo:chunk.stop] = _kernel_inradii(mesh, chunk)
     star_ratio = np.maximum(radii, 0.0) / diameters
     ok = (edge_ratio >= rho) & (star_ratio >= rho)
     checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),

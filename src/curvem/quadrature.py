@@ -7,16 +7,16 @@ by Green's theorem applied to the x-primitive of the integrand, and the
 resulting line integrals are handled by nested Gauss-Legendre rules.  With
 M+1 points per direction the rule is exact for polynomials of degree 2M on
 straight sides; on curved sides the integrand is no longer polynomial in
-the parameter and the point count is raised instead (see
-``curved_polygon_quadrature``).
+the parameter and the point count is raised instead (see ``rule_points``).
 
 Nodes can fall outside the region (between the boundary and the vertical
-line x = alpha), so integrands must be defined and smooth on the rule's
-bounding rectangle, recorded in the rule metadata.
+line x = alpha), so integrands must be defined and smooth on the bounding
+box of the (curved) boundary, not only on the polygon.
 
-``green_rule`` builds the rules of a batch of like polygons at once, as
-arrays of shape (polygons, points); the one-polygon rules are its batches
-of one.
+A polygon's boundary is described by its chord corners and one
+``SideBatch`` per side.  ``green_rule`` builds the rules of a batch of like
+polygons at once, as arrays of shape (polygons, points);
+``polygon_quadrature`` is its rule on one all-straight polygon.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .geometry import CurveSegment
 
 _MAX_POINTS = 64
 
@@ -45,19 +43,10 @@ class QuadratureRule1D:
 
 @dataclass(frozen=True)
 class QuadratureRule2D:
-    """Planar rule with signed weights.
-
-    ``bounding_rect`` is (xmin, xmax, ymin, ymax) covering every node;
-    integrands must be continuous there, not only on the element, because
-    Green-rule nodes may leave the element.  ``straight_points`` and
-    ``curved_points`` record the per-direction point counts used.
-    """
+    """Planar rule with signed weights; ``points`` has shape (Q, 2)."""
 
     points: np.ndarray
     weights: np.ndarray
-    bounding_rect: tuple[float, float, float, float]
-    straight_points: int
-    curved_points: int
 
     def integrate(self, f) -> float:
         """Apply the rule to a vectorized integrand f(x, y)."""
@@ -167,45 +156,6 @@ def lagrange_values(nodes, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StraightPiece:
-    """One straight boundary side, traversed p0 -> p1."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvedPiece:
-    """One curved boundary side; ``reversed`` means traversal runs t1 -> t0."""
-
-    segment: CurveSegment
-    reversed: bool = False
-
-
-@dataclass(frozen=True)
-class CurvedPolygon:
-    """Counterclockwise boundary description of one element.
-
-    ``vertices`` is the chord polygon (one row per corner); ``pieces`` lists
-    the boundary sides in traversal order, each straight or curved.
-    """
-
-    vertices: np.ndarray
-    pieces: tuple
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "CurvedPolygon":
-        """All-straight polygon from a CCW vertex loop."""
-        v = np.asarray(vertices, dtype=float)
-        pieces = tuple(StraightPiece(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
-        return cls(vertices=v, pieces=pieces)
-
-    @property
-    def has_curved(self) -> bool:
-        return any(isinstance(p, CurvedPiece) for p in self.pieces)
-
-
-@dataclass(frozen=True)
 class SideBatch:
     """Side j of E polygons that share their side pattern, in traversal order.
 
@@ -256,23 +206,6 @@ def trace_curves(curves, t):
         gamma[rows] = curve.eval(tt.ravel()).reshape(tt.shape + (2,))
         dgamma[rows] = curve.eval_derivative(tt.ravel()).reshape(tt.shape + (2,))
     return gamma, dgamma
-
-
-def _polygon_sides(poly: CurvedPolygon) -> tuple[SideBatch, ...]:
-    """The sides of one polygon as a batch of E = 1."""
-    v = poly.vertices
-    sides = []
-    for i, piece in enumerate(poly.pieces):
-        if isinstance(piece, StraightPiece):
-            sides.append(SideBatch(np.asarray(piece.p0, float)[None],
-                                   np.asarray(piece.p1, float)[None]))
-        else:
-            seg = piece.segment
-            sides.append(SideBatch(
-                v[i][None], v[(i + 1) % len(v)][None], curves=(seg.curve,),
-                t0=np.array([seg.t0]), t1=np.array([seg.t1]),
-                sign=np.array([-1.0 if piece.reversed else 1.0])))
-    return tuple(sides)
 
 
 def _signed_areas(sides) -> np.ndarray:
@@ -347,49 +280,30 @@ def green_rule(vertices, sides, n_straight: int, n_curved: int):
     return np.concatenate(xs, axis=1), np.concatenate(ys, axis=1), np.concatenate(ws, axis=1)
 
 
-def _assemble_rule(poly, n_straight, n_curved) -> QuadratureRule2D:
-    x, y, w = green_rule(poly.vertices[None], _polygon_sides(poly), n_straight, n_curved)
-    points = np.stack([x[0], y[0]], axis=-1)
-    weights = w[0]
-    xs = np.concatenate([points[:, 0], poly.vertices[:, 0]])
-    ys = np.concatenate([points[:, 1], poly.vertices[:, 1]])
-    rect = (float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule2D(points=points, weights=weights, bounding_rect=rect,
-                            straight_points=n_straight, curved_points=n_curved)
-
-
-def polygon_quadrature(poly: CurvedPolygon, M: int) -> QuadratureRule2D:
-    """Green-rule quadrature on an all-straight polygon, exact for degree 2M.
+def polygon_quadrature(vertices, M: int) -> QuadratureRule2D:
+    """Green-rule quadrature on the straight polygon with CCW corners
+    ``vertices`` (n, 2), exact for degree 2M.
 
     Uses (M+1)-point Gauss-Legendre rules in each direction, at most
     (M+1)^2 nodes per side.
     """
     if M < 0:
         raise QuadratureError(f"polygon_quadrature: M={M} must be nonnegative")
-    if poly.has_curved:
-        raise QuadratureError("polygon_quadrature: polygon has curved sides, "
-                              "use curved_polygon_quadrature")
-    return _assemble_rule(poly, M + 1, 0)
-
-
-def curved_polygon_quadrature(poly: CurvedPolygon, k: int, boost: int = 2) -> QuadratureRule2D:
-    """Green-rule quadrature sized for degree-k element computations.
-
-    Straight sides get k points per direction (exact for degree 2k-2, the
-    degree of products of gradients of degree-k polynomials); curved sides
-    get k+1+boost points per direction, where the extra points compensate
-    for the non-polynomial parametrization.  The counts are recorded on the
-    returned rule.
-    """
-    return _assemble_rule(poly, *rule_points(k, boost))
+    v = np.asarray(vertices, dtype=float)
+    sides = tuple(SideBatch(v[None, i], v[None, (i + 1) % len(v)]) for i in range(len(v)))
+    x, y, w = green_rule(v[None], sides, M + 1, 0)
+    return QuadratureRule2D(points=np.stack([x[0], y[0]], axis=-1), weights=w[0])
 
 
 def rule_points(k: int, boost: int) -> tuple[int, int]:
-    """Points per direction of the degree-k rule: k straight, k+1+boost curved."""
+    """Points per direction of the Green rule of degree-k element computations.
+
+    Straight sides get k (exact for degree 2k-2, the degree of products of
+    gradients of degree-k polynomials); curved sides get k+1+boost, where
+    the extra points compensate for the non-polynomial parametrization.
+    """
     if k < 1:
-        raise QuadratureError(f"curved_polygon_quadrature: k={k} must be >= 1")
+        raise QuadratureError(f"rule_points: k={k} must be >= 1")
     if boost < 0:
-        raise QuadratureError(f"curved_polygon_quadrature: boost={boost} must be >= 0")
+        raise QuadratureError(f"rule_points: boost={boost} must be >= 0")
     return k, k + 1 + boost

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import CurvedPolygon, CurvedPiece, gauss_legendre
+from .quadrature import gauss_legendre
 
 
 def _cross(o, a, b):
@@ -110,33 +110,36 @@ def _chord_centroid(vertices):
     return np.array([cx, cy])
 
 
-def fan_integrate(poly: CurvedPolygon, f, n=32) -> float:
+def fan_integrate(vertices, sides, f, n=32) -> float:
     """Integral of f over a curved polygon by a centroid fan.
 
-    Each boundary piece sigma(u) spans a blended patch
-    X(u, v) = c + v (sigma(u) - c) with signed Jacobian
-    v sigma'(u) x (sigma(u) - c); summed over pieces this reproduces the
-    region integral for any simple CCW loop.  f must be defined on the
-    convex hull of the element and centroid.
+    ``vertices`` is the chord polygon (n, 2) and ``sides`` its boundary as
+    ``quadrature.SideBatch`` records of one polygon each, in CCW order.
+    Each side sigma(u) spans a blended patch X(u, v) = c + v (sigma(u) - c)
+    with signed Jacobian v sigma'(u) x (sigma(u) - c); summed over sides
+    this reproduces the region integral for any simple CCW loop.  f must
+    be defined on the convex hull of the element and centroid.
     """
-    c = _chord_centroid(poly.vertices)
+    c = _chord_centroid(np.asarray(vertices, dtype=float))
     u, wu = _unit_interval_rule(n)
     v, wv = _unit_interval_rule(n)
     total = 0.0
-    for piece in poly.pieces:
-        if isinstance(piece, CurvedPiece):
-            seg = piece.segment
-            if piece.reversed:
-                t = seg.t1 + u * (seg.t0 - seg.t1)
-                dt = seg.t0 - seg.t1
+    for side in sides:
+        if side.curves:
+            t0, t1 = side.t0[0], side.t1[0]
+            if side.sign[0] < 0:
+                t = t1 + u * (t0 - t1)
+                dt = t0 - t1
             else:
-                t = seg.t0 + u * (seg.t1 - seg.t0)
-                dt = seg.t1 - seg.t0
-            sigma = seg.curve.eval(t)
-            dsigma = seg.curve.eval_derivative(t) * dt
+                t = t0 + u * (t1 - t0)
+                dt = t1 - t0
+            curve = side.curves[0]
+            sigma = curve.eval(t)
+            dsigma = curve.eval_derivative(t) * dt
         else:
-            direction = piece.p1 - piece.p0
-            sigma = piece.p0[None, :] + u[:, None] * direction[None, :]
+            p0 = side.start[0]
+            direction = side.end[0] - p0
+            sigma = p0[None, :] + u[:, None] * direction[None, :]
             dsigma = np.broadcast_to(direction, sigma.shape)
         rel = sigma - c[None, :]
         jac_u = dsigma[:, 0] * rel[:, 1] - dsigma[:, 1] * rel[:, 0]

@@ -114,8 +114,7 @@ def _starts(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
-             load_degree: int | None = None) -> LinearSystem:
+def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSystem:
     """Assemble stiffness and load of the degree-k discretization."""
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
@@ -139,7 +138,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2,
         gdofs = dof_map.element_dofs(chunk)
         at = load_start[chunk.elements, None] + np.arange(chunk.n_dof)
         load_dofs[at] = gdofs
-        load_vals[at] = ops.load(coeff.source_for, load_degree)
+        load_vals[at] = ops.load(coeff.source_for)
         # the upper triangle of an exactly symmetric matrix, as lower-triangle
         # triplets of the global matrix
         iu, ju = np.triu_indices(chunk.n_dof)

@@ -198,8 +198,12 @@ class ElementChunk:
         return dof_count(self.vertex_ids.shape[1], self.k)
 
     def rule(self, k: int, boost: int):
-        """The Green rule ``curved_polygon_quadrature`` builds for degree k:
-        x, y and w of shape (E, Q)."""
+        """Green rule of degree-k computations on every element of the chunk.
+
+        Point counts per direction come from ``rule_points(k, boost)``.
+        Returns x, y and w of shape (E, Q); row i is element i's rule, the
+        same bits in a chunk of any size.
+        """
         return green_rule(self.vertices, self.sides, *rule_points(k, boost))
 
     def _scaled(self, x, y):
@@ -433,7 +437,7 @@ class ChunkOperators:
         k_mat = np.asarray(kappa, dtype=float)[:, None, None] * (consistency + residual.mT @ residual)
         return 0.5 * (k_mat + k_mat.mT)
 
-    def load(self, source_for: Callable, degree: int | None = None) -> np.ndarray:
+    def load(self, source_for: Callable) -> np.ndarray:
         """Load vectors for (f, v), with ``source_for(label)`` giving f.
 
         The leading term pairs the projection of f onto P_{k-2} with the
@@ -442,12 +446,11 @@ class ChunkOperators:
         projection residual of f is paired with the H1 projection of v as
         a correction.  The correction vanishes whenever f lies in P_{k-2},
         keeping polynomial solutions with polynomial sources reproduced to
-        solver precision.  The source is integrated with a rule exact to
-        ``degree`` (default 2k+2) on straight sides.
+        solver precision.  The source is integrated with the degree-(k+2)
+        rule, exact to degree 2k+2 on straight sides.
         """
         chunk, k = self.chunk, self.chunk.k
-        degree = 2 * k + 2 if degree is None else degree
-        x, y, w = chunk.rule((degree + 3) // 2, self.boost)
+        x, y, w = chunk.rule(k + 2, self.boost)
         fvals = chunk.by_label(source_for, x, y)
         moments = ((w * fvals)[:, None, :] @ chunk.basis(x, y))[:, 0]
         nm = max(n_moments(k), 1)

@@ -2,8 +2,32 @@
 
 import curvem
 
+# sorted, as ``sorted(curvem.__all__)`` lists them
+PUBLIC_NAMES = [
+    "BoundaryCurve", "Coefficient", "ConvergenceReport", "ConvergenceRow",
+    "CurveSegment", "DofMap", "Edge", "Element", "ElementOperatorError",
+    "ElementQuality", "GeometryError", "LinearSystem", "ManufacturedProblem",
+    "Mesh", "MeshError", "MeshFormatError", "MeshQualityReport", "NotSPDError",
+    "QuadratureError", "QuadratureRule1D", "QuadratureRule2D", "RateFit",
+    "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",
+    "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
+    "circle_curve", "compute_errors", "curve_from_params", "dof_count",
+    "edge_dof_points", "export_mesh", "fit_rates", "format_mesh",
+    "gauss_legendre", "gauss_lobatto", "generic_curve", "graph_curve",
+    "import_mesh", "lagrange_values", "n_moments", "parse_mesh",
+    "polygon_quadrature", "run_convergence", "run_patch_test", "solve",
+    "straighten_mesh", "test1_boundary_curves", "test1_problem",
+    "test2_problem", "validate_mesh",
+]
+
 
 def test_every_exported_name_resolves_once():
     assert len(set(curvem.__all__)) == len(curvem.__all__)
     missing = [name for name in curvem.__all__ if not hasattr(curvem, name)]
     assert missing == []
+
+
+def test_public_api_is_pinned():
+    # any change to the public API has to edit this list
+    assert len(PUBLIC_NAMES) == 55
+    assert sorted(curvem.__all__) == PUBLIC_NAMES

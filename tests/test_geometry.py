@@ -70,5 +70,4 @@ def test_arc_length_matches_simpson_oracle():
 
 def test_arc_length_subinterval():
     c = circle_curve("c", (0, 0), 1.0)
-    seg = CurveSegment(c, 0.0, 1.0)
-    assert arc_length(seg, 0.25, 0.75) == pytest.approx(0.5, rel=1e-13)
+    assert arc_length(CurveSegment(c, 0.25, 0.75)) == pytest.approx(0.5, rel=1e-13)

@@ -3,12 +3,13 @@ import pytest
 
 from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError, Vertex,
                     arc_length, build_annulus_interface_mesh,
-                    build_mapped_tensor_mesh, circle_curve, curved_polygon,
-                    graph_curve, straighten_mesh, validate_mesh)
+                    build_mapped_tensor_mesh, circle_curve, graph_curve,
+                    straighten_mesh, validate_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem.mesh import LP_CHUNK_SIZE, _polylines
+from curvem.vem import element_chunks
 
 from _oracles import element_loop_geometry, kernel_chebyshev_radius
 
@@ -177,11 +178,11 @@ def test_straighten_mesh_drops_curves_keeps_topology():
     assert abs(curved_area - chord_area) < 5e-3
 
 
-def test_curved_polygon_exposes_pieces():
+def test_element_chunk_exposes_sides():
     mesh = build_mapped_tensor_mesh(4, *boundary_curves())
-    poly = curved_polygon(mesh, 0)
-    assert poly.has_curved
-    assert len(poly.pieces) == 4
+    sides = element_chunks(mesh, 1, [0])[0].sides
+    assert sides[0].is_curved
+    assert len(sides) == 4
 
 
 def test_edge_lengths_use_arc_length():
@@ -230,9 +231,11 @@ def oracle_star_ratios(mesh):
 
 @pytest.mark.parametrize("make_mesh", [
     lambda: build_mapped_tensor_mesh(16, *boundary_curves()),  # two LP chunks
+    lambda: build_mapped_tensor_mesh(32, *boundary_curves()),
+    lambda: build_mapped_tensor_mesh(64, *boundary_curves()),
     lambda: build_annulus_interface_mesh(4, 16),
     lambda: straighten_mesh(build_mapped_tensor_mesh(8, *boundary_curves())),
-], ids=["test1-n16", "test2-n4", "test1-straight-n8"])
+], ids=["test1-n16", "test1-n32", "test1-n64", "test2-n4", "test1-straight-n8"])
 def test_validate_star_ratios_match_vertex_enumeration(make_mesh):
     mesh = make_mesh()
     report = validate_mesh(mesh, 0.03)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from curvem import (CurvedPiece, CurvedPolygon, CurveSegment, QuadratureError,
-                    StraightPiece, circle_curve, curved_polygon_quadrature,
-                    gauss_legendre, gauss_lobatto, graph_curve, lagrange_values,
-                    polygon_quadrature)
+from curvem import (QuadratureError, circle_curve, gauss_legendre, gauss_lobatto,
+                    graph_curve, lagrange_values, polygon_quadrature)
+from curvem.quadrature import SideBatch, green_rule, rule_points
 from curvem.reference import fan_integrate, polygon_integrate, triangulate
 
 from _oracles import shoelace_area
@@ -71,7 +70,7 @@ def test_triangulate_covers_nonconvex_polygon():
 @pytest.mark.parametrize("m_order", [1, 2, 3, 4])
 def test_polygon_quadrature_exact_to_degree_2m(m_order):
     verts = np.array([[0.2, 0.1], [1.9, 0.4], [2.3, 1.5], [1.0, 2.2], [0.1, 1.2]])
-    rule = polygon_quadrature(CurvedPolygon.from_vertices(verts), m_order)
+    rule = polygon_quadrature(verts, m_order)
     for d in range(2 * m_order + 1):
         for a in range(d + 1):
             f = lambda x, y, a=a, b=d - a: x ** a * y ** b
@@ -81,15 +80,15 @@ def test_polygon_quadrature_exact_to_degree_2m(m_order):
 
 def test_polygon_quadrature_weight_sum_is_area():
     verts = np.array([[0, 0], [2, 0], [2, 1], [1, 0.4], [0, 1]], dtype=float)
-    rule = polygon_quadrature(CurvedPolygon.from_vertices(verts), 3)
+    rule = polygon_quadrature(verts, 3)
     assert rule.weights.sum() == pytest.approx(shoelace_area(verts), rel=1e-14)
 
 
 def test_polygon_quadrature_translation_invariance():
     verts = np.array([[0.2, 0.1], [1.9, 0.4], [2.3, 1.5], [1.0, 2.2], [0.1, 1.2]])
     shift = np.array([13.0, -7.0])
-    rule0 = polygon_quadrature(CurvedPolygon.from_vertices(verts), 3)
-    rule1 = polygon_quadrature(CurvedPolygon.from_vertices(verts + shift), 3)
+    rule0 = polygon_quadrature(verts, 3)
+    rule1 = polygon_quadrature(verts + shift, 3)
     f = lambda x, y: x ** 2 * y - 3.0 * y ** 2
     v0 = rule0.integrate(lambda x, y: f(x + shift[0], y + shift[1]))
     assert v0 == pytest.approx(rule1.integrate(f), rel=1e-12)
@@ -98,28 +97,41 @@ def test_polygon_quadrature_translation_invariance():
 def test_polygon_quadrature_rejects_clockwise():
     verts = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=float)
     with pytest.raises(QuadratureError):
-        polygon_quadrature(CurvedPolygon.from_vertices(verts), 2)
+        polygon_quadrature(verts, 2)
 
 
-def _half_disk_polygon():
+def _curved_side(start, end, curve, t0, t1):
+    """A side of one polygon that follows ``curve`` from t0 to t1."""
+    return SideBatch(np.asarray(start)[None], np.asarray(end)[None], curves=(curve,),
+                     t0=np.array([t0]), t1=np.array([t1]), sign=np.array([1.0]))
+
+
+def _straight_side(start, end):
+    return SideBatch(np.asarray(start)[None], np.asarray(end)[None])
+
+
+def _rule(verts, sides, k, boost):
+    """The degree-k Green rule of one polygon: x, y and w of shape (Q,)."""
+    x, y, w = green_rule(verts[None], sides, *rule_points(k, boost))
+    return x[0], y[0], w[0]
+
+
+def _half_disk():
     c = circle_curve("c", (0.0, 0.0), 1.0)
     verts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    pieces = (CurvedPiece(segment=CurveSegment(c, 0.0, np.pi)),
-              StraightPiece(p0=verts[1], p1=verts[0]))
-    return CurvedPolygon(vertices=verts, pieces=pieces)
+    return verts, (_curved_side(verts[0], verts[1], c, 0.0, np.pi),
+                   _straight_side(verts[1], verts[0]))
 
 
-def test_curved_polygon_quadrature_half_disk():
+def test_green_rule_half_disk():
     # a half-circle side is the stress case: the boost controls its error
-    poly = _half_disk_polygon()
-    rule = curved_polygon_quadrature(poly, 4, boost=6)
-    assert rule.weights.sum() == pytest.approx(np.pi / 2, abs=1e-13)
-    mx = rule.integrate(lambda x, y: x)
-    my = rule.integrate(lambda x, y: y)
-    assert mx == pytest.approx(0.0, abs=1e-13)
-    assert my == pytest.approx(2.0 / 3.0, abs=1e-12)
-    coarse = curved_polygon_quadrature(poly, 4, boost=0)
-    assert abs(coarse.weights.sum() - np.pi / 2) > 1e-8  # boost genuinely matters
+    verts, sides = _half_disk()
+    x, y, w = _rule(verts, sides, 4, boost=6)
+    assert w.sum() == pytest.approx(np.pi / 2, abs=1e-13)
+    assert w @ x == pytest.approx(0.0, abs=1e-13)
+    assert w @ y == pytest.approx(2.0 / 3.0, abs=1e-12)
+    _, _, coarse = _rule(verts, sides, 4, boost=0)
+    assert abs(coarse.sum() - np.pi / 2) > 1e-8  # boost genuinely matters
 
 
 def test_curved_quadrature_matches_fan_oracle():
@@ -127,28 +139,23 @@ def test_curved_quadrature_matches_fan_oracle():
     verts = np.array([g.eval(np.array([0.0]))[0], g.eval(np.array([1.0]))[0],
                       [1.0, 0.4], [0.0, 0.4]])
     # the bottom side follows the sine graph; its endpoints sit on the curve
-    pieces = (CurvedPiece(segment=CurveSegment(g, 0.0, 1.0)),
-              StraightPiece(p0=verts[1], p1=verts[2]),
-              StraightPiece(p0=verts[2], p1=verts[3]),
-              StraightPiece(p0=verts[3], p1=verts[0]))
-    poly = CurvedPolygon(vertices=verts, pieces=pieces)
-    rule = curved_polygon_quadrature(poly, 3, boost=6)
+    sides = (_curved_side(verts[0], verts[1], g, 0.0, 1.0),
+             _straight_side(verts[1], verts[2]),
+             _straight_side(verts[2], verts[3]),
+             _straight_side(verts[3], verts[0]))
+    x, y, w = _rule(verts, sides, 3, boost=6)
     for a, b in [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3), (4, 0)]:
         f = lambda x, y, a=a, b=b: x ** a * y ** b
-        assert rule.integrate(f) == pytest.approx(
-            fan_integrate(poly, f, n=32), rel=1e-11, abs=1e-14)
+        assert w @ f(x, y) == pytest.approx(
+            fan_integrate(verts, sides, f, n=32), rel=1e-11, abs=1e-14)
 
 
-def test_curved_points_metadata_and_bounding_rect():
-    poly = _half_disk_polygon()
-    rule = curved_polygon_quadrature(poly, 3, boost=1)
-    assert rule.straight_points == 3
-    assert rule.curved_points == 3 + 1 + 1
-    xlo, xhi, ylo, yhi = rule.bounding_rect
-    assert np.all(rule.points[:, 0] >= xlo - 1e-12)
-    assert np.all(rule.points[:, 0] <= xhi + 1e-12)
-    assert np.all(rule.points[:, 1] >= ylo - 1e-12)
-    assert np.all(rule.points[:, 1] <= yhi + 1e-12)
+def test_rule_points_counts():
+    assert rule_points(3, 1) == (3, 3 + 1 + 1)
+    with pytest.raises(QuadratureError, match="rule_points"):
+        rule_points(0, 2)
+    with pytest.raises(QuadratureError, match="rule_points"):
+        rule_points(2, -1)
 
 
 def test_reference_polygon_integrate_simple():
