@@ -37,19 +37,20 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
 from .quadrature import gauss_legendre, trace_curves
 
 _ENDPOINT_TOL = 1e-12
 _CURVE_SAMPLES = 8
-# Elements per kernel LP in validate_mesh; one LP for a whole large mesh costs
-# more time and memory than a few small ones.
-LP_CHUNK_SIZE = 128
 # Point pairs per block of the diameter computation; bounds its memory.
 _PAIRS_PER_BLOCK = 1 << 16
+# (element, side triple, side) entries per block of the kernel vertex
+# enumeration in validate_mesh; bounds its memory.
+_SLACKS_PER_BLOCK = 1 << 20
+# A disk counts as inside a side when it crosses it by at most this much, in
+# units of the element diameter.
+_SLACK_TOL = 1e-12
 
 
 class MeshError(Exception):
@@ -668,46 +669,71 @@ def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.repeat(sides, count)
 
 
-def _kernel_inradii(mesh: Mesh, elements: range) -> np.ndarray:
-    """Chebyshev radii of the kernels of consecutive elements' polylines.
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every index triple i < j < k below m, in lexicographic order."""
+    i, j = np.triu_indices(m, 1)
+    count = m - 1 - j
+    first = np.cumsum(count) - count
+    k = np.arange(int(count.sum())) - np.repeat(first - j - 1, count)
+    return np.repeat(i, count), np.repeat(j, count), k
 
-    One LP for the chunk: maximize the sum of the radii r_e subject to the
-    disk of radius r_e around (x_e, y_e) lying left of every directed side
-    of element e.  The blocks share no variable, so each r_e is maximal on
-    its own.  Each block is written in its element's own frame: coordinates
-    relative to the centroid in units of the diameter, and unit side
-    normals, so HiGHS's absolute tolerances mean the same on every element
-    and on every side.  r_e is free with upper bound 1, which keeps the LP
-    feasible and bounded; an empty kernel shows as r_e < 0.
+
+def _chebyshev_radii(poly: np.ndarray) -> np.ndarray:
+    """Radius of the largest disk in the kernel of each closed polyline of
+    shape (E, m, 2), or 0 where the kernel holds no disk.
+
+    The disk of radius r around c lies left of side l when
+    u_l . c - r >= u_l . p_l, with u_l the side's inward unit normal.  The
+    largest r is reached where three of these constraints are equalities, so
+    every side triple is solved by Cramer's rule and the largest r >= 0 whose
+    disk violates no constraint by more than ``_SLACK_TOL`` is kept.  A side
+    of length zero has no normal; its row becomes r <= 1, which every disk
+    in a polyline of diameter 1 meets.
     """
-    ids = np.asarray(elements)
-    diameters = mesh.diameters[ids]
+    d = np.roll(poly, -1, axis=1) - poly
+    length = np.hypot(d[..., 0], d[..., 1])
+    keep = length > 0.0
+    length = np.where(keep, length, 1.0)
+    ux, uy = -d[..., 1] / length, d[..., 0] / length
+    offset = np.where(keep, ux * poly[..., 0] + uy * poly[..., 1], -1.0)
+    best = np.zeros(len(poly))
+    first, second, third = _triples(poly.shape[1])
+    block = max(1, _SLACKS_PER_BLOCK // poly[..., 0].size)
+    for lo in range(0, len(first), block):
+        i, j, k = first[lo:lo + block], second[lo:lo + block], third[lo:lo + block]
+        xi, xj, xk = ux[:, i], ux[:, j], ux[:, k]
+        yi, yj, yk = uy[:, i], uy[:, j], uy[:, k]
+        oi, oj, ok = offset[:, i], offset[:, j], offset[:, k]
+        cross_ij, cross_jk, cross_ki = xi * yj - yi * xj, xj * yk - yj * xk, xk * yi - yk * xi
+        det = cross_ij + cross_jk + cross_ki
+        regular = np.abs(det) > 1e-12
+        det = np.where(regular, det, 1.0)
+        r = -(oi * cross_jk + oj * cross_ki + ok * cross_ij) / det
+        cx = (oi * (yj - yk) + oj * (yk - yi) + ok * (yi - yj)) / det
+        cy = -(oi * (xj - xk) + oj * (xk - xi) + ok * (xi - xj)) / det
+        e, t = np.nonzero(regular & (r > best[:, None]))
+        slack = (ux[e] * cx[e, t, None] + uy[e] * cy[e, t, None]
+                 - r[e, t, None] - offset[e])
+        feasible = np.all(slack >= -_SLACK_TOL, axis=1)
+        np.maximum.at(best, e[feasible], r[e[feasible], t[feasible]])
+    return best
+
+
+def _star_ratios(mesh: Mesh) -> np.ndarray:
+    """Kernel Chebyshev radius of every element's boundary polyline over the
+    element's diameter.  Each polyline is taken in its element's frame:
+    coordinates relative to the centroid in units of the diameter.  Elements
+    are grouped by polyline length."""
+    ids = np.arange(len(mesh.elements))
     pts, owner = _polylines(mesh, ids)
-    pts = (pts - mesh.centroids[ids][owner]) / diameters[owner, None]
-    # each point's successor on its polyline, wrapping around at the end
-    index = np.arange(len(pts))
-    last = np.searchsorted(owner, owner, side="right") - 1
-    nxt = np.where(index == last, np.searchsorted(owner, owner), index + 1)
-    d = pts[nxt] - pts
-    normals = np.stack([-d[:, 1], d[:, 0]], axis=-1)
-    norms = np.hypot(normals[:, 0], normals[:, 1])
-    keep = norms > 1e-300
-    normals = normals[keep] / norms[keep, None]
-    base, owner = pts[keep], owner[keep]
-    rows = np.repeat(np.arange(len(owner)), 3)
-    cols = (3 * owner[:, None] + np.arange(3)).ravel()
-    vals = np.column_stack([-normals, np.ones(len(owner))]).ravel()
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(len(owner), 3 * len(ids)))
-    b_ub = -np.sum(normals * base, axis=1)
-    c = np.zeros(3 * len(ids))
-    c[2::3] = -1.0
-    bounds = np.tile([-np.inf, np.inf], (3 * len(ids), 1))
-    bounds[2::3, 1] = 1.0
-    res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise MeshError(f"kernel LP of elements {elements.start}..{elements.stop - 1} "
-                        f"failed: {res.message}")
-    return res.x[2::3] * diameters
+    pts = (pts - mesh.centroids[owner]) / mesh.diameters[owner, None]
+    count = np.bincount(owner, minlength=len(ids))
+    start = np.cumsum(count) - count
+    ratios = np.empty(len(ids))
+    for m in np.unique(count).tolist():
+        group = np.flatnonzero(count == m)
+        ratios[group] = _chebyshev_radii(pts[start[group, None] + np.arange(m)])
+    return ratios
 
 
 def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
@@ -718,18 +744,14 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     star-shaped with respect to a disk of radius rho times the diameter.
     Star-shapedness is tested on the boundary polyline (chord corners plus
     samples along curved edges) via the kernel's Chebyshev radius, found by
-    one LP per chunk of ``LP_CHUNK_SIZE`` elements; an empty kernel gives
-    ratio 0.  Raises MeshError if HiGHS fails on a chunk.
+    exact vertex enumeration over the polyline's side triples; an empty
+    kernel gives ratio 0.
     """
     conformity = _conformity_errors(mesh)
     diameters = mesh.diameters
     lengths = mesh.edge_lengths[mesh.loop_edges]
     edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / diameters
-    radii = np.empty(len(mesh.elements))
-    for lo in range(0, len(mesh.elements), LP_CHUNK_SIZE):
-        chunk = range(lo, min(lo + LP_CHUNK_SIZE, len(mesh.elements)))
-        radii[lo:chunk.stop] = _kernel_inradii(mesh, chunk)
-    star_ratio = np.maximum(radii, 0.0) / diameters
+    star_ratio = _star_ratios(mesh)
     ok = (edge_ratio >= rho) & (star_ratio >= rho)
     checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),
                              star_ratio=float(star_ratio[p]), ok=bool(ok[p]))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .mesh import Mesh
 from .vem import (ChunkOperators, Coefficient, ElementChunk, dof_count, edge_dof_points,
@@ -227,7 +226,8 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     """Solve the eliminated system and reconstruct the full DoF vector.
 
     ``method`` is "cg" (Jacobi-preconditioned, relative-residual tolerance
-    ``tol``) or "direct" (dense Cholesky, limited to small systems).
+    ``tol``) or "direct" (dense Cholesky, limited to small systems; it is
+    the only path that loads ``scipy.linalg``).
     """
     if system.reduced_matrix is None:
         raise SolverError("apply_dirichlet must run before solve")
@@ -240,9 +240,11 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
         if n > _DENSE_LIMIT:
             raise SolverError(f"dense direct solve limited to {_DENSE_LIMIT} "
                               f"unknowns, system has {n}")
+        from scipy.linalg import cho_factor, cho_solve
+
         try:
             x = cho_solve(cho_factor(a_mat.toarray()), b)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NotSPDError(f"dense Cholesky failed: {exc}") from None
     else:
         raise SolverError(f"unknown solver method {method!r}")

@@ -1,4 +1,9 @@
-"""The public names of the package."""
+"""The public names of the package and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import curvem
 
@@ -31,3 +36,17 @@ def test_public_api_is_pinned():
     # any change to the public API has to edit this list
     assert len(PUBLIC_NAMES) == 55
     assert sorted(curvem.__all__) == PUBLIC_NAMES
+
+
+# scipy modules that only the direct solver may load, on first use
+HEAVY_MODULES = ["scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.special",
+                 "scipy.sparse.linalg"]
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, curvem.cli; "
+            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -3,6 +3,9 @@ import pytest
 
 from curvem import (CurveSegment, GeometryError, arc_length, circle_curve,
                     curve_from_params, generic_curve, graph_curve)
+from curvem import test1_problem as problem1
+from curvem import test2_problem as problem2
+from curvem.geometry import _qk21
 
 from _oracles import simpson_arc_length
 
@@ -71,3 +74,38 @@ def test_arc_length_matches_simpson_oracle():
 def test_arc_length_subinterval():
     c = circle_curve("c", (0, 0), 1.0)
     assert arc_length(CurveSegment(c, 0.25, 0.75)) == pytest.approx(0.5, rel=1e-13)
+
+
+def quad_arc_length(segment):
+    """scipy's QAGS on the curve speed, with the tolerances of arc_length."""
+    from scipy.integrate import quad
+
+    def speed(t):
+        d = segment.curve.eval_derivative(t)
+        return float(np.hypot(d[0], d[1]))
+
+    return quad(speed, segment.t0, segment.t1, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("problem,ns", [(problem1, (4, 8, 16, 32, 64)),
+                                        (problem2, (2, 4, 8, 16))],
+                         ids=["test1", "test2"])
+def test_arc_length_equals_quad_on_every_shipped_curved_edge(problem, ns):
+    segments = [edge.segment for n in ns for edge in problem().mesh_factory(n).edges
+                if edge.segment is not None]
+    assert len(segments) > 100
+    assert [arc_length(s) for s in segments] == [quad_arc_length(s) for s in segments]
+
+
+def test_arc_length_subdivides_a_segment_one_rule_cannot_certify():
+    g = graph_curve("g", amplitude=0.05, frequency=10.0 * np.pi)
+    seg = CurveSegment(g, 0.0, 1.0)
+    value, abserr, _ = _qk21(g, 0.0, 1.0)
+    assert abserr > 1e-12 * value  # one 21-point rule is not enough here
+    assert arc_length(seg) == pytest.approx(simpson_arc_length(g, 0.0, 1.0), rel=1e-11)
+
+
+def test_arc_length_raises_when_200_intervals_do_not_converge():
+    g = graph_curve("g", amplitude=1e-3, frequency=1e5)
+    with pytest.raises(GeometryError, match="did not converge"):
+        arc_length(CurveSegment(g, 0.0, 1.0))

@@ -8,7 +8,7 @@ from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError,
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
-from curvem.mesh import LP_CHUNK_SIZE, _polylines
+from curvem.mesh import _SLACKS_PER_BLOCK, _polylines
 from curvem.vem import element_chunks
 
 from _oracles import element_loop_geometry, kernel_chebyshev_radius
@@ -230,7 +230,7 @@ def oracle_star_ratios(mesh):
 
 
 @pytest.mark.parametrize("make_mesh", [
-    lambda: build_mapped_tensor_mesh(16, *boundary_curves()),  # two LP chunks
+    lambda: build_mapped_tensor_mesh(16, *boundary_curves()),
     lambda: build_mapped_tensor_mesh(32, *boundary_curves()),
     lambda: build_mapped_tensor_mesh(64, *boundary_curves()),
     lambda: build_annulus_interface_mesh(4, 16),
@@ -245,14 +245,13 @@ def test_validate_star_ratios_match_vertex_enumeration(make_mesh):
 
 
 def test_validate_flags_exactly_the_elements_the_oracle_flags():
-    # vertex (5, 8) of the 16x16 grid touches elements 116, 117 (first LP
-    # chunk) and 132, 133 (second); the shift makes 133 non-convex
+    # vertex (5, 8) of the 16x16 grid touches elements 116, 117, 132 and
+    # 133; the shift makes 133 non-convex
     base = build_mapped_tensor_mesh(16)
     vertices = [Vertex(position=v.position.copy()) for v in base.vertices]
     vertices[8 * 17 + 5].position += np.array([0.7, 0.7]) / 16
     mesh = Mesh.build(vertices, [Edge(v0=e.v0, v1=e.v1) for e in base.edges],
                       [Element(edge_loop=list(el.edge_loop)) for el in base.elements])
-    assert 117 < LP_CHUNK_SIZE <= 132
     rho = 0.23
     report = validate_mesh(mesh, rho)
     edge = np.array([min(mesh.edges[eid].length for eid, _ in el.edge_loop) / el.diameter
@@ -276,22 +275,43 @@ def test_validate_empty_kernel_gives_zero_star_ratio():
     assert not report.ok
 
 
-def test_validate_names_the_chunk_whose_lp_fails(monkeypatch):
-    import curvem.mesh as mesh_module
+def arc_polygon(bulges):
+    """One element whose every side is an exact circular arc: corners on a
+    perturbed circle, side i bulging out (bulges[i] > 0) or in by a sagitta
+    of |bulges[i]| times its chord."""
+    n = len(bulges)
+    angles = 2.0 * np.pi * (np.arange(n) + 0.15 * np.sin(3.0 * np.arange(n))) / n
+    radii = 1.0 + 0.1 * np.cos(2.0 * np.arange(n))
+    corners = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    edges = []
+    for i, bulge in enumerate(bulges):
+        p0, p1 = corners[i], corners[(i + 1) % n]
+        chord = np.hypot(*(p1 - p0))
+        sagitta = abs(bulge) * chord
+        radius = (0.25 * chord ** 2 + sagitta ** 2) / (2.0 * sagitta)
+        turn = np.sign(bulge)  # counterclockwise about a centre on the left
+        left = np.array([p0[1] - p1[1], p1[0] - p0[0]]) / chord
+        center = 0.5 * (p0 + p1) + turn * (radius - sagitta) * left
+        span = 2.0 * np.arcsin(0.5 * chord / radius)
+        curve = circle_curve(f"arc{i}", center, radius, omega=turn,
+                             phase=np.arctan2(p0[1] - center[1], p0[0] - center[0]),
+                             param_interval=(0.0, span))
+        edges.append(Edge(v0=i, v1=(i + 1) % n, segment=CurveSegment(curve, 0.0, span)))
+    return Mesh.build([Vertex(position=c) for c in corners], edges,
+                      [Element(edge_loop=[(i, 1) for i in range(n)])])
 
-    real = mesh_module.linprog
-    calls = []
 
-    def fail_second_chunk(*args, **kwargs):
-        calls.append(1)
-        res = real(*args, **kwargs)
-        if len(calls) == 2:
-            res.success, res.message = False, "injected failure"
-        return res
-
-    monkeypatch.setattr(mesh_module, "linprog", fail_second_chunk)
-    with pytest.raises(MeshError, match="elements 128..255 failed: injected failure"):
-        validate_mesh(build_mapped_tensor_mesh(16), 0.05)
+def test_validate_star_ratio_of_ten_curved_sides_matches_the_oracle():
+    # 10 arcs, alternately bulging out and in: a 90-point polyline whose
+    # 117480 side triples take several enumeration blocks
+    mesh = arc_polygon([0.08, -0.05] * 5)
+    polyline = _polylines(mesh, [0])[0]
+    assert len(polyline) == 90
+    assert 117480 * 90 > 4 * _SLACKS_PER_BLOCK
+    star = validate_mesh(mesh, 0.3).elements[0].star_ratio
+    oracle = kernel_chebyshev_radius(polyline) / mesh.diameters[0]
+    assert star == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert 0.3 < star < 0.5
 
 
 # ---------------------------------------------------------------------------
