@@ -18,8 +18,8 @@ import numpy as np
 from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
-from .solver import OperatorBlock, apply_dirichlet, assemble, build_dof_map, solve
-from .vem import ChunkOperators, Coefficient, element_chunks
+from .solver import apply_dirichlet, assemble, solve
+from .vem import Coefficient
 
 
 def _by_label(table, label):
@@ -171,24 +171,17 @@ def test2_problem() -> ManufacturedProblem:
 
 
 def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
-                   problem: ManufacturedProblem, system=None,
+                   problem: ManufacturedProblem, system,
                    boost: int = 2) -> tuple[float, float]:
     """Relative H1-seminorm and L2 errors of u_ex - Pi_nabla u_h.
 
     Integrated elementwise at degree 2k+2 (plus the curved-side boost),
-    one chunk of like elements at a time; reuses the projectors of
-    ``system`` when given.
+    one chunk of like elements at a time, with the projectors of the
+    assembled ``system``.
     """
-    if system is None:
-        dof_map = build_dof_map(mesh, k)
-        blocks = [OperatorBlock(chunk, dof_map.element_dofs(chunk),
-                                ChunkOperators(chunk, boost).pi_nabla)
-                  for chunk in element_chunks(mesh, k)]
-    else:
-        blocks = system.blocks
     # per element: |grad e|^2, |grad u|^2, e^2, u^2 integrated
     parts = np.empty((4, len(mesh.elements)))
-    for block in blocks:
+    for block in system.blocks:
         chunk = block.chunk
         coeffs = block.pi_nabla @ solution[block.dofs][..., None]
         x, y, w = chunk.rule(k + 2, boost)
@@ -274,14 +267,15 @@ def fit_rates(report: ConvergenceReport) -> RateFit:
 def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
                     meshes=None, straighten: bool = False,
                     solver_method: str = "cg", tol: float = 1e-12,
-                    boost: int = 2, maxiter: int | None = None) -> ConvergenceReport:
+                    boost: int = 2) -> ConvergenceReport:
     """Solve the problem over a mesh family and collect errors per level.
 
     Meshes come from the problem's factory at each level in ``ns`` unless a
     prebuilt list is passed in ``meshes``.  With ``straighten=True`` every
     mesh is reduced to its chord polygon before solving (the exact solution
     and error norms are unchanged), using the problem's chord boundary data
-    if it defines any.
+    if it defines any; a mesh without curved edges is already its own chord
+    polygon and is used as it is.
     """
     rows = []
     boundary = problem.boundary
@@ -291,11 +285,11 @@ def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
         raise ValueError("meshes and ns must have matching lengths")
     for level, n in enumerate(ns):
         mesh = problem.mesh_factory(n) if meshes is None else meshes[level]
-        if straighten:
+        if straighten and mesh.edge_curved.any():
             mesh = straighten_mesh(mesh)
         system = assemble(mesh, k, problem.coefficient(), boost=boost)
         apply_dirichlet(system, boundary)
-        solution = solve(system, method=solver_method, tol=tol, maxiter=maxiter)
+        solution = solve(system, method=solver_method, tol=tol)
         err_h1, err_l2 = compute_errors(mesh, k, solution, problem,
                                         system=system, boost=boost)
         rows.append(ConvergenceRow(n=n, h=mesh.h, n_dof=system.dof_map.total,

@@ -16,10 +16,13 @@ mesh (V vertices, N edges, P elements, L element sides in all):
   ``loop_offsets[p]:loop_offsets[p + 1]`` of ``loop_edges``, ``loop_signs``
   and ``loop_corners`` (the vertex each side starts at), all of shape (L,);
 * ``labels``, ``areas``, ``centroids`` (P, 2) of the chord polygons and
-  ``diameters`` (P,).
+  ``diameters`` (P,), taken over each element's boundary polyline (corners
+  plus 8 samples per curved side).
 
-The ``Vertex``, ``Edge`` and ``Element`` objects carry the same values as
-attributes; the solver and the validation read the arrays.  The arrays
+The ``Vertex``, ``Edge`` and ``Element`` objects are input records: what
+``Mesh.build`` derives lives in the arrays only, and the solver, the
+validation and the CLI read it there.  The one exception is
+``Vertex.on_boundary``, which ``Mesh.build`` also fills in.  The arrays
 reproduce an element-by-element loop bit for bit: elements are grouped by
 edge count, side contributions to an area are added in loop order, and each
 curved side keeps its own 24-point dot product (see the README's notes on
@@ -69,9 +72,6 @@ class Edge:
     v0: int
     v1: int
     segment: CurveSegment | None = None
-    elements: tuple[int, ...] = ()
-    on_boundary: bool = False
-    length: float = 0.0
 
     @property
     def is_curved(self) -> bool:
@@ -82,10 +82,6 @@ class Edge:
 class Element:
     edge_loop: list[tuple[int, int]]
     label: int = 1
-    vertices: list[int] = field(default_factory=list)
-    area: float = 0.0
-    centroid: np.ndarray | None = None
-    diameter: float = 0.0
 
 
 def _derived():
@@ -125,7 +121,10 @@ class Mesh:
             raise MeshError("; ".join(errors[:5]))
         _derive_topology(mesh)
         _derive_geometry(mesh)
-        _fill_entities(mesh)
+        # the one derived value kept on the records: the benchmark's worker
+        # (perfbench/worker.py) reads Vertex.on_boundary
+        for vertex, flag in zip(mesh.vertices, mesh.vertex_on_boundary.tolist()):
+            vertex.on_boundary = flag
         return mesh
 
 
@@ -217,6 +216,41 @@ def _next_side(mesh: Mesh) -> np.ndarray:
     full = np.diff(mesh.loop_offsets) > 0
     nxt[mesh.loop_offsets[1:][full] - 1] = mesh.loop_offsets[:-1][full]
     return nxt
+
+
+def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary polylines of elements ``ids``, concatenated.
+
+    Each is walked in traversal order: every corner, followed on a curved
+    side by 8 samples of the curve.  Returns the points (M, 2) and the
+    position in ``ids`` of each point's element (M,).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = _loop_rows(mesh, ids)
+    edges, signs = mesh.loop_edges[rows], mesh.loop_signs[rows]
+    curved = np.flatnonzero(mesh.edge_curved[edges])
+    count = np.ones(len(rows), dtype=np.int64)
+    count[curved] += _CURVE_SAMPLES
+    start = np.cumsum(count) - count
+    pts = np.empty((int(count.sum()), 2))
+    pts[start] = mesh.points[mesh.loop_corners[rows]]
+    if len(curved):
+        samples = _edge_samples(mesh, edges[curved])
+        samples = np.where(signs[curved, None, None] > 0, samples, samples[:, ::-1])
+        pts[start[curved, None] + 1 + np.arange(_CURVE_SAMPLES)] = samples
+    sides = np.repeat(np.arange(len(ids)), np.diff(mesh.loop_offsets)[ids])
+    return pts, np.repeat(sides, count)
+
+
+def _polyline_groups(mesh: Mesh):
+    """Every element's boundary polyline, grouped by length m: yields the
+    elements ``ids`` of each group and their polylines, shape (E, m, 2)."""
+    pts, owner = _polylines(mesh, np.arange(len(mesh.loop_offsets) - 1))
+    count = np.bincount(owner, minlength=len(mesh.loop_offsets) - 1)
+    start = np.cumsum(count) - count
+    for m in np.unique(count).tolist():
+        ids = np.flatnonzero(count == m)
+        yield ids, pts[start[ids, None] + np.arange(m)]
 
 
 def _conformity_errors(mesh: Mesh) -> list[str]:
@@ -341,11 +375,12 @@ def _diameters(clouds: np.ndarray) -> np.ndarray:
 def _derive_geometry(mesh: Mesh) -> None:
     """Edge lengths and element areas, chord centroids and diameters.
 
-    Elements are handled in groups of equal edge count with the arithmetic
-    of an element-by-element loop: the area is the chord polygon's
-    Green-theorem sum with each curved side's 24-point rule term added in
-    loop order, and the diameter spans the corners and 8 samples per curved
-    side.
+    Areas and centroids are computed in groups of equal edge count with the
+    arithmetic of an element-by-element loop: the area is the chord
+    polygon's Green-theorem sum with each curved side's 24-point rule term
+    added in loop order.  The diameter is the largest distance between two
+    points of the element's boundary polyline (corners plus 8 samples per
+    curved side), the same polyline the star-shapedness check walks.
     """
     rule = gauss_legendre(24)
     mesh.edge_lengths = _edge_lengths(mesh)
@@ -357,15 +392,12 @@ def _derive_geometry(mesh: Mesh) -> None:
     t = (0.5 * (t0 + t1))[:, None] + half[:, None] * rule.nodes
     gamma, dgamma = curve_points(mesh, curved, t)
     gamma_x, dgamma_y = gamma[..., 0], dgamma[..., 1]
-    samples = _edge_samples(mesh, curved)
 
     sizes = np.diff(mesh.loop_offsets)
     side_curved = mesh.edge_curved[mesh.loop_edges]
-    n_curved = np.bincount(_loop_owner(mesh), weights=side_curved, minlength=len(sizes))
     chord = np.empty(len(sizes))
     area = np.empty(len(sizes))
     moments = np.empty((len(sizes), 2))
-    diameter = np.empty(len(sizes))
     for n in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == n)
         rows = mesh.loop_offsets[ids, None] + np.arange(n)
@@ -390,15 +422,6 @@ def _derive_geometry(mesh: Mesh) -> None:
             total += terms[:, j]
         area[ids] = total
 
-        for c in np.unique(n_curved[ids]).astype(int).tolist():
-            sub = n_curved[ids] == c
-            cloud = verts[sub]
-            if c:
-                slot = np.searchsorted(curved, mesh.loop_edges[rows[sub]][side_curved[rows[sub]]])
-                cloud = np.concatenate(
-                    [cloud, samples[slot].reshape(len(cloud), c * _CURVE_SAMPLES, 2)], axis=1)
-            diameter[ids[sub]] = _diameters(cloud)
-
     bad = np.flatnonzero((chord <= 0.0) | (area <= 0.0))
     if len(bad):
         p = int(bad[0])
@@ -408,35 +431,11 @@ def _derive_geometry(mesh: Mesh) -> None:
         raise MeshError(f"element {p}: nonpositive area {area[p]:.3e}")
     mesh.areas = area
     mesh.centroids = moments / (6.0 * chord)[:, None]
-    mesh.diameters = diameter
-    mesh.h = float(np.max(diameter))
-
-
-def _fill_entities(mesh: Mesh) -> None:
-    """Copy the derived arrays onto the Vertex, Edge and Element objects."""
-    for vertex, flag in zip(mesh.vertices, mesh.vertex_on_boundary.tolist()):
-        vertex.on_boundary = flag
-    # one int object per vertex and per element id, shared by every list
-    # and tuple that holds it
-    vertex_ids = list(range(len(mesh.vertices)))
-    element_ids = list(range(len(mesh.elements)))
-    # the elements of each edge, in element order
-    owner = _loop_owner(mesh)[np.argsort(mesh.loop_edges, kind="stable")]
-    last = np.cumsum(np.bincount(mesh.loop_edges, minlength=len(mesh.edges))) - 1
-    pairs = zip(owner[last - 1].tolist(), owner[last].tolist())
-    for edge, length, boundary, (a, b) in zip(mesh.edges, mesh.edge_lengths.tolist(),
-                                               mesh.edge_on_boundary.tolist(), pairs):
-        edge.length = length
-        edge.on_boundary = boundary
-        edge.elements = (element_ids[b],) if boundary else (element_ids[a], element_ids[b])
-    corners = list(map(vertex_ids.__getitem__, mesh.loop_corners.tolist()))
-    offsets = mesh.loop_offsets.tolist()
-    for p, (element, area, centroid, diameter) in enumerate(zip(
-            mesh.elements, mesh.areas.tolist(), mesh.centroids, mesh.diameters.tolist())):
-        element.vertices = corners[offsets[p]:offsets[p + 1]]
-        element.area = area
-        element.centroid = centroid
-        element.diameter = diameter
+    diameters = np.empty(len(sizes))
+    for ids, polylines in _polyline_groups(mesh):
+        diameters[ids] = _diameters(polylines)
+    mesh.diameters = diameters
+    mesh.h = float(np.max(diameters))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +632,6 @@ class ElementQuality:
 class MeshQualityReport:
     rho: float
     ok: bool
-    conformity_errors: list[str]
     elements: list[ElementQuality]
 
     @property
@@ -643,30 +641,6 @@ class MeshQualityReport:
     @property
     def worst_star_ratio(self) -> float:
         return min(e.star_ratio for e in self.elements)
-
-
-def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary polylines of elements ``ids``, concatenated.
-
-    Each is walked in traversal order: every corner, followed on a curved
-    side by 8 samples of the curve.  Returns the points (M, 2) and the
-    position in ``ids`` of each point's element (M,).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = _loop_rows(mesh, ids)
-    edges, signs = mesh.loop_edges[rows], mesh.loop_signs[rows]
-    curved = np.flatnonzero(mesh.edge_curved[edges])
-    count = np.ones(len(rows), dtype=np.int64)
-    count[curved] += _CURVE_SAMPLES
-    start = np.cumsum(count) - count
-    pts = np.empty((int(count.sum()), 2))
-    pts[start] = mesh.points[mesh.loop_corners[rows]]
-    if len(curved):
-        samples = _edge_samples(mesh, edges[curved])
-        samples = np.where(signs[curved, None, None] > 0, samples, samples[:, ::-1])
-        pts[start[curved, None] + 1 + np.arange(_CURVE_SAMPLES)] = samples
-    sides = np.repeat(np.arange(len(ids)), np.diff(mesh.loop_offsets)[ids])
-    return pts, np.repeat(sides, count)
 
 
 def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -722,24 +696,19 @@ def _chebyshev_radii(poly: np.ndarray) -> np.ndarray:
 def _star_ratios(mesh: Mesh) -> np.ndarray:
     """Kernel Chebyshev radius of every element's boundary polyline over the
     element's diameter.  Each polyline is taken in its element's frame:
-    coordinates relative to the centroid in units of the diameter.  Elements
-    are grouped by polyline length."""
-    ids = np.arange(len(mesh.elements))
-    pts, owner = _polylines(mesh, ids)
-    pts = (pts - mesh.centroids[owner]) / mesh.diameters[owner, None]
-    count = np.bincount(owner, minlength=len(ids))
-    start = np.cumsum(count) - count
-    ratios = np.empty(len(ids))
-    for m in np.unique(count).tolist():
-        group = np.flatnonzero(count == m)
-        ratios[group] = _chebyshev_radii(pts[start[group, None] + np.arange(m)])
+    coordinates relative to the centroid in units of the diameter."""
+    ratios = np.empty(len(mesh.diameters))
+    for ids, polylines in _polyline_groups(mesh):
+        ratios[ids] = _chebyshev_radii((polylines - mesh.centroids[ids, None])
+                                       / mesh.diameters[ids, None, None])
     return ratios
 
 
 def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
-    """Check conformity and the two shape-regularity assumptions.
+    """Check the two shape-regularity assumptions on a built mesh.
 
-    Per element: every edge length (arc length for curved edges) must be at
+    Conformity is not checked again: ``Mesh.build`` has already rejected a
+    non-conforming mesh with a ``MeshError``.  Per element: every edge length (arc length for curved edges) must be at
     least rho times the element diameter, and the element must be
     star-shaped with respect to a disk of radius rho times the diameter.
     Star-shapedness is tested on the boundary polyline (chord corners plus
@@ -747,14 +716,11 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     exact vertex enumeration over the polyline's side triples; an empty
     kernel gives ratio 0.
     """
-    conformity = _conformity_errors(mesh)
-    diameters = mesh.diameters
     lengths = mesh.edge_lengths[mesh.loop_edges]
-    edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / diameters
+    edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / mesh.diameters
     star_ratio = _star_ratios(mesh)
     ok = (edge_ratio >= rho) & (star_ratio >= rho)
     checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),
                              star_ratio=float(star_ratio[p]), ok=bool(ok[p]))
               for p in range(len(mesh.elements))]
-    return MeshQualityReport(rho=rho, ok=not conformity and bool(np.all(ok)),
-                             conformity_errors=conformity, elements=checks)
+    return MeshQualityReport(rho=rho, ok=bool(np.all(ok)), elements=checks)

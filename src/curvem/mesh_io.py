@@ -100,14 +100,13 @@ def parse_mesh(text: str) -> Mesh:
         except GeometryError as exc:
             _fail(ln, str(exc))
 
-    vertices = []
+    positions = []
     for _ in range(nv):
         ln, fields = _take(records, "vertex record")
         if fields[0] != "v" or len(fields) != 3:
             _fail(ln, "expected 'v <x> <y>'")
-        vertices.append(Vertex(position=np.array(
-            [_parse_float(ln, fields[1], "coordinate"),
-             _parse_float(ln, fields[2], "coordinate")])))
+        positions.append(np.array([_parse_float(ln, fields[1], "coordinate"),
+                                   _parse_float(ln, fields[2], "coordinate")]))
 
     edges = []
     for _ in range(ne):
@@ -154,11 +153,12 @@ def parse_mesh(text: str) -> Mesh:
     for ln, fields in records:
         _fail(ln, f"unexpected trailing record {fields[0]!r}")
 
+    curve_refs = {}
     for edge in edges:
         if edge.segment is not None:
-            vertices[edge.v0].curve_ref = (edge.segment.curve.id, edge.segment.t0)
-            vertices[edge.v1].curve_ref = (edge.segment.curve.id, edge.segment.t1)
-
+            curve_refs[edge.v0] = (edge.segment.curve.id, edge.segment.t0)
+            curve_refs[edge.v1] = (edge.segment.curve.id, edge.segment.t1)
+    vertices = [Vertex(position=p, curve_ref=curve_refs.get(i)) for i, p in enumerate(positions)]
     return Mesh.build(vertices, edges, elements)
 
 

@@ -114,7 +114,7 @@ def element_loop_geometry(mesh):
 
     areas, centroids, diameters = [], [], []
     for element in mesh.elements:
-        verts = positions(element.vertices)
+        verts = positions([traversal_endpoints(eid, sign)[0] for eid, sign in element.edge_loop])
         x, y = verts[:, 0], verts[:, 1]
         xn, yn = np.roll(x, -1), np.roll(y, -1)
         cross = x * yn - xn * y

@@ -90,7 +90,7 @@ def test_compute_errors_of_interpolant_shrink_under_refinement():
         system = assemble(mesh, k, prob.coefficient())
         for block in system.blocks:
             vec[block.dofs] = block.chunk.interpolate(prob.exact)
-        errs[n] = compute_errors(mesh, k, vec, prob)
+        errs[n] = compute_errors(mesh, k, vec, prob, system)
     assert errs[4][0] < 0.2 and errs[4][1] < 0.05
     assert errs[8][0] < 0.5 * errs[4][0]
     assert errs[8][1] < 0.3 * errs[4][1]

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from curvem import build_annulus_interface_mesh, build_mapped_tensor_mesh, export_mesh
+import curvem.analysis
+import curvem.cli
+from curvem import (build_annulus_interface_mesh, build_mapped_tensor_mesh, export_mesh,
+                    straighten_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.cli import (
     EXIT_CONFIG,
@@ -184,6 +187,33 @@ def test_main_bad_mesh_file_exits_2(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", [["--n", "4"], ["--mesh", "one"]], ids=["n", "mesh"])
+def test_main_one_level_run_exits_2_before_solving(tmp_path, capsys, monkeypatch, levels):
+    if levels[0] == "--mesh":
+        levels = ["--mesh", str(tmp_path / "mesh4.txt")]
+        export_mesh(build_mapped_tensor_mesh(4, *boundary_curves()), levels[1])
+    monkeypatch.setattr(curvem.cli, "run_convergence", None)  # any solve would fail
+    out = tmp_path / "out"
+    assert main(["run", "test1-curved", *levels, "--out", str(out)]) == EXIT_CONFIG
+    assert "at least two meshes, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_straight_run_straightens_each_mesh_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(mesh):
+        calls.append(mesh)
+        return straighten_mesh(mesh)
+
+    monkeypatch.setattr(curvem.cli, "straighten_mesh", counting)
+    monkeypatch.setattr(curvem.analysis, "straighten_mesh", counting)
+    assert main(["run", "test1-straight", "--k", "1,2", "--n", "4,8",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 THIN_QUAD = (
     "curvem-mesh 1\n"
     "counts 4 0 4 1\n"
@@ -208,7 +238,7 @@ def test_main_quality_failure_exits_3(tmp_path, capsys):
     code = main(["run", "test1-curved", "--k", "1", "--mesh", str(path),
                  str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_MESH
-    assert "conformity errors" in capsys.readouterr().err
+    assert "elements below rho" in capsys.readouterr().err
 
 
 def test_main_label_without_problem_data_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,17 @@ def unit_square_mesh():
 
 def test_unit_square_derived_quantities():
     mesh = unit_square_mesh()
-    el = mesh.elements[0]
-    assert el.area == pytest.approx(1.0, rel=1e-14)
-    assert np.allclose(el.centroid, [0.5, 0.5])
-    assert el.diameter == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert mesh.areas[0] == pytest.approx(1.0, rel=1e-14)
+    assert np.allclose(mesh.centroids[0], [0.5, 0.5])
+    assert mesh.diameters[0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
     assert mesh.h == pytest.approx(np.sqrt(2.0), rel=1e-14)
-    assert all(e.on_boundary for e in mesh.edges)
+    assert mesh.edge_on_boundary.all()
     assert all(v.on_boundary for v in mesh.vertices)
+
+
+def test_entity_records_hold_input_only():
+    assert [f.name for f in fields(Edge)] == ["v0", "v1", "segment"]
+    assert [f.name for f in fields(Element)] == ["edge_loop", "label"]
 
 
 def test_build_rejects_open_loop():
@@ -99,7 +105,7 @@ def test_mapped_mesh_identity_when_straight():
         assert edge.segment is None  # zero-amplitude graphs degenerate to chords
     xs = sorted({round(float(v.position[0]), 12) for v in mesh.vertices})
     assert np.allclose(xs, np.linspace(0, 1, 5))
-    assert sum(e.area for e in mesh.elements) == pytest.approx(1.0, rel=1e-13)
+    assert mesh.areas.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_mapped_mesh_area_matches_exact_domain():
@@ -108,7 +114,7 @@ def test_mapped_mesh_area_matches_exact_domain():
     g1_int = (1.0 - np.cos(np.pi)) / (20.0 * np.pi)
     g2_int = 1.0 + (1.0 - np.cos(3.0 * np.pi)) / (60.0 * np.pi)
     exact = g2_int - g1_int
-    assert sum(e.area for e in mesh.elements) == pytest.approx(exact, rel=1e-12)
+    assert mesh.areas.sum() == pytest.approx(exact, rel=1e-12)
 
 
 def test_mapped_mesh_branches_agree_on_midline():
@@ -140,23 +146,23 @@ def test_mapped_mesh_h_halves():
 
 def test_annulus_mesh_geometry():
     mesh = build_annulus_interface_mesh(2, 8)
-    assert sum(e.area for e in mesh.elements) == pytest.approx(np.pi, abs=1e-8)
+    assert mesh.areas.sum() == pytest.approx(np.pi, abs=1e-8)
     labels = {el.label for el in mesh.elements}
     assert labels == {1, 2}
-    inner = sum(e.area for e in mesh.elements if e.label == 2)
+    inner = mesh.areas[mesh.labels == 2].sum()
     assert inner == pytest.approx(np.pi / 4, abs=1e-8)
 
 
 def test_annulus_interface_edges_lie_on_half_radius_circle():
     mesh = build_annulus_interface_mesh(2, 8)
     found = 0
-    for edge in mesh.edges:
+    for i, edge in enumerate(mesh.edges):
         if edge.segment is not None and edge.segment.curve.id == "Gamma2":
             found += 1
             mid = 0.5 * (edge.segment.t0 + edge.segment.t1)
             p = edge.segment.curve.eval(np.array([mid]))[0]
             assert np.hypot(p[0], p[1]) == pytest.approx(0.5, abs=1e-14)
-            assert not edge.on_boundary
+            assert not mesh.edge_on_boundary[i]
     assert found == 8
 
 
@@ -172,8 +178,8 @@ def test_straighten_mesh_drops_curves_keeps_topology():
     straight = straighten_mesh(mesh)
     assert len(straight.elements) == len(mesh.elements)
     assert all(e.segment is None for e in straight.edges)
-    curved_area = sum(e.area for e in mesh.elements)
-    chord_area = sum(e.area for e in straight.elements)
+    curved_area = mesh.areas.sum()
+    chord_area = straight.areas.sum()
     assert abs(curved_area - chord_area) > 1e-6  # slivers are really removed
     assert abs(curved_area - chord_area) < 5e-3
 
@@ -187,11 +193,10 @@ def test_element_chunk_exposes_sides():
 
 def test_edge_lengths_use_arc_length():
     mesh = build_annulus_interface_mesh(2, 8)
-    for edge in mesh.edges:
+    for edge, length in zip(mesh.edges, mesh.edge_lengths):
         if edge.segment is not None and edge.segment.curve.id == "Gamma1":
-            assert edge.length == pytest.approx(2.0 * np.pi / 8, rel=1e-12)
-            assert edge.length == pytest.approx(
-                arc_length(edge.segment), rel=1e-12)
+            assert length == pytest.approx(2.0 * np.pi / 8, rel=1e-12)
+            assert length == pytest.approx(arc_length(edge.segment), rel=1e-12)
 
 
 def test_validate_mesh_passes_generated_families():
@@ -225,8 +230,8 @@ def test_validate_mesh_star_ratio_detects_thin_kernel():
 
 
 def oracle_star_ratios(mesh):
-    return np.array([kernel_chebyshev_radius(_polylines(mesh, [p])[0]) / el.diameter
-                     for p, el in enumerate(mesh.elements)])
+    return np.array([kernel_chebyshev_radius(_polylines(mesh, [p])[0]) / mesh.diameters[p]
+                     for p in range(len(mesh.elements))])
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -254,8 +259,8 @@ def test_validate_flags_exactly_the_elements_the_oracle_flags():
                       [Element(edge_loop=list(el.edge_loop)) for el in base.elements])
     rho = 0.23
     report = validate_mesh(mesh, rho)
-    edge = np.array([min(mesh.edges[eid].length for eid, _ in el.edge_loop) / el.diameter
-                     for el in mesh.elements])
+    edge = np.array([min(mesh.edge_lengths[eid] for eid, _ in el.edge_loop) / mesh.diameters[p]
+                     for p, el in enumerate(mesh.elements)])
     expected = np.flatnonzero((edge < rho) | (oracle_star_ratios(mesh) < rho))
     assert expected.tolist() == [117, 132, 133]
     assert [q.element for q in report.elements if not q.ok] == expected.tolist()
@@ -350,7 +355,8 @@ def mixed_polygon_mesh(n=8):
             cells = [base.elements[j * n + c] for c in range(i, min(i + width, n))]
             if len(cells) == 1 and runs % 4 == 0:
                 bottom, right, top, left = cells[0].edge_loop
-                corners = cells[0].vertices
+                p = j * n + i
+                corners = base.loop_corners[base.loop_offsets[p]:base.loop_offsets[p + 1]].tolist()
                 edges.append(Edge(v0=corners[0], v1=corners[2]))
                 diagonal = len(edges) - 1
                 loops += [[bottom, right, (diagonal, -1)], [(diagonal, 1), top, left]]
@@ -386,11 +392,6 @@ def test_geometry_arrays_equal_the_element_loop(name):
     assert np.array_equal(mesh.centroids, centroids)
     assert np.array_equal(mesh.diameters, diameters)
     assert mesh.h == h
-    # the entity objects carry the same values
-    assert [e.length for e in mesh.edges] == lengths.tolist()
-    assert [el.area for el in mesh.elements] == areas.tolist()
-    assert [el.diameter for el in mesh.elements] == diameters.tolist()
-    assert np.array_equal([el.centroid for el in mesh.elements], centroids)
 
 
 def test_mixed_polygon_mesh_covers_3_to_12_sides():
@@ -400,26 +401,32 @@ def test_mixed_polygon_mesh_covers_3_to_12_sides():
     curved_sides = [sum(mesh.edges[eid].is_curved for eid, _ in el.edge_loop)
                     for el in mesh.elements]
     assert max(curved_sides) >= 3
-    assert sum(el.area for el in mesh.elements) == pytest.approx(
-        sum(el.area for el in build_mapped_tensor_mesh(8, *boundary_curves()).elements),
-        rel=1e-13)
+    assert mesh.areas.sum() == pytest.approx(
+        build_mapped_tensor_mesh(8, *boundary_curves()).areas.sum(), rel=1e-13)
 
 
 def test_topology_arrays_match_the_entities():
     mesh = mixed_polygon_mesh()
+    uses = np.zeros(len(mesh.edges), dtype=int)
     for p, el in enumerate(mesh.elements):
         rows = slice(mesh.loop_offsets[p], mesh.loop_offsets[p + 1])
+        corners = [mesh.edges[eid].v0 if sign > 0 else mesh.edges[eid].v1
+                   for eid, sign in el.edge_loop]
         assert mesh.loop_edges[rows].tolist() == [eid for eid, _ in el.edge_loop]
         assert mesh.loop_signs[rows].tolist() == [sign for _, sign in el.edge_loop]
-        assert mesh.loop_corners[rows].tolist() == el.vertices
-        assert np.array_equal(mesh.points[el.vertices],
-                              [mesh.vertices[v].position for v in el.vertices])
+        assert mesh.loop_corners[rows].tolist() == corners
+        assert np.array_equal(mesh.points[corners],
+                              [mesh.vertices[v].position for v in corners])
+        for eid, _ in el.edge_loop:
+            uses[eid] += 1
+    on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
     for i, edge in enumerate(mesh.edges):
         assert mesh.edge_vertices[i].tolist() == [edge.v0, edge.v1]
-        assert mesh.edge_on_boundary[i] == edge.on_boundary == (len(edge.elements) == 1)
+        assert mesh.edge_on_boundary[i] == (uses[i] == 1)
         assert mesh.edge_curved[i] == edge.is_curved
-        assert all(i in [eid for eid, _ in mesh.elements[p].edge_loop] for p in edge.elements)
-    assert mesh.vertex_on_boundary.tolist() == [v.on_boundary for v in mesh.vertices]
+        on_boundary[[edge.v0, edge.v1]] |= uses[i] == 1
+    assert mesh.vertex_on_boundary.tolist() == on_boundary.tolist()
+    assert [v.on_boundary for v in mesh.vertices] == on_boundary.tolist()
 
 
 # ---------------------------------------------------------------------------

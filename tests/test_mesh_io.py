@@ -84,7 +84,7 @@ def test_parse_minimal_square():
     mesh = parse_mesh(_square_text())
     assert len(mesh.elements) == 1
     assert mesh.elements[0].label == 1
-    assert mesh.elements[0].area == pytest.approx(1.0, abs=1e-15)
+    assert mesh.areas[0] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("mangle, line_no, fragment", [

@@ -45,7 +45,7 @@ def test_dof_map_counts_and_blocks(k):
     assert dof_map.moment_dof(0, 0) == nv + ne * (k - 1)
     # boundary DoFs: one per boundary vertex plus k-1 per boundary edge
     n_bverts = sum(v.on_boundary for v in mesh.vertices)
-    n_bedges = sum(e.on_boundary for e in mesh.edges)
+    n_bedges = int(mesh.edge_on_boundary.sum())
     assert len(dof_map.boundary_dofs) == n_bverts + n_bedges * (k - 1)
     assert dof_map.boundary_points.shape == (len(dof_map.boundary_dofs), 2)
 

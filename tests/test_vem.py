@@ -117,7 +117,8 @@ def test_layout_walks_boundary_then_moments():
                                          for beta in range(n_moments(k))]
     # walk alternates corner, then k-1 interior points of the outgoing edge,
     # whose canonical indices run in traversal order
-    for piece, ((eid, sign), vid) in enumerate(zip(element.edge_loop, element.vertices)):
+    corners = mesh.loop_corners[mesh.loop_offsets[0]:mesh.loop_offsets[1]].tolist()
+    for piece, ((eid, sign), vid) in enumerate(zip(element.edge_loop, corners)):
         assert dofs[piece * k] == dof_map.vertex_dof(vid)
         assert np.array_equal(chunk.dof_points[0, piece * k], mesh.vertices[vid].position)
         order = list(range(k - 1)) if sign > 0 else list(range(k - 2, -1, -1))
@@ -142,9 +143,8 @@ def test_shared_edge_exposes_identical_points_to_both_elements():
                     assert seen[gdof] == point
                 seen[gdof] = point
         # each of an interior edge's k-1 DoFs is seen from both sides
-        for eid, edge in enumerate(mesh.edges):
-            if len(edge.elements) == 2:
-                assert [visits[dof_map.edge_dof(eid, j)] for j in range(k - 1)] == [2] * (k - 1)
+        for eid in np.flatnonzero(~mesh.edge_on_boundary).tolist():
+            assert [visits[dof_map.edge_dof(eid, j)] for j in range(k - 1)] == [2] * (k - 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -166,7 +166,7 @@ def test_stiffness_is_exact_for_polynomials_on_straight_element(k):
     chunk = ops.chunk
     k_mat = ops.stiffness([1.0])[0]
     dim = ops.pi_nabla.shape[1]
-    rule = polygon_quadrature(mesh.points[mesh.elements[0].vertices], k)
+    rule = polygon_quadrature(mesh.points[mesh.loop_corners], k)
     for i in range(dim):
         for j in range(i, dim):
             ui = chunk.interpolate(monomial(chunk, i))[0]
@@ -226,7 +226,7 @@ def test_pi_nabla_maps_constants_to_constants():
 def test_constant_source_loads():
     mesh = unit_square_mesh()
     one = lambda x, y: np.ones(np.shape(x))
-    area = mesh.elements[0].area
+    area = mesh.areas[0]
     # k = 1 pairs f with the boundary-average of the test function
     load = local_operators(mesh, 0, 1).load(lambda label: one)[0]
     assert np.allclose(load, area / 4, atol=1e-14)
@@ -279,6 +279,6 @@ def test_interpolate_reproduces_point_and_moment_dofs():
     # the projected interpolant approximates the function well even on a
     # curved element, where affine functions are not in the local space
     coeffs = ops.pi_nabla[0] @ dofs
-    x, y = mesh.elements[0].centroid
+    x, y = mesh.centroids[0]
     assert chunk.basis(np.array([[x]]), np.array([[y]]))[0, 0] @ coeffs == pytest.approx(
         u(x, y), abs=5e-3)
