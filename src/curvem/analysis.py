@@ -11,6 +11,7 @@ geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -19,11 +20,7 @@ from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
 from .solver import apply_dirichlet, assemble, solve
-from .vem import Coefficient
-
-
-def _by_label(table, label):
-    return table[label] if isinstance(table, Mapping) else table
+from .vem import Coefficient, _for_label
 
 
 @dataclass(frozen=True)
@@ -47,10 +44,10 @@ class ManufacturedProblem:
     chord_boundary: Callable | None = None
 
     def exact_for(self, label: int) -> Callable:
-        return _by_label(self.exact, label)
+        return _for_label(self.exact, label, "exact solution")
 
     def gradient_for(self, label: int) -> Callable:
-        return _by_label(self.gradient, label)
+        return _for_label(self.gradient, label, "gradient")
 
     def coefficient(self) -> Coefficient:
         return Coefficient(diffusion=self.diffusion, source=self.source)
@@ -72,50 +69,43 @@ def test1_problem() -> ManufacturedProblem:
     """
     bottom, top = test1_boundary_curves()
 
-    def g1(x):
-        return np.sin(np.pi * x) / 20.0
+    def terms(x, y):
+        """The factors of u = -(y - g1)(y - g2) w and their derivative parts.
 
-    def g2(x):
-        return 1.0 + np.sin(3.0 * np.pi * x) / 20.0
-
-    def dg1(x):
-        return np.pi * np.cos(np.pi * x) / 20.0
-
-    def dg2(x):
-        return 3.0 * np.pi * np.cos(3.0 * np.pi * x) / 20.0
-
-    def ddg1(x):
-        return -np.pi ** 2 * np.sin(np.pi * x) / 20.0
-
-    def ddg2(x):
-        return -9.0 * np.pi ** 2 * np.sin(3.0 * np.pi * x) / 20.0
-
-    def wf(x, y):
-        return 3.0 + np.sin(5.0 * x) * np.sin(7.0 * y)
+        Each sine and cosine is evaluated once; every expression keeps the
+        operation order of its hand-written formula.
+        """
+        s1, c1 = np.sin(np.pi * x), np.cos(np.pi * x)
+        s3, c3 = np.sin(3.0 * np.pi * x), np.cos(3.0 * np.pi * x)
+        s5, c5 = np.sin(5.0 * x), np.cos(5.0 * x)
+        s7, c7 = np.sin(7.0 * y), np.cos(7.0 * y)
+        g1, g2 = s1 / 20.0, 1.0 + s3 / 20.0
+        dg1, dg2 = np.pi * c1 / 20.0, 3.0 * np.pi * c3 / 20.0
+        below, above = y - g1, y - g2
+        return SimpleNamespace(
+            s1=s1, s3=s3, s5=s5, s7=s7, dg1=dg1, dg2=dg2, below=below, above=above,
+            w=3.0 + s5 * s7, wx=5.0 * c5 * s7, wy=7.0 * s5 * c7,
+            px=-dg1 * above - dg2 * below, py=2.0 * y - g1 - g2)
 
     def exact(x, y):
-        return -(y - g1(x)) * (y - g2(x)) * wf(x, y)
+        t = terms(x, y)
+        return -t.below * t.above * t.w
 
     def gradient(x, y):
-        p = (y - g1(x)) * (y - g2(x))
-        px = -dg1(x) * (y - g2(x)) - dg2(x) * (y - g1(x))
-        py = 2.0 * y - g1(x) - g2(x)
-        w = wf(x, y)
-        wx = 5.0 * np.cos(5.0 * x) * np.sin(7.0 * y)
-        wy = 7.0 * np.sin(5.0 * x) * np.cos(7.0 * y)
-        return -(px * w + p * wx), -(py * w + p * wy)
+        t = terms(x, y)
+        p = t.below * t.above
+        return -(t.px * t.w + p * t.wx), -(t.py * t.w + p * t.wy)
 
     def source(x, y):
         # f = -lap(u) = lap(p w) with p = (y - g1)(y - g2)
-        p = (y - g1(x)) * (y - g2(x))
-        px = -dg1(x) * (y - g2(x)) - dg2(x) * (y - g1(x))
-        pxx = -ddg1(x) * (y - g2(x)) - ddg2(x) * (y - g1(x)) + 2.0 * dg1(x) * dg2(x)
-        py = 2.0 * y - g1(x) - g2(x)
-        w = wf(x, y)
-        wx = 5.0 * np.cos(5.0 * x) * np.sin(7.0 * y)
-        wy = 7.0 * np.sin(5.0 * x) * np.cos(7.0 * y)
-        lap_w = -74.0 * np.sin(5.0 * x) * np.sin(7.0 * y)
-        return (pxx + 2.0) * w + 2.0 * (px * wx + py * wy) + p * lap_w
+        t = terms(x, y)
+        p = t.below * t.above
+        ddg1 = -np.pi ** 2 * t.s1 / 20.0
+        ddg2 = -9.0 * np.pi ** 2 * t.s3 / 20.0
+        pxx = -ddg1 * t.above - ddg2 * t.below + 2.0 * t.dg1 * t.dg2
+        lap_w = -74.0 * t.s5 * t.s7
+        return (pxx + 2.0) * t.w + 2.0 * (t.px * t.wx + t.py * t.wy) \
+            + p * lap_w
 
     def chord_boundary(x, y):
         # exact values on the fixed lateral sides, zero on the chords that

@@ -26,10 +26,10 @@ from .geometry import CurveSegment, GeometryError, circle_curve
 from .mesh import (Edge, Element, Mesh, MeshError, Vertex, straighten_mesh,
                    validate_mesh)
 from .mesh_io import MeshFormatError, import_mesh
-from .quadrature import QuadratureError, polygon_quadrature
+from .quadrature import _MAX_POINTS, QuadratureError, polygon_quadrature, rule_points
 from .reference import fan_integrate, polygon_integrate
 from .solver import SolverError
-from .vem import ElementOperatorError, element_chunks
+from .vem import ElementOperatorError, _exponents, element_chunks
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -178,12 +178,28 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"tol must be positive, got {config.tol}")
     if config.boost < 0:
         raise ConfigError(f"boost must be nonnegative, got {config.boost}")
-    if not 0.0 < config.rho <= 0.5:
-        raise ConfigError(f"rho must lie in (0, 0.5], got {config.rho}")
+    _check_rho(config.rho)
     if config.trials < 1:
         raise ConfigError(f"trials must be at least 1, got {config.trials}")
     if any(m < 1 for m in config.m_list):
         raise ConfigError(f"M must be positive, got {config.m_list}")
+    # the largest Gauss rule the experiment builds: the audit's degree-4
+    # disk rule and its polygon rules, or the degree-(k+2) load and error rules
+    if config.experiment == "quadrature-audit":
+        largest = (("boost", config.boost, rule_points(4, config.boost)[1]),
+                   ("M", max(config.m_list), max(config.m_list) + 1))
+    else:
+        k = max(config.k_list)
+        largest = (("boost", config.boost, rule_points(k + 2, config.boost)[1]),)
+    for option, value, points in largest:
+        if points > _MAX_POINTS:
+            raise ConfigError(f"{option}={value} needs a {points}-point Gauss rule, "
+                              f"more than the {_MAX_POINTS} available")
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho <= 0.5:
+        raise ConfigError(f"rho must lie in (0, 0.5], got {rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +220,6 @@ def random_star_polygon(rng: np.random.Generator) -> np.ndarray:
         [np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _monomials_up_to(degree: int):
-    return [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
-
-
 def audit_polygon_exactness(m_list, trials: int, seed: int):
     """Worst relative deviation from the triangulation oracle per (M, trial)."""
     rng = np.random.default_rng(seed)
@@ -217,7 +229,7 @@ def audit_polygon_exactness(m_list, trials: int, seed: int):
             verts = random_star_polygon(rng)
             rule = polygon_quadrature(verts, m_order)
             worst = 0.0
-            for a, b in _monomials_up_to(2 * m_order):
+            for a, b in _exponents(2 * m_order):
                 f = lambda x, y, a=a, b=b: x ** a * y ** b
                 value = rule.integrate(f)
                 oracle = polygon_integrate(verts, f, n=12)
@@ -262,7 +274,7 @@ def _monomial_oracles(chunk):
     """Fan-oracle integrals of the monomials up to degree 4 over a chunk of one."""
     return [(a, b, fan_integrate(chunk.vertices[0], chunk.sides,
                                  lambda x, y, a=a, b=b: x ** a * y ** b, n=32))
-            for a, b in _monomials_up_to(4)]
+            for a, b in _exponents(4)]
 
 
 def _monomial_gaps(chunk, oracles, k: int, boost: int):
@@ -414,15 +426,16 @@ def _run_convergence_experiment(config: RunConfig) -> int:
         summary.append(f"  last-interval rates: H1 {fit.last_h1:.3f}, "
                        f"L2 {fit.last_l2:.3f}; least-squares: "
                        f"H1 {fit.lsq_h1:.3f}, L2 {fit.lsq_l2:.3f}")
-        for bound, value, label in (
-                (config.min_rate_h1, fit.last_h1, "min_rate_h1"),
-                (config.min_rate_l2, fit.last_l2, "min_rate_l2")):
-            if bound is not None and value < bound:
-                violations.append(f"k={k}: {label}={bound} violated ({value:.3f})")
-        for bound, value, label in (
-                (config.max_rate_h1, fit.last_h1, "max_rate_h1"),
-                (config.max_rate_l2, fit.last_l2, "max_rate_l2")):
-            if bound is not None and value > bound:
+        for label, value, bound in (
+                ("min_rate_h1", fit.last_h1, config.min_rate_h1),
+                ("min_rate_l2", fit.last_l2, config.min_rate_l2),
+                ("max_rate_h1", fit.last_h1, config.max_rate_h1),
+                ("max_rate_l2", fit.last_l2, config.max_rate_l2)):
+            if bound is None:
+                continue
+            # only a rate that satisfies the bound meets it; NaN meets none
+            met = value >= bound if label.startswith("min") else value <= bound
+            if not met:
                 violations.append(f"k={k}: {label}={bound} violated ({value:.3f})")
     if violations:
         summary.append("threshold violations:")
@@ -465,8 +478,7 @@ def run(config: RunConfig) -> int:
 
 def _cmd_validate(args) -> int:
     rho = _parse_float(args.rho, "rho")
-    if not 0.0 < rho <= 0.5:
-        raise ConfigError(f"rho must lie in (0, 0.5], got {rho}")
+    _check_rho(rho)
     mesh = import_mesh(args.meshfile)
     report = validate_mesh(mesh, rho)
     bad = [q for q in report.elements if not q.ok]

@@ -15,8 +15,11 @@ box of the (curved) boundary, not only on the polygon.
 
 A polygon's boundary is described by its chord corners and one
 ``SideBatch`` per side.  ``green_rule`` builds the rules of a batch of like
-polygons at once, as arrays of shape (polygons, points);
-``polygon_quadrature`` is its rule on one all-straight polygon.
+polygons at once, as arrays of shape (polygons, points), and checks
+nothing about their shape: mesh elements are checked once, in
+``Mesh.build`` (counterclockwise chords, positive area).
+``polygon_quadrature`` is its rule on one all-straight polygon given from
+outside a mesh, so it rejects clockwise and zero-area input itself.
 """
 
 from __future__ import annotations
@@ -208,44 +211,17 @@ def trace_curves(curves, t):
     return gamma, dgamma
 
 
-def _signed_areas(sides) -> np.ndarray:
-    """Green-theorem signed areas of possibly curved boundary loops, shape (E,).
-
-    The chord polygon alone cannot decide orientation: a strongly curved
-    side (think half disk over a single diameter) can carry all the area.
-    """
-    rule = gauss_legendre(12)
-    total = np.zeros(len(sides[0].start))
-    for side in sides:
-        if side.is_curved:
-            g, d = side.trace(side.params(rule.nodes))
-            cross = g[..., 0] * d[..., 1] - g[..., 1] * d[..., 0]
-            total += side.sign * 0.5 * side.half[:, 0] * np.vecdot(rule.weights, cross)
-        else:
-            p0, p1 = side.start, side.end
-            total += 0.5 * (p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1])
-    return total
-
-
-def _check_polygons(vertices, sides) -> None:
-    area = _signed_areas(sides)
-    scale = np.max(np.abs(vertices), axis=(1, 2)) + 1.0
-    if np.any(np.abs(area) < 1e-14 * scale * scale):
-        raise QuadratureError("degenerate (zero-area) polygon")
-    if np.any(area < 0.0):
-        raise QuadratureError("polygon must be counterclockwise")
-
-
 def green_rule(vertices, sides, n_straight: int, n_curved: int):
     """Green-rule nodes and weights of E like polygons.
 
     ``vertices`` is the chord polygons, shape (E, n, 2), and ``sides`` one
     ``SideBatch`` per side.  Straight sides use ``n_straight`` points per
-    direction and curved sides ``n_curved``.  Horizontal straight sides
-    carry no nodes, so they must be horizontal in every polygon or in none.
-    Returns x, y and w, each of shape (E, Q).
+    direction and curved sides ``n_curved``.  A straight side horizontal in
+    every polygon carries no nodes; one horizontal in some polygons only
+    gets zero weights there.  The polygons are taken as they are: element
+    shape is checked once, in ``Mesh.build``.  Returns x, y and w, each of
+    shape (E, Q).
     """
-    _check_polygons(vertices, sides)
     alpha = np.ascontiguousarray(vertices[:, :, 0]).mean(axis=1)[:, None, None]
     e = len(vertices)
     rule_s = gauss_legendre(n_straight)
@@ -261,11 +237,8 @@ def green_rule(vertices, sides, n_straight: int, n_curved: int):
             scale = (side.sign[:, None] * side.half * 0.5)[:, :, None] * (xj[:, :, None] - alpha) \
                 * dgamma[..., 1][:, :, None]
         else:
-            horizontal = side.start[:, 1] == side.end[:, 1]
-            if horizontal.all():
+            if (side.start[:, 1] == side.end[:, 1]).all():
                 continue
-            if horizontal.any():
-                raise QuadratureError("green_rule: a side is horizontal in only some polygons")
             rule = rule_s
             (x0, y0), (x1, y1) = side.start.T[:, :, None], side.end.T[:, :, None]
             xj = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * rule.nodes
@@ -285,11 +258,19 @@ def polygon_quadrature(vertices, M: int) -> QuadratureRule2D:
     ``vertices`` (n, 2), exact for degree 2M.
 
     Uses (M+1)-point Gauss-Legendre rules in each direction, at most
-    (M+1)^2 nodes per side.
+    (M+1)^2 nodes per side.  Rejects clockwise and zero-area input by its
+    shoelace area.
     """
     if M < 0:
         raise QuadratureError(f"polygon_quadrature: M={M} must be nonnegative")
     v = np.asarray(vertices, dtype=float)
+    nxt = np.roll(v, -1, axis=0)
+    area = 0.5 * np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])
+    scale = np.max(np.abs(v)) + 1.0
+    if abs(area) < 1e-14 * scale * scale:
+        raise QuadratureError("degenerate (zero-area) polygon")
+    if area < 0.0:
+        raise QuadratureError("polygon must be counterclockwise")
     sides = tuple(SideBatch(v[None, i], v[None, (i + 1) % len(v)]) for i in range(len(v)))
     x, y, w = green_rule(v[None], sides, M + 1, 0)
     return QuadratureRule2D(points=np.stack([x[0], y[0]], axis=-1), weights=w[0])

@@ -119,11 +119,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSy
     total = dof_map.total
     n_local = dof_count(np.diff(mesh.loop_offsets), k)
     # one diffusion lookup per label, in order of first appearance
-    labels, first, inverse = np.unique(mesh.labels, return_index=True, return_inverse=True)
-    per_label = np.empty(len(labels))
-    for i in np.argsort(first).tolist():
-        per_label[i] = coeff.kappa(int(labels[i]))
-    kappa = per_label[inverse.reshape(-1)]
+    kappa = {label: coeff.kappa(label) for label in dict.fromkeys(mesh.labels.tolist())}
     load_start = _starts(n_local)
     tri_start = _starts(n_local * (n_local + 1) // 2)
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
@@ -144,7 +140,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSy
         at = tri_start[chunk.elements, None] + np.arange(len(iu))
         rows[at] = np.maximum(gdofs[:, iu], gdofs[:, ju])
         cols[at] = np.minimum(gdofs[:, iu], gdofs[:, ju])
-        vals[at] = ops.stiffness(kappa[chunk.elements])[:, iu, ju]
+        vals[at] = ops.stiffness([kappa[label] for label in chunk.labels.tolist()])[:, iu, ju]
         blocks.append(OperatorBlock(chunk=chunk, dofs=gdofs, pi_nabla=ops.pi_nabla))
 
     rhs = np.zeros(total)

@@ -119,6 +119,20 @@ def edge_dof_points(mesh: Mesh, edge_ids, k: int):
     return params.reshape(ids.shape + nodes.shape), points.reshape(ids.shape + (len(nodes), 2))
 
 
+def _for_label(table, label: int, what: str):
+    """``table`` itself, or its entry for ``label`` when it is a mapping.
+
+    A mapping without the label raises ``ElementOperatorError`` naming
+    ``what`` and the label.
+    """
+    if not isinstance(table, Mapping):
+        return table
+    try:
+        return table[label]
+    except KeyError:
+        raise ElementOperatorError(f"no {what} for label {label}") from None
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """Problem data: piecewise-constant diffusion and source by element label.
@@ -132,13 +146,7 @@ class Coefficient:
     source: Callable | Mapping[int, Callable] | None = None
 
     def kappa(self, label: int) -> float:
-        if isinstance(self.diffusion, Mapping):
-            try:
-                value = float(self.diffusion[label])
-            except KeyError:
-                raise ElementOperatorError(f"no diffusion value for label {label}") from None
-        else:
-            value = float(self.diffusion)
+        value = float(_for_label(self.diffusion, label, "diffusion value"))
         if not value > 0.0:
             raise ElementOperatorError(f"diffusion must be positive, got {value}")
         return value
@@ -146,12 +154,7 @@ class Coefficient:
     def source_for(self, label: int):
         if self.source is None:
             return lambda x, y: np.zeros(np.shape(x))
-        if isinstance(self.source, Mapping):
-            try:
-                return self.source[label]
-            except KeyError:
-                raise ElementOperatorError(f"no source for label {label}") from None
-        return self.source
+        return _for_label(self.source, label, "source")
 
 
 def _values(f, x, y):

@@ -148,6 +148,60 @@ def element_loop_geometry(mesh):
             max(diameters))
 
 
+def first_problem_formulas():
+    """exact, gradient and source of the first test problem, one formula each.
+
+    The hand-written formulas with every term evaluated where it is used,
+    as the package wrote them before it shared their subexpressions.
+    """
+
+    def g1(x):
+        return np.sin(np.pi * x) / 20.0
+
+    def g2(x):
+        return 1.0 + np.sin(3.0 * np.pi * x) / 20.0
+
+    def dg1(x):
+        return np.pi * np.cos(np.pi * x) / 20.0
+
+    def dg2(x):
+        return 3.0 * np.pi * np.cos(3.0 * np.pi * x) / 20.0
+
+    def ddg1(x):
+        return -np.pi ** 2 * np.sin(np.pi * x) / 20.0
+
+    def ddg2(x):
+        return -9.0 * np.pi ** 2 * np.sin(3.0 * np.pi * x) / 20.0
+
+    def wf(x, y):
+        return 3.0 + np.sin(5.0 * x) * np.sin(7.0 * y)
+
+    def exact(x, y):
+        return -(y - g1(x)) * (y - g2(x)) * wf(x, y)
+
+    def gradient(x, y):
+        p = (y - g1(x)) * (y - g2(x))
+        px = -dg1(x) * (y - g2(x)) - dg2(x) * (y - g1(x))
+        py = 2.0 * y - g1(x) - g2(x)
+        w = wf(x, y)
+        wx = 5.0 * np.cos(5.0 * x) * np.sin(7.0 * y)
+        wy = 7.0 * np.sin(5.0 * x) * np.cos(7.0 * y)
+        return -(px * w + p * wx), -(py * w + p * wy)
+
+    def source(x, y):
+        p = (y - g1(x)) * (y - g2(x))
+        px = -dg1(x) * (y - g2(x)) - dg2(x) * (y - g1(x))
+        pxx = -ddg1(x) * (y - g2(x)) - ddg2(x) * (y - g1(x)) + 2.0 * dg1(x) * dg2(x)
+        py = 2.0 * y - g1(x) - g2(x)
+        w = wf(x, y)
+        wx = 5.0 * np.cos(5.0 * x) * np.sin(7.0 * y)
+        wy = 7.0 * np.sin(5.0 * x) * np.cos(7.0 * y)
+        lap_w = -74.0 * np.sin(5.0 * x) * np.sin(7.0 * y)
+        return (pxx + 2.0) * w + 2.0 * (px * wx + py * wy) + p * lap_w
+
+    return exact, gradient, source
+
+
 def textbook_cg(matrix, b, tol, maxiter):
     """Jacobi-preconditioned CG, each update written as a new array."""
     diag = matrix.diagonal()

@@ -19,7 +19,8 @@ from curvem import (
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 
-from _oracles import finite_difference_gradient, finite_difference_laplacian
+from _oracles import (finite_difference_gradient, finite_difference_laplacian,
+                      first_problem_formulas)
 
 
 def test_first_problem_data_is_consistent():
@@ -35,6 +36,21 @@ def test_first_problem_data_is_consistent():
         assert gy == pytest.approx(fy, rel=1e-7, abs=1e-8)
         lap = finite_difference_laplacian(u, x, y)
         assert prob.source(x, y) == pytest.approx(-lap, rel=1e-5, abs=1e-4)
+
+
+def test_first_problem_callables_keep_their_bits():
+    # Green-rule nodes can fall outside an element, so the points reach
+    # beyond the domain
+    x, y = np.random.default_rng(5).uniform(-0.5, 1.5, (2, 20000))
+    prob = problem1()
+    exact, gradient, source = first_problem_formulas()
+    assert np.array_equal(prob.exact(x, y), exact(x, y))
+    for got, want in zip(prob.gradient(x, y), gradient(x, y)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(prob.source(x, y), source(x, y))
+    x[::3] = np.where(x[::3] < 0.5, 0.0, 1.0)  # a third on the lateral sides
+    lateral = (x < 1e-9) | (x > 1.0 - 1e-9)
+    assert np.array_equal(prob.chord_boundary(x, y), np.where(lateral, exact(x, y), 0.0))
 
 
 def test_first_problem_vanishes_on_its_curves():

@@ -116,6 +116,10 @@ def test_missing_config_file():
     (["run", "patch", "--rho", "0.6"], "rho must lie in"),
     (["run", "patch", "--trials", "0"], "trials must be at least 1"),
     (["run", "quadrature-audit", "--M", "0,2"], "M must be positive"),
+    (["run", "test1-curved", "--k", "1", "--n", "4,8", "--boost", "70"],
+     "boost=70 needs a 74-point Gauss rule, more than the 64 available"),
+    (["run", "quadrature-audit", "--M", "70", "--trials", "1"],
+     "M=70 needs a 71-point Gauss rule, more than the 64 available"),
 ])
 def test_invalid_options_are_rejected(argv, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -139,14 +143,17 @@ def test_main_patch_run_writes_outputs(tmp_path, capsys):
 
 
 def test_main_threshold_violation_exits_1(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["run", "test1-curved", "--k", "1", "--n", "4,8",
-                 "--min-rate-l2", "5", "--out", str(out)])
-    assert code == EXIT_THRESHOLD
-    summary = (out / "summary.txt").read_text(encoding="utf-8")
-    assert "threshold violations:" in summary
-    assert "min_rate_l2=5.0 violated" in summary
-    assert (out / "test1-curved_k1.csv").exists()
+    # two equal levels give NaN rates, which meet no bound
+    for ns, flag, violation in (("4,8", "--min-rate-l2", "min_rate_l2=5.0 violated"),
+                                ("4,4", "--min-rate-h1", "min_rate_h1=5.0 violated (nan)")):
+        out = tmp_path / flag
+        code = main(["run", "test1-curved", "--k", "1", "--n", ns,
+                     flag, "5", "--out", str(out)])
+        assert code == EXIT_THRESHOLD
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "threshold violations:" in summary
+        assert violation in summary
+        assert (out / "test1-curved_k1.csv").exists()
     capsys.readouterr()
 
 

@@ -100,6 +100,12 @@ def test_polygon_quadrature_rejects_clockwise():
         polygon_quadrature(verts, 2)
 
 
+def test_polygon_quadrature_rejects_zero_area():
+    verts = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
+    with pytest.raises(QuadratureError, match="degenerate"):
+        polygon_quadrature(verts, 2)
+
+
 def _curved_side(start, end, curve, t0, t1):
     """A side of one polygon that follows ``curve`` from t0 to t1."""
     return SideBatch(np.asarray(start)[None], np.asarray(end)[None], curves=(curve,),

@@ -6,8 +6,13 @@ from scipy import sparse
 
 from curvem import (
     Coefficient,
+    Edge,
+    Element,
+    ElementOperatorError,
+    Mesh,
     NotSPDError,
     SolverError,
+    Vertex,
     apply_dirichlet,
     assemble,
     build_annulus_interface_mesh,
@@ -193,3 +198,13 @@ def test_zero_rhs_gives_zero_solution():
     system = assemble(mesh, 2, Coefficient())
     apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)))
     assert np.all(solve(system, method="cg") == 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_collapsed_element_is_named(k):
+    # Mesh.build accepts the positive area; the projector check names the element
+    vertices = [Vertex(position=np.array(p)) for p in [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-15)]]
+    edges = [Edge(v0=0, v1=1), Edge(v0=1, v1=2), Edge(v0=2, v1=0)]
+    mesh = Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1)])])
+    with pytest.raises(ElementOperatorError, match="element 0: H1 projector"):
+        assemble(mesh, k, Coefficient())
