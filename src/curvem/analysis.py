@@ -170,7 +170,7 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
     assembled ``system``.
     """
     # per element: |grad e|^2, |grad u|^2, e^2, u^2 integrated
-    parts = np.empty((4, len(mesh.elements)))
+    parts = np.empty((4, len(mesh.labels)))
     for block in system.blocks:
         chunk = block.chunk
         coeffs = block.pi_nabla @ solution[block.dofs][..., None]

@@ -1,32 +1,40 @@
 """Polygonal meshes whose edges may be exact curve segments.
 
-Entities are index-based: edges store vertex indices plus an optional
-``CurveSegment``, elements store a counterclockwise loop of signed edge
-references (positive sign = traversal from v0 to v1).  ``Mesh.build``
-finalizes a mesh: conformity is checked, and topology and per-element
-geometry are derived once, in one vectorized pass, into flat arrays on the
-mesh (V vertices, N edges, P elements, L element sides in all):
+A mesh is a set of flat arrays (V vertices, N edges, P elements, L element
+sides in all).  Its input arrays are
 
-* ``points`` (V, 2) vertex positions and ``vertex_on_boundary`` (V,);
-* ``edge_vertices`` (N, 2) endpoints, ``edge_lengths`` (N,) (arc length on
-  curved edges), ``edge_on_boundary`` (N,), ``edge_curved`` (N,) and
+* ``points`` (V, 2), the vertex positions;
+* ``edge_vertices`` (N, 2), the endpoints of each edge; ``edge_curves``
+  (N,), the ``BoundaryCurve`` an edge follows (None on straight edges), and
   ``edge_params`` (N, 2), the curve parameters (t0, t1) of curved edges
   (nan on straight ones);
 * the element loops in one ragged layout: the sides of element p are rows
-  ``loop_offsets[p]:loop_offsets[p + 1]`` of ``loop_edges``, ``loop_signs``
-  and ``loop_corners`` (the vertex each side starts at), all of shape (L,);
-* ``labels``, ``areas``, ``centroids`` (P, 2) of the chord polygons and
-  ``diameters`` (P,), taken over each element's boundary polyline (corners
-  plus 8 samples per curved side).
+  ``loop_offsets[p]:loop_offsets[p + 1]`` of ``loop_edges`` and
+  ``loop_signs``, each a counterclockwise loop of signed edge references
+  (sign +1 = traversal from the edge's first vertex to its second);
+* ``labels`` (P,), the element labels.
 
-The ``Vertex``, ``Edge`` and ``Element`` objects are input records: what
-``Mesh.build`` derives lives in the arrays only, and the solver, the
-validation and the CLI read it there.  The one exception is
-``Vertex.on_boundary``, which ``Mesh.build`` also fills in.  The arrays
-reproduce an element-by-element loop bit for bit: elements are grouped by
-edge count, side contributions to an area are added in loop order, and each
-curved side keeps its own 24-point dot product (see the README's notes on
-floating-point reproducibility).
+The ``Mesh`` constructor checks them (finite input, conformity) and
+derives, once and in one vectorized pass,
+
+* ``vertex_on_boundary`` (V,), ``edge_on_boundary`` (N,) and
+  ``edge_curved`` (N,);
+* ``edge_lengths`` (N,), arc lengths on curved edges;
+* ``loop_corners`` (L,), the vertex each side starts at;
+* ``areas``, ``centroids`` (P, 2) of the chord polygons and ``diameters``
+  (P,), taken over each element's boundary polyline (corners plus 8 samples
+  per curved side).
+
+The arrays are the mesh: the generators and ``mesh_io.parse_mesh`` build
+them directly, and the solver, the validation and ``mesh_io.format_mesh``
+read them.  The frozen ``Vertex``, ``Edge`` and ``Element`` records are
+input to ``Mesh.build``, which turns them into arrays, and a read-only view
+of a built mesh (``mesh.vertices``, ``mesh.edges``, ``mesh.elements``),
+made on first access; editing a view record does not change the mesh.  The
+derived arrays reproduce an element-by-element loop bit for bit: elements
+are grouped by edge count, side contributions to an area are added in loop
+order, and each curved side keeps its own 24-point dot product (see the
+README's notes on floating-point reproducibility).
 
 Two structured generators cover the solver's test domains: a tensor grid
 mapped between two boundary graphs, and a polar grid on the unit disk with
@@ -36,8 +44,8 @@ meshes enter through ``mesh_io.import_mesh``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +68,14 @@ class MeshError(Exception):
     """Raised for non-conforming or degenerate meshes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vertex:
     position: np.ndarray
     on_boundary: bool = False
     curve_ref: tuple[str, float] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
     v0: int
     v1: int
@@ -78,54 +86,81 @@ class Edge:
         return self.segment is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Element:
     edge_loop: list[tuple[int, int]]
     label: int = 1
 
 
-def _derived():
-    return field(default=None, repr=False, compare=False)
-
-
-@dataclass
 class Mesh:
-    vertices: list[Vertex]
-    edges: list[Edge]
-    elements: list[Element]
-    curves: dict[str, BoundaryCurve] = field(default_factory=dict)
-    h: float = 0.0
-    # derived by ``build``; see the module docstring
-    points: np.ndarray = _derived()
-    vertex_on_boundary: np.ndarray = _derived()
-    edge_vertices: np.ndarray = _derived()
-    edge_lengths: np.ndarray = _derived()
-    edge_on_boundary: np.ndarray = _derived()
-    edge_curved: np.ndarray = _derived()
-    edge_params: np.ndarray = _derived()
-    loop_offsets: np.ndarray = _derived()
-    loop_edges: np.ndarray = _derived()
-    loop_signs: np.ndarray = _derived()
-    loop_corners: np.ndarray = _derived()
-    labels: np.ndarray = _derived()
-    areas: np.ndarray = _derived()
-    centroids: np.ndarray = _derived()
-    diameters: np.ndarray = _derived()
+    """A finalized mesh: the arrays of the module docstring, the curves of
+    its curved edges by id (``curves``) and the largest element diameter
+    (``h``)."""
+
+    def __init__(self, points, edge_vertices, edge_curves, edge_params,
+                 loop_offsets, loop_edges, loop_signs, labels):
+        """Check and finalize a mesh given as its input arrays; raises MeshError."""
+        self.points = np.array(points, dtype=float).reshape(-1, 2)
+        self.edge_vertices = np.array(edge_vertices, dtype=np.int64).reshape(-1, 2)
+        self.edge_curves = np.array(edge_curves, dtype=object).reshape(-1)
+        self.edge_curved = np.array([c is not None for c in self.edge_curves], dtype=bool)
+        self.edge_params = np.array(edge_params, dtype=float).reshape(-1, 2)
+        self.loop_offsets = np.array(loop_offsets, dtype=np.int64)
+        self.loop_edges = np.array(loop_edges, dtype=np.int64)
+        self.loop_signs = np.array(loop_signs, dtype=np.int64)
+        self.labels = np.array(labels, dtype=np.int64)
+        errors = _finite_errors(self) or _conformity_errors(self)
+        if errors:
+            raise MeshError("; ".join(errors[:5]))
+        _derive_topology(self)
+        _derive_geometry(self)
 
     @classmethod
     def build(cls, vertices, edges, elements) -> "Mesh":
-        """Finalize a mesh from raw entity lists; raises MeshError."""
-        mesh = cls(vertices=list(vertices), edges=list(edges), elements=list(elements))
-        errors = _read_entities(mesh) or _conformity_errors(mesh)
+        """Finalize a mesh from entity records; raises MeshError."""
+        points, errors = _vertex_points(list(vertices))
+        edges, elements = list(edges), list(elements)
+        curves = [None if edge.segment is None else edge.segment.curve for edge in edges]
+        params = np.array([(np.nan, np.nan) if edge.segment is None
+                           else (edge.segment.t0, edge.segment.t1) for edge in edges],
+                          dtype=float).reshape(-1, 2)
         if errors:
-            raise MeshError("; ".join(errors[:5]))
-        _derive_topology(mesh)
-        _derive_geometry(mesh)
-        # the one derived value kept on the records: the benchmark's worker
-        # (perfbench/worker.py) reads Vertex.on_boundary
-        for vertex, flag in zip(mesh.vertices, mesh.vertex_on_boundary.tolist()):
-            vertex.on_boundary = flag
-        return mesh
+            raise MeshError("; ".join((errors + _param_errors(curves, params))[:5]))
+        loop = np.array([ref for el in elements for ref in el.edge_loop],
+                        dtype=np.int64).reshape(-1, 2)
+        return cls(points, [(edge.v0, edge.v1) for edge in edges], curves, params,
+                   np.cumsum([0] + [len(el.edge_loop) for el in elements]),
+                   loop[:, 0], loop[:, 1], [el.label for el in elements])
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices as records.  A vertex's ``curve_ref`` is (curve id, t)
+        of the first curved edge, in edge order, that ends at it."""
+        refs = {}
+        for i in np.flatnonzero(self.edge_curved).tolist():
+            cid = self.edge_curves[i].id
+            for v, t in zip(self.edge_vertices[i].tolist(), self.edge_params[i].tolist()):
+                refs.setdefault(v, (cid, t))
+        return tuple(Vertex(position=p, on_boundary=flag, curve_ref=refs.get(i))
+                     for i, (p, flag) in enumerate(zip(self.points.copy(),
+                                                       self.vertex_on_boundary.tolist())))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as records."""
+        return tuple(Edge(v0=v0, v1=v1,
+                          segment=None if curve is None else CurveSegment(curve, t0, t1))
+                     for (v0, v1), curve, (t0, t1) in zip(self.edge_vertices.tolist(),
+                                                         self.edge_curves,
+                                                         self.edge_params.tolist()))
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The elements as records."""
+        loop = list(zip(self.loop_edges.tolist(), self.loop_signs.tolist()))
+        bounds = self.loop_offsets.tolist()
+        return tuple(Element(edge_loop=loop[a:b], label=label)
+                     for a, b, label in zip(bounds, bounds[1:], self.labels.tolist()))
 
 
 def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
@@ -145,50 +180,25 @@ def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
     return None, errors
 
 
-def _read_entities(mesh: Mesh) -> list[str]:
-    """Copy the entity lists into arrays; report vertices that are not finite
-    2-vectors and curved edges with a non-finite parameter."""
-    points, errors = _vertex_points(mesh.vertices)
-    if points is not None:
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        errors = [f"vertex {i}: non-finite position {tuple(points[i].tolist())}"
-                  for i in bad.tolist()]
-    curved = [i for i, edge in enumerate(mesh.edges) if edge.segment is not None]
-    params = np.full((len(mesh.edges), 2), np.nan)
-    for i in curved:
-        seg = mesh.edges[i].segment
-        params[i] = seg.t0, seg.t1
-        if not np.all(np.isfinite(
-                [seg.t0, seg.t1, *seg.curve.param_interval, *seg.curve.params])):
-            errors.append(f"edge {i}: curve {seg.curve.id!r} has a non-finite parameter")
-    if errors:
-        return errors
+def _param_errors(curves, params) -> list[str]:
+    """The curved edges with a non-finite parameter, of theirs or their curve's."""
+    return [f"edge {i}: curve {curve.id!r} has a non-finite parameter"
+            for i, curve in enumerate(curves) if curve is not None and not np.all(
+                np.isfinite([*params[i], *curve.param_interval, *curve.params]))]
 
-    mesh.points = points
-    mesh.edge_vertices = np.fromiter(
-        chain.from_iterable((edge.v0, edge.v1) for edge in mesh.edges),
-        dtype=np.int64, count=2 * len(mesh.edges)).reshape(-1, 2)
-    mesh.edge_curved = np.zeros(len(mesh.edges), dtype=bool)
-    mesh.edge_curved[curved] = True
-    mesh.edge_params = params
-    sizes = np.fromiter((len(el.edge_loop) for el in mesh.elements), dtype=np.int64,
-                        count=len(mesh.elements))
-    mesh.loop_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    loop = np.fromiter(chain.from_iterable(chain.from_iterable(
-        el.edge_loop for el in mesh.elements)), dtype=np.int64,
-        count=2 * int(mesh.loop_offsets[-1])).reshape(-1, 2)
-    mesh.loop_edges = np.ascontiguousarray(loop[:, 0])
-    mesh.loop_signs = np.ascontiguousarray(loop[:, 1])
-    mesh.labels = np.fromiter((el.label for el in mesh.elements), dtype=np.int64,
-                              count=len(mesh.elements))
-    return []
+
+def _finite_errors(mesh: Mesh) -> list[str]:
+    """The vertices that are not finite and the curved edges with a
+    non-finite parameter."""
+    bad = np.flatnonzero(~np.isfinite(mesh.points).all(axis=1))
+    return ([f"vertex {i}: non-finite position {tuple(mesh.points[i].tolist())}"
+             for i in bad.tolist()] + _param_errors(mesh.edge_curves, mesh.edge_params))
 
 
 def curve_points(mesh: Mesh, edge_ids, t):
     """gamma(t) and gamma'(t) on curved edges, row i of ``t`` on edge
     ``edge_ids[i]``; each of shape t.shape + (2,)."""
-    return trace_curves(tuple(mesh.edges[eid].segment.curve
-                              for eid in np.asarray(edge_ids).tolist()), t)
+    return trace_curves(tuple(mesh.edge_curves[np.asarray(edge_ids, dtype=np.int64)]), t)
 
 
 def _edge_samples(mesh: Mesh, edge_ids: np.ndarray) -> np.ndarray:
@@ -269,10 +279,9 @@ def _conformity_errors(mesh: Mesh) -> list[str]:
         scale = 1.0 + np.max(np.abs(pos[:, 0]), axis=1)
         for row, end in zip(*np.nonzero(gap > _ENDPOINT_TOL * scale[:, None])):
             i = int(check[row])
-            seg = mesh.edges[i].segment
             by_edge.setdefault(i, []).append(
                 f"edge {i}: vertex {ends[row, end]} is {gap[row, end]:.2e} away from curve "
-                f"{seg.curve.id!r} at t={(seg.t0, seg.t1)[end]}")
+                f"{mesh.edge_curves[i].id!r} at t={mesh.edge_params[i].tolist()[end]}")
     errors = [msg for i in sorted(by_edge) for msg in by_edge[i]]
 
     sizes = np.diff(mesh.loop_offsets)
@@ -330,12 +339,11 @@ def _conformity_errors(mesh: Mesh) -> list[str]:
 def _derive_topology(mesh: Mesh) -> None:
     ends = mesh.edge_vertices[mesh.loop_edges]
     mesh.loop_corners = np.where(mesh.loop_signs > 0, ends[:, 0], ends[:, 1])
-    mesh.edge_on_boundary = np.bincount(mesh.loop_edges, minlength=len(mesh.edges)) == 1
+    mesh.edge_on_boundary = np.bincount(mesh.loop_edges, minlength=len(mesh.edge_vertices)) == 1
     mesh.vertex_on_boundary = np.zeros(len(mesh.points), dtype=bool)
     mesh.vertex_on_boundary[mesh.edge_vertices[mesh.edge_on_boundary].ravel()] = True
     curves: dict[str, BoundaryCurve] = {}
-    for i in np.flatnonzero(mesh.edge_curved).tolist():
-        curve = mesh.edges[i].segment.curve
+    for curve in mesh.edge_curves[mesh.edge_curved]:
         if curves.get(curve.id, curve) is not curve:
             raise MeshError(f"two distinct curves share the id {curve.id!r}")
         curves[curve.id] = curve
@@ -351,7 +359,7 @@ def _edge_lengths(mesh: Mesh) -> np.ndarray:
     straight_bad = np.flatnonzero((lengths <= 0.0) & ~mesh.edge_curved)
     stop = int(straight_bad[0]) if len(straight_bad) else len(lengths)
     for i in np.flatnonzero(mesh.edge_curved[:stop]).tolist():
-        lengths[i] = arc_length(mesh.edges[i].segment)
+        lengths[i] = arc_length(CurveSegment(mesh.edge_curves[i], *mesh.edge_params[i].tolist()))
     bad = np.flatnonzero(lengths[:stop + 1] <= 0.0)
     if len(bad):
         v0, v1 = mesh.edge_vertices[bad[0]].tolist()
@@ -485,47 +493,31 @@ def build_mapped_tensor_mesh(n: int, bottom: BoundaryCurve | None = None,
     g1 = bottom.eval(xs)[:, 1] if bottom is not None else np.zeros(n + 1)
     g2 = top.eval(xs)[:, 1] if top is not None else np.ones(n + 1)
 
-    vertices = []
-    for j in range(n + 1):
-        yq = j / n
-        for i in range(n + 1):
-            if j == 0:
-                y = g1[i]
-                ref = (bottom.id, xs[i]) if bottom is not None else None
-            elif j == n:
-                y = g2[i]
-                ref = (top.id, xs[i]) if top is not None else None
-            elif yq <= 0.5:
-                y = (1.0 - 2.0 * g1[i]) * yq + g1[i]
-                ref = None
-            else:
-                y = (2.0 * g2[i] - 1.0) * yq + (1.0 - g2[i])
-                ref = None
-            vertices.append(Vertex(position=np.array([xs[i], y]), curve_ref=ref))
+    # vertex (i, j) of the grid is row j (n + 1) + i, at y_Q = xs[j]
+    yq = xs[:, None]
+    y = np.where(yq <= 0.5, (1.0 - 2.0 * g1) * yq + g1, (2.0 * g2 - 1.0) * yq + (1.0 - g2))
+    y[0], y[n] = g1, g2
+    points = np.stack([np.broadcast_to(xs, y.shape), y], axis=-1)
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    # edge (i, j) to the right of vertex (i, j) is row j n + i; edge (i, j)
+    # above it is row n (n + 1) + i n + j
+    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    edge_vertices = np.concatenate([
+        np.stack([grid[:, :-1], grid[:, 1:]], axis=-1).reshape(-1, 2),
+        np.stack([grid[:-1].T, grid[1:].T], axis=-1).reshape(-1, 2)])
+    curves = np.full(len(edge_vertices), None, dtype=object)
+    params = np.full((len(edge_vertices), 2), np.nan)
+    for j, curve in ((0, bottom), (n, top)):
+        for i in range(n if curve is not None else 0):
+            if not _segment_is_straight(curve, xs[i], xs[i + 1]):
+                curves[j * n + i] = curve
+                params[j * n + i] = xs[i], xs[i + 1]
 
-    edges = []
-    h_edge = {}
-    v_edge = {}
-    for j in range(n + 1):
-        curve = bottom if j == 0 else top if j == n else None
-        for i in range(n):
-            segment = None
-            if curve is not None and not _segment_is_straight(curve, xs[i], xs[i + 1]):
-                segment = CurveSegment(curve, xs[i], xs[i + 1])
-            h_edge[i, j] = len(edges)
-            edges.append(Edge(v0=vid(i, j), v1=vid(i + 1, j), segment=segment))
-    for i in range(n + 1):
-        for j in range(n):
-            v_edge[i, j] = len(edges)
-            edges.append(Edge(v0=vid(i, j), v1=vid(i, j + 1)))
-
-    elements = [Element(edge_loop=[(h_edge[i, j], 1), (v_edge[i + 1, j], 1),
-                                   (h_edge[i, j + 1], -1), (v_edge[i, j], -1)])
-                for j in range(n) for i in range(n)]
-    return Mesh.build(vertices, edges, elements)
+    i, j = np.arange(n), np.arange(n)[:, None]
+    right, up = j * n + i, n * (n + 1) + i * n + j
+    loops = np.stack([right, up + n, right + n, up], axis=-1).reshape(-1)
+    return Mesh(points, edge_vertices, curves, params, 4 * np.arange(n * n + 1), loops,
+                np.tile([1, 1, -1, -1], n * n), np.ones(n * n))
 
 
 def build_annulus_interface_mesh(n_rings: int, n_sectors: int) -> Mesh:
@@ -548,59 +540,38 @@ def build_annulus_interface_mesh(n_rings: int, n_sectors: int) -> Mesh:
                           param_interval=(0.0, np.pi))
 
     thetas = 2.0 * np.pi * np.arange(S) / S
-    vertices = [Vertex(position=np.zeros(2))]
-    for m in range(1, 2 * R + 1):
-        r = 0.5 * m / R
-        for s in range(S):
-            if m == 2 * R:
-                pos = gamma1.eval(thetas[s])
-                ref = ("Gamma1", thetas[s])
-            elif m == R:
-                pos = gamma2.eval(0.5 * thetas[s])
-                ref = ("Gamma2", 0.5 * thetas[s])
-            else:
-                pos = r * np.array([np.cos(thetas[s]), np.sin(thetas[s])])
-                ref = None
-            vertices.append(Vertex(position=pos, curve_ref=ref))
+    # vertex 0 is the center, vertex (m, s) of ring m = 1..2R is row 1 + (m - 1) S + s
+    rings = [0.5 * m / R * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+             for m in range(1, 2 * R + 1)]
+    rings[R - 1] = gamma2.eval(0.5 * thetas)
+    rings[2 * R - 1] = gamma1.eval(thetas)
+    points = np.concatenate([np.zeros((1, 2)), *rings])
 
-    def vid(m, s):
-        return 1 + (m - 1) * S + s % S
+    # edges: the ring arcs (m, s) at rows (m - 1) S + s, the radial edges
+    # (m, s) from ring m outwards at rows 2 R S + (m - 1) S + s, then the
+    # S / 2 spokes from the center
+    s = np.arange(S)
+    first = 1 + S * np.arange(2 * R)[:, None]
+    spoke = (4 * R - 1) * S + np.arange(S // 2)
+    edge_vertices = np.concatenate([
+        np.stack([first + s, first + (s + 1) % S], axis=-1).reshape(-1, 2),
+        np.stack([first[:-1] + s, first[1:] + s], axis=-1).reshape(-1, 2),
+        np.stack([np.zeros(S // 2, dtype=np.int64), 1 + 2 * np.arange(S // 2)], axis=-1)])
+    curves = np.full(len(edge_vertices), None, dtype=object)
+    params = np.full((len(edge_vertices), 2), np.nan)
+    for ring, curve, span in ((2 * R, gamma1, 2.0 * np.pi), (R, gamma2, np.pi)):
+        curves[(ring - 1) * S + s] = curve
+        params[(ring - 1) * S + s] = np.stack([span * s / S, span * (s + 1) / S], axis=-1)
 
-    edges = []
-    circ = {}
-    for m in range(1, 2 * R + 1):
-        for s in range(S):
-            segment = None
-            if m == 2 * R:
-                segment = CurveSegment(gamma1, 2.0 * np.pi * s / S, 2.0 * np.pi * (s + 1) / S)
-            elif m == R:
-                segment = CurveSegment(gamma2, np.pi * s / S, np.pi * (s + 1) / S)
-            circ[m, s] = len(edges)
-            edges.append(Edge(v0=vid(m, s), v1=vid(m, s + 1), segment=segment))
-    radial = {}
-    for m in range(1, 2 * R):
-        for s in range(S):
-            radial[m, s] = len(edges)
-            edges.append(Edge(v0=vid(m, s), v1=vid(m + 1, s)))
-    spoke = {}
-    for q in range(S // 2):
-        spoke[q] = len(edges)
-        edges.append(Edge(v0=0, v1=vid(1, 2 * q)))
-
-    elements = []
-    for q in range(S // 2):
-        elements.append(Element(
-            edge_loop=[(spoke[q], 1), (circ[1, 2 * q], 1), (circ[1, 2 * q + 1], 1),
-                       (spoke[(q + 1) % (S // 2)], -1)],
-            label=2))
-    for m in range(1, 2 * R):
-        label = 2 if m + 1 <= R else 1
-        for s in range(S):
-            elements.append(Element(
-                edge_loop=[(radial[m, s], 1), (circ[m + 1, s], 1),
-                           (radial[m, (s + 1) % S], -1), (circ[m, s], -1)],
-                label=label))
-    return Mesh.build(vertices, edges, elements)
+    m = np.arange(1, 2 * R)[:, None]
+    radial = 2 * R * S + (m - 1) * S
+    wedges = np.stack([spoke, s[::2], s[::2] + 1, np.roll(spoke, -1)], axis=-1)
+    quads = np.stack([radial + s, m * S + s, radial + (s + 1) % S, (m - 1) * S + s], axis=-1)
+    labels = np.concatenate([np.full(S // 2, 2), np.repeat(np.where(m[:, 0] < R, 2, 1), S)])
+    signs = np.concatenate([np.tile([1, 1, 1, -1], S // 2),
+                            np.tile([1, 1, -1, -1], (2 * R - 1) * S)])
+    return Mesh(points, edge_vertices, curves, params, 4 * np.arange(len(labels) + 1),
+                np.concatenate([wedges.ravel(), quads.ravel()]), signs, labels)
 
 
 def straighten_mesh(mesh: Mesh) -> Mesh:
@@ -609,11 +580,9 @@ def straighten_mesh(mesh: Mesh) -> Mesh:
     Vertex positions are kept, so boundary vertices stay on the original
     curves while the edges between them become straight.
     """
-    vertices = [Vertex(position=v.position.copy()) for v in mesh.vertices]
-    edges = [Edge(v0=e.v0, v1=e.v1) for e in mesh.edges]
-    elements = [Element(edge_loop=list(el.edge_loop), label=el.label)
-                for el in mesh.elements]
-    return Mesh.build(vertices, edges, elements)
+    return Mesh(mesh.points, mesh.edge_vertices, [None] * len(mesh.edge_vertices),
+                np.full(mesh.edge_params.shape, np.nan), mesh.loop_offsets, mesh.loop_edges,
+                mesh.loop_signs, mesh.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +676,15 @@ def _star_ratios(mesh: Mesh) -> np.ndarray:
 def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     """Check the two shape-regularity assumptions on a built mesh.
 
-    Conformity is not checked again: ``Mesh.build`` has already rejected a
-    non-conforming mesh with a ``MeshError``.  Per element: every edge length (arc length for curved edges) must be at
-    least rho times the element diameter, and the element must be
-    star-shaped with respect to a disk of radius rho times the diameter.
-    Star-shapedness is tested on the boundary polyline (chord corners plus
-    samples along curved edges) via the kernel's Chebyshev radius, found by
-    exact vertex enumeration over the polyline's side triples; an empty
-    kernel gives ratio 0.
+    Conformity is not checked again: the ``Mesh`` constructor has already
+    rejected a non-conforming mesh with a ``MeshError``.  Per element:
+    every edge length (arc length for curved edges) must be at least rho
+    times the element diameter, and the element must be star-shaped with
+    respect to a disk of radius rho times the diameter.  Star-shapedness is
+    tested on the boundary polyline (chord corners plus samples along
+    curved edges) via the kernel's Chebyshev radius, found by exact vertex
+    enumeration over the polyline's side triples; an empty kernel gives
+    ratio 0.
     """
     lengths = mesh.edge_lengths[mesh.loop_edges]
     edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / mesh.diameters
@@ -722,5 +692,5 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     ok = (edge_ratio >= rho) & (star_ratio >= rho)
     checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),
                              star_ratio=float(star_ratio[p]), ok=bool(ok[p]))
-              for p in range(len(mesh.elements))]
+              for p in range(len(mesh.labels))]
     return MeshQualityReport(rho=rho, ok=bool(np.all(ok)), elements=checks)

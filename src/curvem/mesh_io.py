@@ -17,12 +17,16 @@ traversal direction.  Curve lines carry the parameter interval [a, b] and
 the closed-form coefficients of a serializable curve kind.  Floats are
 written with 17 significant digits, so a write/read round trip reproduces
 them bit-exactly.
+
+A mesh is its arrays (see ``curvem.mesh``): ``parse_mesh`` reads each
+section into them and hands them to the ``Mesh`` constructor, and
+``format_mesh`` writes them; neither goes through the entity records.
 """
 
 from __future__ import annotations
 
 from .geometry import GeometryError, CurveSegment, curve_from_params
-from .mesh import Edge, Element, Mesh, Vertex
+from .mesh import Mesh
 
 import numpy as np
 
@@ -100,15 +104,15 @@ def parse_mesh(text: str) -> Mesh:
         except GeometryError as exc:
             _fail(ln, str(exc))
 
-    positions = []
+    points = []
     for _ in range(nv):
         ln, fields = _take(records, "vertex record")
         if fields[0] != "v" or len(fields) != 3:
             _fail(ln, "expected 'v <x> <y>'")
-        positions.append(np.array([_parse_float(ln, fields[1], "coordinate"),
-                                   _parse_float(ln, fields[2], "coordinate")]))
+        points.append((_parse_float(ln, fields[1], "coordinate"),
+                       _parse_float(ln, fields[2], "coordinate")))
 
-    edges = []
+    edge_vertices, edge_curves, edge_params = [], [], []
     for _ in range(ne):
         ln, fields = _take(records, "edge record")
         if fields[0] != "e" or len(fields) not in (3, 6):
@@ -117,20 +121,25 @@ def parse_mesh(text: str) -> Mesh:
         v1 = _parse_int(ln, fields[2], "vertex index")
         if not (0 <= v0 < nv and 0 <= v1 < nv):
             _fail(ln, f"edge references missing vertex ({v0}, {v1})")
-        segment = None
+        curve, t0, t1 = None, np.nan, np.nan
         if len(fields) == 6:
             cid = fields[3]
             if cid not in curves:
                 _fail(ln, f"edge references unknown curve {cid!r}")
             t0 = _parse_float(ln, fields[4], "parameter")
             t1 = _parse_float(ln, fields[5], "parameter")
+            curve = curves[cid]
             try:
-                segment = CurveSegment(curves[cid], t0, t1)
+                CurveSegment(curve, t0, t1)  # checks the interval
             except GeometryError as exc:
                 _fail(ln, str(exc))
-        edges.append(Edge(v0=v0, v1=v1, segment=segment))
+        edge_vertices.append((v0, v1))
+        edge_curves.append(curve)
+        edge_params.append((t0, t1))
 
-    elements = []
+    loop_offsets = [0]
+    loop_refs = []
+    labels = []
     for _ in range(np_):
         ln, fields = _take(records, "element record")
         if fields[0] != "p" or len(fields) < 2:
@@ -138,28 +147,23 @@ def parse_mesh(text: str) -> Mesh:
         n = _parse_int(ln, fields[1], "edge count")
         if len(fields) != 2 + n:
             _fail(ln, f"element lists {len(fields) - 2} edges, declared {n}")
-        loop = []
         for f in fields[2:]:
             ref = _parse_int(ln, f, "edge reference")
             if ref == 0 or abs(ref) > ne:
                 _fail(ln, f"edge reference {ref} out of range")
-            loop.append((abs(ref) - 1, 1 if ref > 0 else -1))
+            loop_refs.append(ref)
+        loop_offsets.append(len(loop_refs))
         ln_label, fields = _take(records, "label record")
         if fields[0] != "label" or len(fields) != 2:
             _fail(ln_label, "expected 'label <integer>'")
-        elements.append(Element(edge_loop=loop,
-                                label=_parse_int(ln_label, fields[1], "label")))
+        labels.append(_parse_int(ln_label, fields[1], "label"))
 
     for ln, fields in records:
         _fail(ln, f"unexpected trailing record {fields[0]!r}")
 
-    curve_refs = {}
-    for edge in edges:
-        if edge.segment is not None:
-            curve_refs[edge.v0] = (edge.segment.curve.id, edge.segment.t0)
-            curve_refs[edge.v1] = (edge.segment.curve.id, edge.segment.t1)
-    vertices = [Vertex(position=p, curve_ref=curve_refs.get(i)) for i, p in enumerate(positions)]
-    return Mesh.build(vertices, edges, elements)
+    refs = np.array(loop_refs, dtype=np.int64)
+    return Mesh(points, edge_vertices, edge_curves, edge_params, loop_offsets,
+                np.abs(refs) - 1, np.sign(refs), labels)
 
 
 def import_mesh(path) -> Mesh:
@@ -171,8 +175,8 @@ def import_mesh(path) -> Mesh:
 def format_mesh(mesh: Mesh) -> str:
     """Serialize a mesh; raises for curves without closed-form coefficients."""
     out = [f"{_MAGIC} {_VERSION}",
-           f"counts {len(mesh.vertices)} {len(mesh.curves)} "
-           f"{len(mesh.edges)} {len(mesh.elements)}"]
+           f"counts {len(mesh.points)} {len(mesh.curves)} "
+           f"{len(mesh.edge_vertices)} {len(mesh.labels)}"]
     for cid in sorted(mesh.curves):
         curve = mesh.curves[cid]
         if curve.kind == "generic":
@@ -181,19 +185,16 @@ def format_mesh(mesh: Mesh) -> str:
         a, b = curve.param_interval
         params = " ".join(f"{p:.17g}" for p in curve.params)
         out.append(f"c {cid} {curve.kind} {a:.17g} {b:.17g} {params}")
-    for vertex in mesh.vertices:
-        out.append(f"v {vertex.position[0]:.17g} {vertex.position[1]:.17g}")
-    for edge in mesh.edges:
-        if edge.segment is None:
-            out.append(f"e {edge.v0} {edge.v1}")
-        else:
-            seg = edge.segment
-            out.append(f"e {edge.v0} {edge.v1} {seg.curve.id} "
-                       f"{seg.t0:.17g} {seg.t1:.17g}")
-    for element in mesh.elements:
-        refs = " ".join(str(sign * (eid + 1)) for eid, sign in element.edge_loop)
-        out.append(f"p {len(element.edge_loop)} {refs}")
-        out.append(f"label {element.label}")
+    out += [f"v {x:.17g} {y:.17g}" for x, y in mesh.points.tolist()]
+    for (v0, v1), curve, (t0, t1) in zip(mesh.edge_vertices.tolist(), mesh.edge_curves,
+                                         mesh.edge_params.tolist()):
+        out.append(f"e {v0} {v1}" if curve is None else
+                   f"e {v0} {v1} {curve.id} {t0:.17g} {t1:.17g}")
+    refs = (mesh.loop_signs * (mesh.loop_edges + 1)).tolist()
+    bounds = mesh.loop_offsets.tolist()
+    for a, b, label in zip(bounds, bounds[1:], mesh.labels.tolist()):
+        out.append(f"p {b - a} " + " ".join(map(str, refs[a:b])))
+        out.append(f"label {label}")
     return "\n".join(out) + "\n"
 
 

@@ -16,8 +16,8 @@ box of the (curved) boundary, not only on the polygon.
 A polygon's boundary is described by its chord corners and one
 ``SideBatch`` per side.  ``green_rule`` builds the rules of a batch of like
 polygons at once, as arrays of shape (polygons, points), and checks
-nothing about their shape: mesh elements are checked once, in
-``Mesh.build`` (counterclockwise chords, positive area).
+nothing about their shape: mesh elements are checked once, by the
+``Mesh`` constructor (counterclockwise chords, positive area).
 ``polygon_quadrature`` is its rule on one all-straight polygon given from
 outside a mesh, so it rejects clockwise and zero-area input itself.
 """
@@ -219,8 +219,8 @@ def green_rule(vertices, sides, n_straight: int, n_curved: int):
     direction and curved sides ``n_curved``.  A straight side horizontal in
     every polygon carries no nodes; one horizontal in some polygons only
     gets zero weights there.  The polygons are taken as they are: element
-    shape is checked once, in ``Mesh.build``.  Returns x, y and w, each of
-    shape (E, Q).
+    shape is checked once, by the ``Mesh`` constructor.  Returns x, y and
+    w, each of shape (E, Q).
     """
     alpha = np.ascontiguousarray(vertices[:, :, 0]).mean(axis=1)[:, None, None]
     e = len(vertices)

@@ -75,13 +75,13 @@ class DofMap:
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
     """Number the DoFs of the degree-k space and locate the boundary ones."""
-    nv = len(mesh.vertices)
+    nv = len(mesh.points)
     vertices = np.flatnonzero(mesh.vertex_on_boundary)
     edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
     _, points = edge_dof_points(mesh, edges, k)
     edge_dofs = nv + edges[:, None] * (k - 1) + np.arange(k - 1)
     return DofMap(
-        k=k, n_vertices=nv, n_edges=len(mesh.edges), n_elements=len(mesh.elements),
+        k=k, n_vertices=nv, n_edges=len(mesh.edge_vertices), n_elements=len(mesh.labels),
         boundary_dofs=np.concatenate([vertices, edge_dofs.ravel()]).astype(np.int64),
         boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
 
@@ -171,8 +171,9 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     mask = np.ones(dof_map.total, dtype=bool)
     mask[dof_map.boundary_dofs] = False
     interior = np.nonzero(mask)[0]
-    a_ib = system.matrix[interior][:, dof_map.boundary_dofs]
-    system.reduced_matrix = system.matrix[interior][:, interior].tocsr()
+    rows = system.matrix[interior]
+    a_ib = rows[:, dof_map.boundary_dofs]
+    system.reduced_matrix = rows[:, interior].tocsr()
     system.reduced_rhs = system.rhs[interior] - a_ib @ values[dof_map.boundary_dofs]
     system.boundary_values = values
     system.interior = interior

@@ -290,8 +290,7 @@ def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementCh
         if codes[j] == 0:
             t0, t1 = mesh.edge_params[edge_ids[:, j]].T
             sides.append(SideBatch(
-                start, end, curves=tuple(mesh.edges[eid].segment.curve
-                                         for eid in edge_ids[:, j].tolist()),
+                start, end, curves=tuple(mesh.edge_curves[edge_ids[:, j]]),
                 t0=t0, t1=t1, sign=signs[:, j].astype(float)))
         else:
             sides.append(SideBatch(start, end))
@@ -319,7 +318,7 @@ def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
     ``elements``; chunks come grouped by signature, signatures in order of
     first appearance.
     """
-    ids = (np.arange(len(mesh.elements)) if elements is None
+    ids = (np.arange(len(mesh.labels)) if elements is None
            else np.asarray(elements, dtype=np.int64).reshape(-1))
     return [_gather(mesh, k, codes, members[i:i + CHUNK_SIZE])
             for codes, members in _signature_groups(mesh, ids)

@@ -14,6 +14,7 @@ from curvem.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_THRESHOLD,
+    POLYGON_AUDIT_TOL,
     ConfigError,
     _build_parser,
     audit_polygon_exactness,
@@ -250,7 +251,7 @@ def test_main_quality_failure_exits_3(tmp_path, capsys):
 
 def test_main_label_without_problem_data_exits_3(tmp_path, capsys):
     mesh = build_annulus_interface_mesh(2, 8)
-    mesh.elements[0].label = 3
+    mesh.labels[0] = 3
     path = tmp_path / "label3.txt"
     export_mesh(mesh, path)
     code = main(["run", "test2", "--k", "1", "--mesh", str(path), str(path),
@@ -358,3 +359,9 @@ def test_audit_polygon_exactness_is_tight():
     rows = audit_polygon_exactness((1, 2), trials=3, seed=42)
     assert len(rows) == 6
     assert max(rel for _, _, rel in rows) <= 1e-12
+
+
+def test_audit_polygon_oracle_stays_exact_at_high_order():
+    # the triangulation oracle needs M + 1 points to integrate degree 2M exactly
+    [(_, _, rel)] = audit_polygon_exactness([24], 1, 1234)
+    assert rel <= POLYGON_AUDIT_TOL

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -37,6 +37,48 @@ def test_unit_square_derived_quantities():
 def test_entity_records_hold_input_only():
     assert [f.name for f in fields(Edge)] == ["v0", "v1", "segment"]
     assert [f.name for f in fields(Element)] == ["edge_loop", "label"]
+
+
+# every array the curvem.mesh docstring lists
+MESH_ARRAYS = ("points", "edge_vertices", "edge_curves", "edge_params", "loop_offsets",
+               "loop_edges", "loop_signs", "labels", "vertex_on_boundary", "edge_on_boundary",
+               "edge_curved", "edge_lengths", "loop_corners", "areas", "centroids", "diameters")
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_mapped_tensor_mesh(8, *boundary_curves()),
+    lambda: build_annulus_interface_mesh(4, 16),
+    lambda: straighten_mesh(build_mapped_tensor_mesh(8, *boundary_curves())),
+], ids=["test1-n8", "test2-n4", "test1-straight-n8"])
+def test_rebuilding_from_the_views_gives_the_same_arrays(make_mesh):
+    mesh = make_mesh()
+    rebuilt = Mesh.build(mesh.vertices, mesh.edges, mesh.elements)
+    for name in MESH_ARRAYS:
+        assert np.array_equal(getattr(rebuilt, name), getattr(mesh, name),
+                              equal_nan=name == "edge_params"), name
+
+
+def test_views_cannot_change_the_mesh():
+    mesh = build_annulus_interface_mesh(2, 8)
+    with pytest.raises(FrozenInstanceError):
+        mesh.elements[0].label = 3
+    mesh.vertices[0].position[0] = 5.0
+    mesh.elements[0].edge_loop.append((0, 1))
+    assert mesh.points[0, 0] == 0.0
+    assert np.diff(mesh.loop_offsets)[0] == 4
+    assert mesh.vertices is mesh.vertices  # built once
+    assert [v.on_boundary for v in mesh.vertices] == mesh.vertex_on_boundary.tolist()
+    assert [el.label for el in mesh.elements] == mesh.labels.tolist()
+
+
+def test_curve_ref_is_taken_from_the_first_curved_edge_at_a_vertex():
+    # ring vertices with s = 0 close their circle: the arcs ending there are
+    # the first (t = 0) and the last (t = the interval's end)
+    mesh = build_annulus_interface_mesh(2, 8)
+    assert mesh.vertices[9].curve_ref == ("Gamma2", 0.0)
+    assert mesh.vertices[25].curve_ref == ("Gamma1", 0.0)
+    assert mesh.vertices[26].curve_ref == ("Gamma1", 2.0 * np.pi / 8)
+    assert mesh.vertices[0].curve_ref is None
 
 
 def test_build_rejects_open_loop():
@@ -254,7 +296,7 @@ def test_validate_flags_exactly_the_elements_the_oracle_flags():
     # 133; the shift makes 133 non-convex
     base = build_mapped_tensor_mesh(16)
     vertices = [Vertex(position=v.position.copy()) for v in base.vertices]
-    vertices[8 * 17 + 5].position += np.array([0.7, 0.7]) / 16
+    vertices[8 * 17 + 5].position[:] += np.array([0.7, 0.7]) / 16
     mesh = Mesh.build(vertices, [Edge(v0=e.v0, v1=e.v1) for e in base.edges],
                       [Element(edge_loop=list(el.edge_loop)) for el in base.elements])
     rho = 0.23

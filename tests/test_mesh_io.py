@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvem import (
     CurveSegment,
@@ -15,6 +17,7 @@ from curvem import (
     export_mesh,
     format_mesh,
     generic_curve,
+    graph_curve,
     import_mesh,
     parse_mesh,
 )
@@ -47,6 +50,44 @@ def test_round_trip_is_bit_exact_on_annulus_mesh():
     mesh = build_annulus_interface_mesh(2, 8)
     text = format_mesh(mesh)
     assert format_mesh(parse_mesh(text)) == text
+
+
+INPUT_ARRAYS = ("points", "edge_vertices", "edge_params", "loop_offsets", "loop_edges",
+                "loop_signs", "labels")
+
+
+@st.composite
+def shifted_graph_meshes(draw):
+    """Mapped tensor meshes between random sinusoidal graphs, interior
+    vertices shifted by less than 0.2 h and elements labeled 1..3."""
+    n = draw(st.integers(1, 4))
+    amplitudes = st.one_of(st.just(0.0), st.floats(-0.1, 0.1))
+    frequencies = st.floats(0.5, 10.0)
+    bottom = graph_curve("b", draw(amplitudes), draw(frequencies))
+    top = graph_curve("t", draw(amplitudes), draw(frequencies), offset=1.0)
+    base = build_mapped_tensor_mesh(n, bottom, top)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inner = ~base.vertex_on_boundary
+    radius = 0.2 * base.h * np.sqrt(rng.uniform(size=inner.sum()))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=inner.sum())
+    points = base.points.copy()
+    points[inner] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    return Mesh(points, base.edge_vertices, base.edge_curves, base.edge_params,
+                base.loop_offsets, base.loop_edges, base.loop_signs,
+                rng.integers(1, 4, size=len(base.labels)))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(shifted_graph_meshes())
+def test_round_trip_of_random_meshes_is_bit_exact(mesh):
+    text = format_mesh(mesh)
+    parsed = parse_mesh(text)
+    assert format_mesh(parsed) == text
+    for name in INPUT_ARRAYS:
+        assert np.array_equal(getattr(parsed, name), getattr(mesh, name),
+                              equal_nan=name == "edge_params"), name
+    ids = [[None if c is None else c.id for c in m.edge_curves] for m in (parsed, mesh)]
+    assert ids[0] == ids[1]
 
 
 def test_file_round_trip(tmp_path):
