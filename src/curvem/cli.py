@@ -1,7 +1,7 @@
 """Command-line driver: convergence experiments, mesh checks, quadrature audits.
 
-Exit codes: 0 success, 1 threshold or audit violation, 2 configuration or
-file-parse errors, 3 mesh conformity/quality failures and elements whose
+Exit codes: 0 success, 1 threshold or audit violation, 2 configuration,
+file-parse or output-write errors, 3 mesh conformity/quality failures and elements whose
 local operators cannot be built (a label without problem data, a singular
 projector), 4 solver failures.
 
@@ -47,6 +47,10 @@ MONOTONICITY_FLOOR = 1e-13
 
 class ConfigError(Exception):
     """Raised for unknown keys or malformed option values."""
+
+
+class OutputError(Exception):
+    """Raised when the output directory or a file in it cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,8 @@ def _validate_config(config: RunConfig) -> None:
     _check_rho(config.rho)
     if config.trials < 1:
         raise ConfigError(f"trials must be at least 1, got {config.trials}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if any(m < 1 for m in config.m_list):
         raise ConfigError(f"M must be positive, got {config.m_list}")
     # the largest Gauss rule the experiment builds: the audit's degree-4
@@ -199,6 +205,23 @@ def _validate_config(config: RunConfig) -> None:
 def _check_rho(rho: float) -> None:
     if not 0.0 < rho <= 0.5:
         raise ConfigError(f"rho must lie in (0, 0.5], got {rho}")
+
+
+def _output_dir(config: RunConfig) -> Path:
+    """The run's output directory, created before any work is done."""
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(exc) from None
+    return out
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +333,7 @@ def monotone_within_floor(errs, floor: float = MONOTONICITY_FLOOR) -> bool:
 
 
 def _run_quadrature_audit(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     csv_lines = ["check,case,value,threshold,status"]
     summary = [f"quadrature audit (seed {config.seed}, {config.trials} trials)"]
     ok = True
@@ -354,9 +376,8 @@ def _run_quadrature_audit(config: RunConfig) -> int:
                        f"({'monotone' if good else 'NOT monotone'})")
 
     summary.append(f"audit result: {'pass' if ok else 'FAIL'}")
-    (out / "quadrature_audit.csv").write_text("\n".join(csv_lines) + "\n",
-                                              encoding="utf-8")
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write(out / "quadrature_audit.csv", "\n".join(csv_lines) + "\n")
+    _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
     return EXIT_OK if ok else EXIT_THRESHOLD
 
@@ -402,8 +423,7 @@ def _run_convergence_experiment(config: RunConfig) -> int:
         print("\n".join(mesh_problems), file=sys.stderr)
         return EXIT_MESH
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     summary = [f"experiment {config.experiment}",
                f"meshes: {config.mesh_files or ('generated, n=' + str(list(ns)))}"]
     violations = []
@@ -411,8 +431,7 @@ def _run_convergence_experiment(config: RunConfig) -> int:
         report = run_convergence(problem, k, ns, meshes=meshes, straighten=straighten,
                                  solver_method=config.solver, tol=config.tol,
                                  boost=config.boost)
-        (out / f"{config.experiment}_k{k}.csv").write_text(report.to_csv(),
-                                                           encoding="utf-8")
+        _write(out / f"{config.experiment}_k{k}.csv", report.to_csv())
         fit = fit_rates(report)
         summary.append(f"k = {k}")
         summary.append("  n        h     n_dof       err_H1       err_L2")
@@ -438,14 +457,13 @@ def _run_convergence_experiment(config: RunConfig) -> int:
         summary.extend("  " + v for v in violations)
     else:
         summary.append("thresholds: none violated")
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
     return EXIT_THRESHOLD if violations else EXIT_OK
 
 
 def _run_patch(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     n = config.n_list[0]
     csv_lines = ["k,n,max_rel_dof_err,status"]
     summary = []
@@ -457,8 +475,8 @@ def _run_patch(config: RunConfig) -> int:
         csv_lines.append(f"{k},{n},{err!r},{'pass' if good else 'FAIL'}")
         summary.append(f"patch test k={k} (n={n}): max relative dof error {err:.3e} "
                        f"-> {'pass' if good else 'FAIL'} (tolerance {PATCH_TOL:.0e})")
-    (out / "patch.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write(out / "patch.csv", "\n".join(csv_lines) + "\n")
+    _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
     return EXIT_OK if ok else EXIT_THRESHOLD
 
@@ -539,6 +557,9 @@ def main(argv=None) -> int:
         return run(parse_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)

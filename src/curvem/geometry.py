@@ -57,11 +57,10 @@ class BoundaryCurve:
     param_interval : (float, float)
         Global parameter interval [a, b], a < b.
     kind : str
-        ``"circle"``, ``"graph"`` or ``"generic"``.  The first two have
-        closed-form coefficients in ``params`` and can be serialized;
-        generic callables cannot.
+        ``"circle"`` or ``"graph"``: the closed form whose coefficients are
+        ``params``, so that ``curve_from_params`` rebuilds the curve.
     params : tuple of float
-        Closed-form coefficients (empty for generic curves).
+        Closed-form coefficients.
 
     The evaluation callables are vectorized: ``eval(t)`` accepts a scalar
     or an array of parameters and returns points with a trailing axis of
@@ -146,18 +145,6 @@ def graph_curve(curve_id, amplitude, frequency, offset=0.0,
     return _validate_curve(BoundaryCurve(
         id=str(curve_id), param_interval=(float(a), float(b)), kind="graph",
         params=(amplitude, frequency, offset), _fn=fn, _dfn=dfn))
-
-
-def generic_curve(curve_id, fn, dfn, param_interval) -> BoundaryCurve:
-    """Wrap user callables gamma, gamma' (both vectorized over t).
-
-    Generic curves cannot be written to mesh files; injectivity is the
-    caller's responsibility, only the speed is sample-checked.
-    """
-    a, b = param_interval
-    return _validate_curve(BoundaryCurve(
-        id=str(curve_id), param_interval=(float(a), float(b)), kind="generic",
-        params=(), _fn=fn, _dfn=dfn))
 
 
 _CURVE_BUILDERS = {

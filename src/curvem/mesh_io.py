@@ -173,15 +173,16 @@ def import_mesh(path) -> Mesh:
 
 
 def format_mesh(mesh: Mesh) -> str:
-    """Serialize a mesh; raises for curves without closed-form coefficients."""
+    """Serialize a mesh; raises for curves that ``curve_from_params`` cannot rebuild."""
     out = [f"{_MAGIC} {_VERSION}",
            f"counts {len(mesh.points)} {len(mesh.curves)} "
            f"{len(mesh.edge_vertices)} {len(mesh.labels)}"]
     for cid in sorted(mesh.curves):
         curve = mesh.curves[cid]
-        if curve.kind == "generic":
-            raise MeshFormatError(
-                f"curve {cid!r} wraps generic callables and cannot be serialized")
+        try:
+            curve_from_params(cid, curve.kind, curve.params, curve.param_interval)
+        except GeometryError as exc:
+            raise MeshFormatError(f"curve {cid!r} cannot be serialized: {exc}") from None
         a, b = curve.param_interval
         params = " ".join(f"{p:.17g}" for p in curve.params)
         out.append(f"c {cid} {curve.kind} {a:.17g} {b:.17g} {params}")

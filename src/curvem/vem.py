@@ -63,28 +63,26 @@ def _powers(t, n):
     return out
 
 
-def _monomials(degree, xi, eta) -> np.ndarray:
-    """xi^a eta^b over the basis exponents, shape xi.shape + (dim,)."""
+def _monomials(degree, xi, eta, h=None):
+    """xi^a eta^b over the basis exponents, shape xi.shape + (dim,).
+
+    With the scale ``h`` (broadcasting against xi), returns (values, gx, gy):
+    the values and their x and y derivatives from one table of powers.
+    """
     exponents = _exponents(degree)
     xp, yp = _powers(xi, degree), _powers(eta, degree)
     out = np.empty(np.shape(xi) + (len(exponents),))
     for i, (a, b) in enumerate(exponents):
         out[..., i] = xp[..., a] * yp[..., b]
-    return out
-
-
-def _monomial_gradients(degree, xi, eta, h):
-    """Gradients of the scaled monomials; ``h`` broadcasts against xi."""
-    exponents = _exponents(degree)
-    xp, yp = _powers(xi, degree), _powers(eta, degree)
-    gx = np.zeros(np.shape(xi) + (len(exponents),))
-    gy = np.zeros(np.shape(xi) + (len(exponents),))
+    if h is None:
+        return out
+    gx, gy = np.zeros(out.shape), np.zeros(out.shape)
     for i, (a, b) in enumerate(exponents):
         if a:
             gx[..., i] = a / h * xp[..., a - 1] * yp[..., b]
         if b:
             gy[..., i] = b / h * xp[..., a] * yp[..., b - 1]
-    return gx, gy
+    return out, gx, gy
 
 
 def n_moments(k: int) -> int:
@@ -218,7 +216,8 @@ class ElementChunk:
         return _monomials(self.k, *self._scaled(x, y))
 
     def basis_grad(self, x, y):
-        return _monomial_gradients(self.k, *self._scaled(x, y), self.h[:, None])
+        """``basis`` values and their x and y derivatives, three (E, m, dim) arrays."""
+        return _monomials(self.k, *self._scaled(x, y), self.h[:, None])
 
     def by_label(self, lookup: Callable, x, y):
         """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m)."""
@@ -337,11 +336,10 @@ class ChunkOperators:
         self.boost = boost
         nm = n_moments(chunk.k)
         x, y, w = chunk.rule(chunk.k, boost)
-        gx, gy = chunk.basis_grad(x, y)
+        vals, gx, gy = chunk.basis_grad(x, y)
         wc = w[..., None]
         self.g_tilde = gx.mT @ (gx * wc) + gy.mT @ (gy * wc)
         if nm:
-            vals = chunk.basis(x, y)
             self.mass_rect = vals[..., :nm].mT @ (vals * wc)
         else:
             self.mass_rect = np.empty((len(chunk.elements), 0, gx.shape[-1]))
@@ -365,26 +363,26 @@ class ChunkOperators:
                 wq = side.half * legendre.weights
                 trace = lagrange_values(t_dof, tq)
                 gamma, dgamma = side.trace(tq)
-                gx, gy = chunk.basis_grad(gamma[..., 0], gamma[..., 1])
+                vals, gx, gy = chunk.basis_grad(gamma[..., 0], gamma[..., 1])
                 flux = side.sign[:, None, None] * (gx * dgamma[..., 1, None]
                                                    - gy * dgamma[..., 0, None])
                 wspeed = wq * np.hypot(dgamma[..., 0], dgamma[..., 1])
                 for col, slot in enumerate(slots):
                     b_flux[:, :, slot] += ((wq * trace[..., col])[:, None, :] @ flux)[:, 0]
                     bavg[:, slot] += np.vecdot(wspeed, trace[..., col])
-                mavg += (wspeed[:, None, :] @ chunk.basis(gamma[..., 0], gamma[..., 1]))[:, 0]
+                mavg += (wspeed[:, None, :] @ vals)[:, 0]
             else:
                 pa, pb = side.start[:, None, :], side.end[:, None, :]
                 pts = pa + 0.5 * (lobatto.nodes[:, None] + 1.0) * (pb - pa)
                 length = chunk.lengths[:, piece, None]
                 w = 0.5 * length * lobatto.weights
                 d = (side.end - side.start) / length
-                gx, gy = chunk.basis_grad(pts[..., 0], pts[..., 1])
+                vals, gx, gy = chunk.basis_grad(pts[..., 0], pts[..., 1])
                 flux = gx * d[:, 1, None, None] + gy * (-d[:, 0])[:, None, None]
                 for row, slot in enumerate(slots):
                     b_flux[:, :, slot] += w[:, row, None] * flux[:, row]
                     bavg[:, slot] += w[:, row]
-                mavg += (w[:, None, :] @ chunk.basis(pts[..., 0], pts[..., 1]))[:, 0]
+                mavg += (w[:, None, :] @ vals)[:, 0]
         return b_flux, bavg, mavg
 
     def _check(self, cond, what: str) -> None:

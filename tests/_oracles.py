@@ -148,6 +148,45 @@ def element_loop_geometry(mesh):
             max(diameters))
 
 
+def _power_table(t, n):
+    out = np.ones(np.shape(t) + (n + 1,))
+    for a in range(1, n + 1):
+        out[..., a] = out[..., a - 1] * t
+    return out
+
+
+def _basis_exponents(degree):
+    return [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
+
+
+def monomials(degree, xi, eta):
+    """xi^a eta^b over the basis exponents, shape xi.shape + (dim,).
+
+    Values alone, each as one product of two powers: the bits the kernel's
+    combined evaluation of values and gradients must reproduce.
+    """
+    exponents = _basis_exponents(degree)
+    xp, yp = _power_table(xi, degree), _power_table(eta, degree)
+    out = np.empty(np.shape(xi) + (len(exponents),))
+    for i, (a, b) in enumerate(exponents):
+        out[..., i] = xp[..., a] * yp[..., b]
+    return out
+
+
+def monomial_gradients(degree, xi, eta, h):
+    """x and y derivatives of the monomials of scale ``h``, without the values."""
+    exponents = _basis_exponents(degree)
+    xp, yp = _power_table(xi, degree), _power_table(eta, degree)
+    gx = np.zeros(np.shape(xi) + (len(exponents),))
+    gy = np.zeros(np.shape(xi) + (len(exponents),))
+    for i, (a, b) in enumerate(exponents):
+        if a:
+            gx[..., i] = a / h * xp[..., a - 1] * yp[..., b]
+        if b:
+            gy[..., i] = b / h * xp[..., a] * yp[..., b - 1]
+    return gx, gy
+
+
 def first_problem_formulas():
     """exact, gradient and source of the first test problem, one formula each.
 

@@ -134,23 +134,24 @@ def test_5_interface_problem(interface_reports):
 
     # closed-form identities of the exact solution
     prob = problem2()
-    u_out, u_in = prob.exact_for(1), prob.exact_for(2)
+    outer, inner = prob.solution_for(1), prob.solution_for(2)
     interface_value = 3.0 / 80.0 + np.log(2.0) / 10.0
     trace_gap = 0.0
     for theta in np.linspace(0.0, 2.0 * np.pi, 17):
         x, y = 0.5 * np.cos(theta), 0.5 * np.sin(theta)
-        trace_gap = max(trace_gap, abs(u_out(x, y) - interface_value),
-                        abs(u_in(x, y) - interface_value))
-    gx_out, _ = prob.gradient_for(1)(0.5, 0.0)
-    gx_in, _ = prob.gradient_for(2)(0.5, 0.0)
+        trace_gap = max(trace_gap, abs(outer(x, y)[0] - interface_value),
+                        abs(inner(x, y)[0] - interface_value))
+    _, gx_out, _ = outer(0.5, 0.0)
+    _, gx_in, _ = inner(0.5, 0.0)
     flux_gap = max(abs(5.0 * gx_out + 1.25), abs(1.0 * gx_in + 1.25))
     # the solution branches have constant Laplacians -1/5 and -5, so the
     # strong residuals -kappa lap(u) - f vanish identically
     residual_gap = max(abs(-5.0 * (-0.2) - 1.0), abs(-1.0 * (-5.0) - 5.0))
     for (label, lap, pt) in ((1, -0.2, (0.61, 0.17)), (2, -5.0, (0.2, -0.1))):
-        u = prob.exact_for(label)
+        solution = prob.solution_for(label)
+        u = lambda x, y: solution(x, y)[0]
         assert finite_difference_laplacian(u, *pt) == pytest.approx(lap, rel=1e-5)
-        gx, gy = prob.gradient_for(label)(*pt)
+        _, gx, gy = solution(*pt)
         fx, fy = finite_difference_gradient(u, *pt)
         assert (gx, gy) == pytest.approx((fx, fy), rel=1e-7)
 

@@ -1,5 +1,7 @@
 """Manufactured problems, error norms, rate fitting, and study drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,11 @@ from _oracles import (finite_difference_gradient, finite_difference_laplacian,
 def test_first_problem_data_is_consistent():
     # gradient and source match the stated solution at interior points
     prob = problem1()
-    u = prob.exact_for(0)
-    grad = prob.gradient_for(0)
+    solution = prob.solution_for(0)
+    u = lambda x, y: solution(x, y)[0]
     pts = [(0.31, 0.42), (0.77, 0.58), (0.5, 0.21), (0.12, 0.87)]
     for x, y in pts:
-        gx, gy = grad(x, y)
+        _, gx, gy = solution(x, y)
         fx, fy = finite_difference_gradient(u, x, y)
         assert gx == pytest.approx(fx, rel=1e-7, abs=1e-8)
         assert gy == pytest.approx(fy, rel=1e-7, abs=1e-8)
@@ -44,9 +46,11 @@ def test_first_problem_callables_keep_their_bits():
     x, y = np.random.default_rng(5).uniform(-0.5, 1.5, (2, 20000))
     prob = problem1()
     exact, gradient, source = first_problem_formulas()
-    assert np.array_equal(prob.exact(x, y), exact(x, y))
-    for got, want in zip(prob.gradient(x, y), gradient(x, y)):
+    u, *grad = prob.solution(x, y)
+    assert np.array_equal(u, exact(x, y))
+    for got, want in zip(grad, gradient(x, y)):
         assert np.array_equal(got, want)
+    assert np.array_equal(prob.boundary(x, y), exact(x, y))
     assert np.array_equal(prob.source(x, y), source(x, y))
     x[::3] = np.where(x[::3] < 0.5, 0.0, 1.0)  # a third on the lateral sides
     lateral = (x < 1e-9) | (x > 1.0 - 1e-9)
@@ -55,7 +59,7 @@ def test_first_problem_callables_keep_their_bits():
 
 def test_first_problem_vanishes_on_its_curves():
     prob = problem1()
-    u = prob.exact_for(0)
+    u = lambda x, y: prob.solution_for(0)(x, y)[0]
     t = np.linspace(0.0, 1.0, 13)
     g1 = np.sin(np.pi * t) / 20.0
     g2 = 1.0 + np.sin(3.0 * np.pi * t) / 20.0
@@ -65,31 +69,32 @@ def test_first_problem_vanishes_on_its_curves():
 
 def test_second_problem_interface_identities():
     prob = problem2()
-    u_out, u_in = prob.exact_for(1), prob.exact_for(2)
+    outer, inner = prob.solution_for(1), prob.solution_for(2)
     # common trace on the interface circle r = 1/2
     val = 3.0 / 80.0 + np.log(2.0) / 10.0
     for theta in np.linspace(0.0, 2.0 * np.pi, 9):
         x, y = 0.5 * np.cos(theta), 0.5 * np.sin(theta)
-        assert u_out(x, y) == pytest.approx(val, abs=1e-15)
-        assert u_in(x, y) == pytest.approx(val, abs=1e-15)
+        assert outer(x, y)[0] == pytest.approx(val, abs=1e-15)
+        assert inner(x, y)[0] == pytest.approx(val, abs=1e-15)
     # continuous conormal flux kappa du/dr across the interface
-    gx_out, gy_out = prob.gradient_for(1)(0.5, 0.0)
-    gx_in, gy_in = prob.gradient_for(2)(0.5, 0.0)
+    _, gx_out, gy_out = outer(0.5, 0.0)
+    _, gx_in, gy_in = inner(0.5, 0.0)
     assert 5.0 * gx_out == pytest.approx(-1.25, abs=1e-15)
     assert 1.0 * gx_in == pytest.approx(-1.25, abs=1e-15)
     assert gy_out == gy_in == 0.0
     # outer boundary value zero
-    assert u_out(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert outer(1.0, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_second_problem_residuals():
     prob = problem2()
     for label, kappa, f_val, pt in ((1, 5.0, 1.0, (0.6, 0.25)),
                                     (2, 1.0, 5.0, (0.2, -0.1))):
-        u = prob.exact_for(label)
+        solution = prob.solution_for(label)
+        u = lambda x, y: solution(x, y)[0]
         lap = finite_difference_laplacian(u, *pt)
         assert -kappa * lap == pytest.approx(f_val, rel=1e-6)
-        gx, gy = prob.gradient_for(label)(*pt)
+        _, gx, gy = solution(*pt)
         fx, fy = finite_difference_gradient(u, *pt)
         assert gx == pytest.approx(fx, rel=1e-7)
         assert gy == pytest.approx(fy, rel=1e-7)
@@ -105,11 +110,26 @@ def test_compute_errors_of_interpolant_shrink_under_refinement():
         vec = np.zeros(dof_map.total)
         system = assemble(mesh, k, prob.coefficient())
         for block in system.blocks:
-            vec[block.dofs] = block.chunk.interpolate(prob.exact)
+            vec[block.dofs] = block.chunk.interpolate(lambda x, y: prob.solution(x, y)[0])
         errs[n] = compute_errors(mesh, k, vec, prob, system)
     assert errs[4][0] < 0.2 and errs[4][1] < 0.05
     assert errs[8][0] < 0.5 * errs[4][0]
     assert errs[8][1] < 0.3 * errs[4][1]
+
+
+def test_compute_errors_evaluates_the_solution_once_per_chunk():
+    prob = problem1()
+    calls = []
+
+    def solution(x, y):
+        calls.append(len(x))
+        return prob.solution(x, y)
+
+    mesh = prob.mesh_factory(4)
+    system = assemble(mesh, 2, prob.coefficient())
+    counted = dataclasses.replace(prob, solution=solution)
+    compute_errors(mesh, 2, np.zeros(system.dof_map.total), counted, system)
+    assert len(calls) == len(system.blocks) > 1
 
 
 def test_fit_rates_on_synthetic_errors():

@@ -121,6 +121,7 @@ def test_missing_config_file():
      "boost=70 needs a 74-point Gauss rule, more than the 64 available"),
     (["run", "quadrature-audit", "--M", "70", "--trials", "1"],
      "M=70 needs a 71-point Gauss rule, more than the 64 available"),
+    (["run", "quadrature-audit", "--seed", "-1"], "seed must be nonnegative"),
 ])
 def test_invalid_options_are_rejected(argv, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -193,6 +194,18 @@ def test_main_bad_mesh_file_exits_2(tmp_path, capsys):
     assert main(["run", "test1-curved", "--mesh", str(tmp_path / "none.txt"),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "cannot read input" in capsys.readouterr().err
+
+
+def test_main_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["run", "patch", "--k", "1", "--out", str(blocker / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "cannot read input" not in err
+    # a directory where an output file belongs
+    (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+    assert main(["run", "patch", "--k", "1", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "cannot write output" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("levels", [["--n", "4"], ["--mesh", "one"]], ids=["n", "mesh"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvem import (CurveSegment, GeometryError, arc_length, circle_curve,
-                    curve_from_params, generic_curve, graph_curve)
+                    curve_from_params, graph_curve)
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem.geometry import _qk21
@@ -34,11 +34,9 @@ def test_graph_curve_matches_formula():
     assert np.allclose(pts[:, 1], 0.05 * np.sin(np.pi * t))
 
 
-def test_generic_curve_requires_nonvanishing_speed():
-    fn = lambda t: np.stack([np.ones_like(t), np.ones_like(t)], axis=-1)
-    dfn = lambda t: np.stack([np.zeros_like(t), np.zeros_like(t)], axis=-1)
-    with pytest.raises(GeometryError):
-        generic_curve("bad", fn, dfn, (-1.0, 1.0))
+def test_curve_requires_nonvanishing_speed():
+    with pytest.raises(GeometryError, match="vanishing or non-finite speed"):
+        circle_curve("bad", (0.0, 0.0), 1.0, omega=0.0)
 
 
 def test_curve_from_params_round_trip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvem import (
+    BoundaryCurve,
     CurveSegment,
     Edge,
     Element,
@@ -16,7 +17,6 @@ from curvem import (
     build_mapped_tensor_mesh,
     export_mesh,
     format_mesh,
-    generic_curve,
     graph_curve,
     import_mesh,
     parse_mesh,
@@ -189,12 +189,11 @@ def test_bad_curve_parameters_fail_with_curve_line_number():
 
 
 def test_generic_curves_cannot_be_serialized():
-    curve = generic_curve(
-        "wavy",
-        lambda t: np.stack([t, 0.1 * np.sin(np.pi * t)], axis=-1),
-        lambda t: np.stack([np.ones_like(t), 0.1 * np.pi * np.cos(np.pi * t)],
-                           axis=-1),
-        (0.0, 1.0))
+    curve = BoundaryCurve(
+        id="wavy", param_interval=(0.0, 1.0), kind="generic", params=(),
+        _fn=lambda t: np.stack([t, 0.1 * np.sin(np.pi * t)], axis=-1),
+        _dfn=lambda t: np.stack([np.ones_like(t), 0.1 * np.pi * np.cos(np.pi * t)],
+                                axis=-1))
     vertices = [Vertex(position=np.array([0.0, 0.0])),
                 Vertex(position=np.array([1.0, 0.0])),
                 Vertex(position=np.array([1.0, 1.0])),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from curvem import (QuadratureError, circle_curve, gauss_legendre, gauss_lobatto,
-                    graph_curve, lagrange_values, polygon_quadrature)
-from curvem.quadrature import SideBatch, green_rule, rule_points
+                    graph_curve, lagrange_values)
+from curvem.quadrature import SideBatch, green_rule, polygon_quadrature, rule_points
 from curvem.reference import fan_integrate, polygon_integrate, triangulate
 
 from _oracles import shoelace_area

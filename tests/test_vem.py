@@ -15,12 +15,12 @@ from curvem import (
     dof_count,
     edge_dof_points,
     n_moments,
-    polygon_quadrature,
 )
 from curvem import test1_boundary_curves as boundary_curves
+from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature
 from curvem.vem import ChunkOperators, element_chunks, local_operators
 
-from _oracles import finite_difference_gradient
+from _oracles import finite_difference_gradient, monomial_gradients, monomials
 
 
 def unit_square_mesh():
@@ -67,10 +67,38 @@ def test_basis_is_scaled_and_centered():
 def test_basis_gradient_matches_finite_differences():
     chunk = one_element(curved_mesh(), 3, p=1)
     x, y = scaled_point(chunk, 0.3, -0.2)
-    gx, gy = chunk.basis_grad(x, y)
+    _, gx, gy = chunk.basis_grad(x, y)
     fx, fy = finite_difference_gradient(chunk.basis, x, y)
     assert np.allclose(gx, fx, atol=2e-9)
     assert np.allclose(gy, fy, atol=2e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_basis_keeps_the_bits_of_the_monomial_formulas(k):
+    # at every point set the kernel evaluates the basis on: the stiffness
+    # and load rules, the DoF points, and the boundary points of each side
+    lobatto, legendre = gauss_lobatto(k + 1), gauss_legendre(k + 3)
+    for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
+        for chunk in element_chunks(mesh, k):
+            point_sets = [chunk.rule(k, 2)[:2], chunk.rule(k + 2, 2)[:2],
+                          (chunk.dof_points[..., 0], chunk.dof_points[..., 1])]
+            for side in chunk.sides:
+                if side.is_curved:
+                    pts = side.trace(side.params(legendre.nodes))[0]
+                else:
+                    pa, pb = side.start[:, None, :], side.end[:, None, :]
+                    pts = pa + 0.5 * (lobatto.nodes[:, None] + 1.0) * (pb - pa)
+                point_sets.append((pts[..., 0], pts[..., 1]))
+            h = chunk.h[:, None]
+            for x, y in point_sets:
+                xi = (x - chunk.center[:, 0, None]) / h
+                eta = (y - chunk.center[:, 1, None]) / h
+                vals, gx, gy = chunk.basis_grad(x, y)
+                want_x, want_y = monomial_gradients(k, xi, eta, h)
+                assert np.array_equal(chunk.basis(x, y), monomials(k, xi, eta))
+                assert np.array_equal(vals, monomials(k, xi, eta))
+                assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+                assert all(a.flags.c_contiguous for a in (vals, gx, gy))
 
 
 @pytest.mark.parametrize("k, nm", [(1, 0), (2, 1), (3, 3), (4, 6)])
@@ -172,7 +200,7 @@ def test_stiffness_is_exact_for_polynomials_on_straight_element(k):
             ui = chunk.interpolate(monomial(chunk, i))[0]
             uj = chunk.interpolate(monomial(chunk, j))[0]
             def grad_dot(x, y):
-                gx, gy = chunk.basis_grad(x, y)
+                _, gx, gy = chunk.basis_grad(x, y)
                 return gx[0, :, i] * gx[0, :, j] + gy[0, :, i] * gy[0, :, j]
             assert ui @ k_mat @ uj == pytest.approx(
                 rule.integrate(grad_dot), abs=1e-11)
