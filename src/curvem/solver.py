@@ -3,12 +3,13 @@
 Global DoF numbering is blockwise: vertex values first, then k-1 interior
 DoFs per edge (in each edge's canonical direction, so neighbouring elements
 agree), then the interior moments element by element.  The stiffness matrix
-is accumulated as sorted triplets of its lower triangle and mirrored, which
-makes the assembled matrix exactly symmetric.  Local operators come from
-the chunked kernel of :mod:`curvem.vem`; their triplets and load entries are
-laid out in element order before any sum is taken, so every entry
-accumulates in the order of an element-by-element loop, whatever the
-chunking, and repeated runs produce bit-identical systems.
+is accumulated as triplets of its lower triangle, sorted on one stable
+integer key (row * size + col), summed, built straight into CSR and
+mirrored, which makes the assembled matrix exactly symmetric.  Local
+operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
+and load entries are laid out in element order before any sum is taken, so
+every entry accumulates in the order of an element-by-element loop,
+whatever the chunking, and repeated runs produce bit-identical systems.
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSy
     tri_start = _starts(n_local * (n_local + 1) // 2)
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
     load_vals = np.empty(load_start[-1])
-    rows = np.empty(tri_start[-1], dtype=np.int64)
-    cols = np.empty(tri_start[-1], dtype=np.int64)
+    keys = np.empty(tri_start[-1], dtype=np.int64)
     vals = np.empty(tri_start[-1])
     blocks = []
     for chunk in element_chunks(mesh, k):
@@ -135,24 +135,33 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSy
         load_dofs[at] = gdofs
         load_vals[at] = ops.load(coeff.source_for)
         # the upper triangle of an exactly symmetric matrix, as lower-triangle
-        # triplets of the global matrix
+        # triplets of the global matrix keyed row * total + col
         iu, ju = np.triu_indices(chunk.n_dof)
         at = tri_start[chunk.elements, None] + np.arange(len(iu))
-        rows[at] = np.maximum(gdofs[:, iu], gdofs[:, ju])
-        cols[at] = np.minimum(gdofs[:, iu], gdofs[:, ju])
+        keys[at] = (np.maximum(gdofs[:, iu], gdofs[:, ju]) * total
+                    + np.minimum(gdofs[:, iu], gdofs[:, ju]))
         vals[at] = ops.stiffness([kappa[label] for label in chunk.labels.tolist()])[:, iu, ju]
         blocks.append(OperatorBlock(chunk=chunk, dofs=gdofs, pi_nabla=ops.pi_nabla))
 
     rhs = np.zeros(total)
     np.add.at(rhs, load_dofs, load_vals)
-    # stable sort: equal entries stay in element order for the sums
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    boundary = np.nonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))[0] + 1
-    starts = np.concatenate([[0], boundary])
+    del load_dofs, load_vals
+    # a stable sort on the key is a (row, col) sort that keeps equal entries
+    # in element order for the sums; each sorted copy is dropped after use
+    order = np.argsort(keys, kind="stable")
+    vals = vals[order]
+    keys = keys[order]
+    del order
+    starts = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1])
     summed = np.add.reduceat(vals, starts)
-    lower = sparse.csr_matrix((summed, (rows[starts], cols[starts])),
-                              shape=(total, total))
+    rows, cols = np.divmod(keys[starts], total)
+    del vals, keys, starts
+    # scipy's rule: 32-bit indices unless a count or index needs more
+    index = np.int32 if max(len(summed), total) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(total + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    lower = sparse.csr_matrix((summed, cols.astype(index), indptr), shape=(total, total))
+    del rows, cols
     matrix = (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()
     return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
 

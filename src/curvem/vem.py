@@ -48,6 +48,9 @@ class ElementOperatorError(Exception):
 
 
 _COND_LIMIT = 1e13
+# the conditioning screens below err by far less than this factor, so an
+# element they pass has a condition number under _COND_LIMIT
+_SCREEN_LIMIT = _COND_LIMIT / 10.0
 
 CHUNK_SIZE = 128  # elements per kernel batch; bounds the kernel's memory
 
@@ -167,6 +170,33 @@ def _values(f, x, y):
     return np.broadcast_to(np.asarray(out, dtype=float), (x.size,)).reshape(x.shape)
 
 
+def _screen_spd(mats) -> np.ndarray:
+    """Flags the stacked SPD matrices whose condition may exceed the limit.
+
+    The eigenvalues come from the lower triangle; a matrix that is SPD only
+    up to rounding moves them by far less than the screen's margin.
+    """
+    try:
+        lam = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError:
+        return np.ones(len(mats), dtype=bool)
+    return ~((lam[:, 0] > 0.0) & (lam[:, -1] <= _SCREEN_LIMIT * lam[:, 0]))
+
+
+def _screen_general(mats) -> np.ndarray:
+    """Flags the stacked matrices whose condition may exceed the limit.
+
+    ||G||_F ||G^-1||_F is at least the 2-norm condition number of G.
+    """
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        return np.ones(len(mats), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+    return ~(bound <= _SCREEN_LIMIT)
+
+
 @dataclass(frozen=True, eq=False)
 class ElementChunk:
     """Geometry and DoF layout of up to ``CHUNK_SIZE`` like elements.
@@ -221,8 +251,11 @@ class ElementChunk:
 
     def by_label(self, lookup: Callable, x, y):
         """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m)."""
+        labels = np.unique(self.labels)
+        if len(labels) == 1:
+            return _values(lookup(int(labels[0])), x, y)
         out = None
-        for label in np.unique(self.labels):
+        for label in labels:
             rows = self.labels == label
             vals = _values(lookup(int(label)), x[rows], y[rows])
             vals = vals if isinstance(vals, tuple) else (vals,)
@@ -385,12 +418,19 @@ class ChunkOperators:
                 mavg += (w[:, None, :] @ vals)[:, 0]
         return b_flux, bavg, mavg
 
-    def _check(self, cond, what: str) -> None:
+    def _check(self, flagged, matrices, what: str) -> None:
+        """Raise for the first element whose condition number exceeds the limit.
+
+        Only the elements a screen ``flagged`` get the exact (SVD) condition
+        number, which decides and is the one the message reports.
+        """
+        (rows,) = np.nonzero(flagged)
+        cond = np.linalg.cond(matrices[rows])
         bad = ~(cond <= _COND_LIMIT)
         if bad.any():
             i = int(np.argmax(bad))
             raise ElementOperatorError(
-                f"element {self.chunk.elements[i]}: {what} has condition {cond[i]:.3e}")
+                f"element {self.chunk.elements[rows[i]]}: {what} has condition {cond[i]:.3e}")
 
     def _projectors(self, b_flux, bavg, mavg):
         chunk, k = self.chunk, self.chunk.k
@@ -413,7 +453,7 @@ class ChunkOperators:
 
         g_mat = self.g_tilde.copy()
         g_mat[:, 0, :] = mavg / perimeter
-        self._check(np.linalg.cond(g_mat), "H1 projector system")
+        self._check(_screen_general(g_mat), g_mat, "H1 projector system")
         self.pi_nabla = np.linalg.solve(g_mat, b_mat)
 
         d_mat = np.empty((e, n_dof, nk))
@@ -421,7 +461,7 @@ class ChunkOperators:
         if nm:
             d_mat[:, n_bnd:] = self.mass_rect / chunk.area[:, None, None]
             h_mat = self.mass_rect[..., :nm]
-            self._check(np.linalg.cond(h_mat), "moment mass matrix")
+            self._check(_screen_spd(h_mat), h_mat, "moment mass matrix")
             self.pi0 = np.zeros((e, nm, n_dof))
             self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * np.linalg.inv(h_mat)
         else:

@@ -262,3 +262,38 @@ def textbook_cg(matrix, b, tol, maxiter):
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise RuntimeError("textbook_cg did not converge")
+
+
+def lexsort_stiffness(mesh, k, coeff, boost=2):
+    """The global stiffness matrix by the earlier triplet pipeline.
+
+    Lower-triangle rows and columns are kept as separate arrays in element
+    order, sorted by ``np.lexsort``, summed per entry with
+    ``np.add.reduceat``, turned into CSR through a COO round trip and
+    mirrored.  The element operators come from the package's kernel.
+    """
+    from scipy import sparse
+
+    from curvem.solver import build_dof_map
+    from curvem.vem import ChunkOperators, element_chunks
+
+    dof_map = build_dof_map(mesh, k)
+    total = dof_map.total
+    per_element = {}
+    for chunk in element_chunks(mesh, k):
+        ops = ChunkOperators(chunk, boost)
+        gdofs = dof_map.element_dofs(chunk)
+        stiffness = ops.stiffness([coeff.kappa(label) for label in chunk.labels.tolist()])
+        iu, ju = np.triu_indices(chunk.n_dof)
+        for i, element in enumerate(chunk.elements.tolist()):
+            a, b = gdofs[i, iu], gdofs[i, ju]
+            per_element[element] = (np.maximum(a, b), np.minimum(a, b), stiffness[i, iu, ju])
+    rows, cols, vals = (np.concatenate([per_element[e][j] for e in sorted(per_element)])
+                        for j in range(3))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    boundary = np.nonzero((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))[0] + 1
+    starts = np.concatenate([[0], boundary])
+    lower = sparse.csr_matrix((np.add.reduceat(vals, starts), (rows[starts], cols[starts])),
+                              shape=(total, total))
+    return (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()

@@ -1,5 +1,7 @@
 """Global assembly, boundary elimination, and the two solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,11 +23,13 @@ from curvem import (
     dof_count,
     n_moments,
     solve,
+    straighten_mesh,
 )
 from curvem import test1_boundary_curves as boundary_curves
+from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 
-from _oracles import textbook_cg
+from _oracles import lexsort_stiffness, textbook_cg
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -82,6 +86,44 @@ def test_assembly_is_deterministic():
     assert np.array_equal(a.matrix.indices, b.matrix.indices)
     assert np.array_equal(a.matrix.data, b.matrix.data)
     assert np.array_equal(a.rhs, b.rhs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("problem, n, straight", [
+    (problem1, 8, False), (problem2, 4, False), (problem1, 8, True)])
+def test_assembly_matches_the_lexsort_pipeline(problem, n, straight, k):
+    problem = problem()
+    mesh = problem.mesh_factory(n)
+    if straight:
+        mesh = straighten_mesh(mesh)
+    coeff = problem.coefficient()
+    matrix = assemble(mesh, k, coeff).matrix
+    oracle = lexsort_stiffness(mesh, k, coeff)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(matrix, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert matrix.has_sorted_indices
+
+
+def test_assembly_peak_memory_is_bounded_by_the_triplets():
+    # a triplet's key and value take 16 bytes; the sort, the sums, the CSR
+    # build and the mirror may together hold no more than 88 bytes per triplet
+    mesh = build_mapped_tensor_mesh(32, *boundary_curves())
+    coeff = problem1().coefficient()
+    assemble(build_mapped_tensor_mesh(2, *boundary_curves()), 3, coeff)  # warm caches
+    n_dof = dof_count(np.diff(mesh.loop_offsets), 3)
+    triplets = int(np.sum(n_dof * (n_dof + 1) // 2))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assemble(mesh, 3, coeff)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 11 * 8 * triplets, f"{peak / (8 * triplets):.1f} x 8 bytes per triplet"
 
 
 def test_apply_dirichlet_splits_and_reduces():

@@ -18,7 +18,8 @@ from curvem import (
 )
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature
-from curvem.vem import ChunkOperators, element_chunks, local_operators
+from curvem.vem import (ChunkOperators, _screen_general, _screen_spd, element_chunks,
+                        local_operators)
 
 from _oracles import finite_difference_gradient, monomial_gradients, monomials
 
@@ -293,6 +294,22 @@ def test_coefficient_validates_diffusion_and_source():
         Coefficient(source={1: lambda x, y: x}).source_for(2)
     default = Coefficient().source_for(7)
     assert np.all(default(np.zeros(3), np.zeros(3)) == 0)
+
+
+@pytest.mark.parametrize("size", [3, 6, 10, 15])
+def test_conditioning_screens_flag_every_matrix_over_the_limit(size):
+    # stacks with 2-norm condition numbers from 1e11 to 1e15 around the 1e13
+    # limit; a matrix the screens pass skips the exact SVD check
+    rng = np.random.default_rng(size)
+    for decades in np.linspace(11.0, 15.0, 17):
+        u = np.linalg.qr(rng.standard_normal((50, size, size)))[0]
+        v = np.linalg.qr(rng.standard_normal((50, size, size)))[0]
+        scaled = u * np.logspace(0.0, -decades, size)
+        for screen, mats in ((_screen_general, scaled @ v.mT), (_screen_spd, scaled @ u.mT)):
+            over = ~(np.linalg.cond(mats) <= 1e13)
+            assert not np.any(over & ~screen(mats)), (screen.__name__, decades)
+    assert _screen_spd(np.zeros((1, size, size))).all()
+    assert _screen_general(np.zeros((1, size, size))).all()
 
 
 def test_interpolate_reproduces_point_and_moment_dofs():
