@@ -164,7 +164,7 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
     parts = np.empty((4, len(mesh.labels)))
     for block in system.blocks:
         chunk = block.chunk
-        coeffs = block.pi_nabla @ solution[block.dofs][..., None]
+        coeffs = block.pi_nabla @ solution[chunk.dofs][..., None]
         x, y, w = chunk.rule(k + 2, boost)
         vals, gxb, gyb = chunk.basis_grad(x, y)
         uh = (vals @ coeffs)[..., 0]
@@ -312,6 +312,6 @@ def run_patch_test(k: int, n: int = 2, solver_method: str = "direct",
     solution = solve(system, method=solver_method, tol=1e-14)
     reference = np.zeros(system.dof_map.total)
     for block in system.blocks:
-        reference[block.dofs] = block.chunk.interpolate(u)
+        reference[block.chunk.dofs] = block.chunk.interpolate(u)
     scale = float(np.max(np.abs(reference)))
     return float(np.max(np.abs(solution - reference))) / scale

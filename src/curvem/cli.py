@@ -464,17 +464,17 @@ def _run_convergence_experiment(config: RunConfig) -> int:
 
 def _run_patch(config: RunConfig) -> int:
     out = _output_dir(config)
-    n = config.n_list[0]
     csv_lines = ["k,n,max_rel_dof_err,status"]
     summary = []
     ok = True
     for k in config.k_list:
-        err = run_patch_test(k, n=n, solver_method=config.solver, boost=config.boost)
-        good = err <= PATCH_TOL
-        ok &= good
-        csv_lines.append(f"{k},{n},{err!r},{'pass' if good else 'FAIL'}")
-        summary.append(f"patch test k={k} (n={n}): max relative dof error {err:.3e} "
-                       f"-> {'pass' if good else 'FAIL'} (tolerance {PATCH_TOL:.0e})")
+        for n in config.n_list:
+            err = run_patch_test(k, n=n, solver_method=config.solver, boost=config.boost)
+            good = err <= PATCH_TOL
+            ok &= good
+            csv_lines.append(f"{k},{n},{err!r},{'pass' if good else 'FAIL'}")
+            summary.append(f"patch test k={k} (n={n}): max relative dof error {err:.3e} "
+                           f"-> {'pass' if good else 'FAIL'} (tolerance {PATCH_TOL:.0e})")
     _write(out / "patch.csv", "\n".join(csv_lines) + "\n")
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))

@@ -1,9 +1,8 @@
 """Global assembly, Dirichlet elimination and linear solvers.
 
-Global DoF numbering is blockwise: vertex values first, then k-1 interior
-DoFs per edge (in each edge's canonical direction, so neighbouring elements
-agree), then the interior moments element by element.  The stiffness matrix
-is accumulated as triplets of its lower triangle, sorted on one stable
+Each element chunk of :mod:`curvem.vem` carries its global DoFs, so this
+module does no DoF numbering of its own.  The stiffness matrix is
+accumulated as triplets of its lower triangle, sorted on one stable
 integer key (row * size + col), summed, built straight into CSR and
 mirrored, which makes the assembled matrix exactly symmetric.  Local
 operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
@@ -21,7 +20,7 @@ from scipy import sparse
 
 from .mesh import Mesh
 from .vem import (ChunkOperators, Coefficient, ElementChunk, dof_count, edge_dof_points,
-                  element_chunks, n_moments)
+                  edge_dofs, element_chunks, global_dof_count)
 
 _DENSE_LIMIT = 2000
 
@@ -36,54 +35,22 @@ class NotSPDError(SolverError):
 
 @dataclass
 class DofMap:
-    """Global numbering: vertices, edge interiors, element moments."""
+    """Global facts of the numbering: its size and the boundary DoFs."""
 
-    k: int
-    n_vertices: int
-    n_edges: int
     n_elements: int
+    total: int
     boundary_dofs: np.ndarray
     boundary_points: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return (self.n_vertices + self.n_edges * (self.k - 1)
-                + self.n_elements * n_moments(self.k))
-
-    def vertex_dof(self, v: int) -> int:
-        return v
-
-    def edge_dof(self, e: int, j: int) -> int:
-        return self.n_vertices + e * (self.k - 1) + j
-
-    def moment_dof(self, p: int, beta: int) -> int:
-        return (self.n_vertices + self.n_edges * (self.k - 1)
-                + p * n_moments(self.k) + beta)
-
-    def element_dofs(self, chunk: ElementChunk) -> np.ndarray:
-        """Global indices matching the local DoF layout, shape (E, n_dof)."""
-        k = self.k
-        e, n = chunk.edge_ids.shape
-        out = np.empty((e, n, k), dtype=np.int64)
-        out[:, :, 0] = chunk.vertex_ids
-        if k > 1:
-            j = np.arange(k - 1)
-            along = np.where(chunk.signs[:, :, None] > 0, j, k - 2 - j)
-            out[:, :, 1:] = self.edge_dof(chunk.edge_ids[:, :, None], along)
-        moments = self.moment_dof(chunk.elements[:, None], np.arange(n_moments(k)))
-        return np.concatenate([out.reshape(e, n * k), moments], axis=1)
-
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
-    """Number the DoFs of the degree-k space and locate the boundary ones."""
-    nv = len(mesh.points)
+    """Count the DoFs of the degree-k space and locate the boundary ones."""
     vertices = np.flatnonzero(mesh.vertex_on_boundary)
     edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
     _, points = edge_dof_points(mesh, edges, k)
-    edge_dofs = nv + edges[:, None] * (k - 1) + np.arange(k - 1)
     return DofMap(
-        k=k, n_vertices=nv, n_edges=len(mesh.edge_vertices), n_elements=len(mesh.labels),
-        boundary_dofs=np.concatenate([vertices, edge_dofs.ravel()]).astype(np.int64),
+        n_elements=len(mesh.labels), total=global_dof_count(mesh, k),
+        boundary_dofs=np.concatenate([vertices, edge_dofs(mesh, edges, k).ravel()]),
         boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
 
 
@@ -91,8 +58,7 @@ def build_dof_map(mesh: Mesh, k: int) -> DofMap:
 class OperatorBlock:
     """What postprocessing keeps of one chunk of like elements."""
 
-    chunk: ElementChunk
-    dofs: np.ndarray      # (E, n_dof) global DoF indices
+    chunk: ElementChunk   # with its global DoFs
     pi_nabla: np.ndarray  # (E, dim P_k, n_dof)
 
 
@@ -130,18 +96,17 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSy
     blocks = []
     for chunk in element_chunks(mesh, k):
         ops = ChunkOperators(chunk, boost)
-        gdofs = dof_map.element_dofs(chunk)
         at = load_start[chunk.elements, None] + np.arange(chunk.n_dof)
-        load_dofs[at] = gdofs
+        load_dofs[at] = chunk.dofs
         load_vals[at] = ops.load(coeff.source_for)
         # the upper triangle of an exactly symmetric matrix, as lower-triangle
         # triplets of the global matrix keyed row * total + col
         iu, ju = np.triu_indices(chunk.n_dof)
         at = tri_start[chunk.elements, None] + np.arange(len(iu))
-        keys[at] = (np.maximum(gdofs[:, iu], gdofs[:, ju]) * total
-                    + np.minimum(gdofs[:, iu], gdofs[:, ju]))
+        keys[at] = (np.maximum(chunk.dofs[:, iu], chunk.dofs[:, ju]) * total
+                    + np.minimum(chunk.dofs[:, iu], chunk.dofs[:, ju]))
         vals[at] = ops.stiffness([kappa[label] for label in chunk.labels.tolist()])[:, iu, ju]
-        blocks.append(OperatorBlock(chunk=chunk, dofs=gdofs, pi_nabla=ops.pi_nabla))
+        blocks.append(OperatorBlock(chunk=chunk, pi_nabla=ops.pi_nabla))
 
     rhs = np.zeros(total)
     np.add.at(rhs, load_dofs, load_vals)

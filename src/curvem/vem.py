@@ -7,6 +7,13 @@ freedom: vertex values, values at the k-1 interior Gauss-Lobatto points of
 each edge (placed in the curve parameter on curved edges), and scaled
 interior moments against the monomials of degree <= k-2.
 
+An element's local DoFs are its corners, each followed by the interior DoFs
+of its outgoing edge in traversal order, then its moments.  Global numbering
+is blockwise: vertex values, then k-1 interior DoFs per edge in the edge's
+canonical v0 -> v1 direction, so the two elements that share an edge agree
+on them, then the moments element by element.  ``ElementChunk.dofs`` is the
+one map from the local layout to the global one.
+
 Polynomials are generally *not* contained in the local space on curved
 elements, so all consistency runs through projections onto P_k computed
 from the DoFs alone: the H1-seminorm projector (pinned by the boundary
@@ -48,8 +55,8 @@ class ElementOperatorError(Exception):
 
 
 _COND_LIMIT = 1e13
-# the conditioning screens below err by far less than this factor, so an
-# element they pass has a condition number under _COND_LIMIT
+# the conditioning screen below errs by far less than this factor, so an
+# element it passes has a condition number under _COND_LIMIT
 _SCREEN_LIMIT = _COND_LIMIT / 10.0
 
 CHUNK_SIZE = 128  # elements per kernel batch; bounds the kernel's memory
@@ -95,6 +102,18 @@ def n_moments(k: int) -> int:
 def dof_count(n_edges: int, k: int) -> int:
     """DoFs of one element with n_edges sides."""
     return n_edges * k + n_moments(k)
+
+
+def global_dof_count(mesh: Mesh, k: int) -> int:
+    """DoFs of the degree-k space on ``mesh``."""
+    return len(mesh.points) + len(mesh.edge_vertices) * (k - 1) + len(mesh.labels) * n_moments(k)
+
+
+def edge_dofs(mesh: Mesh, edge_ids, k: int) -> np.ndarray:
+    """Global interior DoFs of edges, shape edge_ids.shape + (k-1,), in the
+    canonical v0 -> v1 order of ``edge_dof_points``."""
+    ids = np.asarray(edge_ids, dtype=np.int64)[..., None]
+    return len(mesh.points) + ids * (k - 1) + np.arange(k - 1)
 
 
 def edge_dof_points(mesh: Mesh, edge_ids, k: int):
@@ -170,31 +189,21 @@ def _values(f, x, y):
     return np.broadcast_to(np.asarray(out, dtype=float), (x.size,)).reshape(x.shape)
 
 
-def _screen_spd(mats) -> np.ndarray:
-    """Flags the stacked SPD matrices whose condition may exceed the limit.
+def _screen(mats):
+    """Flags of the stacked matrices whose condition may exceed the limit,
+    and their inverses.
 
-    The eigenvalues come from the lower triangle; a matrix that is SPD only
-    up to rounding moves them by far less than the screen's margin.
-    """
-    try:
-        lam = np.linalg.eigvalsh(mats)
-    except np.linalg.LinAlgError:
-        return np.ones(len(mats), dtype=bool)
-    return ~((lam[:, 0] > 0.0) & (lam[:, -1] <= _SCREEN_LIMIT * lam[:, 0]))
-
-
-def _screen_general(mats) -> np.ndarray:
-    """Flags the stacked matrices whose condition may exceed the limit.
-
-    ||G||_F ||G^-1||_F is at least the 2-norm condition number of G.
+    ||G||_F ||G^-1||_F is at least the 2-norm condition number of G.  A
+    stack that LAPACK cannot invert gets infinite inverses, which flag
+    every matrix.
     """
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
-        return np.ones(len(mats), dtype=bool)
+        inv = np.full(mats.shape, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-    return ~(bound <= _SCREEN_LIMIT)
+    return ~(bound <= _SCREEN_LIMIT), inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +218,7 @@ class ElementChunk:
     k: int
     elements: np.ndarray    # (E,) element ids
     labels: np.ndarray      # (E,)
-    vertex_ids: np.ndarray  # (E, n)
-    edge_ids: np.ndarray    # (E, n)
-    signs: np.ndarray       # (E, n) +1 where side j runs from its edge's v0 to v1
+    dofs: np.ndarray        # (E, n_dof) global DoFs in local order
     vertices: np.ndarray    # (E, n, 2) corner positions
     sides: tuple            # n SideBatch
     lengths: np.ndarray     # (E, n) edge lengths, arc length on curved edges
@@ -222,11 +229,11 @@ class ElementChunk:
 
     @property
     def n_bnd(self) -> int:
-        return self.vertex_ids.shape[1] * self.k
+        return len(self.sides) * self.k
 
     @property
     def n_dof(self) -> int:
-        return dof_count(self.vertex_ids.shape[1], self.k)
+        return self.dofs.shape[1]
 
     def rule(self, k: int, boost: int):
         """Green rule of degree-k computations on every element of the chunk.
@@ -327,20 +334,30 @@ def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementCh
         else:
             sides.append(SideBatch(start, end))
 
-    # boundary DoF points: each corner, then the interior Gauss-Lobatto
-    # points of its outgoing edge, walked in traversal order
-    points = np.empty((len(ids), n, k, 2))
+    # boundary DoFs and their points: each corner, then the interior DoFs of
+    # its outgoing edge, which a side against the edge's direction walks
+    # in reverse
+    e, nm = len(ids), n_moments(k)
+    dofs = np.empty((e, n, k), dtype=np.int64)
+    points = np.empty((e, n, k, 2))
+    dofs[:, :, 0] = vertex_ids
     points[:, :, 0] = vertices
     if k > 1:
+        j = np.arange(k - 1)
+        along = np.where(signs[..., None] > 0, j, k - 2 - j)
+        dofs[:, :, 1:] = np.take_along_axis(edge_dofs(mesh, edge_ids, k), along, axis=2)
         inner = edge_dof_points(mesh, edge_ids, k)[1]
-        points[:, :, 1:] = np.where(signs[..., None, None] > 0, inner, inner[:, :, ::-1])
+        points[:, :, 1:] = np.take_along_axis(inner, along[..., None], axis=2)
+    # the moments fill the last slots of the global numbering, element by element
+    moments = global_dof_count(mesh, k) + (ids[:, None] - len(mesh.labels)) * nm + np.arange(nm)
 
     return ElementChunk(
-        k=k, elements=ids, labels=mesh.labels[ids], vertex_ids=vertex_ids,
-        edge_ids=edge_ids, signs=signs, vertices=vertices, sides=tuple(sides),
+        k=k, elements=ids, labels=mesh.labels[ids],
+        dofs=np.concatenate([dofs.reshape(e, n * k), moments], axis=1),
+        vertices=vertices, sides=tuple(sides),
         lengths=mesh.edge_lengths[edge_ids], center=mesh.centroids[ids],
         h=mesh.diameters[ids], area=mesh.areas[ids],
-        dof_points=points.reshape(len(ids), n * k, 2))
+        dof_points=points.reshape(e, n * k, 2))
 
 
 def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
@@ -418,12 +435,14 @@ class ChunkOperators:
                 mavg += (w[:, None, :] @ vals)[:, 0]
         return b_flux, bavg, mavg
 
-    def _check(self, flagged, matrices, what: str) -> None:
-        """Raise for the first element whose condition number exceeds the limit.
+    def _check(self, matrices, what: str) -> np.ndarray:
+        """Inverses of ``matrices``, once no element's condition number
+        exceeds the limit; raise for the first one that does.
 
-        Only the elements a screen ``flagged`` get the exact (SVD) condition
+        Only the elements ``_screen`` flags get the exact (SVD) condition
         number, which decides and is the one the message reports.
         """
+        flagged, inv = _screen(matrices)
         (rows,) = np.nonzero(flagged)
         cond = np.linalg.cond(matrices[rows])
         bad = ~(cond <= _COND_LIMIT)
@@ -431,6 +450,7 @@ class ChunkOperators:
             i = int(np.argmax(bad))
             raise ElementOperatorError(
                 f"element {self.chunk.elements[rows[i]]}: {what} has condition {cond[i]:.3e}")
+        return inv
 
     def _projectors(self, b_flux, bavg, mavg):
         chunk, k = self.chunk, self.chunk.k
@@ -453,17 +473,16 @@ class ChunkOperators:
 
         g_mat = self.g_tilde.copy()
         g_mat[:, 0, :] = mavg / perimeter
-        self._check(_screen_general(g_mat), g_mat, "H1 projector system")
+        self._check(g_mat, "H1 projector system")
         self.pi_nabla = np.linalg.solve(g_mat, b_mat)
 
         d_mat = np.empty((e, n_dof, nk))
         d_mat[:, :n_bnd] = chunk.basis(chunk.dof_points[..., 0], chunk.dof_points[..., 1])
         if nm:
             d_mat[:, n_bnd:] = self.mass_rect / chunk.area[:, None, None]
-            h_mat = self.mass_rect[..., :nm]
-            self._check(_screen_spd(h_mat), h_mat, "moment mass matrix")
+            h_inv = self._check(self.mass_rect[..., :nm], "moment mass matrix")
             self.pi0 = np.zeros((e, nm, n_dof))
-            self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * np.linalg.inv(h_mat)
+            self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * h_inv
         else:
             # degree 1: the only computable constant projection is the
             # average of the boundary DoFs

@@ -264,6 +264,29 @@ def textbook_cg(matrix, b, tol, maxiter):
     raise RuntimeError("textbook_cg did not converge")
 
 
+def element_dofs(mesh, k, elements):
+    """Global DoFs of like elements in the local layout, shape (E, n_dof).
+
+    The blockwise numbering written out: vertex v is DoF v, interior DoF j
+    of edge e is nv + e (k-1) + j, and moment beta of element p is
+    nv + ne (k-1) + p nm + beta.  Each corner is followed by the interior
+    DoFs of its outgoing edge, reversed where the side runs against the
+    edge; the moments come last.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    nv, ne, nm = len(mesh.points), len(mesh.edge_vertices), k * (k - 1) // 2
+    (n,) = set(np.diff(mesh.loop_offsets)[elements].tolist())
+    rows = mesh.loop_offsets[elements, None] + np.arange(n)
+    out = np.empty((len(elements), n, k), dtype=np.int64)
+    out[:, :, 0] = mesh.loop_corners[rows]
+    if k > 1:
+        j = np.arange(k - 1)
+        along = np.where(mesh.loop_signs[rows][:, :, None] > 0, j, k - 2 - j)
+        out[:, :, 1:] = nv + mesh.loop_edges[rows][:, :, None] * (k - 1) + along
+    moments = nv + ne * (k - 1) + elements[:, None] * nm + np.arange(nm)
+    return np.concatenate([out.reshape(len(elements), n * k), moments], axis=1)
+
+
 def lexsort_stiffness(mesh, k, coeff, boost=2):
     """The global stiffness matrix by the earlier triplet pipeline.
 
@@ -282,7 +305,7 @@ def lexsort_stiffness(mesh, k, coeff, boost=2):
     per_element = {}
     for chunk in element_chunks(mesh, k):
         ops = ChunkOperators(chunk, boost)
-        gdofs = dof_map.element_dofs(chunk)
+        gdofs = element_dofs(mesh, k, chunk.elements)
         stiffness = ops.stiffness([coeff.kappa(label) for label in chunk.labels.tolist()])
         iu, ju = np.triu_indices(chunk.n_dof)
         for i, element in enumerate(chunk.elements.tolist()):

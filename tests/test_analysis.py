@@ -110,7 +110,7 @@ def test_compute_errors_of_interpolant_shrink_under_refinement():
         vec = np.zeros(dof_map.total)
         system = assemble(mesh, k, prob.coefficient())
         for block in system.blocks:
-            vec[block.dofs] = block.chunk.interpolate(lambda x, y: prob.solution(x, y)[0])
+            vec[block.chunk.dofs] = block.chunk.interpolate(lambda x, y: prob.solution(x, y)[0])
         errs[n] = compute_errors(mesh, k, vec, prob, system)
     assert errs[4][0] < 0.2 and errs[4][1] < 0.05
     assert errs[8][0] < 0.5 * errs[4][0]

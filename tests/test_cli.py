@@ -144,6 +144,16 @@ def test_main_patch_run_writes_outputs(tmp_path, capsys):
     assert "patch test k=1" in capsys.readouterr().out
 
 
+def test_main_patch_run_covers_every_level(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "patch", "--n", "2,4", "--k", "1", "--out", str(out)]) == EXIT_OK
+    rows = (out / "patch.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1", "2"], ["1", "4"]]
+    assert all(row.endswith(",pass") for row in rows)
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "k=1 (n=2)" in summary and "k=1 (n=4)" in summary
+
+
 def test_main_threshold_violation_exits_1(tmp_path, capsys):
     # two equal levels give NaN rates, which meet no bound
     for ns, flag, violation in (("4,8", "--min-rate-l2", "min_rate_l2=5.0 violated"),

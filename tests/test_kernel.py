@@ -78,8 +78,9 @@ def test_chunks_group_like_elements():
         assert len(chunk.elements) <= vem.CHUNK_SIZE
         assert np.all(np.diff(chunk.elements) > 0)
         # like elements: the same curved sides and Green-rule size
+        rows = mesh.loop_offsets[chunk.elements, None] + np.arange(len(chunk.sides))
         curved = {tuple(mesh.edges[eid].is_curved for eid in row)
-                  for row in chunk.edge_ids.tolist()}
+                  for row in mesh.loop_edges[rows].tolist()}
         assert len(curved) == 1
         x, _, _ = chunk.rule(2, 2)
         assert x.shape[0] == len(chunk.elements)

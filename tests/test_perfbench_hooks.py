@@ -1,9 +1,9 @@
 """The benchmark's hooks into curvem, checked without running the benchmark.
 
-``perfbench/spans.py`` wraps curvem entry points by name and
-``perfbench/worker.py`` builds its imported mesh from the entity records, so
-a rename or a dropped record field breaks the benchmark without failing any
-other tier-1 test.  ``python3 -m pytest perfbench`` checks the same hooks
+``perfbench/spans.py`` wraps curvem entry points by name and reads fields
+of what they return, and ``perfbench/worker.py`` builds its imported mesh
+from the entity records, so a rename or a dropped field breaks the benchmark
+without failing any other tier-1 test.  ``python3 -m pytest perfbench`` checks the same hooks
 end to end, in about half a minute.
 """
 
@@ -31,3 +31,18 @@ def test_worker_writes_its_shifted_mesh(tmp_path):
     path = tmp_path / "m.txt"
     worker.write_shifted_mesh(4, 1, path)
     assert len(curvem.import_mesh(path).elements) == 16
+
+
+def test_worker_library_path_runs_traced(tmp_path):
+    mesh = tmp_path / "m.txt"
+    worker.write_shifted_mesh(4, 7919, mesh)
+    tracer = spans.Tracer(run_id="t")
+    try:
+        tracer.install()
+        result = worker.run_library({"k": [3]}, tmp_path, mesh)
+    finally:
+        tracer.uninstall()
+    assert result["exit_code"] == 0
+    assert result["residual"] <= 1e-11
+    assert tracer.counters["solver.assembled_elements"] == 16
+    assert tracer.counters["solver.cg_iterations"] > 0

@@ -29,7 +29,9 @@ from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 
-from _oracles import lexsort_stiffness, textbook_cg
+from curvem.vem import edge_dofs, element_chunks
+
+from _oracles import element_dofs, lexsort_stiffness, textbook_cg
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -47,11 +49,17 @@ def test_dof_map_counts_and_blocks(k):
     dof_map = build_dof_map(mesh, k)
     nv, ne, np_ = len(mesh.vertices), len(mesh.edges), len(mesh.elements)
     assert dof_map.total == nv + ne * (k - 1) + np_ * n_moments(k)
-    assert dof_map.vertex_dof(5) == 5
+    assert dof_map.n_elements == np_
+    # vertex v is DoF v; edges follow the vertices, then element 0's moments
+    # follow the edges
+    for chunk in element_chunks(mesh, k):
+        corners = mesh.loop_offsets[chunk.elements, None] + np.arange(len(chunk.sides))
+        assert np.array_equal(chunk.dofs[:, :chunk.n_bnd:k], mesh.loop_corners[corners])
     if k > 1:
-        assert dof_map.edge_dof(0, 0) == nv
-        assert dof_map.edge_dof(1, 0) == nv + (k - 1)
-    assert dof_map.moment_dof(0, 0) == nv + ne * (k - 1)
+        assert edge_dofs(mesh, [0, 1], k)[:, 0].tolist() == [nv, nv + (k - 1)]
+    first = element_chunks(mesh, k, [0])[0]
+    assert first.dofs[0, first.n_bnd:].tolist() == [nv + ne * (k - 1) + beta
+                                                   for beta in range(n_moments(k))]
     # boundary DoFs: one per boundary vertex plus k-1 per boundary edge
     n_bverts = sum(v.on_boundary for v in mesh.vertices)
     n_bedges = int(mesh.edge_on_boundary.sum())
@@ -65,8 +73,8 @@ def test_element_dofs_cover_global_range():
     system = assemble(mesh, k, Coefficient())
     seen = set()
     for block in system.blocks:
-        assert np.array_equal(block.dofs, system.dof_map.element_dofs(block.chunk))
-        for p, gdofs in zip(block.chunk.elements, block.dofs):
+        assert np.array_equal(block.chunk.dofs, element_dofs(mesh, k, block.chunk.elements))
+        for p, gdofs in zip(block.chunk.elements, block.chunk.dofs):
             assert len(set(gdofs)) == len(gdofs) == dof_count(
                 len(mesh.elements[p].edge_loop), k)
             seen.update(gdofs.tolist())

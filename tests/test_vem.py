@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvem import (
     Coefficient,
@@ -15,13 +17,17 @@ from curvem import (
     dof_count,
     edge_dof_points,
     n_moments,
+    straighten_mesh,
 )
 from curvem import test1_boundary_curves as boundary_curves
+from curvem import test1_problem as problem1
+from curvem import test2_problem as problem2
 from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature
-from curvem.vem import (ChunkOperators, _screen_general, _screen_spd, element_chunks,
-                        local_operators)
+from curvem.vem import ChunkOperators, _screen, element_chunks, local_operators
 
-from _oracles import finite_difference_gradient, monomial_gradients, monomials
+from _oracles import element_dofs, finite_difference_gradient, monomial_gradients, monomials
+from test_mesh import mixed_polygon_mesh
+from test_mesh_io import shifted_graph_meshes
 
 
 def unit_square_mesh():
@@ -136,22 +142,22 @@ def test_layout_walks_boundary_then_moments():
     mesh = curved_mesh()
     k = 3
     chunk = one_element(mesh, k)
-    dof_map = build_dof_map(mesh, k)
-    dofs = dof_map.element_dofs(chunk)[0]
+    nv, ne = len(mesh.vertices), len(mesh.edges)
+    dofs = chunk.dofs[0]
     element = mesh.elements[0]
     n_edges = len(element.edge_loop)
     assert len(dofs) == chunk.n_dof == dof_count(n_edges, k)
     assert chunk.dof_points.shape == (1, n_edges * k, 2)
-    assert list(dofs[-n_moments(k):]) == [dof_map.moment_dof(0, beta)
+    assert list(dofs[-n_moments(k):]) == [nv + ne * (k - 1) + beta
                                          for beta in range(n_moments(k))]
     # walk alternates corner, then k-1 interior points of the outgoing edge,
     # whose canonical indices run in traversal order
     corners = mesh.loop_corners[mesh.loop_offsets[0]:mesh.loop_offsets[1]].tolist()
     for piece, ((eid, sign), vid) in enumerate(zip(element.edge_loop, corners)):
-        assert dofs[piece * k] == dof_map.vertex_dof(vid)
+        assert dofs[piece * k] == vid
         assert np.array_equal(chunk.dof_points[0, piece * k], mesh.vertices[vid].position)
         order = list(range(k - 1)) if sign > 0 else list(range(k - 2, -1, -1))
-        assert list(dofs[piece * k + 1: piece * k + k]) == [dof_map.edge_dof(eid, j)
+        assert list(dofs[piece * k + 1: piece * k + k]) == [nv + eid * (k - 1) + j
                                                            for j in order]
         _, points = edge_dof_points(mesh, eid, k)
         assert np.array_equal(chunk.dof_points[0, piece * k + 1: piece * k + k],
@@ -161,10 +167,10 @@ def test_layout_walks_boundary_then_moments():
 def test_shared_edge_exposes_identical_points_to_both_elements():
     k = 3
     for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
-        dof_map = build_dof_map(mesh, k)
+        nv = len(mesh.vertices)
         seen, visits = {}, Counter()
         for chunk in element_chunks(mesh, k):
-            dofs = dof_map.element_dofs(chunk)[:, :chunk.n_bnd]
+            dofs = chunk.dofs[:, :chunk.n_bnd]
             for gdof, point in zip(dofs.ravel().tolist(),
                                    chunk.dof_points.reshape(-1, 2).tolist()):
                 visits[gdof] += 1
@@ -173,7 +179,45 @@ def test_shared_edge_exposes_identical_points_to_both_elements():
                 seen[gdof] = point
         # each of an interior edge's k-1 DoFs is seen from both sides
         for eid in np.flatnonzero(~mesh.edge_on_boundary).tolist():
-            assert [visits[dof_map.edge_dof(eid, j)] for j in range(k - 1)] == [2] * (k - 1)
+            assert [visits[nv + eid * (k - 1) + j] for j in range(k - 1)] == [2] * (k - 1)
+
+
+NUMBERING_MESHES = {
+    "test1-n4": lambda: problem1().mesh_factory(4),
+    "test2-n2": lambda: problem2().mesh_factory(2),
+    "test1-straight-n4": lambda: straighten_mesh(problem1().mesh_factory(4)),
+    "mixed-polygons-n8": mixed_polygon_mesh,
+}
+
+
+@pytest.mark.parametrize("name", NUMBERING_MESHES)
+def test_chunk_dofs_match_the_written_out_numbering(name):
+    mesh = NUMBERING_MESHES[name]()
+    for k in range(1, 5):
+        for chunk in element_chunks(mesh, k):
+            assert np.array_equal(chunk.dofs, element_dofs(mesh, k, chunk.elements))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(shifted_graph_meshes(), st.integers(1, 4))
+def test_neighbours_walk_each_interior_edge_dof_in_opposite_order(mesh, k):
+    walks = {}  # edge -> (interior DoFs, their points) as each element walks it
+    covered = []
+    for chunk in element_chunks(mesh, k):
+        n = len(chunk.sides)
+        edges = mesh.loop_edges[mesh.loop_offsets[chunk.elements, None] + np.arange(n)]
+        dofs = chunk.dofs[:, :chunk.n_bnd].reshape(-1, n, k)[:, :, 1:]
+        points = chunk.dof_points.reshape(-1, n, k, 2)[:, :, 1:]
+        for eid, d, x in zip(edges.ravel().tolist(), dofs.reshape(edges.size, k - 1),
+                             points.reshape(edges.size, k - 1, 2)):
+            walks.setdefault(eid, []).append((d, x))
+        covered.append(chunk.dofs.ravel())
+    assert np.array_equal(np.unique(np.concatenate(covered)),
+                          np.arange(build_dof_map(mesh, k).total))
+    for eid in np.flatnonzero(~mesh.edge_on_boundary).tolist():
+        (d0, x0), (d1, x1) = walks[eid]
+        assert np.array_equal(d0, d1[::-1])
+        assert np.array_equal(x0, x1[::-1])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -298,18 +342,29 @@ def test_coefficient_validates_diffusion_and_source():
 
 @pytest.mark.parametrize("size", [3, 6, 10, 15])
 def test_conditioning_screens_flag_every_matrix_over_the_limit(size):
-    # stacks with 2-norm condition numbers from 1e11 to 1e15 around the 1e13
-    # limit; a matrix the screens pass skips the exact SVD check
+    # general and SPD stacks with 2-norm condition numbers from 1e11 to 1e15
+    # around the 1e13 limit; a matrix the screen passes skips the exact SVD
+    # check, and the inverses it returns are those of np.linalg.inv
     rng = np.random.default_rng(size)
     for decades in np.linspace(11.0, 15.0, 17):
         u = np.linalg.qr(rng.standard_normal((50, size, size)))[0]
         v = np.linalg.qr(rng.standard_normal((50, size, size)))[0]
         scaled = u * np.logspace(0.0, -decades, size)
-        for screen, mats in ((_screen_general, scaled @ v.mT), (_screen_spd, scaled @ u.mT)):
+        for kind, mats in (("general", scaled @ v.mT), ("spd", scaled @ u.mT)):
             over = ~(np.linalg.cond(mats) <= 1e13)
-            assert not np.any(over & ~screen(mats)), (screen.__name__, decades)
-    assert _screen_spd(np.zeros((1, size, size))).all()
-    assert _screen_general(np.zeros((1, size, size))).all()
+            flagged, inv = _screen(mats)
+            assert not np.any(over & ~flagged), (kind, decades)
+            assert np.array_equal(inv, np.linalg.inv(mats))
+    # a stack LAPACK cannot invert is flagged whole
+    singular = np.stack([np.eye(size), np.zeros((size, size))])
+    assert _screen(singular)[0].all()
+    assert _screen(np.zeros((1, size, size)))[0].all()
+
+
+def test_check_names_the_element_of_a_stack_lapack_cannot_invert():
+    ops = local_operators(curved_mesh(), 3, 2)
+    with pytest.raises(ElementOperatorError, match="element 3: moment mass matrix has condition"):
+        ops._check(np.ones((1, 2, 2)), "moment mass matrix")
 
 
 def test_interpolate_reproduces_point_and_moment_dofs():
