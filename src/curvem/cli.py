@@ -5,8 +5,16 @@ file-parse or output-write errors, 3 mesh conformity/quality failures and elemen
 local operators cannot be built (a label without problem data, a singular
 projector), 4 solver failures.
 
-Options can come from a flat ``key = value`` config file (``--config``);
-command-line flags override file values and unknown keys are rejected.
+Each ``curvem run`` experiment accepts only the options it reads.  Any other,
+as a flag or as a key of the ``key = value`` file named by ``--config``
+(``min_rate_h1 = 1.5`` for ``--min-rate-h1``; flags override the file), exits
+2 before any mesh is built or any output is written:
+
+    --k --n --solver                      test1-curved, test1-straight, test2, patch
+    --mesh --rho --tol --{min,max}-rate-{h1,l2}   test1-curved, test1-straight, test2
+    --boost --out                         every experiment
+    --seed --trials --M                   quadrature-audit (``curvem quadrature-audit``)
+
 Outputs (CSV tables plus a plain-text summary) are deterministic, so a
 repeated run reproduces files byte for byte.
 """
@@ -15,7 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +45,12 @@ EXIT_CONFIG = 2
 EXIT_MESH = 3
 EXIT_SOLVER = 4
 
-EXPERIMENTS = ("test1-curved", "test1-straight", "test2", "patch", "quadrature-audit")
+# each experiment and the RunConfig defaults it overrides
+EXPERIMENTS = {"test1-curved": {}, "test1-straight": {},
+               "test2": {"n_list": (2, 4, 8, 16), "rho": 0.03},
+               "patch": {"n_list": (2,), "solver": "direct"},
+               "quadrature-audit": {}}
+_CONVERGENCE = ("test1-curved", "test1-straight", "test2")
 
 PATCH_TOL = 1e-9
 POLYGON_AUDIT_TOL = 1e-12
@@ -46,7 +60,7 @@ MONOTONICITY_FLOOR = 1e-13
 
 
 class ConfigError(Exception):
-    """Raised for unknown keys or malformed option values."""
+    """Raised for unknown or unread options and malformed option values."""
 
 
 class OutputError(Exception):
@@ -55,30 +69,24 @@ class OutputError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved options of one ``curvem run`` invocation."""
+    """Fully resolved options of one ``curvem run``; ``EXPERIMENTS`` overrides defaults."""
 
     experiment: str
-    k_list: tuple[int, ...]
-    n_list: tuple[int, ...]
-    mesh_files: tuple[str, ...]
-    rho: float
-    boost: int
-    solver: str
-    tol: float
-    out_dir: str
-    seed: int
-    trials: int
-    m_list: tuple[int, ...]
-    min_rate_h1: float | None
-    min_rate_l2: float | None
-    max_rate_h1: float | None
-    max_rate_l2: float | None
-
-
-_DEFAULT_NS = {"test1-curved": (4, 8, 16, 32), "test1-straight": (4, 8, 16, 32),
-               "test2": (2, 4, 8, 16), "patch": (2,), "quadrature-audit": (2,)}
-_DEFAULT_RHO = {"test2": 0.03}
-_DEFAULT_SOLVER = {"patch": "direct"}
+    k_list: tuple[int, ...] = (1, 2, 3)
+    n_list: tuple[int, ...] = (4, 8, 16, 32)
+    mesh_files: tuple[str, ...] = ()
+    rho: float = 0.05
+    boost: int = 2
+    solver: str = "cg"
+    tol: float = 1e-12
+    out_dir: str = "curvem-out"
+    seed: int = 1234
+    trials: int = 50
+    m_list: tuple[int, ...] = (1, 2, 3, 4)
+    min_rate_h1: float | None = None
+    min_rate_l2: float | None = None
+    max_rate_h1: float | None = None
+    max_rate_l2: float | None = None
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -91,42 +99,77 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_float(text, what: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad {what} value {text!r}") from None
+def _parse_value(cast):
+    def parse(text: str, what: str):
+        try:
+            return cast(text)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad {what} value {text!r}") from None
+    return parse
 
 
-def _parse_int(text, what: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad {what} value {text!r}") from None
+@dataclass(frozen=True)
+class _Option:
+    field: str  # of RunConfig
+    parse: Callable[[str, str], object]  # (text, option name) -> value or ConfigError
+    experiments: tuple[str, ...]  # the experiments that read it
+    help: str
+    ok: Callable[[object], bool] = lambda value: True
+    need: str = ""  # what ``ok`` asks of a value, for the error message
+    nargs: str | None = None
 
 
-_FILE_KEYS = {
-    "k": lambda v: ("k_list", _parse_int_list(v, "k")),
-    "n": lambda v: ("n_list", _parse_int_list(v, "n")),
-    "mesh": lambda v: ("mesh_files", tuple(v.split())),
-    "rho": lambda v: ("rho", _parse_float(v, "rho")),
-    "boost": lambda v: ("boost", _parse_int(v, "boost")),
-    "solver": lambda v: ("solver", v),
-    "tol": lambda v: ("tol", _parse_float(v, "tol")),
-    "out": lambda v: ("out_dir", v),
-    "seed": lambda v: ("seed", _parse_int(v, "seed")),
-    "trials": lambda v: ("trials", _parse_int(v, "trials")),
-    "M": lambda v: ("m_list", _parse_int_list(v, "M")),
-    "min_rate_h1": lambda v: ("min_rate_h1", _parse_float(v, "min_rate_h1")),
-    "min_rate_l2": lambda v: ("min_rate_l2", _parse_float(v, "min_rate_l2")),
-    "max_rate_h1": lambda v: ("max_rate_h1", _parse_float(v, "max_rate_h1")),
-    "max_rate_l2": lambda v: ("max_rate_l2", _parse_float(v, "max_rate_l2")),
+_SOLVES = _CONVERGENCE + ("patch",)
+_AUDIT = ("quadrature-audit",)
+_EVERY = tuple(EXPERIMENTS)
+_INT, _FLOAT, _TEXT = _parse_value(int), _parse_value(float), _parse_value(str)
+
+# the flag is "--" + name with "-" for "_", the config-file key is the name;
+# a file value of an option with nargs is a whitespace-separated list
+_OPTIONS = {
+    "k": _Option("k_list", _parse_int_list, _SOLVES, "comma-separated polynomial degrees",
+                 lambda ks: all(1 <= k <= 4 for k in ks), "lie in 1..4"),
+    "n": _Option("n_list", _parse_int_list, _SOLVES, "comma-separated refinement levels",
+                 lambda ns: min(ns) >= 1, "be positive"),
+    "mesh": _Option("mesh_files", _parse_value(tuple), _CONVERGENCE,
+                    "mesh files instead of generated meshes", nargs="+"),
+    "rho": _Option("rho", _FLOAT, _CONVERGENCE, "shape-regularity parameter",
+                   lambda rho: 0.0 < rho <= 0.5, "lie in (0, 0.5]"),
+    "boost": _Option("boost", _INT, _EVERY, "extra quadrature points on curved sides",
+                     lambda boost: boost >= 0, "be nonnegative"),
+    "solver": _Option("solver", _TEXT, _SOLVES, "cg or direct",
+                      lambda solver: solver in ("cg", "direct"), "be 'cg' or 'direct'"),
+    "tol": _Option("tol", _FLOAT, _CONVERGENCE, "linear solver relative tolerance",
+                   lambda tol: tol > 0.0, "be positive"),
+    "out": _Option("out_dir", _TEXT, _EVERY, "output directory"),
+    "seed": _Option("seed", _INT, _AUDIT, "audit random seed",
+                    lambda seed: seed >= 0, "be nonnegative"),
+    "trials": _Option("trials", _INT, _AUDIT, "audit polygon count",
+                      lambda trials: trials >= 1, "be at least 1"),
+    "M": _Option("m_list", _parse_int_list, _AUDIT, "comma-separated audit rule orders",
+                 lambda ms: min(ms) >= 1, "be positive"),
+    "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate"),
+    "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate"),
+    "max_rate_h1": _Option("max_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 above this H1 rate"),
+    "max_rate_l2": _Option("max_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 above this L2 rate"),
 }
 
 
-def _read_config_file(path: str) -> dict[str, tuple[str, object]]:
-    """Parse ``key = value`` lines into resolved (field, value) pairs."""
-    updates = {}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _value(name: str, text):
+    """The parsed value of option ``name``, which must pass its check."""
+    option = _OPTIONS[name]
+    value = option.parse(text, name)
+    if not option.ok(value):
+        raise ConfigError(f"{name} must {option.need}, got {value!r}")
+    return value
+
+
+def _read_config_file(path: str):
+    """``(path:line prefix, key, text)`` of each ``key = value`` line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -138,10 +181,9 @@ def _read_config_file(path: str) -> dict[str, tuple[str, object]]:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        updates[key] = _FILE_KEYS[key](value)
-    return updates
+        yield f"{path}:{ln}: ", key, value.split() if _OPTIONS[key].nargs else value
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
@@ -150,47 +192,24 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}, "
                           f"choose from {', '.join(EXPERIMENTS)}")
-    config = RunConfig(
-        experiment=experiment,
-        k_list=(1, 2, 3), n_list=_DEFAULT_NS[experiment], mesh_files=(),
-        rho=_DEFAULT_RHO.get(experiment, 0.05), boost=2,
-        solver=_DEFAULT_SOLVER.get(experiment, "cg"), tol=1e-12,
-        out_dir="curvem-out", seed=1234, trials=50, m_list=(1, 2, 3, 4),
-        min_rate_h1=None, min_rate_l2=None, max_rate_h1=None, max_rate_l2=None)
-    if getattr(args, "config", None):
-        updates = _read_config_file(args.config)
-        config = replace(config, **dict(updates.values()))
-    # every file key is also a flag of the same name; --mesh takes a list
-    overrides = dict(parse(value) for key, parse in _FILE_KEYS.items()
-                     if key != "mesh" and (value := getattr(args, key, None)) is not None)
-    if getattr(args, "mesh", None):
-        overrides["mesh_files"] = tuple(args.mesh)
-    config = replace(config, **overrides)
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: RunConfig) -> None:
-    if not config.k_list or any(not 1 <= k <= 4 for k in config.k_list):
-        raise ConfigError(f"k must lie in 1..4, got {config.k_list}")
-    if not config.n_list or any(n < 1 for n in config.n_list):
-        raise ConfigError(f"n must be positive, got {config.n_list}")
-    if config.solver not in ("cg", "direct"):
-        raise ConfigError(f"solver must be 'cg' or 'direct', got {config.solver!r}")
-    if not config.tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {config.tol}")
-    if config.boost < 0:
-        raise ConfigError(f"boost must be nonnegative, got {config.boost}")
-    _check_rho(config.rho)
-    if config.trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {config.trials}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    if any(m < 1 for m in config.m_list):
-        raise ConfigError(f"M must be positive, got {config.m_list}")
+    given = list(_read_config_file(args.config)) if args.config else []
+    given += [("", name, text) for name in _OPTIONS if (text := getattr(args, name)) is not None]
+    values = dict(EXPERIMENTS[experiment])
+    for where, name, text in given:
+        spell = str if where else _flag  # file lines name keys, the command line flags
+        if experiment not in _OPTIONS[name].experiments:
+            reads = ", ".join(spell(other) for other, option in _OPTIONS.items()
+                              if experiment in option.experiments)
+            raise ConfigError(f"{where}{experiment} does not read {spell(name)}; "
+                              f"it reads {reads}")
+        try:
+            values[_OPTIONS[name].field] = _value(name, text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+    config = RunConfig(experiment, **values)
     # the largest Gauss rule the experiment builds: the audit's degree-4
     # disk rule and its polygon rules, or the degree-(k+2) load and error rules
-    if config.experiment == "quadrature-audit":
+    if experiment == "quadrature-audit":
         largest = (("boost", config.boost, rule_points(4, config.boost)[1]),
                    ("M", max(config.m_list), max(config.m_list) + 1))
     else:
@@ -200,11 +219,7 @@ def _validate_config(config: RunConfig) -> None:
         if points > _MAX_POINTS:
             raise ConfigError(f"{option}={value} needs a {points}-point Gauss rule, "
                               f"more than the {_MAX_POINTS} available")
-
-
-def _check_rho(rho: float) -> None:
-    if not 0.0 < rho <= 0.5:
-        raise ConfigError(f"rho must lie in (0, 0.5], got {rho}")
+    return config
 
 
 def _output_dir(config: RunConfig) -> Path:
@@ -491,8 +506,7 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rho = _parse_float(args.rho, "rho")
-    _check_rho(rho)
+    rho = _value("rho", args.rho)
     mesh = import_mesh(args.meshfile)
     report = validate_mesh(mesh, rho)
     bad = [q for q in report.elements if not q.ok]
@@ -514,46 +528,31 @@ def _cmd_validate(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvem",
-        description="Virtual element solver on polygonal meshes with curved edges")
+        description="Virtual element solver on polygonal meshes with curved edges; "
+                    "'curvem quadrature-audit' is 'curvem run quadrature-audit'")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("experiment", help=f"one of: {', '.join(EXPERIMENTS)}")
     run_p.add_argument("--config", help="flat key = value option file")
-    run_p.add_argument("--k", help="comma-separated polynomial degrees")
-    run_p.add_argument("--n", help="comma-separated refinement levels")
-    run_p.add_argument("--mesh", nargs="+", help="mesh files instead of generated meshes")
-    run_p.add_argument("--rho", help="shape-regularity parameter")
-    run_p.add_argument("--boost", help="extra quadrature points on curved sides")
-    run_p.add_argument("--solver", help="cg or direct")
-    run_p.add_argument("--tol", help="linear solver relative tolerance")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--seed", help="audit random seed")
-    run_p.add_argument("--trials", help="audit polygon count")
-    run_p.add_argument("--M", help="comma-separated audit rule orders")
-    run_p.add_argument("--min-rate-h1", dest="min_rate_h1")
-    run_p.add_argument("--min-rate-l2", dest="min_rate_l2")
-    run_p.add_argument("--max-rate-h1", dest="max_rate_h1")
-    run_p.add_argument("--max-rate-l2", dest="max_rate_l2")
+    for name, option in _OPTIONS.items():
+        run_p.add_argument(_flag(name), dest=name, nargs=option.nargs,
+                           help=f"{option.help} (read by {', '.join(option.experiments)})")
 
     val_p = sub.add_parser("validate", help="check a mesh file")
     val_p.add_argument("meshfile")
-    val_p.add_argument("--rho", required=True, help="shape-regularity parameter")
-
-    audit_p = sub.add_parser("quadrature-audit",
-                             help="shortcut for 'run quadrature-audit'")
-    for flag in ("--config", "--M", "--trials", "--seed", "--boost", "--out"):
-        audit_p.add_argument(flag)
+    val_p.add_argument("--rho", required=True, help=_OPTIONS["rho"].help)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["quadrature-audit"]:
+        argv.insert(0, "run")
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "quadrature-audit":
-            args.experiment = "quadrature-audit"
         return run(parse_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

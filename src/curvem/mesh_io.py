@@ -86,7 +86,9 @@ def parse_mesh(text: str) -> Mesh:
     ln, fields = _take(records, "counts")
     if fields[0] != "counts" or len(fields) != 5:
         _fail(ln, "expected 'counts <nv> <nc> <ne> <np>'")
-    nv, nc, ne, np_ = (_parse_int(ln, f, "count") for f in fields[1:])
+    nv, nc, ne, np_ = counts = [_parse_int(ln, f, "count") for f in fields[1:]]
+    if min(counts) < 0:
+        _fail(ln, f"negative count in {' '.join(fields)!r}")
 
     curves = {}
     for _ in range(nc):

@@ -1,5 +1,7 @@
 """Command-line parsing, experiment drivers, and exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from curvem.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_THRESHOLD,
+    EXPERIMENTS,
     POLYGON_AUDIT_TOL,
     ConfigError,
     _build_parser,
+    _OPTIONS,
     audit_polygon_exactness,
     main,
     monotone_within_floor,
@@ -29,6 +33,27 @@ from _oracles import shoelace_area
 
 def config_for(argv):
     return parse_config(_build_parser().parse_args(argv))
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+CONVERGENCE_READS = ("k", "n", "mesh", "rho", "boost", "solver", "tol", "out",
+                     "min_rate_h1", "min_rate_l2", "max_rate_h1", "max_rate_l2")
+READS = {"test1-curved": CONVERGENCE_READS, "test1-straight": CONVERGENCE_READS,
+         "test2": CONVERGENCE_READS, "patch": ("k", "n", "boost", "solver", "out"),
+         "quadrature-audit": ("boost", "out", "seed", "trials", "M")}
+
+# every option: flag arguments that set it, and the value they give,
+# which no experiment has as its default
+SAMPLES = {"k": (["2,3"], (2, 3)), "n": (["4,8"], (4, 8)),
+           "mesh": (["a.txt", "b.txt"], ("a.txt", "b.txt")), "rho": (["0.1"], 0.1),
+           "boost": (["4"], 4), "solver": (["direct"], "direct"), "tol": (["1e-10"], 1e-10),
+           "out": (["results"], "results"), "seed": (["7"], 7), "trials": (["3"], 3),
+           "M": (["1,2"], (1, 2)), "min_rate_h1": (["1.5"], 1.5),
+           "min_rate_l2": (["2.5"], 2.5), "max_rate_h1": (["3.5"], 3.5),
+           "max_rate_l2": (["4.5"], 4.5)}
 
 
 def test_defaults_per_experiment():
@@ -48,7 +73,7 @@ def test_defaults_per_experiment():
 def test_flag_overrides():
     cfg = config_for(["run", "test1-curved", "--k", "2,3", "--n", "4,8",
                       "--rho", "0.1", "--boost", "4", "--solver", "direct",
-                      "--tol", "1e-10", "--out", "results", "--seed", "7",
+                      "--tol", "1e-10", "--out", "results",
                       "--min-rate-h1", "1.5", "--max-rate-l2", "3.5"])
     assert cfg.k_list == (2, 3)
     assert cfg.n_list == (4, 8)
@@ -57,10 +82,10 @@ def test_flag_overrides():
     assert cfg.solver == "direct"
     assert cfg.tol == 1e-10
     assert cfg.out_dir == "results"
-    assert cfg.seed == 7
     assert cfg.min_rate_h1 == 1.5
     assert cfg.max_rate_l2 == 3.5
     assert cfg.min_rate_l2 is None
+    assert config_for(["run", "quadrature-audit", "--seed", "7"]).seed == 7
 
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -103,6 +128,58 @@ def test_missing_config_file():
         config_for(["run", "patch", "--config", "no/such/file.cfg"])
 
 
+def test_config_file_value_errors_name_their_line(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n = 4,8\nk = two\n", encoding="utf-8")
+    # a bad file value fails even where a flag overrides it
+    with pytest.raises(ConfigError, match="bad k list 'two'") as err:
+        config_for(["run", "patch", "--config", str(cfg_file), "--k", "1"])
+    assert str(err.value).startswith(f"{cfg_file}:2: ")
+    cfg_file.write_text("k = 1\ntol = 1e-3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="patch does not read tol; "
+                       "it reads k, n, boost, solver, out$") as err:
+        config_for(["run", "patch", "--config", str(cfg_file)])
+    assert str(err.value).startswith(f"{cfg_file}:2: ")
+
+
+def test_each_experiment_reads_exactly_its_options():
+    assert set(SAMPLES) == set(_OPTIONS)
+    assert {experiment: tuple(name for name, option in _OPTIONS.items()
+                              if experiment in option.experiments)
+            for experiment in EXPERIMENTS} == READS
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment, names in READS.items() for name in names])
+def test_flag_and_file_key_give_the_same_config(tmp_path, experiment, name):
+    tokens, value = SAMPLES[name]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {' '.join(tokens)}\n", encoding="utf-8")
+    from_flag = config_for(["run", experiment, flag(name), *tokens])
+    assert from_flag == config_for(["run", experiment, "--config", str(cfg_file)])
+    assert from_flag == replace(config_for(["run", experiment]),
+                                **{_OPTIONS[name].field: value})
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment, names in READS.items()
+    for name in SAMPLES if name not in names])
+def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
+                                                               experiment, name):
+    out = tmp_path / "out"
+    tokens, _ = SAMPLES[name]
+    assert main(["run", experiment, flag(name), *tokens, "--out", str(out)]) == EXIT_CONFIG
+    reads = ", ".join(map(flag, READS[experiment]))
+    assert (f"config error: {experiment} does not read {flag(name)}; it reads {reads}\n"
+            == capsys.readouterr().err)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {' '.join(tokens)}\n", encoding="utf-8")
+    assert main(["run", experiment, "--config", str(cfg_file),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert f"{cfg_file}:1: {experiment} does not read {name};" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["run", "nothing"], "unknown experiment"),
     (["run", "patch", "--k", "0"], "k must lie in 1..4"),
@@ -111,11 +188,11 @@ def test_missing_config_file():
     (["run", "patch", "--n", "0"], "n must be positive"),
     (["run", "patch", "--n", ","], "empty n list"),
     (["run", "patch", "--solver", "lu"], "solver must be"),
-    (["run", "patch", "--tol", "0"], "tol must be positive"),
-    (["run", "patch", "--tol", "tiny"], "bad tol"),
+    (["run", "test1-curved", "--tol", "0"], "tol must be positive"),
+    (["run", "test1-curved", "--tol", "tiny"], "bad tol"),
     (["run", "patch", "--boost", "-1"], "boost must be nonnegative"),
-    (["run", "patch", "--rho", "0.6"], "rho must lie in"),
-    (["run", "patch", "--trials", "0"], "trials must be at least 1"),
+    (["run", "test1-curved", "--rho", "0.6"], "rho must lie in"),
+    (["run", "quadrature-audit", "--trials", "0"], "trials must be at least 1"),
     (["run", "quadrature-audit", "--M", "0,2"], "M must be positive"),
     (["run", "test1-curved", "--k", "1", "--n", "4,8", "--boost", "70"],
      "boost=70 needs a 74-point Gauss rule, more than the 64 available"),
@@ -359,6 +436,22 @@ def test_quadrature_audit_shortcut(tmp_path, capsys):
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "audit result: pass" in summary
     capsys.readouterr()
+
+
+def test_quadrature_audit_shortcut_takes_the_audit_options(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(curvem.cli, "run", lambda config: seen.append(config) or EXIT_OK)
+    cfg_file = tmp_path / "audit.cfg"
+    cfg_file.write_text("trials = 9\nseed = 8\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["quadrature-audit", "--config", str(cfg_file), "--M", "1,2",
+                 "--trials", "3", "--seed", "5", "--boost", "4", "--out", out]) == EXIT_OK
+    [cfg] = seen
+    assert (cfg.experiment, cfg.m_list, cfg.trials, cfg.seed, cfg.boost, cfg.out_dir) == (
+        "quadrature-audit", (1, 2), 3, 5, 4, out)
+    assert main(["quadrature-audit", "--k", "1"]) == EXIT_CONFIG
+    assert "quadrature-audit does not read --k" in capsys.readouterr().err
+    assert seen == [cfg]
 
 
 def test_random_star_polygons_are_simple_and_positive():

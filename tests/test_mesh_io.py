@@ -132,6 +132,8 @@ def test_parse_minimal_square():
     (lambda t: t.replace("curvem-mesh 1", "not-a-mesh 1"), 1, "expected header"),
     (lambda t: t.replace("curvem-mesh 1", "curvem-mesh 9"), 1, "version"),
     (lambda t: t.replace("counts 4 0 4 1", "counts 4 0 4"), 2, "counts"),
+    (lambda t: t.replace("counts 4 0 4 1", "counts 4 -2 4 1"), 2, "negative count"),
+    (lambda t: t.replace("counts 4 0 4 1", "counts -1 0 0 0"), 2, "negative count"),
     (lambda t: t.replace("v 0 0", "v zero 0"), 3, "bad coordinate"),
     (lambda t: t.replace("e 3 0", "e 3 7"), 10, "missing vertex"),
     (lambda t: t.replace("e 3 0", "e 3 0 Gamma 0 1"), 10, "unknown curve"),
