@@ -14,7 +14,7 @@ from .analysis import (ConvergenceReport, ConvergenceRow, ManufacturedProblem,
                        run_patch_test, test1_boundary_curves, test1_problem,
                        test2_problem)
 from .geometry import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
-                       circle_curve, curve_from_params, graph_curve)
+                       circle_curve, graph_curve)
 from .mesh import (Edge, Element, ElementQuality, Mesh, MeshError,
                    MeshQualityReport, Vertex, build_annulus_interface_mesh,
                    build_mapped_tensor_mesh, straighten_mesh, validate_mesh)
@@ -37,7 +37,7 @@ __all__ = [
     "QuadratureError", "QuadratureRule1D", "RateFit",
     "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",
     "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
-    "circle_curve", "compute_errors", "curve_from_params", "dof_count",
+    "circle_curve", "compute_errors", "dof_count",
     "edge_dof_points", "export_mesh", "fit_rates", "format_mesh",
     "gauss_legendre", "gauss_lobatto", "graph_curve",
     "import_mesh", "lagrange_values", "n_moments", "parse_mesh",

@@ -15,6 +15,8 @@ as a flag or as a key of the ``key = value`` file named by ``--config``
     --boost --out                         every experiment
     --seed --trials --M                   quadrature-audit (``curvem quadrature-audit``)
 
+``--mesh`` replaces the generated meshes of ``--n``, so giving both exits 2 too.
+
 Outputs (CSV tables plus a plain-text summary) are deterministic, so a
 repeated run reproduces files byte for byte.
 """
@@ -195,6 +197,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     given = list(_read_config_file(args.config)) if args.config else []
     given += [("", name, text) for name in _OPTIONS if (text := getattr(args, name)) is not None]
     values = dict(EXPERIMENTS[experiment])
+    spelled = {}  # each option given so far, as it was spelled
     for where, name, text in given:
         spell = str if where else _flag  # file lines name keys, the command line flags
         if experiment not in _OPTIONS[name].experiments:
@@ -202,6 +205,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
                               if experiment in option.experiments)
             raise ConfigError(f"{where}{experiment} does not read {spell(name)}; "
                               f"it reads {reads}")
+        spelled[name] = spell(name)
+        if {"mesh", "n"} <= spelled.keys():
+            raise ConfigError(f"{where}{experiment} takes {spelled['mesh']} or {spelled['n']}, "
+                              f"not both: the mesh files replace the generated levels")
         try:
             values[_OPTIONS[name].field] = _value(name, text)
         except ConfigError as exc:

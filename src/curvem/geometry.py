@@ -11,8 +11,8 @@ interpolated approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,30 @@ _UFLOW = float(np.finfo(float).tiny)
 _EPSABS, _EPSREL, _LIMIT = 1e-15, 1e-12, 200
 
 
+def _circle(t, cx, cy, radius, omega, phase):
+    ang = omega * t + phase
+    return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=-1)
+
+
+def _circle_velocity(t, cx, cy, radius, omega, phase):
+    ang = omega * t + phase
+    return np.stack([-radius * omega * np.sin(ang), radius * omega * np.cos(ang)], axis=-1)
+
+
+def _graph(t, amplitude, frequency, offset):
+    return np.stack([t, offset + amplitude * np.sin(frequency * t)], axis=-1)
+
+
+def _graph_velocity(t, amplitude, frequency, offset):
+    return np.stack([np.ones_like(t), amplitude * frequency * np.cos(frequency * t)], axis=-1)
+
+
+# each curve kind: its coefficients in ``params`` order, gamma and gamma'
+_Kind = namedtuple("_Kind", "coefficients gamma velocity")
+_KINDS = {"circle": _Kind(("cx", "cy", "radius", "omega", "phase"), _circle, _circle_velocity),
+          "graph": _Kind(("amplitude", "frequency", "offset"), _graph, _graph_velocity)}
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     """A smooth injective parametrization of one boundary/interface piece.
@@ -53,46 +77,62 @@ class BoundaryCurve:
     Parameters
     ----------
     id : str
-        Name used by mesh files and meshes to reference the curve.
+        Name used by mesh files and meshes to reference the curve: a
+        non-empty word of printable characters other than space and ``#``.
     param_interval : (float, float)
         Global parameter interval [a, b], a < b.
     kind : str
-        ``"circle"`` or ``"graph"``: the closed form whose coefficients are
-        ``params``, so that ``curve_from_params`` rebuilds the curve.
+        ``"circle"`` (see ``circle_curve``) or ``"graph"`` (``graph_curve``).
     params : tuple of float
-        Closed-form coefficients.
+        The kind's coefficients: cx cy radius omega phase for a circle,
+        amplitude frequency offset for a graph.
 
-    The evaluation callables are vectorized: ``eval(t)`` accepts a scalar
-    or an array of parameters and returns points with a trailing axis of
-    length 2.
+    The record is the curve: equal fields make equal curves, and every
+    construction checks them (a finite interval and finite coefficients of a
+    known kind, a circle's radius and span, nonzero speed at 64 samples).
+    ``eval(t)`` takes a scalar or an array and returns points with a
+    trailing axis of length 2.
     """
 
     id: str
     param_interval: tuple[float, float]
     kind: str
     params: tuple[float, ...]
-    _fn: Callable = field(repr=False)
-    _dfn: Callable = field(repr=False)
+
+    def __post_init__(self):
+        cid, kind = self.id, _KINDS.get(self.kind)
+        if not (isinstance(cid, str) and cid.isprintable() and cid) or set(cid) & {" ", "#"}:
+            raise GeometryError(f"curve id {cid!r} must be a printable word without '#'")
+        if kind is None:
+            raise GeometryError(f"curve {cid!r}: unknown curve kind {self.kind!r}")
+        if len(self.params) != len(kind.coefficients):
+            raise GeometryError(
+                f"curve {cid!r}: kind {self.kind!r} takes {len(kind.coefficients)} parameters "
+                f"({' '.join(kind.coefficients)}), got {len(self.params)}")
+        (a, b), p = map(float, self.param_interval), tuple(map(float, self.params))
+        object.__setattr__(self, "param_interval", (a, b))
+        object.__setattr__(self, "params", p)
+        bad = [f"{name} {v}" for name, v in zip(kind.coefficients, p) if not np.isfinite(v)]
+        if bad:
+            raise GeometryError(f"curve {cid!r}: non-finite {', '.join(bad)}")
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            raise GeometryError(f"curve {cid!r}: invalid parameter interval [{a}, {b}]")
+        if self.kind == "circle" and p[2] <= 0.0:
+            raise GeometryError(f"curve {cid!r}: radius must be positive")
+        if self.kind == "circle" and abs(p[3]) * (b - a) > 2.0 * np.pi + 1e-12:
+            raise GeometryError(f"curve {cid!r}: angular span exceeds a full turn")
+        d = self.eval_derivative(np.linspace(a, b, _SPEED_SAMPLES))
+        speed = np.hypot(d[..., 0], d[..., 1])
+        if np.any(~np.isfinite(speed)) or np.any(speed < 1e-14):
+            raise GeometryError(f"curve {cid!r}: vanishing or non-finite speed on [{a}, {b}]")
 
     def eval(self, t):
         """Point gamma(t); shape (..., 2)."""
-        return self._fn(np.asarray(t, dtype=float))
+        return _KINDS[self.kind].gamma(np.asarray(t, dtype=float), *self.params)
 
     def eval_derivative(self, t):
         """Velocity gamma'(t); shape (..., 2)."""
-        return self._dfn(np.asarray(t, dtype=float))
-
-
-def _validate_curve(curve: BoundaryCurve) -> BoundaryCurve:
-    a, b = curve.param_interval
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise GeometryError(f"curve {curve.id!r}: invalid parameter interval [{a}, {b}]")
-    t = np.linspace(a, b, _SPEED_SAMPLES)
-    d = curve.eval_derivative(t)
-    speed = np.hypot(d[..., 0], d[..., 1])
-    if np.any(~np.isfinite(speed)) or np.any(speed < 1e-14):
-        raise GeometryError(f"curve {curve.id!r}: vanishing or non-finite speed on [{a}, {b}]")
-    return curve
+        return _KINDS[self.kind].velocity(np.asarray(t, dtype=float), *self.params)
 
 
 def circle_curve(curve_id, center, radius, omega=1.0, phase=0.0,
@@ -102,27 +142,8 @@ def circle_curve(curve_id, center, radius, omega=1.0, phase=0.0,
     The angular span |omega|*(b - a) must not exceed 2*pi, which makes the
     parametrization injective (up to the closed-curve endpoint).
     """
-    cx, cy = float(center[0]), float(center[1])
-    radius = float(radius)
-    omega = float(omega)
-    phase = float(phase)
-    if radius <= 0.0:
-        raise GeometryError(f"curve {curve_id!r}: radius must be positive")
-    a, b = param_interval
-    if abs(omega) * (b - a) > 2.0 * np.pi + 1e-12:
-        raise GeometryError(f"curve {curve_id!r}: angular span exceeds a full turn")
-
-    def fn(t):
-        ang = omega * t + phase
-        return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=-1)
-
-    def dfn(t):
-        ang = omega * t + phase
-        return np.stack([-radius * omega * np.sin(ang), radius * omega * np.cos(ang)], axis=-1)
-
-    return _validate_curve(BoundaryCurve(
-        id=str(curve_id), param_interval=(float(a), float(b)), kind="circle",
-        params=(cx, cy, radius, omega, phase), _fn=fn, _dfn=dfn))
+    return BoundaryCurve(str(curve_id), param_interval, "circle",
+                         (center[0], center[1], radius, omega, phase))
 
 
 def graph_curve(curve_id, amplitude, frequency, offset=0.0,
@@ -131,39 +152,7 @@ def graph_curve(curve_id, amplitude, frequency, offset=0.0,
 
     Injective for free since the first component is the parameter itself.
     """
-    amplitude = float(amplitude)
-    frequency = float(frequency)
-    offset = float(offset)
-    a, b = param_interval
-
-    def fn(t):
-        return np.stack([t, offset + amplitude * np.sin(frequency * t)], axis=-1)
-
-    def dfn(t):
-        return np.stack([np.ones_like(t), amplitude * frequency * np.cos(frequency * t)], axis=-1)
-
-    return _validate_curve(BoundaryCurve(
-        id=str(curve_id), param_interval=(float(a), float(b)), kind="graph",
-        params=(amplitude, frequency, offset), _fn=fn, _dfn=dfn))
-
-
-_CURVE_BUILDERS = {
-    "circle": lambda cid, p, iv: circle_curve(cid, (p[0], p[1]), p[2], p[3], p[4], iv),
-    "graph": lambda cid, p, iv: graph_curve(cid, p[0], p[1], p[2], iv),
-}
-
-_CURVE_NPARAMS = {"circle": 5, "graph": 3}
-
-
-def curve_from_params(curve_id, kind, params, param_interval) -> BoundaryCurve:
-    """Rebuild a serializable curve from its (kind, params) record."""
-    if kind not in _CURVE_BUILDERS:
-        raise GeometryError(f"unknown curve kind {kind!r}")
-    if len(params) != _CURVE_NPARAMS[kind]:
-        raise GeometryError(
-            f"curve {curve_id!r}: kind {kind!r} takes {_CURVE_NPARAMS[kind]} parameters, "
-            f"got {len(params)}")
-    return _CURVE_BUILDERS[kind](curve_id, tuple(float(p) for p in params), param_interval)
+    return BoundaryCurve(str(curve_id), param_interval, "graph", (amplitude, frequency, offset))
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,10 @@ def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
 
 
 def _param_errors(curves, params) -> list[str]:
-    """The curved edges with a non-finite parameter, of theirs or their curve's."""
+    """The curved edges with a non-finite parameter (a curve checks its own)."""
     return [f"edge {i}: curve {curve.id!r} has a non-finite parameter"
-            for i, curve in enumerate(curves) if curve is not None and not np.all(
-                np.isfinite([*params[i], *curve.param_interval, *curve.params]))]
+            for i, curve in enumerate(curves)
+            if curve is not None and not np.all(np.isfinite(params[i]))]
 
 
 def _finite_errors(mesh: Mesh) -> list[str]:
@@ -344,9 +344,8 @@ def _derive_topology(mesh: Mesh) -> None:
     mesh.vertex_on_boundary[mesh.edge_vertices[mesh.edge_on_boundary].ravel()] = True
     curves: dict[str, BoundaryCurve] = {}
     for curve in mesh.edge_curves[mesh.edge_curved]:
-        if curves.get(curve.id, curve) is not curve:
+        if (seen := curves.setdefault(curve.id, curve)) is not curve and seen != curve:
             raise MeshError(f"two distinct curves share the id {curve.id!r}")
-        curves[curve.id] = curve
     mesh.curves = curves
 
 
@@ -464,8 +463,7 @@ def _check_graph_curve(curve: BoundaryCurve, name: str) -> None:
     a, b = curve.param_interval
     if abs(a) > 1e-14 or abs(b - 1.0) > 1e-14:
         raise MeshError(f"{name}: graph must be parametrized over [0, 1]")
-    t = np.linspace(0.0, 1.0, 17)
-    if np.max(np.abs(curve.eval(t)[:, 0] - t)) > 1e-13:
+    if curve.kind != "graph":
         raise MeshError(f"{name}: curve is not the graph of a function of x")
 
 

@@ -13,10 +13,15 @@ Grammar (one record per line, ``#`` comments and blank lines ignored)::
 Records appear in that order: curves, vertices, edges, then one ``p`` line
 plus one ``label`` line per element.  Edge lines use 0-based vertex
 indices; element loops use 1-based edge indices whose sign gives the
-traversal direction.  Curve lines carry the parameter interval [a, b] and
-the closed-form coefficients of a serializable curve kind.  Floats are
-written with 17 significant digits, so a write/read round trip reproduces
-them bit-exactly.
+traversal direction.  A curve line holds a ``BoundaryCurve`` record: its
+id (printable, without space or ``#``), kind, parameter interval [a, b]
+and the kind's coefficients, in the order
+
+    circle: cx cy radius omega phase
+    graph:  amplitude frequency offset
+
+Floats are written with 17 significant digits, so a write/read round trip
+reproduces them bit-exactly.  Integers must fit in 64 bits.
 
 A mesh is its arrays (see ``curvem.mesh``): ``parse_mesh`` reads each
 section into them and hands them to the ``Mesh`` constructor, and
@@ -25,13 +30,14 @@ section into them and hands them to the ``Mesh`` constructor, and
 
 from __future__ import annotations
 
-from .geometry import GeometryError, CurveSegment, curve_from_params
+from .geometry import BoundaryCurve, CurveSegment, GeometryError
 from .mesh import Mesh
 
 import numpy as np
 
 _MAGIC = "curvem-mesh"
 _VERSION = "1"
+_INT64 = np.iinfo(np.int64)
 
 
 class MeshFormatError(Exception):
@@ -68,9 +74,12 @@ def _parse_float(ln, token, what):
 
 def _parse_int(ln, token, what):
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         _fail(ln, f"bad {what} {token!r}")
+    if not _INT64.min <= value <= _INT64.max:
+        _fail(ln, f"{what} {token!r} does not fit in 64 bits")
+    return value
 
 
 def parse_mesh(text: str) -> Mesh:
@@ -102,7 +111,7 @@ def parse_mesh(text: str) -> Mesh:
         b = _parse_float(ln, fields[4], "interval bound")
         params = [_parse_float(ln, f, "curve parameter") for f in fields[5:]]
         try:
-            curves[cid] = curve_from_params(cid, kind, params, (a, b))
+            curves[cid] = BoundaryCurve(cid, (a, b), kind, tuple(params))
         except GeometryError as exc:
             _fail(ln, str(exc))
 
@@ -175,16 +184,12 @@ def import_mesh(path) -> Mesh:
 
 
 def format_mesh(mesh: Mesh) -> str:
-    """Serialize a mesh; raises for curves that ``curve_from_params`` cannot rebuild."""
+    """Serialize a mesh; see the module docstring for the grammar."""
     out = [f"{_MAGIC} {_VERSION}",
            f"counts {len(mesh.points)} {len(mesh.curves)} "
            f"{len(mesh.edge_vertices)} {len(mesh.labels)}"]
     for cid in sorted(mesh.curves):
         curve = mesh.curves[cid]
-        try:
-            curve_from_params(cid, curve.kind, curve.params, curve.param_interval)
-        except GeometryError as exc:
-            raise MeshFormatError(f"curve {cid!r} cannot be serialized: {exc}") from None
         a, b = curve.param_interval
         params = " ".join(f"{p:.17g}" for p in curve.params)
         out.append(f"c {cid} {curve.kind} {a:.17g} {b:.17g} {params}")

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "QuadratureError", "QuadratureRule1D", "RateFit",
     "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",
     "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
-    "circle_curve", "compute_errors", "curve_from_params", "dof_count",
+    "circle_curve", "compute_errors", "dof_count",
     "edge_dof_points", "export_mesh", "fit_rates", "format_mesh",
     "gauss_legendre", "gauss_lobatto", "graph_curve",
     "import_mesh", "lagrange_values", "n_moments", "parse_mesh",
@@ -34,7 +34,7 @@ def test_every_exported_name_resolves_once():
 
 def test_public_api_is_pinned():
     # any change to the public API has to edit this list
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(curvem.__all__) == PUBLIC_NAMES
 
 

@@ -307,6 +307,27 @@ def test_main_one_level_run_exits_2_before_solving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, lines, where, spelled", [
+    (["--mesh", "a.txt", "b.txt", "--n", "4,8"], None, "", "--mesh or --n"),
+    ([], "mesh = a.txt b.txt\nn = 4,8\n", "{cfg}:2: ", "mesh or n"),
+    (["--mesh", "a.txt", "b.txt"], "n = 4,8\n", "", "--mesh or n"),
+], ids=["flags", "file-keys", "file-key-and-flag"])
+def test_mesh_and_n_are_not_given_together(tmp_path, capsys, flags, lines, where, spelled):
+    cfg = tmp_path / "run.cfg"
+    if lines is not None:
+        cfg.write_text(lines, encoding="utf-8")
+        flags = [*flags, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["run", "test1-curved", *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {where.format(cfg=cfg)}test1-curved takes {spelled}, not both: "
+        "the mesh files replace the generated levels\n")
+    assert not out.exists()
+    # an experiment's own default levels are not given
+    assert config_for(["run", "test2", "--mesh", "a.txt", "b.txt"]).mesh_files == \
+        ("a.txt", "b.txt")
+
+
 def test_main_straight_run_straightens_each_mesh_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -338,6 +359,15 @@ def test_main_non_finite_mesh_file_exits_2(tmp_path, capsys):
     path.write_text(THIN_QUAD.replace("v 1 1", "v 1 nan"), encoding="utf-8")
     assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_CONFIG
     assert "line 5: non-finite coordinate" in capsys.readouterr().err
+
+
+def test_validate_label_outside_64_bits_exits_2(tmp_path, capsys):
+    path = tmp_path / "label.txt"
+    path.write_text(THIN_QUAD.replace("label 1", "label 99999999999999999999"),
+                    encoding="utf-8")
+    assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("mesh file error: line 12: label "
+                                       "'99999999999999999999' does not fit in 64 bits\n")
 
 
 def test_main_quality_failure_exits_3(tmp_path, capsys):

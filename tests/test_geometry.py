@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from curvem import (CurveSegment, GeometryError, arc_length, circle_curve,
-                    curve_from_params, graph_curve)
+from curvem import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
+                    circle_curve, graph_curve)
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem.geometry import _qk21
@@ -39,12 +41,21 @@ def test_curve_requires_nonvanishing_speed():
         circle_curve("bad", (0.0, 0.0), 1.0, omega=0.0)
 
 
-def test_curve_from_params_round_trip():
-    c = curve_from_params("c2", "circle", (0.0, 0.0, 0.5, 2.0, 0.0), (0.0, np.pi))
+def test_curve_built_from_its_record():
+    c = BoundaryCurve("c2", (0.0, np.pi), "circle", (0.0, 0.0, 0.5, 2.0, 0.0))
     assert np.allclose(c.eval(np.array([0.0]))[0], [0.5, 0.0])
     assert np.allclose(c.eval(np.array([np.pi / 2]))[0], [-0.5, 0.0])
     with pytest.raises(GeometryError):
-        curve_from_params("x", "nope", (), (0.0, 1.0))
+        BoundaryCurve("x", (0.0, 1.0), "nope", ())
+
+
+@pytest.mark.parametrize("cid", ["a b", "x#y", "", "tab\there", "nul\x00"],
+                         ids=["space", "hash", "empty", "tab", "control"])
+def test_curve_id_must_be_a_mesh_file_word(cid):
+    with pytest.raises(GeometryError, match="must be a printable word without '#'"):
+        graph_curve(cid, 0.05, np.pi)
+    with pytest.raises(GeometryError, match="must be a printable word without '#'"):
+        replace(circle_curve("c", (0.0, 0.0), 1.0), id=cid)
 
 
 def test_segment_validates_interval():

@@ -1,10 +1,10 @@
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from curvem import (BoundaryCurve, CurveSegment, Edge, Element, Mesh, MeshError, Vertex,
-                    arc_length, build_annulus_interface_mesh,
+from curvem import (BoundaryCurve, CurveSegment, Edge, Element, GeometryError, Mesh,
+                    MeshError, Vertex, arc_length, build_annulus_interface_mesh,
                     build_mapped_tensor_mesh, circle_curve, graph_curve,
                     straighten_mesh, validate_mesh)
 from curvem import test1_boundary_curves as boundary_curves
@@ -126,17 +126,31 @@ def test_build_rejects_non_finite_vertex(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_build_rejects_non_finite_curve_parameter(bad):
-    # a curve record built directly, past the checks of the curve builders
-    c = circle_curve("c", (0, 0), 1.0)
-    odd = BoundaryCurve(id="c", param_interval=c.param_interval, kind="circle",
-                        params=(0.0, 0.0, 1.0, bad, 0.0), _fn=c._fn, _dfn=c._dfn)
-    vertices = [Vertex(position=np.array([1.0, 0.0])),
-                Vertex(position=np.array([0.0, 1.0])),
-                Vertex(position=np.array([-1.0, -1.0]))]
-    edges = [Edge(v0=0, v1=1, segment=CurveSegment(odd, 0.0, np.pi / 2)),
-             Edge(v0=1, v1=2), Edge(v0=2, v1=0)]
-    with pytest.raises(MeshError, match="edge 0: curve 'c' has a non-finite parameter"):
-        Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1)])])
+    # a curve record built directly checks every coefficient, so no mesh
+    # can hold a curve with a non-finite one
+    for kind, params in (("circle", (0.0, 0.0, 1.0, 1.0, 0.0)), ("graph", (0.1, 1.0, 0.0))):
+        for i in range(len(params)):
+            odd = params[:i] + (bad,) + params[i + 1:]
+            with pytest.raises(GeometryError, match="curve 'c': non-finite"):
+                BoundaryCurve(id="c", param_interval=(0.0, 1.0), kind=kind, params=odd)
+        with pytest.raises(GeometryError, match="invalid parameter interval"):
+            BoundaryCurve(id="c", param_interval=(0.0, bad), kind=kind, params=params)
+
+
+def test_curves_sharing_an_id_must_be_equal():
+    base = build_mapped_tensor_mesh(4, *boundary_curves())
+    curves = base.edge_curves.copy()
+    curved = np.flatnonzero(base.edge_curved)
+    # equal records built separately, as two calls of a curve factory give
+    curves[curved[::2]] = [boundary_curves()[0 if c.id == "Gamma1" else 1]
+                           for c in curves[curved[::2]]]
+    args = (base.loop_offsets, base.loop_edges, base.loop_signs, base.labels)
+    mesh = Mesh(base.points, base.edge_vertices, curves, base.edge_params, *args)
+    assert mesh.curves == base.curves
+    bottom = boundary_curves()[0]
+    curves[curved[0]] = replace(bottom, params=(*bottom.params[:2], 1e-17))
+    with pytest.raises(MeshError, match="two distinct curves share the id 'Gamma1'"):
+        Mesh(base.points, base.edge_vertices, curves, base.edge_params, *args)
 
 
 def test_mapped_mesh_identity_when_straight():

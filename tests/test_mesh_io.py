@@ -1,5 +1,7 @@
 """Mesh file parsing, serialization, and error reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,9 @@ from hypothesis import strategies as st
 
 from curvem import (
     BoundaryCurve,
-    CurveSegment,
-    Edge,
-    Element,
+    GeometryError,
     Mesh,
     MeshFormatError,
-    Vertex,
     build_annulus_interface_mesh,
     build_mapped_tensor_mesh,
     export_mesh,
@@ -56,6 +55,12 @@ INPUT_ARRAYS = ("points", "edge_vertices", "edge_params", "loop_offsets", "loop_
                 "loop_signs", "labels")
 
 
+# curve ids: any word of printable characters other than space and '#'
+CURVE_IDS = st.lists(st.text(st.characters(exclude_categories=("Z", "C"),
+                                           exclude_characters="#"), min_size=1, max_size=6),
+                     min_size=2, max_size=2, unique=True)
+
+
 @st.composite
 def shifted_graph_meshes(draw):
     """Mapped tensor meshes between random sinusoidal graphs, interior
@@ -63,8 +68,9 @@ def shifted_graph_meshes(draw):
     n = draw(st.integers(1, 4))
     amplitudes = st.one_of(st.just(0.0), st.floats(-0.1, 0.1))
     frequencies = st.floats(0.5, 10.0)
-    bottom = graph_curve("b", draw(amplitudes), draw(frequencies))
-    top = graph_curve("t", draw(amplitudes), draw(frequencies), offset=1.0)
+    bottom_id, top_id = draw(CURVE_IDS)
+    bottom = graph_curve(bottom_id, draw(amplitudes), draw(frequencies))
+    top = graph_curve(top_id, draw(amplitudes), draw(frequencies), offset=1.0)
     base = build_mapped_tensor_mesh(n, bottom, top)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     inner = ~base.vertex_on_boundary
@@ -77,8 +83,21 @@ def shifted_graph_meshes(draw):
                 rng.integers(1, 4, size=len(base.labels)))
 
 
+@st.composite
+def renamed_annulus_meshes(draw):
+    """Annulus meshes with exactly curved circle arcs, their two curves
+    renamed and elements labeled anywhere in the 64-bit range."""
+    base = build_annulus_interface_mesh(draw(st.integers(2, 3)), draw(st.sampled_from([4, 8])))
+    renamed = dict(zip(sorted(base.curves), draw(CURVE_IDS)))
+    curves = [None if c is None else replace(c, id=renamed[c.id]) for c in base.edge_curves]
+    labels = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=len(base.labels),
+                           max_size=len(base.labels)))
+    return Mesh(base.points, base.edge_vertices, curves, base.edge_params,
+                base.loop_offsets, base.loop_edges, base.loop_signs, labels)
+
+
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
-@given(shifted_graph_meshes())
+@given(st.one_of(shifted_graph_meshes(), renamed_annulus_meshes()))
 def test_round_trip_of_random_meshes_is_bit_exact(mesh):
     text = format_mesh(mesh)
     parsed = parse_mesh(text)
@@ -86,8 +105,8 @@ def test_round_trip_of_random_meshes_is_bit_exact(mesh):
     for name in INPUT_ARRAYS:
         assert np.array_equal(getattr(parsed, name), getattr(mesh, name),
                               equal_nan=name == "edge_params"), name
-    ids = [[None if c is None else c.id for c in m.edge_curves] for m in (parsed, mesh)]
-    assert ids[0] == ids[1]
+    assert parsed.curves == mesh.curves
+    assert list(parsed.edge_curves) == list(mesh.edge_curves)
 
 
 def test_file_round_trip(tmp_path):
@@ -191,21 +210,10 @@ def test_bad_curve_parameters_fail_with_curve_line_number():
 
 
 def test_generic_curves_cannot_be_serialized():
-    curve = BoundaryCurve(
-        id="wavy", param_interval=(0.0, 1.0), kind="generic", params=(),
-        _fn=lambda t: np.stack([t, 0.1 * np.sin(np.pi * t)], axis=-1),
-        _dfn=lambda t: np.stack([np.ones_like(t), 0.1 * np.pi * np.cos(np.pi * t)],
-                                axis=-1))
-    vertices = [Vertex(position=np.array([0.0, 0.0])),
-                Vertex(position=np.array([1.0, 0.0])),
-                Vertex(position=np.array([1.0, 1.0])),
-                Vertex(position=np.array([0.0, 1.0]))]
-    edges = [Edge(v0=0, v1=1, segment=CurveSegment(curve, 0.0, 1.0)),
-             Edge(v0=1, v1=2), Edge(v0=2, v1=3), Edge(v0=3, v1=0)]
-    mesh = Mesh.build(vertices, edges,
-                      [Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])])
-    with pytest.raises(MeshFormatError, match="generic"):
-        format_mesh(mesh)
+    # a curve is its closed-form record, so every curve a mesh holds can be
+    # written; a kind without a closed form is no curve at all
+    with pytest.raises(GeometryError, match="unknown curve kind 'generic'"):
+        BoundaryCurve(id="wavy", param_interval=(0.0, 1.0), kind="generic", params=())
 
 
 def test_parsed_curved_edges_carry_exact_segments():
