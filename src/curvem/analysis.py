@@ -10,10 +10,13 @@ geometry.
 
 from __future__ import annotations
 
+import os
+import signal
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
 from .solver import apply_dirichlet, assemble, solve
-from .vem import Coefficient, _for_label
+from .vem import Coefficient, _for_label, global_dof_count
 
 
 @dataclass(frozen=True)
@@ -248,6 +251,108 @@ def fit_rates(report: ConvergenceReport) -> RateFit:
                    pairwise_h1=rates[0][1], pairwise_l2=rates[1][1])
 
 
+# The level solver of the study a helper process serves; set only in helpers,
+# by _adopt_levels, from the parent's object that the fork carried over.
+_adopted_levels = None
+
+
+def _adopt_levels(solve_level: Callable) -> None:
+    """Start a helper: keep the level solver; an interrupt is the parent's
+    to handle, which then cancels and joins its helpers."""
+    global _adopted_levels
+    _adopted_levels = solve_level
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _solve_adopted(*level):
+    return _adopted_levels(*level)
+
+
+def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> Iterator:
+    """Yield ``solve_level(*level)`` for each of ``levels``, in their order.
+
+    The levels are independent solves, so they run side by side: this
+    process solves the heaviest (largest of ``weights``) itself and hands
+    the rest, heaviest first, to forked helper processes, one per usable
+    CPU beyond the first and at most one per other level.  The helpers get
+    ``solve_level`` and all it reads (problem callables and meshes, which
+    cannot be pickled) by fork inheritance; only the ``levels`` tuples go
+    out and results come back.  With no CPU to spare, where fork is
+    missing, or inside a daemon process (which may not have children),
+    every level runs here, in order.
+
+    The first level, in order, that fails raises its exception when it is
+    reached, after every result before it.  Levels not yet started are
+    then cancelled; every helper is joined when the generator ends or is
+    closed.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    helpers = min(len(affinity(0)) - 1 if affinity else 0, len(levels) - 1)
+    if helpers > 0:
+        import multiprocessing
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            helpers = 0
+    if helpers <= 0:
+        for level in levels:
+            yield solve_level(*level)
+        return
+    from concurrent.futures import Future
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    heaviest_first = sorted(range(len(levels)), key=lambda i: -weights[i])
+    pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_levels, initargs=(solve_level,))
+    try:
+        outcomes = {i: pool.submit(_solve_adopted, *levels[i]) for i in heaviest_first[1:]}
+        own = outcomes[heaviest_first[0]] = Future()
+        try:
+            own.set_result(solve_level(*levels[heaviest_first[0]]))
+        except Exception as exc:  # raised when its level is reached
+            own.set_exception(exc)
+        for i in range(len(levels)):
+            yield outcomes[i].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
+                         straighten: bool = False, solver_method: str = "cg",
+                         tol: float = 1e-12, boost: int = 2) -> Iterator[ConvergenceReport]:
+    """Yield ``run_convergence``'s report for each k of ``ks``, in order.
+
+    Every (k, level) pair is one level of a single ``_run_levels`` map, so
+    the levels of all k run side by side, weighted by their DoF counts.
+    """
+    if meshes is not None and len(meshes) != len(ns):
+        raise ValueError("meshes and ns must have matching lengths")
+    boundary = problem.boundary
+    if straighten and problem.chord_boundary is not None:
+        boundary = problem.chord_boundary
+    if meshes is None:
+        meshes = [problem.mesh_factory(n) for n in ns]
+    if straighten:
+        meshes = [straighten_mesh(mesh) if mesh.edge_curved.any() else mesh
+                  for mesh in meshes]
+
+    def solve_level(k, level):
+        mesh = meshes[level]
+        system = assemble(mesh, k, problem.coefficient(), boost=boost)
+        apply_dirichlet(system, boundary)
+        solution = solve(system, method=solver_method, tol=tol)
+        err_h1, err_l2 = compute_errors(mesh, k, solution, problem,
+                                        system=system, boost=boost)
+        return ConvergenceRow(n=ns[level], h=mesh.h, n_dof=system.dof_map.total,
+                              err_h1=err_h1, err_l2=err_l2)
+
+    levels = [(k, level) for k in ks for level in range(len(ns))]
+    weights = [global_dof_count(meshes[level], k) for k, level in levels]
+    name = problem.name + ("-straight" if straighten else "")
+    with closing(_run_levels(solve_level, levels, weights)) as rows:
+        for k in ks:
+            yield ConvergenceReport(problem=name, k=k, rows=[next(rows) for _ in ns])
+
+
 def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
                     meshes=None, straighten: bool = False,
                     solver_method: str = "cg", tol: float = 1e-12,
@@ -259,27 +364,13 @@ def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
     mesh is reduced to its chord polygon before solving (the exact solution
     and error norms are unchanged), using the problem's chord boundary data
     if it defines any; a mesh without curved edges is already its own chord
-    polygon and is used as it is.
+    polygon and is used as it is.  The levels are solved side by side, as
+    ``_run_levels`` describes.
     """
-    rows = []
-    boundary = problem.boundary
-    if straighten and problem.chord_boundary is not None:
-        boundary = problem.chord_boundary
-    if meshes is not None and len(meshes) != len(ns):
-        raise ValueError("meshes and ns must have matching lengths")
-    for level, n in enumerate(ns):
-        mesh = problem.mesh_factory(n) if meshes is None else meshes[level]
-        if straighten and mesh.edge_curved.any():
-            mesh = straighten_mesh(mesh)
-        system = assemble(mesh, k, problem.coefficient(), boost=boost)
-        apply_dirichlet(system, boundary)
-        solution = solve(system, method=solver_method, tol=tol)
-        err_h1, err_l2 = compute_errors(mesh, k, solution, problem,
-                                        system=system, boost=boost)
-        rows.append(ConvergenceRow(n=n, h=mesh.h, n_dof=system.dof_map.total,
-                                   err_h1=err_h1, err_l2=err_l2))
-    name = problem.name + ("-straight" if straighten else "")
-    return ConvergenceReport(problem=name, k=k, rows=rows)
+    (report,) = _convergence_reports(problem, (k,), ns, meshes=meshes,
+                                     straighten=straighten, solver_method=solver_method,
+                                     tol=tol, boost=boost)
+    return report
 
 
 _PATCH_POLYNOMIALS = {
@@ -294,6 +385,32 @@ _PATCH_POLYNOMIALS = {
 }
 
 
+def _patch_errors(ks, ns, *, solver_method: str = "direct",
+                  boost: int = 2) -> Iterator[float]:
+    """Yield ``run_patch_test``'s error for each (k, n) of ``ks`` x ``ns``,
+    in that order, from one ``_run_levels`` map over those levels."""
+    for k in ks:
+        if k not in _PATCH_POLYNOMIALS:
+            raise ValueError(f"no patch polynomial for k={k}")
+    bottom, top = test1_boundary_curves()
+    meshes = {n: straighten_mesh(build_mapped_tensor_mesh(n, bottom, top)) for n in ns}
+
+    def solve_level(k, n):
+        u, f = _PATCH_POLYNOMIALS[k]
+        system = assemble(meshes[n], k, Coefficient(diffusion=1.0, source=f), boost=boost)
+        apply_dirichlet(system, u)
+        solution = solve(system, method=solver_method, tol=1e-14)
+        reference = np.zeros(system.dof_map.total)
+        for block in system.blocks:
+            reference[block.chunk.dofs] = block.chunk.interpolate(u)
+        scale = float(np.max(np.abs(reference)))
+        return float(np.max(np.abs(solution - reference))) / scale
+
+    levels = [(k, n) for k in ks for n in ns]
+    yield from _run_levels(solve_level, levels,
+                           [global_dof_count(meshes[n], k) for k, n in levels])
+
+
 def run_patch_test(k: int, n: int = 2, solver_method: str = "direct",
                    boost: int = 2) -> float:
     """Max relative DoF error when the exact solution is a degree-k polynomial.
@@ -302,16 +419,5 @@ def run_patch_test(k: int, n: int = 2, solver_method: str = "direct",
     discrete space contains P_k and the scheme must reproduce it to solver
     accuracy.
     """
-    if k not in _PATCH_POLYNOMIALS:
-        raise ValueError(f"no patch polynomial for k={k}")
-    u, f = _PATCH_POLYNOMIALS[k]
-    bottom, top = test1_boundary_curves()
-    mesh = straighten_mesh(build_mapped_tensor_mesh(n, bottom, top))
-    system = assemble(mesh, k, Coefficient(diffusion=1.0, source=f), boost=boost)
-    apply_dirichlet(system, u)
-    solution = solve(system, method=solver_method, tol=1e-14)
-    reference = np.zeros(system.dof_map.total)
-    for block in system.blocks:
-        reference[block.chunk.dofs] = block.chunk.interpolate(u)
-    scale = float(np.max(np.abs(reference)))
-    return float(np.max(np.abs(solution - reference))) / scale
+    (err,) = _patch_errors((k,), (n,), solver_method=solver_method, boost=boost)
+    return err

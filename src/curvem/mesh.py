@@ -53,6 +53,7 @@ from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
 from .quadrature import gauss_legendre, trace_curves
 
 _ENDPOINT_TOL = 1e-12
+_INT64 = np.iinfo(np.int64)
 _CURVE_SAMPLES = 8
 # Point pairs per block of the diameter computation; bounds its memory.
 _PAIRS_PER_BLOCK = 1 << 16
@@ -101,14 +102,14 @@ class Mesh:
                  loop_offsets, loop_edges, loop_signs, labels):
         """Check and finalize a mesh given as its input arrays; raises MeshError."""
         self.points = np.array(points, dtype=float).reshape(-1, 2)
-        self.edge_vertices = np.array(edge_vertices, dtype=np.int64).reshape(-1, 2)
+        self.edge_vertices = _int_array(edge_vertices, "edge_vertices").reshape(-1, 2)
         self.edge_curves = np.array(edge_curves, dtype=object).reshape(-1)
         self.edge_curved = np.array([c is not None for c in self.edge_curves], dtype=bool)
         self.edge_params = np.array(edge_params, dtype=float).reshape(-1, 2)
-        self.loop_offsets = np.array(loop_offsets, dtype=np.int64)
-        self.loop_edges = np.array(loop_edges, dtype=np.int64)
-        self.loop_signs = np.array(loop_signs, dtype=np.int64)
-        self.labels = np.array(labels, dtype=np.int64)
+        self.loop_offsets = _int_array(loop_offsets, "loop_offsets")
+        self.loop_edges = _int_array(loop_edges, "loop_edges")
+        self.loop_signs = _int_array(loop_signs, "loop_signs")
+        self.labels = _int_array(labels, "labels")
         errors = _finite_errors(self) or _conformity_errors(self)
         if errors:
             raise MeshError("; ".join(errors[:5]))
@@ -161,6 +162,33 @@ class Mesh:
         bounds = self.loop_offsets.tolist()
         return tuple(Element(edge_loop=loop[a:b], label=label)
                      for a, b, label in zip(bounds, bounds[1:], self.labels.tolist()))
+
+
+def _fits_int64(value) -> bool:
+    try:
+        return value == int(value) and _INT64.min <= int(value) <= _INT64.max
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; raises MeshError naming the first entry
+    that is not an integer or does not fit in 64 bits."""
+    array = np.asarray(values)
+    if array.dtype.kind in "bi":
+        return array.astype(np.int64)
+    if array.dtype.kind == "f":  # nan fails every comparison, +-inf a bound
+        fits = (array == np.floor(array)) & (array >= -2.0 ** 63) & (array < 2.0 ** 63)
+    else:  # uint64, object or text entries
+        fits = np.array([_fits_int64(v) for v in array.ravel().tolist()],
+                        dtype=bool).reshape(array.shape)
+    bad = np.flatnonzero(~fits)
+    if len(bad):
+        first = int(bad[0])
+        index = ", ".join(str(int(i)) for i in np.unravel_index(first, array.shape))
+        (value,) = array.ravel()[first:first + 1].tolist()
+        raise MeshError(f"{name}[{index}]: {value!r} is not an integer that fits in 64 bits")
+    return array.astype(np.int64)
 
 
 def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:

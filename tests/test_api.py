@@ -43,10 +43,23 @@ HEAVY_MODULES = ["scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.spe
                  "scipy.sparse.linalg"]
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_module():
+# the machinery of the forked level helpers, loaded only when a study has helpers
+PROCESS_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+
+def loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh ``import curvem.cli`` loads."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = ("import sys, curvem.cli; "
-            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    assert loaded_by_cli_import(HEAVY_MODULES) == "[]"
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    assert loaded_by_cli_import(PROCESS_MODULES) == "[]"

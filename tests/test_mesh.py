@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -151,6 +152,21 @@ def test_curves_sharing_an_id_must_be_equal():
     curves[curved[0]] = replace(bottom, params=(*bottom.params[:2], 1e-17))
     with pytest.raises(MeshError, match="two distinct curves share the id 'Gamma1'"):
         Mesh(base.points, base.edge_vertices, curves, base.edge_params, *args)
+
+
+@pytest.mark.parametrize("field, odd, message", [
+    ("labels", lambda base: [1.5], "labels[0]: 1.5 is not an integer"),
+    ("loop_edges", lambda base: base.loop_edges + 0.7, "loop_edges[0]: 0.7 is not an integer"),
+    ("labels", lambda base: [2 ** 63], "labels[0]: 9223372036854775808 is not an integer"),
+], ids=["fractional-label", "fractional-loop-edges", "label-outside-64-bits"])
+def test_index_arrays_must_hold_64_bit_integers(field, odd, message):
+    base = build_mapped_tensor_mesh(1, *boundary_curves())
+    arrays = {name: getattr(base, name) for name in (
+        "points", "edge_vertices", "edge_curves", "edge_params", "loop_offsets",
+        "loop_edges", "loop_signs", "labels")}
+    arrays[field] = odd(base)
+    with pytest.raises(MeshError, match=re.escape(message + " that fits in 64 bits")):
+        Mesh(**arrays)
 
 
 def test_mapped_mesh_identity_when_straight():
