@@ -5,7 +5,8 @@ solution, elementwise: err_H1 is the broken H1 seminorm of
 u_ex - Pi_nabla u_h relative to |u_ex|_1, err_L2 the L2 norm of the same
 difference relative to ||u_ex||_0.  Both are integrated with boosted
 Green-rule quadrature, so exactly curved elements are measured on the true
-geometry.
+geometry, in slices of a few dozen elements that bound the memory of the
+basis values.
 """
 
 from __future__ import annotations
@@ -160,23 +161,28 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
     """Relative H1-seminorm and L2 errors of u_ex - Pi_nabla u_h.
 
     Integrated elementwise at degree 2k+2 (plus the curved-side boost),
-    one chunk of like elements at a time, with the projectors of the
-    assembled ``system``.
+    one slice of a chunk of like elements at a time
+    (``ElementChunk.slices``), with the projectors of the assembled
+    ``system``.  The slices bound the memory of the rule's basis values;
+    each element's terms are the same bits in a slice of any size.
     """
     # per element: |grad e|^2, |grad u|^2, e^2, u^2 integrated
     parts = np.empty((4, len(mesh.labels)))
     for block in system.blocks:
-        chunk = block.chunk
-        coeffs = block.pi_nabla @ solution[chunk.dofs][..., None]
-        x, y, w = chunk.rule(k + 2, boost)
-        vals, gxb, gyb = chunk.basis_grad(x, y)
-        uh = (vals @ coeffs)[..., 0]
-        uhx, uhy = (gxb @ coeffs)[..., 0], (gyb @ coeffs)[..., 0]
-        ue, uex, uey = chunk.by_label(problem.solution_for, x, y)
-        parts[:, chunk.elements] = [np.vecdot(w, (uex - uhx) ** 2 + (uey - uhy) ** 2),
-                                    np.vecdot(w, uex ** 2 + uey ** 2),
-                                    np.vecdot(w, (ue - uh) ** 2),
-                                    np.vecdot(w, ue ** 2)]
+        # the rule is three (E, Q) arrays; the basis values, three of
+        # (E, Q, dim), are built one slice at a time
+        rule = block.chunk.rule(k + 2, boost)
+        for rows, chunk in block.chunk.slices():
+            coeffs = block.pi_nabla[rows] @ solution[chunk.dofs][..., None]
+            x, y, w = (a[rows] for a in rule)
+            vals, gxb, gyb = chunk.basis_grad(x, y)
+            uh = (vals @ coeffs)[..., 0]
+            uhx, uhy = (gxb @ coeffs)[..., 0], (gyb @ coeffs)[..., 0]
+            ue, uex, uey = chunk.by_label(problem.solution_for, x, y)
+            parts[:, chunk.elements] = [np.vecdot(w, (uex - uhx) ** 2 + (uey - uhy) ** 2),
+                                        np.vecdot(w, uex ** 2 + uey ** 2),
+                                        np.vecdot(w, (ue - uh) ** 2),
+                                        np.vecdot(w, ue ** 2)]
     # running sums in element order, as a loop over elements adds them
     num_h1, den_h1, num_l2, den_l2 = np.add.accumulate(parts, axis=1)[:, -1]
     return float(np.sqrt(num_h1 / den_h1)), float(np.sqrt(num_l2 / den_l2))

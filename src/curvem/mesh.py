@@ -59,7 +59,7 @@ _CURVE_SAMPLES = 8
 _PAIRS_PER_BLOCK = 1 << 16
 # (element, side triple, side) entries per block of the kernel vertex
 # enumeration in validate_mesh; bounds its memory.
-_SLACKS_PER_BLOCK = 1 << 20
+_SLACKS_PER_BLOCK = 1 << 16
 # A disk counts as inside a side when it crosses it by at most this much, in
 # units of the element diameter.
 _SLACK_TOL = 1e-12

@@ -184,6 +184,13 @@ class SideBatch:
         """Half the parameter length, shape (E, 1)."""
         return (0.5 * (self.t1 - self.t0))[:, None]
 
+    def rows(self, part: slice) -> SideBatch:
+        """The side of polygons ``part`` of the batch, as views."""
+        if not self.is_curved:
+            return SideBatch(self.start[part], self.end[part])
+        return SideBatch(self.start[part], self.end[part], self.curves[part],
+                         self.t0[part], self.t1[part], self.sign[part])
+
     def params(self, nodes) -> np.ndarray:
         """Curve parameters of reference nodes in [-1, 1], shape (E, m)."""
         return (0.5 * (self.t0 + self.t1))[:, None] + self.half * nodes[None, :]

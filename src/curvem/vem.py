@@ -35,13 +35,15 @@ local matrices therefore have equal shapes and stack along a leading axis.
 Every product is a stacked ``np.matmul`` whose operands have the layout of
 the per-element product, so an element's operators are the same bits
 whichever chunk computes them; ``local_operators`` builds them for one
-element alone.
+element alone.  For the same reason the error integration, whose rule has
+the most points, runs on slices of at most ``_SLICE_SIZE`` elements of a
+chunk (``ElementChunk.slices``), which bound its memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -60,6 +62,9 @@ _COND_LIMIT = 1e13
 _SCREEN_LIMIT = _COND_LIMIT / 10.0
 
 CHUNK_SIZE = 128  # elements per kernel batch; bounds the kernel's memory
+# elements per slice of a chunk (ElementChunk.slices); bounds the memory of
+# the error integration, whose degree-(k+2) rule has the most points
+_SLICE_SIZE = 32
 
 
 def _exponents(degree: int) -> list[tuple[int, int]]:
@@ -234,6 +239,19 @@ class ElementChunk:
     @property
     def n_dof(self) -> int:
         return self.dofs.shape[1]
+
+    def slices(self) -> Iterator[tuple[slice, ElementChunk]]:
+        """The chunk in consecutive parts of at most ``_SLICE_SIZE`` elements.
+
+        Yields (rows, part) pairs: ``part`` is the chunk of elements
+        ``rows``, every per-element array and side a view of this chunk's.
+        Per-element results are the same bits in any part (see ``rule``).
+        """
+        for start in range(0, len(self.elements), _SLICE_SIZE):
+            rows = slice(start, start + _SLICE_SIZE)
+            yield rows, replace(self, sides=tuple(side.rows(rows) for side in self.sides),
+                                **{f.name: getattr(self, f.name)[rows] for f in fields(self)
+                                   if f.name not in ("k", "sides")})
 
     def rule(self, k: int, boost: int):
         """Green rule of degree-k computations on every element of the chunk.

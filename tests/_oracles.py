@@ -2,12 +2,29 @@
 
 Deliberately built on different algorithms than the package (adaptive
 Simpson instead of Gauss-Kronrod, explicit recursion instead of library
-calls) so a shared bug cannot hide.
+calls) so a shared bug cannot hide.  ``traced_peak`` is the one tool
+the memory tests share.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+
+
+def traced_peak(run):
+    """Peak bytes ``run()`` holds above what was held when it started, as
+    tracemalloc counts them; tracing is restored to its state before."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def simpson_arc_length(curve, t0, t1, tol=1e-12, max_depth=40):

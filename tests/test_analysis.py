@@ -20,9 +20,10 @@ from curvem import (
 )
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
+from curvem import vem
 
 from _oracles import (finite_difference_gradient, finite_difference_laplacian,
-                      first_problem_formulas)
+                      first_problem_formulas, traced_peak)
 
 
 def test_first_problem_data_is_consistent():
@@ -130,6 +131,52 @@ def test_compute_errors_evaluates_the_solution_once_per_chunk():
     counted = dataclasses.replace(prob, solution=solution)
     compute_errors(mesh, 2, np.zeros(system.dof_map.total), counted, system)
     assert len(calls) == len(system.blocks) > 1
+
+
+def counting_solution(prob, calls):
+    """``prob`` with an exact solution that records the size of each call."""
+    def counted(f):
+        def solution(x, y):
+            calls.append(len(x))
+            return f(x, y)
+        return solution
+
+    if isinstance(prob.solution, dict):
+        return dataclasses.replace(
+            prob, solution={label: counted(f) for label, f in prob.solution.items()})
+    return dataclasses.replace(prob, solution=counted(prob.solution))
+
+
+@pytest.mark.parametrize("problem, n", [(problem1, 8), (problem2, 4)])
+def test_errors_do_not_depend_on_the_slice_size(monkeypatch, problem, n):
+    prob = problem()
+    mesh = prob.mesh_factory(n)
+    system = assemble(mesh, 3, prob.coefficient())
+    apply_dirichlet(system, prob.boundary)
+    solution = solve(system)
+    errors = compute_errors(mesh, 3, solution, prob, system)
+    for size in (1, 5):
+        monkeypatch.setattr(vem, "_SLICE_SIZE", size)
+        calls = []
+        assert compute_errors(mesh, 3, solution, counting_solution(prob, calls),
+                              system) == errors
+        # one evaluation per slice and label present in it: ceil(E / size)
+        # per block of test1, whose elements share one label
+        labels = [np.unique(block.chunk.labels[lo:lo + size]) for block in system.blocks
+                  for lo in range(0, len(block.chunk.elements), size)]
+        assert len(calls) == sum(map(len, labels)) > len(system.blocks)
+
+
+def test_compute_errors_peak_memory_is_bounded_by_the_slices():
+    # a pass over whole chunks of 128 elements peaks at 8.3 MB here; slices
+    # of 32 elements at 2.7 MB
+    prob = problem1()
+    mesh = prob.mesh_factory(32)
+    system = assemble(mesh, 3, prob.coefficient())
+    solution = np.zeros(system.dof_map.total)
+    compute_errors(mesh, 3, solution, prob, system)  # warm caches
+    peak = traced_peak(lambda: compute_errors(mesh, 3, solution, prob, system))
+    assert peak <= 4e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_fit_rates_on_synthetic_errors():

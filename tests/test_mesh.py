@@ -11,10 +11,11 @@ from curvem import (BoundaryCurve, CurveSegment, Edge, Element, GeometryError, M
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
-from curvem.mesh import _SLACKS_PER_BLOCK, _polylines
+from curvem import mesh as mesh_module
+from curvem.mesh import _SLACKS_PER_BLOCK, _polyline_groups, _polylines, _star_ratios
 from curvem.vem import element_chunks
 
-from _oracles import element_loop_geometry, kernel_chebyshev_radius
+from _oracles import element_loop_geometry, kernel_chebyshev_radius, traced_peak
 
 
 def unit_square_mesh():
@@ -389,6 +390,32 @@ def test_validate_star_ratio_of_ten_curved_sides_matches_the_oracle():
     oracle = kernel_chebyshev_radius(polyline) / mesh.diameters[0]
     assert star == pytest.approx(oracle, rel=1e-10, abs=0.0)
     assert 0.3 < star < 0.5
+
+
+@pytest.mark.parametrize("make_mesh, small, per_block", [
+    (lambda: build_mapped_tensor_mesh(8, *boundary_curves()), 1 << 8, 1),
+    (lambda: build_annulus_interface_mesh(8, 32), 1 << 8, 1),
+    # at 1 << 8 its 117480 triples would take 58740 blocks, about 7 s
+    (lambda: arc_polygon([0.08, -0.05] * 5), 1 << 14, 182),
+], ids=["test1-n8", "test2-n8", "ten-arcs"])
+def test_star_ratios_do_not_depend_on_the_block_size(monkeypatch, make_mesh, small, per_block):
+    mesh = make_mesh()
+    ratios = _star_ratios(mesh)
+    for size in (small, 1 << 20):
+        monkeypatch.setattr(mesh_module, "_SLACKS_PER_BLOCK", size)
+        assert np.array_equal(_star_ratios(mesh), ratios)
+    # at the small size every polyline group takes several blocks
+    for _, polylines in _polyline_groups(mesh):
+        m = polylines.shape[1]
+        assert max(1, small // polylines[..., 0].size) == per_block < m * (m - 1) * (m - 2) // 6
+
+
+def test_validate_peak_memory_is_bounded_by_the_blocks():
+    # blocks of 1 << 20 slacks peak at 17.6 MB here, of 1 << 16 at 3.4 MB
+    mesh = build_annulus_interface_mesh(16, 64)
+    validate_mesh(mesh, 0.03)  # warm caches
+    peak = traced_peak(lambda: validate_mesh(mesh, 0.03))
+    assert peak <= 5e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Global assembly, boundary elimination, and the two solvers."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -31,7 +29,7 @@ from curvem import test2_problem as problem2
 
 from curvem.vem import edge_dofs, element_chunks
 
-from _oracles import element_dofs, lexsort_stiffness, textbook_cg
+from _oracles import element_dofs, lexsort_stiffness, textbook_cg, traced_peak
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -121,16 +119,7 @@ def test_assembly_peak_memory_is_bounded_by_the_triplets():
     assemble(build_mapped_tensor_mesh(2, *boundary_curves()), 3, coeff)  # warm caches
     n_dof = dof_count(np.diff(mesh.loop_offsets), 3)
     triplets = int(np.sum(n_dof * (n_dof + 1) // 2))
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assemble(mesh, 3, coeff)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = traced_peak(lambda: assemble(mesh, 3, coeff))
     assert peak <= 11 * 8 * triplets, f"{peak / (8 * triplets):.1f} x 8 bytes per triplet"
 
 
