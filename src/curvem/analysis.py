@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
+from .quadrature import BOOST
 from .solver import apply_dirichlet, assemble, solve
 from .vem import Coefficient, _for_label, global_dof_count
 
@@ -157,7 +158,7 @@ def test2_problem() -> ManufacturedProblem:
 
 def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
                    problem: ManufacturedProblem, system,
-                   boost: int = 2) -> tuple[float, float]:
+                   boost: int = BOOST) -> tuple[float, float]:
     """Relative H1-seminorm and L2 errors of u_ex - Pi_nabla u_h.
 
     Integrated elementwise at degree 2k+2 (plus the curved-side boost),
@@ -310,7 +311,13 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> It
     pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt_levels, initargs=(solve_level,))
     try:
-        outcomes = {i: pool.submit(_solve_adopted, *levels[i]) for i in heaviest_first[1:]}
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork beside other OS threads, as OpenBLAS's.
+            # Helpers stay safe: the pool forks them all here, before its own thread
+            # starts, and OpenBLAS joins its threads before a fork (pthread_atfork).
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            outcomes = {i: pool.submit(_solve_adopted, *levels[i]) for i in heaviest_first[1:]}
         own = outcomes[heaviest_first[0]] = Future()
         try:
             own.set_result(solve_level(*levels[heaviest_first[0]]))
@@ -323,8 +330,8 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> It
 
 
 def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
-                         straighten: bool = False, solver_method: str = "cg",
-                         tol: float = 1e-12, boost: int = 2) -> Iterator[ConvergenceReport]:
+                         straighten: bool = False,
+                         solver_method: str = "cg") -> Iterator[ConvergenceReport]:
     """Yield ``run_convergence``'s report for each k of ``ks``, in order.
 
     Every (k, level) pair is one level of a single ``_run_levels`` map, so
@@ -343,11 +350,10 @@ def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
 
     def solve_level(k, level):
         mesh = meshes[level]
-        system = assemble(mesh, k, problem.coefficient(), boost=boost)
+        system = assemble(mesh, k, problem.coefficient())
         apply_dirichlet(system, boundary)
-        solution = solve(system, method=solver_method, tol=tol)
-        err_h1, err_l2 = compute_errors(mesh, k, solution, problem,
-                                        system=system, boost=boost)
+        solution = solve(system, method=solver_method)
+        err_h1, err_l2 = compute_errors(mesh, k, solution, problem, system=system)
         return ConvergenceRow(n=ns[level], h=mesh.h, n_dof=system.dof_map.total,
                               err_h1=err_h1, err_l2=err_l2)
 
@@ -359,10 +365,8 @@ def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
             yield ConvergenceReport(problem=name, k=k, rows=[next(rows) for _ in ns])
 
 
-def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
-                    meshes=None, straighten: bool = False,
-                    solver_method: str = "cg", tol: float = 1e-12,
-                    boost: int = 2) -> ConvergenceReport:
+def run_convergence(problem: ManufacturedProblem, k: int, ns, *, meshes=None,
+                    straighten: bool = False, solver_method: str = "cg") -> ConvergenceReport:
     """Solve the problem over a mesh family and collect errors per level.
 
     Meshes come from the problem's factory at each level in ``ns`` unless a
@@ -374,8 +378,7 @@ def run_convergence(problem: ManufacturedProblem, k: int, ns, *,
     ``_run_levels`` describes.
     """
     (report,) = _convergence_reports(problem, (k,), ns, meshes=meshes,
-                                     straighten=straighten, solver_method=solver_method,
-                                     tol=tol, boost=boost)
+                                     straighten=straighten, solver_method=solver_method)
     return report
 
 
@@ -391,8 +394,7 @@ _PATCH_POLYNOMIALS = {
 }
 
 
-def _patch_errors(ks, ns, *, solver_method: str = "direct",
-                  boost: int = 2) -> Iterator[float]:
+def _patch_errors(ks, ns, *, solver_method: str = "direct") -> Iterator[float]:
     """Yield ``run_patch_test``'s error for each (k, n) of ``ks`` x ``ns``,
     in that order, from one ``_run_levels`` map over those levels."""
     for k in ks:
@@ -403,9 +405,9 @@ def _patch_errors(ks, ns, *, solver_method: str = "direct",
 
     def solve_level(k, n):
         u, f = _PATCH_POLYNOMIALS[k]
-        system = assemble(meshes[n], k, Coefficient(diffusion=1.0, source=f), boost=boost)
+        system = assemble(meshes[n], k, Coefficient(diffusion=1.0, source=f))
         apply_dirichlet(system, u)
-        solution = solve(system, method=solver_method, tol=1e-14)
+        solution = solve(system, method=solver_method)
         reference = np.zeros(system.dof_map.total)
         for block in system.blocks:
             reference[block.chunk.dofs] = block.chunk.interpolate(u)
@@ -417,13 +419,12 @@ def _patch_errors(ks, ns, *, solver_method: str = "direct",
                            [global_dof_count(meshes[n], k) for k, n in levels])
 
 
-def run_patch_test(k: int, n: int = 2, solver_method: str = "direct",
-                   boost: int = 2) -> float:
+def run_patch_test(k: int, n: int = 2, solver_method: str = "direct") -> float:
     """Max relative DoF error when the exact solution is a degree-k polynomial.
 
     Runs on a straightened mapped mesh (general quadrilaterals), where the
     discrete space contains P_k and the scheme must reproduce it to solver
     accuracy.
     """
-    (err,) = _patch_errors((k,), (n,), solver_method=solver_method, boost=boost)
+    (err,) = _patch_errors((k,), (n,), solver_method=solver_method)
     return err

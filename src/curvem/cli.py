@@ -11,8 +11,8 @@ as a flag or as a key of the ``key = value`` file named by ``--config``
 2 before any mesh is built or any output is written:
 
     --k --n --solver                      test1-curved, test1-straight, test2, patch
-    --mesh --rho --tol --{min,max}-rate-{h1,l2}   test1-curved, test1-straight, test2
-    --boost --out                         every experiment
+    --mesh --rho --{min,max}-rate-{h1,l2} test1-curved, test1-straight, test2
+    --out                                 every experiment
     --seed --trials --M                   quadrature-audit (``curvem quadrature-audit``)
 
 ``--mesh`` replaces the generated meshes of ``--n``, so giving both exits 2 too.
@@ -38,7 +38,7 @@ from .analysis import (_convergence_reports, _patch_errors, fit_rates, test1_pro
 from .geometry import GeometryError, circle_curve
 from .mesh import Mesh, MeshError, straighten_mesh, validate_mesh
 from .mesh_io import MeshFormatError, import_mesh
-from .quadrature import _MAX_POINTS, QuadratureError, polygon_quadrature, rule_points
+from .quadrature import _MAX_POINTS, BOOST, QuadratureError, polygon_quadrature
 from .reference import fan_integrate, polygon_integrate
 from .solver import SolverError
 from .vem import ElementOperatorError, _exponents, element_chunks
@@ -80,9 +80,7 @@ class RunConfig:
     n_list: tuple[int, ...] = (4, 8, 16, 32)
     mesh_files: tuple[str, ...] = ()
     rho: float = 0.05
-    boost: int = 2
     solver: str = "cg"
-    tol: float = 1e-12
     out_dir: str = "curvem-out"
     seed: int = 1234
     trials: int = 50
@@ -125,7 +123,6 @@ class _Option:
 
 _SOLVES = _CONVERGENCE + ("patch",)
 _AUDIT = ("quadrature-audit",)
-_EVERY = tuple(EXPERIMENTS)
 _INT, _FLOAT, _TEXT = _parse_value(int), _parse_value(float), _parse_value(str)
 
 # the flag is "--" + name with "-" for "_", the config-file key is the name;
@@ -139,13 +136,9 @@ _OPTIONS = {
                     "mesh files instead of generated meshes", nargs="+"),
     "rho": _Option("rho", _FLOAT, _CONVERGENCE, "shape-regularity parameter",
                    lambda rho: 0.0 < rho <= 0.5, "lie in (0, 0.5]"),
-    "boost": _Option("boost", _INT, _EVERY, "extra quadrature points on curved sides",
-                     lambda boost: boost >= 0, "be nonnegative"),
     "solver": _Option("solver", _TEXT, _SOLVES, "cg or direct",
                       lambda solver: solver in ("cg", "direct"), "be 'cg' or 'direct'"),
-    "tol": _Option("tol", _FLOAT, _CONVERGENCE, "linear solver relative tolerance",
-                   lambda tol: tol > 0.0, "be positive"),
-    "out": _Option("out_dir", _TEXT, _EVERY, "output directory"),
+    "out": _Option("out_dir", _TEXT, tuple(EXPERIMENTS), "output directory"),
     "seed": _Option("seed", _INT, _AUDIT, "audit random seed",
                     lambda seed: seed >= 0, "be nonnegative"),
     "trials": _Option("trials", _INT, _AUDIT, "audit polygon count",
@@ -216,18 +209,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"{where}{exc}") from None
     config = RunConfig(experiment, **values)
-    # the largest Gauss rule the experiment builds: the audit's degree-4
-    # disk rule and its polygon rules, or the degree-(k+2) load and error rules
-    if experiment == "quadrature-audit":
-        largest = (("boost", config.boost, rule_points(4, config.boost)[1]),
-                   ("M", max(config.m_list), max(config.m_list) + 1))
-    else:
-        k = max(config.k_list)
-        largest = (("boost", config.boost, rule_points(k + 2, config.boost)[1]),)
-    for option, value, points in largest:
-        if points > _MAX_POINTS:
-            raise ConfigError(f"{option}={value} needs a {points}-point Gauss rule, "
-                              f"more than the {_MAX_POINTS} available")
+    # an audit polygon rule takes M + 1 points; element rules at most rule_points(6)[1] = 9
+    m_order = max(config.m_list)
+    if experiment == "quadrature-audit" and m_order + 1 > _MAX_POINTS:
+        raise ConfigError(f"M={m_order} needs a {m_order + 1}-point Gauss rule, "
+                          f"more than the {_MAX_POINTS} available")
     return config
 
 
@@ -296,7 +282,7 @@ def quarter_disk_mesh() -> Mesh:
                 [1, 1, -1] * 4, [1] * 4)
 
 
-def audit_disk_area(boost: int = 2, k: int = 4) -> float:
+def audit_disk_area(boost: int = BOOST, k: int = 4) -> float:
     """Absolute gap between pi and the quadrature area of the quarter-disk mesh."""
     mesh = quarter_disk_mesh()
     areas = [0.0] * len(mesh.labels)
@@ -328,7 +314,7 @@ def _monomial_gaps(chunk, oracles, k: int, boost: int):
             for a, b, oracle in oracles]
 
 
-def audit_curved_monomials(boost: int = 2):
+def audit_curved_monomials(boost: int = BOOST):
     """Relative gap to the fan oracle for monomials up to degree 4."""
     chunk = _curved_sample_element()
     return _monomial_gaps(chunk, _monomial_oracles(chunk), 3, boost)
@@ -372,14 +358,14 @@ def _run_quadrature_audit(config: RunConfig) -> int:
     summary.append(f"polygon exactness vs triangulation oracle: worst relative "
                    f"deviation {worst:.3e} (tolerance {POLYGON_AUDIT_TOL:.0e})")
 
-    gap = audit_disk_area(config.boost)
+    gap = audit_disk_area()
     good = gap <= DISK_AUDIT_TOL
     ok &= good
-    csv_lines.append(f"disk-area,boost={config.boost},{gap!r},{DISK_AUDIT_TOL!r},"
+    csv_lines.append(f"disk-area,boost={BOOST},{gap!r},{DISK_AUDIT_TOL!r},"
                      f"{'pass' if good else 'FAIL'}")
     summary.append(f"unit-disk area gap {gap:.3e} (tolerance {DISK_AUDIT_TOL:.0e})")
 
-    mono_rows = audit_curved_monomials(config.boost)
+    mono_rows = audit_curved_monomials()
     worst = max(rel for _, _, rel in mono_rows)
     for a, b, rel in mono_rows:
         good = rel <= CURVED_MONOMIAL_TOL
@@ -452,8 +438,7 @@ def _run_convergence_experiment(config: RunConfig) -> int:
                f"meshes: {config.mesh_files or ('generated, n=' + str(list(ns)))}"]
     violations = []
     reports = _convergence_reports(problem, config.k_list, ns, meshes=meshes,
-                                   straighten=straighten, solver_method=config.solver,
-                                   tol=config.tol, boost=config.boost)
+                                   straighten=straighten, solver_method=config.solver)
     with closing(reports):
         for report in reports:
             k = report.k
@@ -494,8 +479,7 @@ def _run_patch(config: RunConfig) -> int:
     summary = []
     ok = True
     levels = [(k, n) for k in config.k_list for n in config.n_list]
-    errors = _patch_errors(config.k_list, config.n_list, solver_method=config.solver,
-                           boost=config.boost)
+    errors = _patch_errors(config.k_list, config.n_list, solver_method=config.solver)
     with closing(errors):
         for (k, n), err in zip(levels, errors):
             good = err <= PATCH_TOL

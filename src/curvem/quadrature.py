@@ -30,6 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 _MAX_POINTS = 64
+# extra Gauss points per direction on curved sides (``rule_points``): the
+# one value that assembly, the error norms and the audits integrate with
+BOOST = 2
 
 
 class QuadratureError(Exception):
@@ -283,7 +286,7 @@ def polygon_quadrature(vertices, M: int) -> QuadratureRule2D:
     return QuadratureRule2D(points=np.stack([x[0], y[0]], axis=-1), weights=w[0])
 
 
-def rule_points(k: int, boost: int) -> tuple[int, int]:
+def rule_points(k: int, boost: int = BOOST) -> tuple[int, int]:
     """Points per direction of the Green rule of degree-k element computations.
 
     Straight sides get k (exact for degree 2k-2, the degree of products of

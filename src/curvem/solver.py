@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .mesh import Mesh
+from .quadrature import BOOST
 from .vem import (ChunkOperators, Coefficient, ElementChunk, dof_count, edge_dof_points,
                   edge_dofs, element_chunks, global_dof_count)
 
@@ -80,7 +81,7 @@ def _starts(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = 2) -> LinearSystem:
+def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> LinearSystem:
     """Assemble stiffness and load of the degree-k discretization."""
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
@@ -135,7 +136,8 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     """Eliminate boundary DoFs symmetrically against boundary data g(x, y).
 
     Keeps the boundary values on the system so ``solve`` can reconstruct
-    the full DoF vector.
+    the full DoF vector.  ``matrix[interior][:, interior]`` is taken in one
+    masked pass over the CSR arrays, never copying the interior rows.
     """
     dof_map = system.dof_map
     values = np.zeros(dof_map.total)
@@ -144,11 +146,20 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
         values[dof_map.boundary_dofs] = g(pts[:, 0], pts[:, 1])
     mask = np.ones(dof_map.total, dtype=bool)
     mask[dof_map.boundary_dofs] = False
-    interior = np.nonzero(mask)[0]
-    rows = system.matrix[interior]
-    a_ib = rows[:, dof_map.boundary_dofs]
-    system.reduced_matrix = rows[:, interior].tocsr()
-    system.reduced_rhs = system.rhs[interior] - a_ib @ values[dof_map.boundary_dofs]
+    interior = np.flatnonzero(mask)
+    matrix, indptr, indices = system.matrix, system.matrix.indptr, system.matrix.indices
+    system.reduced_rhs = (system.rhs - matrix @ values)[interior]
+    keep = np.repeat(mask, np.diff(indptr))  # entries of interior rows ...
+    keep &= mask[indices]  # ... in interior columns
+    # kept[j]: entries kept among the first j; boundary rows keep none, so
+    # reduced row i ends where the matrix's row interior[i] ends
+    kept = np.zeros(len(keep) + 1, dtype=indptr.dtype)
+    np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+    reduced_indptr = kept[indptr[np.concatenate([[0], interior + 1])]]
+    del kept
+    columns = (np.cumsum(mask, dtype=indices.dtype) - 1)[indices[keep]]
+    system.reduced_matrix = sparse.csr_matrix((matrix.data[keep], columns, reduced_indptr),
+                                              shape=(len(interior),) * 2)
     system.boundary_values = values
     system.interior = interior
 

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .mesh import Mesh, curve_points
-from .quadrature import (SideBatch, gauss_legendre, gauss_lobatto, green_rule,
+from .quadrature import (BOOST, SideBatch, gauss_legendre, gauss_lobatto, green_rule,
                          lagrange_values, rule_points)
 
 
@@ -253,7 +253,7 @@ class ElementChunk:
                                 **{f.name: getattr(self, f.name)[rows] for f in fields(self)
                                    if f.name not in ("k", "sides")})
 
-    def rule(self, k: int, boost: int):
+    def rule(self, k: int, boost: int = BOOST):
         """Green rule of degree-k computations on every element of the chunk.
 
         Point counts per direction come from ``rule_points(k, boost)``.
@@ -290,7 +290,7 @@ class ElementChunk:
                 o[rows] = v
         return out if len(out) > 1 else out[0]
 
-    def interpolate(self, u, boost: int = 2) -> np.ndarray:
+    def interpolate(self, u, boost: int = BOOST) -> np.ndarray:
         """DoF vectors of a smooth function: point values plus scaled moments."""
         e = len(self.elements)
         out = np.empty((e, self.n_dof))
@@ -399,7 +399,7 @@ class ChunkOperators:
     for all elements of the chunk at once.
     """
 
-    def __init__(self, chunk: ElementChunk, boost: int = 2):
+    def __init__(self, chunk: ElementChunk, boost: int = BOOST):
         self.chunk = chunk
         self.boost = boost
         nm = n_moments(chunk.k)
@@ -421,7 +421,7 @@ class ChunkOperators:
         bavg = np.zeros((e, chunk.n_dof))
         mavg = np.zeros((e, nk))
         lobatto = gauss_lobatto(k + 1)
-        legendre = gauss_legendre(k + 1 + self.boost)
+        legendre = gauss_legendre(rule_points(k, self.boost)[1])
         for piece, side in enumerate(chunk.sides):
             slots = list(range(piece * k, piece * k + k)) + [(piece + 1) * k % n_bnd]
             if side.is_curved:
@@ -539,7 +539,7 @@ class ChunkOperators:
         return lead + (self.pi_nabla.mT @ residual[..., None])[..., 0]
 
 
-def local_operators(mesh: Mesh, element_id: int, k: int, boost: int = 2) -> ChunkOperators:
+def local_operators(mesh: Mesh, element_id: int, k: int, boost: int = BOOST) -> ChunkOperators:
     """Operators of one element: ``ChunkOperators`` of a chunk of one.
 
     Row 0 of every stack holds the same bits as the element's row in any

@@ -39,17 +39,17 @@ def flag(name):
     return "--" + name.replace("_", "-")
 
 
-CONVERGENCE_READS = ("k", "n", "mesh", "rho", "boost", "solver", "tol", "out",
+CONVERGENCE_READS = ("k", "n", "mesh", "rho", "solver", "out",
                      "min_rate_h1", "min_rate_l2", "max_rate_h1", "max_rate_l2")
 READS = {"test1-curved": CONVERGENCE_READS, "test1-straight": CONVERGENCE_READS,
-         "test2": CONVERGENCE_READS, "patch": ("k", "n", "boost", "solver", "out"),
-         "quadrature-audit": ("boost", "out", "seed", "trials", "M")}
+         "test2": CONVERGENCE_READS, "patch": ("k", "n", "solver", "out"),
+         "quadrature-audit": ("out", "seed", "trials", "M")}
 
 # every option: flag arguments that set it, and the value they give,
 # which no experiment has as its default
 SAMPLES = {"k": (["2,3"], (2, 3)), "n": (["4,8"], (4, 8)),
            "mesh": (["a.txt", "b.txt"], ("a.txt", "b.txt")), "rho": (["0.1"], 0.1),
-           "boost": (["4"], 4), "solver": (["direct"], "direct"), "tol": (["1e-10"], 1e-10),
+           "solver": (["direct"], "direct"),
            "out": (["results"], "results"), "seed": (["7"], 7), "trials": (["3"], 3),
            "M": (["1,2"], (1, 2)), "min_rate_h1": (["1.5"], 1.5),
            "min_rate_l2": (["2.5"], 2.5), "max_rate_h1": (["3.5"], 3.5),
@@ -72,15 +72,12 @@ def test_defaults_per_experiment():
 
 def test_flag_overrides():
     cfg = config_for(["run", "test1-curved", "--k", "2,3", "--n", "4,8",
-                      "--rho", "0.1", "--boost", "4", "--solver", "direct",
-                      "--tol", "1e-10", "--out", "results",
+                      "--rho", "0.1", "--solver", "direct", "--out", "results",
                       "--min-rate-h1", "1.5", "--max-rate-l2", "3.5"])
     assert cfg.k_list == (2, 3)
     assert cfg.n_list == (4, 8)
     assert cfg.rho == 0.1
-    assert cfg.boost == 4
     assert cfg.solver == "direct"
-    assert cfg.tol == 1e-10
     assert cfg.out_dir == "results"
     assert cfg.min_rate_h1 == 1.5
     assert cfg.max_rate_l2 == 3.5
@@ -135,9 +132,9 @@ def test_config_file_value_errors_name_their_line(tmp_path):
     with pytest.raises(ConfigError, match="bad k list 'two'") as err:
         config_for(["run", "patch", "--config", str(cfg_file), "--k", "1"])
     assert str(err.value).startswith(f"{cfg_file}:2: ")
-    cfg_file.write_text("k = 1\ntol = 1e-3\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="patch does not read tol; "
-                       "it reads k, n, boost, solver, out$") as err:
+    cfg_file.write_text("k = 1\nrho = 0.1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="patch does not read rho; "
+                       "it reads k, n, solver, out$") as err:
         config_for(["run", "patch", "--config", str(cfg_file)])
     assert str(err.value).startswith(f"{cfg_file}:2: ")
 
@@ -188,14 +185,14 @@ def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
     (["run", "patch", "--n", "0"], "n must be positive"),
     (["run", "patch", "--n", ","], "empty n list"),
     (["run", "patch", "--solver", "lu"], "solver must be"),
-    (["run", "test1-curved", "--tol", "0"], "tol must be positive"),
-    (["run", "test1-curved", "--tol", "tiny"], "bad tol"),
-    (["run", "patch", "--boost", "-1"], "boost must be nonnegative"),
+    (["run", "test1-curved", "--rho", "0"], "rho must lie in"),
+    (["run", "test1-curved", "--min-rate-h1", "fast"], "bad min_rate_h1 value 'fast'"),
+    (["run", "quadrature-audit", "--seed", "1.5"], "bad seed value"),
     (["run", "test1-curved", "--rho", "0.6"], "rho must lie in"),
     (["run", "quadrature-audit", "--trials", "0"], "trials must be at least 1"),
     (["run", "quadrature-audit", "--M", "0,2"], "M must be positive"),
-    (["run", "test1-curved", "--k", "1", "--n", "4,8", "--boost", "70"],
-     "boost=70 needs a 74-point Gauss rule, more than the 64 available"),
+    (["run", "quadrature-audit", "--M", "1,64", "--trials", "1"],
+     "M=64 needs a 65-point Gauss rule, more than the 64 available"),
     (["run", "quadrature-audit", "--M", "70", "--trials", "1"],
      "M=70 needs a 71-point Gauss rule, more than the 64 available"),
     (["run", "quadrature-audit", "--seed", "-1"], "seed must be nonnegative"),
@@ -208,6 +205,23 @@ def test_invalid_options_are_rejected(argv, fragment):
 def test_main_maps_config_errors_to_exit_2(capsys):
     assert main(["run", "bogus-experiment"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment in EXPERIMENTS for name in ("boost", "tol")])
+def test_fixed_boost_and_tolerance_are_not_options(tmp_path, capsys, experiment, name):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", experiment, flag(name), "2", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: --{name} 2" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = 2\n", encoding="utf-8")
+    assert main(["run", experiment, "--config", str(cfg_file),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert (f"config error: {cfg_file}:1: unknown key {name!r}\n"
+            == capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_main_patch_run_writes_outputs(tmp_path, capsys):
@@ -475,10 +489,10 @@ def test_quadrature_audit_shortcut_takes_the_audit_options(tmp_path, capsys, mon
     cfg_file.write_text("trials = 9\nseed = 8\n", encoding="utf-8")
     out = str(tmp_path / "out")
     assert main(["quadrature-audit", "--config", str(cfg_file), "--M", "1,2",
-                 "--trials", "3", "--seed", "5", "--boost", "4", "--out", out]) == EXIT_OK
+                 "--trials", "3", "--seed", "5", "--out", out]) == EXIT_OK
     [cfg] = seen
-    assert (cfg.experiment, cfg.m_list, cfg.trials, cfg.seed, cfg.boost, cfg.out_dir) == (
-        "quadrature-audit", (1, 2), 3, 5, 4, out)
+    assert (cfg.experiment, cfg.m_list, cfg.trials, cfg.seed, cfg.out_dir) == (
+        "quadrature-audit", (1, 2), 3, 5, out)
     assert main(["quadrature-audit", "--k", "1"]) == EXIT_CONFIG
     assert "quadrature-audit does not read --k" in capsys.readouterr().err
     assert seen == [cfg]

@@ -8,6 +8,7 @@ message, and none may outlive the run.
 
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
@@ -65,6 +66,24 @@ def test_helpers_change_no_output(tmp_path, capsys, monkeypatch, argv):
     own = [dofs for pid, dofs in entries if pid == os.getpid()]
     assert own == [max(dofs for _, dofs in entries)]  # the heaviest level stays here
     assert len({pid for pid, _ in entries}) == 2
+
+
+def test_helpers_start_where_fork_warns_of_threads(tmp_path, capsys, monkeypatch):
+    # from Python 3.12 os.fork warns in a process with other OS threads, as
+    # one with OpenBLAS's thread pool is; the suite turns warnings into errors
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      f"may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    argv = ["run", "test2", "--k", "1", "--n", "2,4"]
+    alone = run_on_cpus(1, argv, tmp_path / "alone", capsys, monkeypatch)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    helped = run_on_cpus(2, argv, tmp_path / "helped", capsys, monkeypatch)
+    assert alone[0] == EXIT_OK
+    assert helped == alone
 
 
 def test_first_failing_level_in_order_fails_the_run(tmp_path, capsys, monkeypatch):
