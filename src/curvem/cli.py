@@ -183,23 +183,28 @@ def _read_config_file(path: str):
         yield f"{path}:{ln}: ", key, value.split() if _OPTIONS[key].nargs else value
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve defaults, config file and command-line flags into a RunConfig."""
+def parse_config(args: argparse.Namespace, unknown=()) -> RunConfig:
+    """Resolve defaults, config file and command-line flags into a RunConfig.
+
+    ``unknown`` holds the command-line arguments argparse did not recognize.
+    """
     experiment = args.experiment
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}, "
                           f"choose from {', '.join(EXPERIMENTS)}")
+    reads = [name for name, option in _OPTIONS.items() if experiment in option.experiments]
+    if unknown:
+        raise ConfigError(f"{experiment} does not read {' '.join(unknown)}; "
+                          f"it reads {', '.join(map(_flag, reads))}")
     given = list(_read_config_file(args.config)) if args.config else []
     given += [("", name, text) for name in _OPTIONS if (text := getattr(args, name)) is not None]
     values = dict(EXPERIMENTS[experiment])
     spelled = {}  # each option given so far, as it was spelled
     for where, name, text in given:
         spell = str if where else _flag  # file lines name keys, the command line flags
-        if experiment not in _OPTIONS[name].experiments:
-            reads = ", ".join(spell(other) for other, option in _OPTIONS.items()
-                              if experiment in option.experiments)
+        if name not in reads:
             raise ConfigError(f"{where}{experiment} does not read {spell(name)}; "
-                              f"it reads {reads}")
+                              f"it reads {', '.join(map(spell, reads))}")
         spelled[name] = spell(name)
         if {"mesh", "n"} <= spelled.keys():
             raise ConfigError(f"{where}{experiment} takes {spelled['mesh']} or {spelled['n']}, "
@@ -546,11 +551,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["quadrature-audit"]:
         argv.insert(0, "run")
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # an unknown flag of ``run`` is a config error that lists what the
+    # experiment reads; ``validate`` keeps argparse's usage error
+    args, unknown = parser.parse_known_args(argv)
+    if unknown and args.command == "validate":
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "validate":
             return _cmd_validate(args)
-        return run(parse_config(args))
+        return run(parse_config(args, unknown))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

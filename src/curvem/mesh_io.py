@@ -37,7 +37,8 @@ import numpy as np
 
 _MAGIC = "curvem-mesh"
 _VERSION = "1"
-_INT64 = np.iinfo(np.int64)
+# Python ints: a numpy iinfo property lookup per token costs more than the compare
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class MeshFormatError(Exception):
@@ -77,7 +78,7 @@ def _parse_int(ln, token, what):
         value = int(token)
     except ValueError:
         _fail(ln, f"bad {what} {token!r}")
-    if not _INT64.min <= value <= _INT64.max:
+    if not _INT64_MIN <= value <= _INT64_MAX:
         _fail(ln, f"{what} {token!r} does not fit in 64 bits")
     return value
 

@@ -3,8 +3,10 @@
 Each element chunk of :mod:`curvem.vem` carries its global DoFs, so this
 module does no DoF numbering of its own.  The stiffness matrix is
 accumulated as triplets of its lower triangle, sorted on one stable
-integer key (row * size + col), summed, built straight into CSR and
-mirrored, which makes the assembled matrix exactly symmetric.  Local
+integer key (row * size + col), summed and built straight into CSR.  That
+lower triangle plus its transpose, with the doubled diagonal reset to the
+lower triangle's own, is the assembled matrix: exactly symmetric, and the
+same arrays as ``lower + lower.T - diag(lower)``.  Local
 operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
 and load entries are laid out in element order before any sum is taken, so
 every entry accumulates in the order of an element-by-element loop,
@@ -113,22 +115,36 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     np.add.at(rhs, load_dofs, load_vals)
     del load_dofs, load_vals
     # a stable sort on the key is a (row, col) sort that keeps equal entries
-    # in element order for the sums; each sorted copy is dropped after use
+    # in element order for the sums; each sorted array is dropped after its
+    # last read
     order = np.argsort(keys, kind="stable")
     vals = vals[order]
     keys = keys[order]
     del order
     starts = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1])
     summed = np.add.reduceat(vals, starts)
-    rows, cols = np.divmod(keys[starts], total)
-    del vals, keys, starts
+    del vals
+    cols = keys[starts]
+    del keys, starts
+    rows = np.empty_like(cols)
+    np.divmod(cols, total, out=(rows, cols))
     # scipy's rule: 32-bit indices unless a count or index needs more
     index = np.int32 if max(len(summed), total) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(total + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    del rows
     lower = sparse.csr_matrix((summed, cols.astype(index), indptr), shape=(total, total))
-    del rows, cols
-    matrix = (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()
+    del summed, cols, indptr
+    diagonal = lower.diagonal()
+    # off the diagonal the sum is a + 0 = a; both operands drop exact zeros
+    matrix = (lower + lower.T).tocsr()
+    del lower
+    if diagonal.all():
+        # every row holds its diagonal, doubled: reset the values in place
+        matrix.setdiag(diagonal)
+    else:
+        # a diagonal that summed to exactly 0 has no entry to reset
+        matrix = (matrix - sparse.diags(diagonal)).tocsr()
     return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
 
 
@@ -151,13 +167,17 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     system.reduced_rhs = (system.rhs - matrix @ values)[interior]
     keep = np.repeat(mask, np.diff(indptr))  # entries of interior rows ...
     keep &= mask[indices]  # ... in interior columns
-    # kept[j]: entries kept among the first j; boundary rows keep none, so
-    # reduced row i ends where the matrix's row interior[i] ends
-    kept = np.zeros(len(keep) + 1, dtype=indptr.dtype)
-    np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
-    reduced_indptr = kept[indptr[np.concatenate([[0], interior + 1])]]
-    del kept
-    columns = (np.cumsum(mask, dtype=indices.dtype) - 1)[indices[keep]]
+    # entries kept per interior row, summed from each nonempty row's start
+    # to the next one's: what lies between is boundary rows, which keep none
+    reduced_indptr = np.zeros(len(interior) + 1, dtype=indptr.dtype)
+    starts = indptr[interior]
+    nonempty = indptr[interior + 1] > starts
+    if nonempty.any():
+        reduced_indptr[1:][nonempty] = np.add.reduceat(keep, starts[nonempty],
+                                                       dtype=indptr.dtype)
+    np.cumsum(reduced_indptr, out=reduced_indptr)
+    columns = indices[keep]
+    columns -= np.cumsum(~mask, dtype=indices.dtype)[columns]  # boundary columns before
     system.reduced_matrix = sparse.csr_matrix((matrix.data[keep], columns, reduced_indptr),
                                               shape=(len(interior),) * 2)
     system.boundary_values = values

@@ -211,10 +211,10 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     (experiment, name) for experiment in EXPERIMENTS for name in ("boost", "tol")])
 def test_fixed_boost_and_tolerance_are_not_options(tmp_path, capsys, experiment, name):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", experiment, flag(name), "2", "--out", str(out)])
-    assert exc.value.code == EXIT_CONFIG
-    assert f"unrecognized arguments: --{name} 2" in capsys.readouterr().err
+    assert main(["run", experiment, flag(name), "2", "--out", str(out)]) == EXIT_CONFIG
+    reads = ", ".join(map(flag, READS[experiment]))
+    assert (f"config error: {experiment} does not read --{name} 2; it reads {reads}\n"
+            == capsys.readouterr().err)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = 2\n", encoding="utf-8")
     assert main(["run", experiment, "--config", str(cfg_file),
@@ -423,6 +423,11 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "none.txt"),
                  "--rho", "0.05"]) == EXIT_CONFIG
     assert "cannot read input" in capsys.readouterr().err
+    # only ``run`` turns an unknown flag into a config error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(path), "--rho", "0.05", "--tol", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --tol 2" in capsys.readouterr().err
 
 
 def test_validate_empty_mesh_exits_3(tmp_path, capsys):

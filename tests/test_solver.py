@@ -6,9 +6,11 @@ from scipy import sparse
 
 from curvem import (
     Coefficient,
+    DofMap,
     Edge,
     Element,
     ElementOperatorError,
+    LinearSystem,
     Mesh,
     NotSPDError,
     SolverError,
@@ -94,6 +96,19 @@ def test_assembly_is_deterministic():
     assert np.array_equal(a.rhs, b.rhs)
 
 
+def three_operand_mirror(matrix):
+    """The symmetric matrix as ``lower + lower.T - diag`` builds it from its
+    lower triangle."""
+    lower = sparse.tril(matrix, format="csr")
+    return (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()
+
+
+def assert_same_arrays(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem, n, straight", [
     (problem1, 8, False), (problem2, 4, False), (problem1, 8, True)])
@@ -104,23 +119,40 @@ def test_assembly_matches_the_lexsort_pipeline(problem, n, straight, k):
         mesh = straighten_mesh(mesh)
     coeff = problem.coefficient()
     matrix = assemble(mesh, k, coeff).matrix
-    oracle = lexsort_stiffness(mesh, k, coeff)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(matrix, name), getattr(oracle, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert_same_arrays(matrix, lexsort_stiffness(mesh, k, coeff))
+    assert_same_arrays(matrix, three_operand_mirror(matrix))
     assert matrix.has_sorted_indices
+
+
+class _NoInnerDiffusion(Coefficient):
+    """test2's data with zero diffusion inside r = 1/2, which ``kappa``
+    would reject."""
+
+    def kappa(self, label):
+        return {1: 5.0, 2: 0.0}[label]
+
+
+def test_assembly_drops_a_diagonal_that_sums_to_zero():
+    # the DoFs inside r = 1/2 get all-zero rows; the three-operand mirror
+    # left them without a diagonal entry, and so must assemble
+    mesh = problem2().mesh_factory(4)
+    matrix = assemble(mesh, 2, _NoInnerDiffusion()).matrix
+    assert not matrix.diagonal().all()
+    assert_same_arrays(matrix, three_operand_mirror(matrix))
 
 
 def test_assembly_peak_memory_is_bounded_by_the_triplets():
     # a triplet's key and value take 16 bytes; the sort, the sums, the CSR
-    # build and the mirror may together hold no more than 88 bytes per triplet
+    # build and the mirror may together hold no more than 64 bytes per
+    # triplet; on this mesh lower + lower.T - diag peaked at 69, the sum
+    # and a diagonal reset at 58
     mesh = build_mapped_tensor_mesh(32, *boundary_curves())
     coeff = problem1().coefficient()
     assemble(build_mapped_tensor_mesh(2, *boundary_curves()), 3, coeff)  # warm caches
     n_dof = dof_count(np.diff(mesh.loop_offsets), 3)
     triplets = int(np.sum(n_dof * (n_dof + 1) // 2))
     peak = traced_peak(lambda: assemble(mesh, 3, coeff))
-    assert peak <= 11 * 8 * triplets, f"{peak / (8 * triplets):.1f} x 8 bytes per triplet"
+    assert peak <= 8 * 8 * triplets, f"{peak / (8 * triplets):.1f} x 8 bytes per triplet"
 
 
 def test_apply_dirichlet_splits_and_reduces():
@@ -159,6 +191,23 @@ def test_apply_dirichlet_holds_little_beyond_what_it_keeps():
     boundary = system.dof_map.boundary_dofs
     lifted = system.rhs[interior] - rows[:, boundary] @ system.boundary_values[boundary]
     assert np.array_equal(system.reduced_rhs, lifted)
+
+
+@pytest.mark.parametrize("empty_rows", [(), (0,), (0, 3, 6), tuple(range(7))])
+def test_apply_dirichlet_handles_rows_without_entries(empty_rows):
+    # assembled rows always hold their diagonal; a matrix given directly may not
+    rng = np.random.default_rng(5)
+    dense = rng.uniform(1.0, 2.0, (7, 7)) * (rng.uniform(size=(7, 7)) < 0.5)
+    dense[list(empty_rows)] = 0.0
+    matrix = sparse.csr_matrix(dense)
+    boundary = np.array([1, 4])
+    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=boundary,
+                     boundary_points=np.zeros((2, 2)))
+    system = LinearSystem(matrix=matrix, rhs=np.ones(7), dof_map=dof_map, blocks=[])
+    apply_dirichlet(system, lambda x, y: x + 1.0)
+    interior = np.array([0, 2, 3, 5, 6])
+    assert np.array_equal(system.interior, interior)
+    assert_same_arrays(system.reduced_matrix, matrix[interior][:, interior])
 
 
 def test_solve_requires_elimination_first():
