@@ -25,7 +25,7 @@ from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
 from .quadrature import BOOST
-from .solver import apply_dirichlet, assemble, solve
+from .solver import SolverError, apply_dirichlet, assemble, solve
 from .vem import Coefficient, _for_label, global_dof_count
 
 
@@ -275,7 +275,8 @@ def _solve_adopted(*level):
     return _adopted_levels(*level)
 
 
-def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> Iterator:
+def _run_levels(solve_level: Callable, levels: list[tuple], weights: list,
+                names: list[str]) -> Iterator:
     """Yield ``solve_level(*level)`` for each of ``levels``, in their order.
 
     The levels are independent solves, so they run side by side: this
@@ -289,9 +290,11 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> It
     every level runs here, in order.
 
     The first level, in order, that fails raises its exception when it is
-    reached, after every result before it.  Levels not yet started are
-    then cancelled; every helper is joined when the generator ends or is
-    closed.
+    reached, after every result before it.  A helper that dies (killed, or
+    out of memory) fails every level that had not come back, each with a
+    ``SolverError`` naming the level by its entry of ``names``.  Levels not
+    yet started are then cancelled; every helper is joined when the
+    generator ends or is closed.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     helpers = min(len(affinity(0)) - 1 if affinity else 0, len(levels) - 1)
@@ -305,7 +308,7 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> It
             yield solve_level(*level)
         return
     from concurrent.futures import Future
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     heaviest_first = sorted(range(len(levels)), key=lambda i: -weights[i])
     pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
@@ -324,7 +327,12 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list) -> It
         except Exception as exc:  # raised when its level is reached
             own.set_exception(exc)
         for i in range(len(levels)):
-            yield outcomes[i].result()
+            try:
+                result = outcomes[i].result()
+            except BrokenProcessPool as exc:
+                raise SolverError(f"level {names[i]} was not solved: a helper process "
+                                  f"died ({exc})") from None
+            yield result
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -359,8 +367,9 @@ def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
 
     levels = [(k, level) for k in ks for level in range(len(ns))]
     weights = [global_dof_count(meshes[level], k) for k, level in levels]
+    names = [f"k={k}, n={ns[level]}" for k, level in levels]
     name = problem.name + ("-straight" if straighten else "")
-    with closing(_run_levels(solve_level, levels, weights)) as rows:
+    with closing(_run_levels(solve_level, levels, weights, names)) as rows:
         for k in ks:
             yield ConvergenceReport(problem=name, k=k, rows=[next(rows) for _ in ns])
 
@@ -416,7 +425,8 @@ def _patch_errors(ks, ns, *, solver_method: str = "direct") -> Iterator[float]:
 
     levels = [(k, n) for k in ks for n in ns]
     yield from _run_levels(solve_level, levels,
-                           [global_dof_count(meshes[n], k) for k, n in levels])
+                           [global_dof_count(meshes[n], k) for k, n in levels],
+                           [f"k={k}, n={n}" for k, n in levels])
 
 
 def run_patch_test(k: int, n: int = 2, solver_method: str = "direct") -> float:

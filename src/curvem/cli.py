@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 threshold or audit violation, 2 configuration,
 file-parse or output-write errors, 3 mesh conformity/quality failures and elements whose
 local operators cannot be built (a label without problem data, a singular
-projector), 4 solver failures.
+projector), 4 solver failures, including a level helper process that dies.
 
 Each ``curvem run`` experiment accepts only the options it reads.  Any other,
 as a flag or as a key of the ``key = value`` file named by ``--config``
@@ -129,7 +129,8 @@ _INT, _FLOAT, _TEXT = _parse_value(int), _parse_value(float), _parse_value(str)
 # a file value of an option with nargs is a whitespace-separated list
 _OPTIONS = {
     "k": _Option("k_list", _parse_int_list, _SOLVES, "comma-separated polynomial degrees",
-                 lambda ks: all(1 <= k <= 4 for k in ks), "lie in 1..4"),
+                 lambda ks: all(1 <= k <= 4 for k in ks) and len(set(ks)) == len(ks),
+                 "lie in 1..4, each once"),
     "n": _Option("n_list", _parse_int_list, _SOLVES, "comma-separated refinement levels",
                  lambda ns: min(ns) >= 1, "be positive"),
     "mesh": _Option("mesh_files", _parse_value(tuple), _CONVERGENCE,
@@ -152,16 +153,23 @@ _OPTIONS = {
 }
 
 
+# the smallest level an experiment's generated meshes take, where it is more
+# than 1: test2's disk mesh has n rings on each side of the interface
+# circle, and its generator takes at least two
+_LEAST_N = {"test2": 2}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _value(name: str, text):
-    """The parsed value of option ``name``, which must pass its check."""
+def _value(name: str, text, spelled: str):
+    """The parsed value of option ``name``, which must pass its check; a
+    failed check names the option as ``spelled``, its flag or file key."""
     option = _OPTIONS[name]
     value = option.parse(text, name)
     if not option.ok(value):
-        raise ConfigError(f"{name} must {option.need}, got {value!r}")
+        raise ConfigError(f"{spelled} must {option.need}, got {value!r}")
     return value
 
 
@@ -210,9 +218,13 @@ def parse_config(args: argparse.Namespace, unknown=()) -> RunConfig:
             raise ConfigError(f"{where}{experiment} takes {spelled['mesh']} or {spelled['n']}, "
                               f"not both: the mesh files replace the generated levels")
         try:
-            values[_OPTIONS[name].field] = _value(name, text)
+            values[_OPTIONS[name].field] = value = _value(name, text, spell(name))
         except ConfigError as exc:
             raise ConfigError(f"{where}{exc}") from None
+        least = _LEAST_N.get(experiment, 1)
+        if name == "n" and min(value) < least:
+            raise ConfigError(f"{where}{experiment} needs {spell(name)} levels of at least "
+                              f"{least}, got {value!r}")
     config = RunConfig(experiment, **values)
     # an audit polygon rule takes M + 1 points; element rules at most rule_points(6)[1] = 9
     m_order = max(config.m_list)
@@ -508,7 +520,7 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rho = _value("rho", args.rho)
+    rho = _value("rho", args.rho, "--rho")
     mesh = import_mesh(args.meshfile)
     report = validate_mesh(mesh, rho)
     bad = [q for q in report.elements if not q.ok]

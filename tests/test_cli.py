@@ -202,6 +202,29 @@ def test_invalid_options_are_rejected(argv, fragment):
         config_for(argv)
 
 
+@pytest.mark.parametrize("experiment, name, text, message", [
+    ("test2", "n", "1,2", "test2 needs {} levels of at least 2, got (1, 2)"),
+    ("test1-curved", "k", "1,1", "{} must lie in 1..4, each once, got (1, 1)"),
+    ("patch", "k", "2,3,2", "{} must lie in 1..4, each once, got (2, 3, 2)"),
+], ids=["test2-n", "test1-curved-k", "patch-k"])
+def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch,
+                                                   experiment, name, text, message):
+    # a level below what the mesh generator takes, or a degree solved twice
+    monkeypatch.setattr(curvem.cli, "run", lambda config: pytest.fail("the run started"))
+    out = tmp_path / "out"
+    assert main(["run", experiment, flag(name), text, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(flag(name))}\n"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
+    assert main(["run", experiment, "--config", str(cfg_file),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert (capsys.readouterr().err
+            == f"config error: {cfg_file}:1: {message.format(name)}\n")
+    assert not out.exists()
+    # only test2's meshes need two levels
+    assert config_for(["run", "test1-curved", "--n", "1,2"]).n_list == (1, 2)
+
+
 def test_main_maps_config_errors_to_exit_2(capsys):
     assert main(["run", "bogus-experiment"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

@@ -105,6 +105,25 @@ def test_first_failing_level_in_order_fails_the_run(tmp_path, capsys, monkeypatc
     assert helped == alone
 
 
+def test_a_helper_that_dies_fails_the_run_with_exit_4(tmp_path, capsys, monkeypatch):
+    parent, solve = os.getpid(), curvem.analysis.solve
+
+    def dying(system, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(9)  # as a kill or the out-of-memory killer ends a helper
+        return solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(curvem.analysis, "solve", dying)
+    argv = ["run", "test1-curved", "--k", "1,2", "--n", "4,8"]
+    code, out, err, files = run_on_cpus(2, argv, tmp_path / "out", capsys, monkeypatch)
+    # the helper dies on its first level, which breaks the pool, so the
+    # first level in order, (k=1, n=4), fails the run
+    assert (code, out, files) == (EXIT_SOLVER, "", {})
+    assert err.startswith("solver error: level k=1, n=4 was not solved: "
+                          "a helper process died (")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_output_mid_study_joins_the_helpers(tmp_path, capsys, monkeypatch):
     argv = ["run", "test1-curved", "--k", "1,2,3", "--n", "4,8"]
     results = []

@@ -1,5 +1,11 @@
 """Global assembly, boundary elimination, and the two solvers."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -191,6 +197,57 @@ def test_apply_dirichlet_holds_little_beyond_what_it_keeps():
     boundary = system.dof_map.boundary_dofs
     lifted = system.rhs[interior] - rows[:, boundary] @ system.boundary_values[boundary]
     assert np.array_equal(system.reduced_rhs, lifted)
+
+
+# test1 at n = 32, k = 3 (8385 DoFs), the level that the curved-boundary
+# benchmark's parent process solves, one stage after another in a fresh
+# process: each stage's resident peak in MB above the one taken after
+# import.  The peak is Linux's VmHWM: ru_maxrss would start at the peak of
+# the larger pytest process that starts this one, which it carries over.
+RESIDENT_STAGES = """
+import json, re
+from pathlib import Path
+from curvem import apply_dirichlet, assemble, compute_errors, solve, test1_problem
+
+def peak():
+    status = Path("/proc/self/status").read_text()
+    return int(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1)) / 1024
+
+base = peak()
+problem = test1_problem()
+mesh = problem.mesh_factory(32)
+rises = {"mesh": peak() - base}
+system = assemble(mesh, 3, problem.coefficient())
+rises["assemble"] = peak() - base
+apply_dirichlet(system, problem.boundary)
+rises["apply_dirichlet"] = peak() - base
+solution = solve(system)
+rises["solve"] = peak() - base
+compute_errors(mesh, 3, solution, problem, system)
+rises["compute_errors"] = peak() - base
+print(json.dumps(rises))
+"""
+
+# the highest of 10 runs (Python 3.11, numpy 2.4, scipy 1.17, one BLAS
+# thread) read 3.3, 11.5, 12.9, 12.9 and 12.9 MB; each bound is about 2 MB
+# above
+RESIDENT_BOUNDS_MB = {"mesh": 5.0, "assemble": 13.5, "apply_dirichlet": 15.0,
+                      "solve": 15.0, "compute_errors": 15.0}
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads Linux's VmHWM; bounds measured with glibc's allocator")
+def test_resident_memory_of_each_stage_is_bounded():
+    # tracemalloc counts live arrays only; a heap left fragmented by freed
+    # ones raises the resident peak without showing there
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", RESIDENT_STAGES], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    rises = json.loads(out)
+    assert rises.keys() == RESIDENT_BOUNDS_MB.keys()
+    assert all(rises[stage] <= bound for stage, bound in RESIDENT_BOUNDS_MB.items()), \
+        f"MB above the import: {rises}"
 
 
 @pytest.mark.parametrize("empty_rows", [(), (0,), (0, 3, 6), tuple(range(7))])
