@@ -243,14 +243,15 @@ def fit_rates(report: ConvergenceReport) -> RateFit:
     h = np.array([row.h for row in report.rows])
     if len(h) < 2:
         raise ValueError("need at least two refinements to fit rates")
+    if len(np.unique(h)) < len(h):
+        raise ValueError(f"rates need distinct mesh sizes, got h = {h.tolist()}")
     rates = []
     for errs in ([row.err_h1 for row in report.rows],
                  [row.err_l2 for row in report.rows]):
         e = np.array(errs)
-        # two levels with equal h give NaN or infinite rates, which the
-        # caller reports as rates; they are not warnings
-        with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        # a zero error gives a NaN or infinite rate, which the caller
+        # reports as a rate; it is not a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
             pairwise = [float(r) for r in np.log(e[1:] / e[:-1]) / np.log(h[1:] / h[:-1])]
             slope = float(np.polyfit(np.log(h), np.log(e), 1)[0])
         rates.append((slope, pairwise))

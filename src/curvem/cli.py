@@ -1,9 +1,12 @@
 """Command-line driver: convergence experiments, mesh checks, quadrature audits.
 
-Exit codes: 0 success, 1 threshold or audit violation, 2 configuration,
-file-parse or output-write errors, 3 mesh conformity/quality failures and elements whose
-local operators cannot be built (a label without problem data, a singular
-projector), 4 solver failures, including a level helper process that dies.
+Exit codes: 0 success, 1 threshold or audit violation, 2 configuration
+(such as a repeated ``--k``, ``--n`` or ``--M`` value, or ``--mesh`` files
+of equal mesh size), file-parse or output-write errors, 3 mesh
+conformity/quality failures (such as a vertex on no edge) and elements
+whose local operators cannot be built (a label without problem data, a
+singular projector), 4 solver failures, including a level helper process
+that dies.
 
 Each ``curvem run`` experiment accepts only the options it reads.  Any other,
 as a flag or as a key of the ``key = value`` file named by ``--config``
@@ -132,7 +135,7 @@ _OPTIONS = {
                  lambda ks: all(1 <= k <= 4 for k in ks) and len(set(ks)) == len(ks),
                  "lie in 1..4, each once"),
     "n": _Option("n_list", _parse_int_list, _SOLVES, "comma-separated refinement levels",
-                 lambda ns: min(ns) >= 1, "be positive"),
+                 lambda ns: min(ns) >= 1 and len(set(ns)) == len(ns), "be positive, each once"),
     "mesh": _Option("mesh_files", _parse_value(tuple), _CONVERGENCE,
                     "mesh files instead of generated meshes", nargs="+"),
     "rho": _Option("rho", _FLOAT, _CONVERGENCE, "shape-regularity parameter",
@@ -145,7 +148,7 @@ _OPTIONS = {
     "trials": _Option("trials", _INT, _AUDIT, "audit polygon count",
                       lambda trials: trials >= 1, "be at least 1"),
     "M": _Option("m_list", _parse_int_list, _AUDIT, "comma-separated audit rule orders",
-                 lambda ms: min(ms) >= 1, "be positive"),
+                 lambda ms: min(ms) >= 1 and len(set(ms)) == len(ms), "be positive, each once"),
     "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate"),
     "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate"),
     "max_rate_h1": _Option("max_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 above this H1 rate"),
@@ -417,6 +420,11 @@ def _load_meshes(config: RunConfig, problem):
     if config.mesh_files:
         meshes = [import_mesh(path) for path in config.mesh_files]
         ns = tuple(range(1, len(meshes) + 1))
+        first = {}  # the first file of each mesh size
+        for i, mesh in enumerate(meshes):
+            if (j := first.setdefault(mesh.h, i)) != i:
+                raise ConfigError(f"{config.mesh_files[j]} and {config.mesh_files[i]} both have "
+                                  f"h = {mesh.h!r}; rates need meshes of distinct sizes")
     else:
         meshes = [problem.mesh_factory(n) for n in config.n_list]
         ns = config.n_list

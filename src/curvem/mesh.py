@@ -14,8 +14,12 @@ sides in all).  Its input arrays are
   (sign +1 = traversal from the edge's first vertex to its second);
 * ``labels`` (P,), the element labels.
 
-The ``Mesh`` constructor checks them (finite input, conformity) and
-derives, once and in one vectorized pass,
+The ``Mesh`` constructor checks them: finite input, and conformity (each
+edge joins two distinct vertices, a curved one at its curve's points; each
+element is a closed loop of at least 3 distinct edges; each edge is used by
+one element, or by two in opposite directions; each vertex is on an edge,
+so every DoF belongs to an element).  It derives, once and in one
+vectorized pass,
 
 * ``vertex_on_boundary`` (V,), ``edge_on_boundary`` (N,) and
   ``edge_curved`` (N,);
@@ -361,6 +365,8 @@ def _conformity_errors(mesh: Mesh) -> list[str]:
                 errors.append(f"edge {i}: shared by {counts[i]} elements")
             else:
                 errors.append(f"edge {i}: traversed twice in the same direction")
+        unused = np.bincount(mesh.edge_vertices.ravel(), minlength=len(mesh.points)) == 0
+        errors += [f"vertex {v}: on no edge" for v in np.flatnonzero(unused).tolist()]
     return errors
 
 

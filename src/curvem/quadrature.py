@@ -77,8 +77,6 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     """
     if not 1 <= n <= _MAX_POINTS:
         raise QuadratureError(f"gauss_legendre: n={n} outside [1, {_MAX_POINTS}]")
-    if n == 1:
-        return _freeze_rule(np.zeros(1), np.full(1, 2.0))
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(100):

@@ -6,7 +6,11 @@ accumulated as triplets of its lower triangle, sorted on one stable
 integer key (row * size + col), summed and built straight into CSR.  That
 lower triangle plus its transpose, with the doubled diagonal reset to the
 lower triangle's own, is the assembled matrix: exactly symmetric, and the
-same arrays as ``lower + lower.T - diag(lower)``.  Local
+same arrays as ``lower + lower.T - diag(lower)``.  The reset finds an entry
+in every row: the ``Mesh`` constructor puts every vertex and edge in an
+element, ``assemble`` rejects a diffusion value that is not positive, and
+with positive diffusion each stabilized local stiffness has a positive
+diagonal.  Local
 operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
 and load entries are laid out in element order before any sum is taken, so
 every entry accumulates in the order of an element-by-element loop,
@@ -22,8 +26,8 @@ from scipy import sparse
 
 from .mesh import Mesh
 from .quadrature import BOOST
-from .vem import (ChunkOperators, Coefficient, ElementChunk, dof_count, edge_dof_points,
-                  edge_dofs, element_chunks, global_dof_count)
+from .vem import (ChunkOperators, Coefficient, ElementChunk, ElementOperatorError, dof_count,
+                  edge_dof_points, edge_dofs, element_chunks, global_dof_count)
 
 _DENSE_LIMIT = 2000
 
@@ -88,8 +92,12 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
     n_local = dof_count(np.diff(mesh.loop_offsets), k)
-    # one diffusion lookup per label, in order of first appearance
+    # one diffusion lookup per label, in order of first appearance, each
+    # checked before any chunk is built, whatever the coefficient object
     kappa = {label: coeff.kappa(label) for label in dict.fromkeys(mesh.labels.tolist())}
+    for label, value in kappa.items():
+        if not value > 0.0:
+            raise ElementOperatorError(f"label {label}: diffusion must be positive, got {value}")
     load_start = _starts(n_local)
     tri_start = _starts(n_local * (n_local + 1) // 2)
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
@@ -139,12 +147,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     # off the diagonal the sum is a + 0 = a; both operands drop exact zeros
     matrix = (lower + lower.T).tocsr()
     del lower
-    if diagonal.all():
-        # every row holds its diagonal, doubled: reset the values in place
-        matrix.setdiag(diagonal)
-    else:
-        # a diagonal that summed to exactly 0 has no entry to reset
-        matrix = (matrix - sparse.diags(diagonal)).tocsr()
+    matrix.setdiag(diagonal)  # every row holds its diagonal, doubled: reset in place
     return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
 
 

@@ -162,7 +162,8 @@ def _for_label(table, label: int, what: str):
 class Coefficient:
     """Problem data: piecewise-constant diffusion and source by element label.
 
-    ``diffusion`` is a single positive number or a mapping label -> kappa;
+    ``diffusion`` is a single positive number or a mapping label -> kappa
+    (``solver.assemble`` checks that every value it reads is positive);
     ``source`` is a vectorized callable f(x, y) or a mapping label -> callable
     for data with subdomain-dependent smooth branches.
     """
@@ -171,10 +172,7 @@ class Coefficient:
     source: Callable | Mapping[int, Callable] | None = None
 
     def kappa(self, label: int) -> float:
-        value = float(_for_label(self.diffusion, label, "diffusion value"))
-        if not value > 0.0:
-            raise ElementOperatorError(f"diffusion must be positive, got {value}")
-        return value
+        return float(_for_label(self.diffusion, label, "diffusion value"))
 
     def source_for(self, label: int):
         if self.source is None:
@@ -305,35 +303,6 @@ class ElementChunk:
         return out
 
 
-def _signature_groups(mesh: Mesh, ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Elements ``ids`` grouped by signature: (side codes, members) pairs.
-
-    Side j of a signature is curved (0), horizontal straight (1) or other
-    straight (2).  Signatures come in order of first appearance, members in
-    the order of ``ids``.
-    """
-    sizes = np.diff(mesh.loop_offsets)[ids]
-    key = np.empty(len(ids), dtype=np.int64)
-    table = []
-    for n in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == n)
-        rows = mesh.loop_offsets[ids[at], None] + np.arange(n)
-        y = mesh.points[mesh.loop_corners[rows], 1]
-        codes = np.where(mesh.edge_curved[mesh.loop_edges[rows]], 0,
-                         np.where(y == np.roll(y, -1, axis=1), 1, 2))
-        unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-        key[at] = len(table) + inverse.reshape(-1)
-        table.extend(unique)
-    groups, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
-                                               return_counts=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(groups), dtype=np.int64)
-    rank[by_first] = np.arange(len(groups))
-    members = ids[np.argsort(rank[inverse.reshape(-1)], kind="stable")]
-    return [(table[groups[g]], part) for g, part in
-            zip(by_first, np.split(members, np.cumsum(counts[by_first])[:-1]))]
-
-
 def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementChunk:
     n = len(codes)
     rows = mesh.loop_offsets[ids, None] + np.arange(n)
@@ -381,15 +350,28 @@ def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementCh
 def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
     """Chunks of at most ``CHUNK_SIZE`` like elements covering ``elements``.
 
-    ``elements`` defaults to the whole mesh.  Each chunk keeps the order of
-    ``elements``; chunks come grouped by signature, signatures in order of
-    first appearance.
+    Like elements share a signature: the edge count and, for each side j,
+    whether it is curved (0), horizontal straight (1) or other straight
+    (2).  ``elements`` defaults to the whole mesh.  Chunks come grouped by
+    signature, signatures in order of first appearance, and each chunk
+    keeps the order of ``elements``.
     """
     ids = (np.arange(len(mesh.labels)) if elements is None
            else np.asarray(elements, dtype=np.int64).reshape(-1))
-    return [_gather(mesh, k, codes, members[i:i + CHUNK_SIZE])
-            for codes, members in _signature_groups(mesh, ids)
-            for i in range(0, len(members), CHUNK_SIZE)]
+    sizes = np.diff(mesh.loop_offsets)[ids]
+    groups = []  # (side codes, positions in ids)
+    for n in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == n)
+        rows = mesh.loop_offsets[ids[at], None] + np.arange(n)
+        y = mesh.points[mesh.loop_corners[rows], 1]
+        codes = np.where(mesh.edge_curved[mesh.loop_edges[rows]], 0,
+                         np.where(y == np.roll(y, -1, axis=1), 1, 2))
+        unique, inverse = np.unique(codes, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        groups += [(signature, at[inverse == g]) for g, signature in enumerate(unique)]
+    groups.sort(key=lambda group: group[1][0])
+    return [_gather(mesh, k, codes, ids[at[i:i + CHUNK_SIZE]])
+            for codes, at in groups for i in range(0, len(at), CHUNK_SIZE)]
 
 
 class ChunkOperators:
@@ -402,15 +384,11 @@ class ChunkOperators:
     def __init__(self, chunk: ElementChunk, boost: int = BOOST):
         self.chunk = chunk
         self.boost = boost
-        nm = n_moments(chunk.k)
         x, y, w = chunk.rule(chunk.k, boost)
         vals, gx, gy = chunk.basis_grad(x, y)
         wc = w[..., None]
         self.g_tilde = gx.mT @ (gx * wc) + gy.mT @ (gy * wc)
-        if nm:
-            self.mass_rect = vals[..., :nm].mT @ (vals * wc)
-        else:
-            self.mass_rect = np.empty((len(chunk.elements), 0, gx.shape[-1]))
+        self.mass_rect = vals[..., :n_moments(chunk.k)].mT @ (vals * wc)
         self._projectors(*self._boundary_terms())
 
     def _boundary_terms(self):

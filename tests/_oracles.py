@@ -304,6 +304,27 @@ def element_dofs(mesh, k, elements):
     return np.concatenate([out.reshape(len(elements), n * k), moments], axis=1)
 
 
+def chunk_partition(mesh, elements):
+    """``elements`` grouped by signature, one element at a time.
+
+    An element's signature has one code per side: curved (0), horizontal
+    straight (1) or other straight (2), the corners read from the edges'
+    endpoints.  Returns (signature, members) pairs, signatures in order of
+    first appearance, members in the order of ``elements``, repeats kept.
+    """
+    groups = {}
+    for p in elements:
+        sides = range(mesh.loop_offsets[p], mesh.loop_offsets[p + 1])
+        corners = [mesh.edge_vertices[mesh.loop_edges[j]][0 if mesh.loop_signs[j] > 0 else 1]
+                   for j in sides]
+        y = [float(mesh.points[v, 1]) for v in corners]
+        signature = tuple(0 if mesh.edge_curved[mesh.loop_edges[j]]
+                          else 1 if y[i] == y[(i + 1) % len(y)] else 2
+                          for i, j in enumerate(sides))
+        groups.setdefault(signature, []).append(int(p))
+    return list(groups.items())
+
+
 def lexsort_stiffness(mesh, k, coeff, boost=2):
     """The global stiffness matrix by the earlier triplet pipeline.
 

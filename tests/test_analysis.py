@@ -197,6 +197,15 @@ def test_fit_rates_needs_two_rows():
         fit_rates(report)
 
 
+def test_fit_rates_needs_distinct_mesh_sizes():
+    # two levels of one size leave the slope undetermined
+    report = ConvergenceReport(problem="p", k=1, rows=[
+        ConvergenceRow(n=n, h=h, n_dof=9, err_h1=0.1 * h, err_l2=0.01 * h)
+        for n, h in ((2, 0.5), (4, 0.25), (4, 0.25))])
+    with pytest.raises(ValueError, match=r"distinct mesh sizes, got h = \[0.5, 0.25, 0.25\]"):
+        fit_rates(report)
+
+
 def test_csv_format_round_trips_floats():
     rows = [ConvergenceRow(n=2, h=0.5, n_dof=9, err_h1=0.1, err_l2=0.01),
             ConvergenceRow(n=4, h=0.25, n_dof=25, err_h1=0.025, err_l2=1.25e-3)]

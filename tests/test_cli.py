@@ -7,8 +7,8 @@ import pytest
 
 import curvem.analysis
 import curvem.cli
-from curvem import (build_annulus_interface_mesh, build_mapped_tensor_mesh, export_mesh,
-                    straighten_mesh)
+from curvem import (RateFit, build_annulus_interface_mesh, build_mapped_tensor_mesh,
+                    export_mesh, straighten_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.cli import (
     EXIT_CONFIG,
@@ -206,10 +206,13 @@ def test_invalid_options_are_rejected(argv, fragment):
     ("test2", "n", "1,2", "test2 needs {} levels of at least 2, got (1, 2)"),
     ("test1-curved", "k", "1,1", "{} must lie in 1..4, each once, got (1, 1)"),
     ("patch", "k", "2,3,2", "{} must lie in 1..4, each once, got (2, 3, 2)"),
-], ids=["test2-n", "test1-curved-k", "patch-k"])
+    ("test1-curved", "n", "4,8,4", "{} must be positive, each once, got (4, 8, 4)"),
+    ("quadrature-audit", "M", "1,1", "{} must be positive, each once, got (1, 1)"),
+], ids=["test2-n", "test1-curved-k", "patch-k", "test1-curved-n", "audit-M"])
 def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch,
                                                    experiment, name, text, message):
-    # a level below what the mesh generator takes, or a degree solved twice
+    # a level below what the mesh generator takes, or a degree, a level or
+    # an audit order given twice
     monkeypatch.setattr(curvem.cli, "run", lambda config: pytest.fail("the run started"))
     out = tmp_path / "out"
     assert main(["run", experiment, flag(name), text, "--out", str(out)]) == EXIT_CONFIG
@@ -268,12 +271,15 @@ def test_main_patch_run_covers_every_level(tmp_path, capsys):
     assert "k=1 (n=2)" in summary and "k=1 (n=4)" in summary
 
 
-def test_main_threshold_violation_exits_1(tmp_path, capsys):
-    # two equal levels give NaN rates, which meet no bound
-    for ns, flag, violation in (("4,8", "--min-rate-l2", "min_rate_l2=5.0 violated"),
-                                ("4,4", "--min-rate-h1", "min_rate_h1=5.0 violated (nan)")):
+def test_main_threshold_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # a NaN rate, which a zero error gives, meets no bound
+    nan_fit = RateFit(lsq_h1=np.nan, lsq_l2=np.nan, pairwise_h1=[np.nan], pairwise_l2=[np.nan])
+    for fit, flag, violation in ((None, "--min-rate-l2", "min_rate_l2=5.0 violated"),
+                                 (nan_fit, "--min-rate-h1", "min_rate_h1=5.0 violated (nan)")):
+        if fit is not None:
+            monkeypatch.setattr(curvem.cli, "fit_rates", lambda report: fit)
         out = tmp_path / flag
-        code = main(["run", "test1-curved", "--k", "1", "--n", ns,
+        code = main(["run", "test1-curved", "--k", "1", "--n", "4,8",
                      flag, "5", "--out", str(out)])
         assert code == EXIT_THRESHOLD
         summary = (out / "summary.txt").read_text(encoding="utf-8")
@@ -365,6 +371,31 @@ def test_mesh_and_n_are_not_given_together(tmp_path, capsys, flags, lines, where
         ("a.txt", "b.txt")
 
 
+@pytest.mark.parametrize("form", ["flags", "file"])
+def test_mesh_files_of_equal_size_exit_2(tmp_path, capsys, monkeypatch, form):
+    # equal sizes leave the rates undetermined
+    a, b, c = (str(tmp_path / name) for name in ("a.txt", "b.txt", "c.txt"))
+    for path, n in ((a, 4), (b, 8), (c, 4)):
+        export_mesh(build_mapped_tensor_mesh(n, *boundary_curves()), path)
+    monkeypatch.setattr(curvem.cli, "_validate_meshes",
+                        lambda *args: pytest.fail("the meshes were validated"))
+    # two files of one mesh, and one file given twice
+    for given, first, second in (([a, b, c], a, c), ([b, b], b, b)):
+        if form == "flags":
+            argv = ["--mesh", *given]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"mesh = {' '.join(given)}\n", encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["run", "test1-curved", *argv, "--out", str(out)]) == EXIT_CONFIG
+        h = curvem.import_mesh(second).h
+        assert capsys.readouterr().err == (
+            f"config error: {first} and {second} both have h = {h!r}; "
+            "rates need meshes of distinct sizes\n")
+        assert not out.exists()
+
+
 def test_main_straight_run_straightens_each_mesh_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -410,8 +441,10 @@ def test_validate_label_outside_64_bits_exits_2(tmp_path, capsys):
 def test_main_quality_failure_exits_3(tmp_path, capsys):
     path = tmp_path / "thin.txt"
     path.write_text(THIN_QUAD, encoding="utf-8")
+    fine = tmp_path / "fine.txt"
+    export_mesh(build_mapped_tensor_mesh(4, *boundary_curves()), fine)
     code = main(["run", "test1-curved", "--k", "1", "--mesh", str(path),
-                 str(path), "--out", str(tmp_path / "out")])
+                 str(fine), "--out", str(tmp_path / "out")])
     assert code == EXIT_MESH
     assert "elements below rho" in capsys.readouterr().err
 
@@ -421,10 +454,29 @@ def test_main_label_without_problem_data_exits_3(tmp_path, capsys):
     mesh.labels[0] = 3
     path = tmp_path / "label3.txt"
     export_mesh(mesh, path)
-    code = main(["run", "test2", "--k", "1", "--mesh", str(path), str(path),
+    fine = tmp_path / "fine.txt"
+    export_mesh(build_annulus_interface_mesh(2, 16), fine)
+    code = main(["run", "test2", "--k", "1", "--mesh", str(path), str(fine),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_MESH
     assert "mesh error: no diffusion value for label 3" in capsys.readouterr().err
+
+
+def test_vertex_on_no_edge_exits_3(tmp_path, capsys):
+    # the extra vertex would be an interior DoF that no element touches
+    path = tmp_path / "lone.txt"
+    path.write_text(THIN_QUAD.replace("counts 4", "counts 5").replace(
+        "v 0 1e-7\n", "v 0 1e-7\nv 0.5 0.5\n"), encoding="utf-8")
+    fine = tmp_path / "fine.txt"
+    export_mesh(build_mapped_tensor_mesh(4, *boundary_curves()), fine)
+    message = "mesh error: vertex 4: on no edge\n"
+    assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_MESH
+    assert capsys.readouterr().err == message
+    out = tmp_path / "out"
+    assert main(["run", "test1-curved", "--k", "1", "--mesh", str(path), str(fine),
+                 "--out", str(out)]) == EXIT_MESH
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_main_solver_limit_exits_4(tmp_path, capsys):

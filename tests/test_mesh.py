@@ -599,6 +599,14 @@ def _edge_use_faults():
     return vertices, edges, elements
 
 
+def _vertices_on_no_edge():
+    # a point inside the square and one outside, which no DoF of an element
+    # would reach
+    vertices, edges = _square()
+    vertices += [Vertex(position=np.array(p)) for p in ((0.5, 0.5), (2.0, 0.0))]
+    return vertices, edges, [Element(edge_loop=[(i, 1) for i in range(4)])]
+
+
 def _disjoint(*kinds):
     """Separate elements side by side: a good square ("ok"), a clockwise
     square ("cw") or the sliver with negative area ("arc")."""
@@ -634,11 +642,12 @@ def _disjoint(*kinds):
     (_edge_use_faults,
      "edge 0: shared by 3 elements; edge 1: shared by 3 elements; "
      "edge 4: traversed twice in the same direction; edge 5: referenced by no element"),
+    (_vertices_on_no_edge, "vertex 4: on no edge; vertex 5: on no edge"),
     (lambda: _disjoint("ok", "arc", "ok", "cw"), "element 1: nonpositive area -1.371e+00"),
     (lambda: _disjoint("ok", "cw", "arc"),
      "element 1: chord polygon is not counterclockwise (signed area -1.000e+00)"),
 ], ids=["zero-length-edge", "clockwise", "curved-negative-area", "edge-and-element-faults",
-        "element-faults", "edge-use-faults", "negative-area-first", "clockwise-first"])
+        "element-faults", "edge-use-faults", "vertex-on-no-edge", "negative-area-first", "clockwise-first"])
 def test_build_error_messages_are_pinned(make, message):
     with pytest.raises(MeshError) as info:
         Mesh.build(*make())

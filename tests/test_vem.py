@@ -25,9 +25,10 @@ from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature
-from curvem.vem import ChunkOperators, _screen, element_chunks, local_operators
+from curvem.vem import CHUNK_SIZE, ChunkOperators, _screen, element_chunks, local_operators
 
-from _oracles import element_dofs, finite_difference_gradient, monomial_gradients, monomials
+from _oracles import (chunk_partition, element_dofs, finite_difference_gradient,
+                      monomial_gradients, monomials)
 from test_mesh import mixed_polygon_mesh
 from test_mesh_io import shifted_graph_meshes
 
@@ -200,6 +201,42 @@ def test_chunk_dofs_match_the_written_out_numbering(name):
             assert np.array_equal(chunk.dofs, element_dofs(mesh, k, chunk.elements))
 
 
+PARTITION_MESHES = {"test1-n16": problem1().mesh_factory(16),
+                    "test2-n4": problem2().mesh_factory(4)}
+
+
+@st.composite
+def element_ids(draw):
+    """A mesh of PARTITION_MESHES and element ids of it: a permutation of
+    all, or a list with repeats."""
+    name = draw(st.sampled_from(sorted(PARTITION_MESHES)))
+    count = len(PARTITION_MESHES[name].labels)
+    ids = draw(st.one_of(st.permutations(range(count)),
+                         st.lists(st.integers(0, count - 1), max_size=2 * CHUNK_SIZE + 10)))
+    return name, ids
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(element_ids())
+def test_chunks_partition_elements_like_the_per_element_oracle(drawn):
+    name, ids = drawn
+    mesh = PARTITION_MESHES[name]
+    expected = [(signature, members[i:i + CHUNK_SIZE])
+                for signature, members in chunk_partition(mesh, ids)
+                for i in range(0, len(members), CHUNK_SIZE)]
+    chunks = element_chunks(mesh, 1, ids)
+    assert [chunk.elements.tolist() for chunk in chunks] == [m for _, m in expected]
+    for chunk, (signature, _) in zip(chunks, expected):
+        # each side's kind, read from the chunk: curved, or straight and
+        # horizontal on every element or on none
+        assert [side.is_curved for side in chunk.sides] == [code == 0 for code in signature]
+        y = chunk.vertices[..., 1]
+        flat = y == np.roll(y, -1, axis=1)
+        for j, code in enumerate(signature):
+            if code:
+                assert np.all(flat[:, j] == (code == 1))
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(shifted_graph_meshes(), st.integers(1, 4))
 def test_neighbours_walk_each_interior_edge_dof_in_opposite_order(mesh, k):
@@ -369,8 +406,8 @@ def test_coefficient_validates_diffusion_and_source():
     assert coeff.kappa(2) == 5.0
     with pytest.raises(ElementOperatorError, match="no diffusion"):
         coeff.kappa(3)
-    with pytest.raises(ElementOperatorError, match="positive"):
-        Coefficient(diffusion=-1.0).kappa(1)
+    # assemble checks that the diffusion it reads is positive
+    assert Coefficient(diffusion=-1.0).kappa(1) == -1.0
     with pytest.raises(ElementOperatorError, match="no source"):
         Coefficient(source={1: lambda x, y: x}).source_for(2)
     default = Coefficient().source_for(7)
