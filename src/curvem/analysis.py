@@ -222,10 +222,10 @@ class ConvergenceReport:
     k: int
     rows: list[ConvergenceRow]
 
-    def to_csv(self) -> str:
-        """Deterministic CSV with per-interval rates."""
+    def to_csv(self, fit: RateFit | None = None) -> str:
+        """Deterministic CSV with the per-interval rates of ``fit`` (or ``fit_rates``)."""
         lines = ["n,h,n_dof,err_h1,err_l2,rate_h1,rate_l2"]
-        fit = fit_rates(self)
+        fit = fit_rates(self) if fit is None else fit
         for i, row in enumerate(self.rows):
             rate_h1 = repr(fit.pairwise_h1[i - 1]) if i else ""
             rate_l2 = repr(fit.pairwise_l2[i - 1]) if i else ""
@@ -276,41 +276,40 @@ def _solve_adopted(*level):
     return _adopted_levels(*level)
 
 
-def _run_levels(solve_level: Callable, levels: list[tuple], weights: list,
-                names: list[str]) -> Iterator:
-    """Yield ``solve_level(*level)`` for each of ``levels``, in their order.
+def _run_levels(solve_level: Callable, ks, ns, meshes) -> Iterator:
+    """Yield ``solve_level(k, i)`` for each k of ``ks`` and each level i of
+    ``ns``, in that order; level i is solved on ``meshes[i]``.
 
     The levels are independent solves, so they run side by side: this
-    process solves the heaviest (largest of ``weights``) itself and hands
-    the rest, heaviest first, to forked helper processes, one per usable
-    CPU beyond the first and at most one per other level.  The helpers get
+    process solves the heaviest (most DoFs) itself and hands the rest,
+    heaviest first, to forked helper processes, one per usable CPU beyond
+    the first and at most one per other level.  The helpers get
     ``solve_level`` and all it reads (problem callables and meshes, which
-    cannot be pickled) by fork inheritance; only the ``levels`` tuples go
-    out and results come back.  With no CPU to spare, where fork is
-    missing, or inside a daemon process (which may not have children),
-    every level runs here, in order.
+    cannot be pickled) by fork inheritance; only the (k, i) pairs go out
+    and results come back.  With no CPU to spare, where fork is missing, or
+    inside a daemon process (which may not have children), every level runs
+    here, in order.
 
     The first level, in order, that fails raises its exception when it is
     reached, after every result before it.  A helper that dies (killed, or
     out of memory) fails every level that had not come back, each with a
-    ``SolverError`` naming the level by its entry of ``names``.  Levels not
-    yet started are then cancelled; every helper is joined when the
-    generator ends or is closed.
+    ``SolverError`` naming the level as ``k=..., n=...``.  Levels not yet
+    started are then cancelled; every helper is joined when the generator
+    ends or is closed.
     """
+    import multiprocessing
+    levels = [(k, i) for k in ks for i in range(len(ns))]
     affinity = getattr(os, "sched_getaffinity", None)
     helpers = min(len(affinity(0)) - 1 if affinity else 0, len(levels) - 1)
-    if helpers > 0:
-        import multiprocessing
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            helpers = 0
-    if helpers <= 0:
+    if (helpers <= 0 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
         for level in levels:
             yield solve_level(*level)
         return
     from concurrent.futures import Future
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    weights = [global_dof_count(meshes[i], k) for k, i in levels]
     heaviest_first = sorted(range(len(levels)), key=lambda i: -weights[i])
     pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt_levels, initargs=(solve_level,))
@@ -331,20 +330,29 @@ def _run_levels(solve_level: Callable, levels: list[tuple], weights: list,
             try:
                 result = outcomes[i].result()
             except BrokenProcessPool as exc:
-                raise SolverError(f"level {names[i]} was not solved: a helper process "
-                                  f"died ({exc})") from None
+                k, level = levels[i]
+                raise SolverError(f"level k={k}, n={ns[level]} was not solved: a helper "
+                                  f"process died ({exc})") from None
             yield result
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
-                         straighten: bool = False,
-                         solver_method: str = "cg") -> Iterator[ConvergenceReport]:
-    """Yield ``run_convergence``'s report for each k of ``ks``, in order.
+def run_convergence(problem: ManufacturedProblem, ks, ns, *, meshes=None,
+                    straighten: bool = False,
+                    solver_method: str = "cg") -> Iterator[ConvergenceReport]:
+    """Solve the problem over a mesh family; yield one report per k of ``ks``,
+    in order, each with one row per level of ``ns``.
 
-    Every (k, level) pair is one level of a single ``_run_levels`` map, so
-    the levels of all k run side by side, weighted by their DoF counts.
+    Meshes come from the problem's factory at each level in ``ns`` unless a
+    prebuilt list is passed in ``meshes``.  With ``straighten=True`` every
+    mesh is reduced to its chord polygon before solving (the exact solution
+    and error norms are unchanged), using the problem's chord boundary data
+    if it defines any; a mesh without curved edges is already its own chord
+    polygon and is used as it is.  Every (k, level) pair is one level of a
+    single ``_run_levels`` map, so the levels of all k run side by side;
+    closing the generator cancels the levels not yet started and joins the
+    helpers.
     """
     if meshes is not None and len(meshes) != len(ns):
         raise ValueError("meshes and ns must have matching lengths")
@@ -366,30 +374,10 @@ def _convergence_reports(problem: ManufacturedProblem, ks, ns, *, meshes=None,
         return ConvergenceRow(n=ns[level], h=mesh.h, n_dof=system.dof_map.total,
                               err_h1=err_h1, err_l2=err_l2)
 
-    levels = [(k, level) for k in ks for level in range(len(ns))]
-    weights = [global_dof_count(meshes[level], k) for k, level in levels]
-    names = [f"k={k}, n={ns[level]}" for k, level in levels]
     name = problem.name + ("-straight" if straighten else "")
-    with closing(_run_levels(solve_level, levels, weights, names)) as rows:
+    with closing(_run_levels(solve_level, ks, ns, meshes)) as rows:
         for k in ks:
             yield ConvergenceReport(problem=name, k=k, rows=[next(rows) for _ in ns])
-
-
-def run_convergence(problem: ManufacturedProblem, k: int, ns, *, meshes=None,
-                    straighten: bool = False, solver_method: str = "cg") -> ConvergenceReport:
-    """Solve the problem over a mesh family and collect errors per level.
-
-    Meshes come from the problem's factory at each level in ``ns`` unless a
-    prebuilt list is passed in ``meshes``.  With ``straighten=True`` every
-    mesh is reduced to its chord polygon before solving (the exact solution
-    and error norms are unchanged), using the problem's chord boundary data
-    if it defines any; a mesh without curved edges is already its own chord
-    polygon and is used as it is.  The levels are solved side by side, as
-    ``_run_levels`` describes.
-    """
-    (report,) = _convergence_reports(problem, (k,), ns, meshes=meshes,
-                                     straighten=straighten, solver_method=solver_method)
-    return report
 
 
 _PATCH_POLYNOMIALS = {
@@ -404,18 +392,23 @@ _PATCH_POLYNOMIALS = {
 }
 
 
-def _patch_errors(ks, ns, *, solver_method: str = "direct") -> Iterator[float]:
-    """Yield ``run_patch_test``'s error for each (k, n) of ``ks`` x ``ns``,
-    in that order, from one ``_run_levels`` map over those levels."""
+def run_patch_test(ks, ns=(2,), *, solver_method: str = "direct") -> Iterator[float]:
+    """Yield the max relative DoF error for each (k, n) of ``ks`` x ``ns``, in
+    that order, when the exact solution is a degree-k polynomial.
+
+    Runs on straightened mapped meshes (general quadrilaterals), where the
+    discrete space contains P_k and the scheme must reproduce it to solver
+    accuracy; the levels run side by side, as in ``run_convergence``.
+    """
     for k in ks:
         if k not in _PATCH_POLYNOMIALS:
             raise ValueError(f"no patch polynomial for k={k}")
     bottom, top = test1_boundary_curves()
-    meshes = {n: straighten_mesh(build_mapped_tensor_mesh(n, bottom, top)) for n in ns}
+    meshes = [straighten_mesh(build_mapped_tensor_mesh(n, bottom, top)) for n in ns]
 
-    def solve_level(k, n):
+    def solve_level(k, level):
         u, f = _PATCH_POLYNOMIALS[k]
-        system = assemble(meshes[n], k, Coefficient(diffusion=1.0, source=f))
+        system = assemble(meshes[level], k, Coefficient(diffusion=1.0, source=f))
         apply_dirichlet(system, u)
         solution = solve(system, method=solver_method)
         reference = np.zeros(system.dof_map.total)
@@ -424,18 +417,4 @@ def _patch_errors(ks, ns, *, solver_method: str = "direct") -> Iterator[float]:
         scale = float(np.max(np.abs(reference)))
         return float(np.max(np.abs(solution - reference))) / scale
 
-    levels = [(k, n) for k in ks for n in ns]
-    yield from _run_levels(solve_level, levels,
-                           [global_dof_count(meshes[n], k) for k, n in levels],
-                           [f"k={k}, n={n}" for k, n in levels])
-
-
-def run_patch_test(k: int, n: int = 2, solver_method: str = "direct") -> float:
-    """Max relative DoF error when the exact solution is a degree-k polynomial.
-
-    Runs on a straightened mapped mesh (general quadrilaterals), where the
-    discrete space contains P_k and the scheme must reproduce it to solver
-    accuracy.
-    """
-    (err,) = _patch_errors((k,), (n,), solver_method=solver_method)
-    return err
+    yield from _run_levels(solve_level, ks, ns, meshes)

@@ -22,7 +22,7 @@ as a flag or as a key of the ``key = value`` file named by ``--config``
 
 Outputs (CSV tables plus a plain-text summary) are deterministic, so a
 repeated run reproduces files byte for byte, whether a study's levels run
-in this process or side by side in forked helpers (``analysis._run_levels``).
+in this process or side by side in forked helpers (``analysis.run_convergence``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import sys
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (_convergence_reports, _patch_errors, fit_rates, test1_problem,
+from .analysis import (fit_rates, run_convergence, run_patch_test, test1_problem,
                        test2_problem)
 from .geometry import GeometryError, circle_curve
 from .mesh import Mesh, MeshError, straighten_mesh, validate_mesh
@@ -462,13 +463,12 @@ def _run_convergence_experiment(config: RunConfig) -> int:
     summary = [f"experiment {config.experiment}",
                f"meshes: {config.mesh_files or ('generated, n=' + str(list(ns)))}"]
     violations = []
-    reports = _convergence_reports(problem, config.k_list, ns, meshes=meshes,
-                                   straighten=straighten, solver_method=config.solver)
+    reports = run_convergence(problem, config.k_list, ns, meshes=meshes,
+                              straighten=straighten, solver_method=config.solver)
     with closing(reports):
         for report in reports:
-            k = report.k
-            _write(out / f"{config.experiment}_k{k}.csv", report.to_csv())
-            fit = fit_rates(report)
+            k, fit = report.k, fit_rates(report)
+            _write(out / f"{config.experiment}_k{k}.csv", report.to_csv(fit))
             summary.append(f"k = {k}")
             summary.append("  n        h     n_dof       err_H1       err_L2")
             for row in report.rows:
@@ -503,10 +503,9 @@ def _run_patch(config: RunConfig) -> int:
     csv_lines = ["k,n,max_rel_dof_err,status"]
     summary = []
     ok = True
-    levels = [(k, n) for k in config.k_list for n in config.n_list]
-    errors = _patch_errors(config.k_list, config.n_list, solver_method=config.solver)
+    errors = run_patch_test(config.k_list, config.n_list, solver_method=config.solver)
     with closing(errors):
-        for (k, n), err in zip(levels, errors):
+        for (k, n), err in zip(product(config.k_list, config.n_list), errors):
             good = err <= PATCH_TOL
             ok &= good
             csv_lines.append(f"{k},{n},{err!r},{'pass' if good else 'FAIL'}")

@@ -14,7 +14,8 @@ sides in all).  Its input arrays are
   (sign +1 = traversal from the edge's first vertex to its second);
 * ``labels`` (P,), the element labels.
 
-The ``Mesh`` constructor checks them: finite input, and conformity (each
+The ``Mesh`` constructor checks them: shapes and lengths that agree (offsets
+rising from 0 to L, side signs of +1 or -1), finite input, and conformity (each
 edge joins two distinct vertices, a curved one at its curve's points; each
 element is a closed loop of at least 3 distinct edges; each edge is used by
 one element, or by two in opposite directions; each vertex is on an edge,
@@ -105,15 +106,17 @@ class Mesh:
     def __init__(self, points, edge_vertices, edge_curves, edge_params,
                  loop_offsets, loop_edges, loop_signs, labels):
         """Check and finalize a mesh given as its input arrays; raises MeshError."""
-        self.points = np.array(points, dtype=float).reshape(-1, 2)
-        self.edge_vertices = _int_array(edge_vertices, "edge_vertices").reshape(-1, 2)
-        self.edge_curves = np.array(edge_curves, dtype=object).reshape(-1)
+        self.points = _shaped(np.array(points, dtype=float), "points", 2)
+        self.edge_vertices = _shaped(_int_array(edge_vertices, "edge_vertices"),
+                                     "edge_vertices", 2)
+        self.edge_curves = _shaped(np.array(edge_curves, dtype=object), "edge_curves")
         self.edge_curved = np.array([c is not None for c in self.edge_curves], dtype=bool)
-        self.edge_params = np.array(edge_params, dtype=float).reshape(-1, 2)
-        self.loop_offsets = _int_array(loop_offsets, "loop_offsets")
-        self.loop_edges = _int_array(loop_edges, "loop_edges")
-        self.loop_signs = _int_array(loop_signs, "loop_signs")
-        self.labels = _int_array(labels, "labels")
+        self.edge_params = _shaped(np.array(edge_params, dtype=float), "edge_params", 2)
+        self.loop_offsets = _shaped(_int_array(loop_offsets, "loop_offsets"), "loop_offsets")
+        self.loop_edges = _shaped(_int_array(loop_edges, "loop_edges"), "loop_edges")
+        self.loop_signs = _shaped(_int_array(loop_signs, "loop_signs"), "loop_signs")
+        self.labels = _shaped(_int_array(labels, "labels"), "labels")
+        _check_layout(self)
         errors = _finite_errors(self) or _conformity_errors(self)
         if errors:
             raise MeshError("; ".join(errors[:5]))
@@ -193,6 +196,44 @@ def _int_array(values, name: str) -> np.ndarray:
         (value,) = array.ravel()[first:first + 1].tolist()
         raise MeshError(f"{name}[{index}]: {value!r} is not an integer that fits in 64 bits")
     return array.astype(np.int64)
+
+
+def _shaped(array: np.ndarray, name: str, *width: int) -> np.ndarray:
+    """``array`` if its shape is (n, *width), an empty one given that shape;
+    raises MeshError naming the array otherwise."""
+    if array.size == 0:
+        return array.reshape(0, *width)
+    if array.shape[1:] != width or array.ndim != 1 + len(width):
+        want = ", ".join(["n", *map(str, width)]) + ("" if width else ",")
+        raise MeshError(f"{name} must have shape ({want}), got {array.shape}")
+    return array
+
+
+def _check_layout(mesh: Mesh) -> None:
+    """Raise MeshError naming the first input array whose length disagrees
+    with the others, offsets that do not rise from 0 to the side count, or
+    a side sign that is not +1 or -1."""
+    offsets, sides = mesh.loop_offsets, len(mesh.loop_edges)
+    ends = offsets[[0, -1]].tolist() if len(offsets) else []
+    if ends != [0, sides]:
+        raise MeshError(f"loop_offsets must run from 0 to len(loop_edges) = {sides}, "
+                        f"got ends {ends}")
+    drops = np.flatnonzero(np.diff(offsets) < 0)
+    if len(drops):
+        i = int(drops[0])
+        raise MeshError(f"loop_offsets[{i + 1}]: {offsets[i + 1]} is below "
+                        f"loop_offsets[{i}] = {offsets[i]}")
+    for name, length, want in (
+            ("edge_curves", len(mesh.edge_curves), len(mesh.edge_vertices)),
+            ("edge_params", len(mesh.edge_params), len(mesh.edge_vertices)),
+            ("loop_signs", len(mesh.loop_signs), sides),
+            ("labels", len(mesh.labels), len(offsets) - 1)):
+        if length != want:
+            raise MeshError(f"{name} has {length} entries, expected {want}")
+    bad = np.flatnonzero(np.abs(mesh.loop_signs) != 1)
+    if len(bad):
+        i = int(bad[0])
+        raise MeshError(f"loop_signs[{i}]: {mesh.loop_signs[i]} is not +1 or -1")
 
 
 def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
@@ -529,7 +570,7 @@ def build_mapped_tensor_mesh(n: int, bottom: BoundaryCurve | None = None,
     yq = xs[:, None]
     y = np.where(yq <= 0.5, (1.0 - 2.0 * g1) * yq + g1, (2.0 * g2 - 1.0) * yq + (1.0 - g2))
     y[0], y[n] = g1, g2
-    points = np.stack([np.broadcast_to(xs, y.shape), y], axis=-1)
+    points = np.stack([np.broadcast_to(xs, y.shape), y], axis=-1).reshape(-1, 2)
 
     # edge (i, j) to the right of vertex (i, j) is row j n + i; edge (i, j)
     # above it is row n (n + 1) + i n + j

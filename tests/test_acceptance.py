@@ -59,18 +59,18 @@ def _line(ok: bool, label: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def curved_reports():
-    return {k: run_convergence(problem1(), k, CURVED_NS) for k in (1, 2, 3)}
+    return {report.k: report for report in run_convergence(problem1(), (1, 2, 3), CURVED_NS)}
 
 
 @pytest.fixture(scope="module")
 def straight_reports():
-    return {k: run_convergence(problem1(), k, CURVED_NS, straighten=True)
-            for k in (2, 3)}
+    return {report.k: report
+            for report in run_convergence(problem1(), (2, 3), CURVED_NS, straighten=True)}
 
 
 @pytest.fixture(scope="module")
 def interface_reports():
-    return {k: run_convergence(problem2(), k, INTERFACE_NS) for k in (1, 2, 3)}
+    return {report.k: report for report in run_convergence(problem2(), (1, 2, 3), INTERFACE_NS)}
 
 
 def test_1_polygon_quadrature_exactness():
@@ -84,7 +84,7 @@ def test_1_polygon_quadrature_exactness():
 
 
 def test_2_patch_polynomial_reproduction():
-    errs = {k: run_patch_test(k) for k in (1, 2, 3)}
+    errs = dict(zip((1, 2, 3), run_patch_test((1, 2, 3)), strict=True))
     ok = all(err <= PATCH_TOL for err in errs.values())
     detail = ", ".join(f"k={k}: {err:.3e}" for k, err in errs.items())
     _line(ok, "patch reproduction of P_k",
@@ -233,7 +233,7 @@ def test_7_curved_quadrature_audit():
 
 
 def test_8_deterministic_outputs(curved_reports):
-    reruns = {k: run_convergence(problem1(), k, CURVED_NS) for k in (1, 2, 3)}
+    reruns = {report.k: report for report in run_convergence(problem1(), (1, 2, 3), CURVED_NS)}
     same = all(reruns[k].to_csv() == curved_reports[k].to_csv()
                for k in (1, 2, 3))
     _line(same, "deterministic outputs",

@@ -224,23 +224,24 @@ def test_csv_format_round_trips_floats():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_patch_recovers_polynomials(k):
-    assert run_patch_test(k) <= 1e-9
+    (err,) = run_patch_test((k,))
+    assert err <= 1e-9
 
 
 def test_patch_rejects_unsupported_degree():
     with pytest.raises(ValueError, match="patch polynomial"):
-        run_patch_test(7)
+        list(run_patch_test((7,)))
 
 
 def test_run_convergence_checks_mesh_list_length():
     prob = problem1()
     mesh = prob.mesh_factory(2)
     with pytest.raises(ValueError, match="matching lengths"):
-        run_convergence(prob, 1, (2, 4), meshes=[mesh])
+        list(run_convergence(prob, (1,), (2, 4), meshes=[mesh]))
 
 
 def test_run_convergence_rates_at_lowest_order():
-    report = run_convergence(problem1(), 1, (4, 8, 16))
+    (report,) = run_convergence(problem1(), (1,), (4, 8, 16))
     fit = fit_rates(report)
     assert fit.last_h1 == pytest.approx(1.0, abs=0.2)
     assert fit.last_l2 == pytest.approx(2.0, abs=0.25)
@@ -252,13 +253,13 @@ def test_run_convergence_rates_at_lowest_order():
 def test_run_convergence_accepts_prebuilt_meshes():
     prob = problem1()
     meshes = [prob.mesh_factory(n) for n in (4, 8)]
-    a = run_convergence(prob, 1, (4, 8), meshes=meshes)
-    b = run_convergence(prob, 1, (4, 8))
+    (a,) = run_convergence(prob, (1,), (4, 8), meshes=meshes)
+    (b,) = run_convergence(prob, (1,), (4, 8))
     assert a.rows == b.rows
 
 
 def test_straightened_run_renames_report_and_uses_chord_data():
-    report = run_convergence(problem1(), 2, (4, 8), straighten=True)
+    (report,) = run_convergence(problem1(), (2,), (4, 8), straighten=True)
     assert report.problem == "test1-straight"
     # straight meshes lose the boundary layer accuracy; errors stay finite
     for row in report.rows:

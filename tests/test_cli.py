@@ -343,7 +343,7 @@ def test_main_one_level_run_exits_2_before_solving(tmp_path, capsys, monkeypatch
     if levels[0] == "--mesh":
         levels = ["--mesh", str(tmp_path / "mesh4.txt")]
         export_mesh(build_mapped_tensor_mesh(4, *boundary_curves()), levels[1])
-    monkeypatch.setattr(curvem.cli, "_convergence_reports", None)  # any solve would fail
+    monkeypatch.setattr(curvem.cli, "run_convergence", None)  # any solve would fail
     out = tmp_path / "out"
     assert main(["run", "test1-curved", *levels, "--out", str(out)]) == EXIT_CONFIG
     assert "at least two meshes, got 1" in capsys.readouterr().err

@@ -151,14 +151,16 @@ def test_assembly_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_degree_4_patch_test():
-    assert run_patch_test(4) <= PATCH_TOL
+    (err,) = run_patch_test((4,))
+    assert err <= PATCH_TOL
 
 
 # k = 4 rates, with the margins of the k = 1..3 acceptance checks: H1 within
 # 0.2 and L2 within 0.25 of the optimal k and k + 1
 @pytest.mark.parametrize("problem, ns", [(problem1, (4, 8, 16)), (problem2, (2, 4, 8))])
 def test_degree_4_rates_are_optimal(problem, ns):
-    fit = fit_rates(run_convergence(problem(), 4, ns))
+    (report,) = run_convergence(problem(), (4,), ns)
+    fit = fit_rates(report)
     assert fit.last_h1 >= 3.8
     assert fit.last_l2 >= 4.75
 
@@ -166,7 +168,8 @@ def test_degree_4_rates_are_optimal(problem, ns):
 def test_degree_4_straightened_boundary_caps_the_l2_rate():
     # chords cap the L2 rate near 2 whatever the degree.  The H1 rate
     # measures 1.79 here, too close to the k = 3 ceiling of 1.8 to assert one
-    fit = fit_rates(run_convergence(problem1(), 4, (4, 8, 16), straighten=True))
+    (report,) = run_convergence(problem1(), (4,), (4, 8, 16), straighten=True)
+    fit = fit_rates(report)
     assert fit.last_l2 <= 2.5
 
 

@@ -2,8 +2,9 @@
 
 The number of helpers follows the usable CPUs, which these tests set by
 replacing ``os.sched_getaffinity``: one CPU runs every level in-process, two
-add one helper.  Helpers must change no byte of any output, exit code or
-message, and none may outlive the run.
+add one helper.  Helpers must change no report, nor any byte of a CLI
+output, exit code or message, and none may outlive the run or a generator
+closed early.
 """
 
 import multiprocessing
@@ -13,8 +14,11 @@ import warnings
 import pytest
 
 import curvem.analysis
+from curvem import run_convergence
+from curvem import test1_problem as problem1
 from curvem.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from curvem.solver import SolverError
+from curvem.vem import global_dof_count
 
 
 def run_on_cpus(count, argv, out, capsys, monkeypatch):
@@ -46,6 +50,38 @@ def solves(log):
     entries = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     log.unlink()
     return entries
+
+
+def test_run_convergence_is_one_level_map_over_every_degree(tmp_path, monkeypatch):
+    log = tmp_path / "solves.log"
+    log_solves(monkeypatch, log)
+    reports, entries = {}, {}
+    for count in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+            reports[count] = list(run_convergence(problem1(), (1, 2), (4, 8)))
+        assert multiprocessing.active_children() == []
+        entries[count] = solves(log)
+    assert reports[2] == reports[1]
+    assert [report.k for report in reports[1]] == [1, 2]
+    assert {pid for pid, _ in entries[1]} == {os.getpid()}
+    # on 2 CPUs the heaviest level (k=2, n=8) stays here, and one helper
+    # serves the other three, of both degrees
+    helped = [(pid, dofs) for pid, dofs in entries[2] if pid != os.getpid()]
+    assert len({pid for pid, _ in helped}) == 1
+    meshes = {n: problem1().mesh_factory(n) for n in (4, 8)}
+    assert sorted(dofs for _, dofs in helped) == sorted(
+        global_dof_count(meshes[n], k) for k, n in ((1, 4), (1, 8), (2, 4)))
+
+
+def test_closing_run_convergence_early_joins_the_helpers(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        reports = run_convergence(problem1(), (1, 2, 3), (4, 8))
+        first = next(reports)
+        reports.close()
+    assert multiprocessing.active_children() == []
+    assert first.k == 1 and [row.n for row in first.rows] == [4, 8]
 
 
 @pytest.mark.parametrize("argv", [

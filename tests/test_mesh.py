@@ -170,6 +170,32 @@ def test_index_arrays_must_hold_64_bit_integers(field, odd, message):
         Mesh(**arrays)
 
 
+# one unit square, as the constructor's input arrays
+_SQUARE_ARRAYS = dict(points=[(0, 0), (1, 0), (1, 1), (0, 1)],
+                      edge_vertices=[(0, 1), (1, 2), (2, 3), (3, 0)], edge_curves=[None] * 4,
+                      edge_params=[(np.nan, np.nan)] * 4, loop_offsets=[0, 4],
+                      loop_edges=[0, 1, 2, 3], loop_signs=[1, 1, 1, 1], labels=[1])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("loop_signs", [1, 1, 1, 2], "loop_signs[3]: 2 is not +1 or -1"),
+    ("labels", [], "labels has 0 entries, expected 1"),
+    ("points", np.arange(12.0).reshape(4, 3), "points must have shape (n, 2), got (4, 3)"),
+    ("loop_offsets", [0, 3], "loop_offsets must run from 0 to len(loop_edges) = 4, "
+                             "got ends [0, 3]"),
+    ("loop_offsets", [0, 3, 1, 4], "loop_offsets[2]: 1 is below loop_offsets[1] = 3"),
+    ("loop_signs", [1, 1, 1], "loop_signs has 3 entries, expected 4"),
+    ("edge_curves", [None] * 3, "edge_curves has 3 entries, expected 4"),
+    ("edge_params", [(np.nan, np.nan)] * 3, "edge_params has 3 entries, expected 4"),
+], ids=["sign-2", "no-label", "3d-points", "offsets-short-of-sides", "offsets-decrease",
+        "short-signs", "short-curves", "short-params"])
+def test_input_arrays_must_agree(field, value, message):
+    Mesh(**_SQUARE_ARRAYS)  # the square itself is a mesh
+    with pytest.raises(MeshError) as info:
+        Mesh(**{**_SQUARE_ARRAYS, field: value})
+    assert str(info.value) == message
+
+
 def test_mapped_mesh_identity_when_straight():
     flat_bottom = graph_curve("b", amplitude=0.0, frequency=1.0)
     flat_top = graph_curve("t", amplitude=0.0, frequency=1.0, offset=1.0)
