@@ -178,9 +178,9 @@ def _value(name: str, text, spelled: str):
 
 
 def _read_config_file(path: str):
-    """``(path:line prefix, key, text)`` of each ``key = value`` line."""
+    """``(path:line prefix, key, text)`` of each ``key = value`` line; a BOM is skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -273,20 +273,24 @@ def random_star_polygon(rng: np.random.Generator) -> np.ndarray:
         [np.cos(angles), np.sin(angles)], axis=-1)
 
 
+def _monomials(degree: int):
+    """x^a y^b for each exponent pair (a, b) of ``vem._exponents(degree)``."""
+    return [lambda x, y, a=a, b=b: x ** a * y ** b for a, b in _exponents(degree)]
+
+
 def audit_polygon_exactness(m_list, trials: int, seed: int):
     """Worst relative deviation from the triangulation oracle per (M, trial)."""
     rng = np.random.default_rng(seed)
     rows = []
     for m_order in m_list:
+        monomials = _monomials(2 * m_order)
         for trial in range(trials):
             verts = random_star_polygon(rng)
             rule = polygon_quadrature(verts, m_order)
+            oracles = polygon_integrate(verts, monomials, n=max(12, m_order + 1))
             worst = 0.0
-            for a, b in _exponents(2 * m_order):
-                f = lambda x, y, a=a, b=b: x ** a * y ** b
-                value = rule.integrate(f)
-                oracle = polygon_integrate(verts, f, n=max(12, m_order + 1))
-                worst = max(worst, abs(value - oracle) / max(abs(oracle), 1e-30))
+            for f, oracle in zip(monomials, oracles):
+                worst = max(worst, abs(rule.integrate(f) - oracle) / max(abs(oracle), 1e-30))
             rows.append((m_order, trial, worst))
     return rows
 
@@ -303,59 +307,35 @@ def quarter_disk_mesh() -> Mesh:
                 [1, 1, -1] * 4, [1] * 4)
 
 
-def audit_disk_area(boost: int = BOOST, k: int = 4) -> float:
-    """Absolute gap between pi and the quadrature area of the quarter-disk mesh."""
+def audit_disk_area() -> float:
+    """Absolute gap between pi and the degree-4 quadrature area of the quarter-disk mesh."""
     mesh = quarter_disk_mesh()
     areas = [0.0] * len(mesh.labels)
-    for chunk in element_chunks(mesh, k):
-        x, y, w = chunk.rule(k, boost)
+    for chunk in element_chunks(mesh, 4):
+        x, y, w = chunk.rule(4, BOOST)
         for i, p in enumerate(chunk.elements.tolist()):
             areas[p] = float(w[i] @ np.ones(x.shape[1]))
     return abs(sum(areas) - float(np.pi))
 
 
-def _curved_sample_element():
-    """First element of the coarse sinusoidal-boundary mesh (one curved side)."""
-    problem = test1_problem()
-    return element_chunks(problem.mesh_factory(4), 3, [0])[0]
-
-
-def _monomial_oracles(chunk):
-    """Fan-oracle integrals of the monomials up to degree 4 over a chunk of one."""
-    return [(a, b, fan_integrate(chunk.vertices[0], chunk.sides,
-                                 lambda x, y, a=a, b=b: x ** a * y ** b, n=32))
-            for a, b in _exponents(4)]
-
-
-def _monomial_gaps(chunk, oracles, k: int, boost: int):
-    """Relative gaps (a, b, rel) between the chunk's degree-k rule and the oracles."""
-    x, y, w = chunk.rule(k, boost)
-    return [(a, b, abs(float(w[0] @ (x[0] ** a * y[0] ** b)) - oracle)
-             / max(abs(oracle), 1e-30))
-            for a, b, oracle in oracles]
-
-
-def audit_curved_monomials(boost: int = BOOST):
-    """Relative gap to the fan oracle for monomials up to degree 4."""
-    chunk = _curved_sample_element()
-    return _monomial_gaps(chunk, _monomial_oracles(chunk), 3, boost)
-
-
-def audit_boost_monotonicity(boosts=(0, 2, 4, 6)):
-    """Worst oracle deviation per boost for a gentle and a strongly curved element.
-
-    The error must not grow when the boost increases, down to a floor where
-    both values sit at rounding level.
-    """
-    cases = [("test1-element", _curved_sample_element(), 3),
-             ("quarter-disk", element_chunks(quarter_disk_mesh(), 3, [0])[0], 3)]
-    rows = []
-    for name, chunk, k in cases:
-        oracles = _monomial_oracles(chunk)
-        errs = [max(rel for _, _, rel in _monomial_gaps(chunk, oracles, k, boost))
-                for boost in boosts]
-        rows.append((name, tuple(boosts), errs))
-    return rows
+def audit_curved_elements(boosts=(0, 2, 4, 6)):
+    """``{(element name, boost): [(a, b, rel), ...]}``, the relative gaps between the
+    degree-3 rule and the fan oracle for x^a y^b up to degree 4, on the first test1
+    n=4 element (gently curved) and a quarter disk (strongly curved).  Each
+    element's oracle is computed once, for every boost."""
+    monomials = _monomials(4)
+    elements = (("test1-element", test1_problem().mesh_factory(4)),
+                ("quarter-disk", quarter_disk_mesh()))
+    table = {}
+    for name, mesh in elements:
+        chunk = element_chunks(mesh, 3, [0])[0]
+        oracles = fan_integrate(chunk.vertices[0], chunk.sides, monomials, n=32)
+        for boost in boosts:
+            x, y, w = chunk.rule(3, boost)
+            table[name, boost] = [
+                (a, b, abs(float(w[0] @ f(x[0], y[0])) - oracle) / max(abs(oracle), 1e-30))
+                for (a, b), f, oracle in zip(_exponents(4), monomials, oracles)]
+    return table
 
 
 def monotone_within_floor(errs, floor: float = MONOTONICITY_FLOOR) -> bool:
@@ -365,48 +345,44 @@ def monotone_within_floor(errs, floor: float = MONOTONICITY_FLOOR) -> bool:
 
 def _run_quadrature_audit(config: RunConfig) -> int:
     out = _output_dir(config)
-    csv_lines = ["check,case,value,threshold,status"]
+    checks = []  # (check, case, value, threshold, passed): the CSV rows
     summary = [f"quadrature audit (seed {config.seed}, {config.trials} trials)"]
-    ok = True
 
     poly_rows = audit_polygon_exactness(config.m_list, config.trials, config.seed)
+    checks += [("polygon-exactness", f"M={m_order} trial={trial}", rel, POLYGON_AUDIT_TOL,
+                rel <= POLYGON_AUDIT_TOL) for m_order, trial, rel in poly_rows]
     worst = max(rel for _, _, rel in poly_rows)
-    for m_order, trial, rel in poly_rows:
-        good = rel <= POLYGON_AUDIT_TOL
-        ok &= good
-        csv_lines.append(f"polygon-exactness,M={m_order} trial={trial},{rel!r},"
-                         f"{POLYGON_AUDIT_TOL!r},{'pass' if good else 'FAIL'}")
     summary.append(f"polygon exactness vs triangulation oracle: worst relative "
                    f"deviation {worst:.3e} (tolerance {POLYGON_AUDIT_TOL:.0e})")
 
     gap = audit_disk_area()
-    good = gap <= DISK_AUDIT_TOL
-    ok &= good
-    csv_lines.append(f"disk-area,boost={BOOST},{gap!r},{DISK_AUDIT_TOL!r},"
-                     f"{'pass' if good else 'FAIL'}")
+    checks.append(("disk-area", f"boost={BOOST}", gap, DISK_AUDIT_TOL, gap <= DISK_AUDIT_TOL))
     summary.append(f"unit-disk area gap {gap:.3e} (tolerance {DISK_AUDIT_TOL:.0e})")
 
-    mono_rows = audit_curved_monomials()
+    table = audit_curved_elements()
+    mono_rows = table["test1-element", BOOST]
+    checks += [("curved-monomials", f"x^{a}y^{b}", rel, CURVED_MONOMIAL_TOL,
+                rel <= CURVED_MONOMIAL_TOL) for a, b, rel in mono_rows]
     worst = max(rel for _, _, rel in mono_rows)
-    for a, b, rel in mono_rows:
-        good = rel <= CURVED_MONOMIAL_TOL
-        ok &= good
-        csv_lines.append(f"curved-monomials,x^{a}y^{b},{rel!r},"
-                         f"{CURVED_MONOMIAL_TOL!r},{'pass' if good else 'FAIL'}")
     summary.append(f"curved-element monomials vs fan oracle: worst relative "
                    f"deviation {worst:.3e} (tolerance {CURVED_MONOMIAL_TOL:.0e})")
 
-    for name, boosts, errs in audit_boost_monotonicity():
-        good = monotone_within_floor(errs)
-        ok &= good
-        for boost, err in zip(boosts, errs):
-            csv_lines.append(f"boost-monotonicity,{name} boost={boost},{err!r},"
-                             f"{MONOTONICITY_FLOOR!r},{'pass' if good else 'FAIL'}")
-        pretty = ", ".join(f"{e:.3e}" for e in errs)
+    sweeps = {}  # element name -> {boost: worst gap}
+    for (name, boost), rows in table.items():
+        sweeps.setdefault(name, {})[boost] = max(rel for _, _, rel in rows)
+    for name, errs in sweeps.items():
+        good = monotone_within_floor(list(errs.values()))
+        checks += [("boost-monotonicity", f"{name} boost={boost}", err, MONOTONICITY_FLOOR,
+                    good) for boost, err in errs.items()]
+        pretty = ", ".join(f"{e:.3e}" for e in errs.values())
         summary.append(f"boost sweep on {name}: {pretty} "
                        f"({'monotone' if good else 'NOT monotone'})")
 
+    ok = all(passed for *_, passed in checks)
     summary.append(f"audit result: {'pass' if ok else 'FAIL'}")
+    csv_lines = ["check,case,value,threshold,status"] + [
+        f"{check},{case},{value!r},{limit!r},{'pass' if passed else 'FAIL'}"
+        for check, case, value, limit, passed in checks]
     _write(out / "quadrature_audit.csv", "\n".join(csv_lines) + "\n")
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))

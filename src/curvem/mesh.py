@@ -106,16 +106,15 @@ class Mesh:
     def __init__(self, points, edge_vertices, edge_curves, edge_params,
                  loop_offsets, loop_edges, loop_signs, labels):
         """Check and finalize a mesh given as its input arrays; raises MeshError."""
-        self.points = _shaped(np.array(points, dtype=float), "points", 2)
-        self.edge_vertices = _shaped(_int_array(edge_vertices, "edge_vertices"),
-                                     "edge_vertices", 2)
-        self.edge_curves = _shaped(np.array(edge_curves, dtype=object), "edge_curves")
+        self.points = _array(points, "points", float, 2)
+        self.edge_vertices = _array(edge_vertices, "edge_vertices", int, 2)
+        self.edge_curves = _array(edge_curves, "edge_curves", object)
         self.edge_curved = np.array([c is not None for c in self.edge_curves], dtype=bool)
-        self.edge_params = _shaped(np.array(edge_params, dtype=float), "edge_params", 2)
-        self.loop_offsets = _shaped(_int_array(loop_offsets, "loop_offsets"), "loop_offsets")
-        self.loop_edges = _shaped(_int_array(loop_edges, "loop_edges"), "loop_edges")
-        self.loop_signs = _shaped(_int_array(loop_signs, "loop_signs"), "loop_signs")
-        self.labels = _shaped(_int_array(labels, "labels"), "labels")
+        self.edge_params = _array(edge_params, "edge_params", float, 2)
+        self.loop_offsets = _array(loop_offsets, "loop_offsets", int)
+        self.loop_edges = _array(loop_edges, "loop_edges", int)
+        self.loop_signs = _array(loop_signs, "loop_signs", int)
+        self.labels = _array(labels, "labels", int)
         _check_layout(self)
         errors = _finite_errors(self) or _conformity_errors(self)
         if errors:
@@ -126,18 +125,15 @@ class Mesh:
     @classmethod
     def build(cls, vertices, edges, elements) -> "Mesh":
         """Finalize a mesh from entity records; raises MeshError."""
-        points, errors = _vertex_points(list(vertices))
         edges, elements = list(edges), list(elements)
-        curves = [None if edge.segment is None else edge.segment.curve for edge in edges]
         params = np.array([(np.nan, np.nan) if edge.segment is None
                            else (edge.segment.t0, edge.segment.t1) for edge in edges],
                           dtype=float).reshape(-1, 2)
-        if errors:
-            raise MeshError("; ".join((errors + _param_errors(curves, params))[:5]))
         loop = np.array([ref for el in elements for ref in el.edge_loop],
                         dtype=np.int64).reshape(-1, 2)
-        return cls(points, [(edge.v0, edge.v1) for edge in edges], curves, params,
-                   np.cumsum([0] + [len(el.edge_loop) for el in elements]),
+        return cls([v.position for v in vertices], [(edge.v0, edge.v1) for edge in edges],
+                   [None if edge.segment is None else edge.segment.curve for edge in edges],
+                   params, np.cumsum([0] + [len(el.edge_loop) for el in elements]),
                    loop[:, 0], loop[:, 1], [el.label for el in elements])
 
     @cached_property
@@ -178,10 +174,34 @@ def _fits_int64(value) -> bool:
         return False
 
 
-def _int_array(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array; raises MeshError naming the first entry
-    that is not an integer or does not fit in 64 bits."""
-    array = np.asarray(values)
+def _array(values, name: str, dtype, *width: int) -> np.ndarray:
+    """A copy of ``values`` as an array of ``dtype`` (int: int64) and shape
+    (n, *width); raises MeshError naming the array, or the row or entry that
+    numpy cannot convert."""
+    try:
+        array = np.asarray(values) if dtype is int else np.array(values, dtype=dtype)
+    except (ValueError, TypeError):
+        raise MeshError(_row_error(values, name, dtype, width)) from None
+    return _shaped(_int_array(array, name) if dtype is int else array, name, *width)
+
+
+def _row_error(values, name: str, dtype, width: tuple) -> str:
+    """Why ``values`` is no array: its first row that is not ``width``
+    values, or that holds an entry numpy cannot read as ``dtype``."""
+    want = f"{width[0]} values" if width else "a single value"
+    for i, row in enumerate(values if np.iterable(values) else ()):
+        try:
+            if np.shape(row) != width:
+                return f"{name}[{i}]: expected {want}, got shape {np.shape(row)}"
+            np.array(row, dtype=None if dtype is int else dtype)
+        except (ValueError, TypeError) as exc:
+            return f"{name}[{i}]: {exc}"
+    return f"{name} cannot be read as an array"
+
+
+def _int_array(array: np.ndarray, name: str) -> np.ndarray:
+    """``array`` as int64; raises MeshError naming the first entry that is
+    not an integer or does not fit in 64 bits."""
     if array.dtype.kind in "bi":
         return array.astype(np.int64)
     if array.dtype.kind == "f":  # nan fails every comparison, +-inf a bound
@@ -234,23 +254,6 @@ def _check_layout(mesh: Mesh) -> None:
     if len(bad):
         i = int(bad[0])
         raise MeshError(f"loop_signs[{i}]: {mesh.loop_signs[i]} is not +1 or -1")
-
-
-def _vertex_points(vertices) -> tuple[np.ndarray | None, list[str]]:
-    """Positions as a (V, 2) array, or None and the vertices whose position
-    is not a 2-vector."""
-    failure = None
-    try:
-        points = np.array([v.position for v in vertices], dtype=float)
-        if points.shape == (len(vertices), 2) or not vertices:
-            return points.reshape(-1, 2), []
-    except ValueError as exc:  # positions of different shapes, or not numbers
-        failure = exc
-    errors = [f"vertex {i}: position must have 2 coordinates, got shape {np.shape(v.position)}"
-              for i, v in enumerate(vertices) if np.shape(v.position) != (2,)]
-    if not errors:
-        raise failure
-    return None, errors
 
 
 def _param_errors(curves, params) -> list[str]:

@@ -179,8 +179,8 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def import_mesh(path) -> Mesh:
-    """Read and finalize a mesh file."""
-    with open(path, encoding="utf-8") as fh:
+    """Read and finalize a mesh file (UTF-8, with or without a byte-order mark)."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_mesh(fh.read())
 
 

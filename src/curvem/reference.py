@@ -1,6 +1,7 @@
 """Reference integration by subdivision, independent of the Green-rule path.
 
-Two oracles used for audits and cross-checks:
+Two oracles used for audits and cross-checks; each subdivides its region
+once and returns one float per integrand of the sequence ``fs``:
 
 * ``polygon_integrate``: ear-clipping triangulation plus a Duffy-mapped
   tensor Gauss rule per triangle, for straight polygons.
@@ -76,28 +77,29 @@ def _unit_interval_rule(n):
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 
 
-def triangle_integrate(p0, p1, p2, f, n=16) -> float:
-    """Integral of f over one triangle via the Duffy-collapsed tensor rule."""
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
-    u, wu = _unit_interval_rule(n)
-    v, wv = _unit_interval_rule(n)
-    two_area = _cross(p0, p1, p2)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    px = (1 - uu) * p0[0] + uu * ((1 - vv) * p1[0] + vv * p2[0])
-    py = (1 - uu) * p0[1] + uu * ((1 - vv) * p1[1] + vv * p2[1])
-    w = np.outer(wu * u, wv) * two_area
-    return float(np.sum(w * f(px, py)))
+def _integrals(pieces, fs) -> list[float]:
+    """Per f, the sum of w * f(px, py) over the (px, py, w) pieces, in order."""
+    totals = []
+    for f in fs:
+        total = 0.0
+        for px, py, w in pieces:
+            total += float(np.sum(w * f(px, py)))
+        totals.append(total)
+    return totals
 
 
-def polygon_integrate(vertices, f, n=16) -> float:
-    """Integral of f over a simple CCW polygon by triangulation."""
+def polygon_integrate(vertices, fs, n=16) -> list[float]:
+    """Integrals of each f in ``fs`` over a simple CCW polygon: one
+    triangulation, each triangle by the Duffy-collapsed tensor rule."""
     v = np.asarray(vertices, dtype=float)
-    total = 0.0
-    for i0, i1, i2 in triangulate(v):
-        total += triangle_integrate(v[i0], v[i1], v[i2], f, n=n)
-    return total
+    u, wu = _unit_interval_rule(n)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    pieces = []
+    for p0, p1, p2 in (v[list(tri)] for tri in triangulate(v)):
+        px = (1 - uu) * p0[0] + uu * ((1 - vv) * p1[0] + vv * p2[0])
+        py = (1 - uu) * p0[1] + uu * ((1 - vv) * p1[1] + vv * p2[1])
+        pieces.append((px, py, np.outer(wu * u, wu) * _cross(p0, p1, p2)))
+    return _integrals(pieces, fs)
 
 
 def _chord_centroid(vertices):
@@ -110,20 +112,19 @@ def _chord_centroid(vertices):
     return np.array([cx, cy])
 
 
-def fan_integrate(vertices, sides, f, n=32) -> float:
-    """Integral of f over a curved polygon by a centroid fan.
+def fan_integrate(vertices, sides, fs, n=32) -> list[float]:
+    """Integrals of each f in ``fs`` over a curved polygon by one centroid fan.
 
     ``vertices`` is the chord polygon (n, 2) and ``sides`` its boundary as
     ``quadrature.SideBatch`` records of one polygon each, in CCW order.
     Each side sigma(u) spans a blended patch X(u, v) = c + v (sigma(u) - c)
     with signed Jacobian v sigma'(u) x (sigma(u) - c); summed over sides
-    this reproduces the region integral for any simple CCW loop.  f must
-    be defined on the convex hull of the element and centroid.
+    this reproduces the region integral for any simple CCW loop.  Each f
+    must be defined on the convex hull of the element and centroid.
     """
     c = _chord_centroid(np.asarray(vertices, dtype=float))
     u, wu = _unit_interval_rule(n)
-    v, wv = _unit_interval_rule(n)
-    total = 0.0
+    pieces = []
     for side in sides:
         if side.curves:
             t0, t1 = side.t0[0], side.t1[0]
@@ -143,8 +144,7 @@ def fan_integrate(vertices, sides, f, n=32) -> float:
             dsigma = np.broadcast_to(direction, sigma.shape)
         rel = sigma - c[None, :]
         jac_u = dsigma[:, 0] * rel[:, 1] - dsigma[:, 1] * rel[:, 0]
-        px = c[0] + np.outer(v, rel[:, 0])
-        py = c[1] + np.outer(v, rel[:, 1])
-        w = np.outer(v * wv, -jac_u * wu)
-        total += float(np.sum(w * f(px, py)))
-    return total
+        # the radial coordinate v runs over the same nodes as u
+        pieces.append((c[0] + np.outer(u, rel[:, 0]), c[1] + np.outer(u, rel[:, 1]),
+                       np.outer(u * wu, -jac_u * wu)))
+    return _integrals(pieces, fs)

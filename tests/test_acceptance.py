@@ -39,12 +39,12 @@ from curvem.cli import (
     MONOTONICITY_FLOOR,
     PATCH_TOL,
     POLYGON_AUDIT_TOL,
-    audit_boost_monotonicity,
-    audit_curved_monomials,
+    audit_curved_elements,
     audit_disk_area,
     audit_polygon_exactness,
     monotone_within_floor,
 )
+from curvem.quadrature import BOOST
 from curvem.vem import ChunkOperators, element_chunks
 
 from _oracles import finite_difference_gradient, finite_difference_laplacian
@@ -211,17 +211,18 @@ def test_6_kernel_and_spd():
 
 
 def test_7_curved_quadrature_audit():
-    disk_gap = audit_disk_area(boost=2)
+    disk_gap = audit_disk_area()
     disk_ok = disk_gap <= DISK_AUDIT_TOL
-    mono_rows = audit_curved_monomials(boost=2)
-    mono_worst = max(rel for _, _, rel in mono_rows)
+    table = audit_curved_elements()
+    mono_worst = max(rel for _, _, rel in table["test1-element", BOOST])
     mono_ok = mono_worst <= CURVED_MONOMIAL_TOL
-    sweeps = audit_boost_monotonicity()
-    sweep_ok = all(monotone_within_floor(errs) for _, _, errs in sweeps)
+    sweeps = [(name, [max(rel for _, _, rel in table[name, boost]) for boost in (0, 2, 4, 6)])
+              for name in ("test1-element", "quarter-disk")]
+    sweep_ok = all(monotone_within_floor(errs) for _, errs in sweeps)
     ok = disk_ok and mono_ok and sweep_ok
     sweep_str = "; ".join(
         f"{name} " + "->".join(f"{e:.1e}" for e in errs)
-        for name, _, errs in sweeps)
+        for name, errs in sweeps)
     _line(ok, "curved quadrature audit",
           f"disk area gap {disk_gap:.3e} (<= {DISK_AUDIT_TOL:.0e}), "
           f"curved monomials worst {mono_worst:.3e} "

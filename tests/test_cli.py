@@ -21,12 +21,14 @@ from curvem.cli import (
     ConfigError,
     _build_parser,
     _OPTIONS,
+    audit_curved_elements,
     audit_polygon_exactness,
     main,
     monotone_within_floor,
     parse_config,
     random_star_polygon,
 )
+from curvem.quadrature import BOOST
 
 from _oracles import shoelace_area
 
@@ -118,6 +120,12 @@ def test_config_file_demands_assignments(tmp_path):
     with pytest.raises(ConfigError, match="expected 'key = value'") as err:
         config_for(["run", "patch", "--config", str(cfg_file)])
     assert ":2" in str(err.value)
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    cfg_file = tmp_path / "audit.cfg"
+    cfg_file.write_text("trials = 3\n", encoding="utf-8-sig")
+    assert config_for(["run", "quadrature-audit", "--config", str(cfg_file)]).trials == 3
 
 
 def test_missing_config_file():
@@ -576,6 +584,21 @@ def test_quadrature_audit_shortcut_takes_the_audit_options(tmp_path, capsys, mon
     assert main(["quadrature-audit", "--k", "1"]) == EXIT_CONFIG
     assert "quadrature-audit does not read --k" in capsys.readouterr().err
     assert seen == [cfg]
+
+
+def test_audit_csv_reads_the_curved_element_table(tmp_path, capsys):
+    out = tmp_path / "audit"
+    assert main(["quadrature-audit", "--trials", "1", "--M", "1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rows = [line.split(",") for line in
+            (out / "quadrature_audit.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    table = audit_curved_elements()
+    monomials = [(case, value) for check, case, value, *_ in rows if check == "curved-monomials"]
+    assert monomials == [(f"x^{a}y^{b}", repr(rel))
+                         for a, b, rel in table["test1-element", BOOST]]
+    sweeps = [(case, value) for check, case, value, *_ in rows if check == "boost-monotonicity"]
+    assert sweeps == [(f"{name} boost={boost}", repr(max(rel for _, _, rel in gaps)))
+                      for (name, boost), gaps in table.items()]
 
 
 def test_random_star_polygons_are_simple_and_positive():

@@ -196,6 +196,25 @@ def test_input_arrays_must_agree(field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("points", [(0, 0), (1, 0), (1, 1, 5), (0, 1)],
+     "points[2]: expected 2 values, got shape (3,)"),
+    ("edge_vertices", [(0, 1), (1,), (2, 3), (3, 0)],
+     "edge_vertices[1]: expected 2 values, got shape (1,)"),
+    ("edge_params", [(np.nan, np.nan)] * 3 + [(np.nan,)],
+     "edge_params[3]: expected 2 values, got shape (1,)"),
+    ("loop_edges", [0, 1, [2, 3], 3], "loop_edges[2]: expected a single value, got shape (2,)"),
+    ("loop_signs", [1, (1, 1), 1, 1], "loop_signs[1]: expected a single value, got shape (2,)"),
+    ("points", [(0, 0), (1, 0), (1, "one"), (0, 1)],
+     "points[2]: could not convert string to float: 'one'"),
+], ids=["ragged-points", "ragged-edge-vertices", "ragged-edge-params", "ragged-loop-edges",
+        "ragged-loop-signs", "text-point"])
+def test_input_arrays_that_numpy_cannot_convert_name_their_row(field, value, message):
+    with pytest.raises(MeshError) as info:
+        Mesh(**{**_SQUARE_ARRAYS, field: value})
+    assert str(info.value) == message
+
+
 def test_mapped_mesh_identity_when_straight():
     flat_bottom = graph_curve("b", amplitude=0.0, frequency=1.0)
     flat_top = graph_curve("t", amplitude=0.0, frequency=1.0, offset=1.0)
@@ -684,6 +703,5 @@ def test_build_error_messages_are_pinned(make, message):
 def test_build_rejects_position_that_is_not_a_2_vector(position):
     vertices, edges = _square()
     vertices[3] = Vertex(position=np.array(position))
-    with pytest.raises(MeshError, match=r"vertex 3: position must have 2 coordinates, "
-                                        r"got shape \(\d,\)"):
+    with pytest.raises(MeshError, match=r"points\[3\]: expected 2 values, got shape \(\d,\)"):
         Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(4)])])

@@ -116,6 +116,14 @@ def test_file_round_trip(tmp_path):
     assert format_mesh(import_mesh(path)) == format_mesh(mesh)
 
 
+def test_file_with_a_byte_order_mark_is_read(tmp_path):
+    mesh = build_mapped_tensor_mesh(2, *boundary_curves())
+    path = tmp_path / "mesh.txt"
+    path.write_text(format_mesh(mesh), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert format_mesh(import_mesh(path)) == format_mesh(mesh)
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = format_mesh(build_mapped_tensor_mesh(2, *boundary_curves()))
     decorated = "# generated file\n\n" + text.replace(
