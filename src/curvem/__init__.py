@@ -4,7 +4,7 @@ Elements may have boundary sides that follow a parametrized curve exactly,
 so meshes fitted to a curved domain boundary or a curved material interface
 carry no geometric consistency error.  The package provides the curve and
 mesh machinery, quadrature on curved polygons, the local virtual element
-operators, a sparse assembler with CG and dense solvers, and manufactured
+operators, a sparse assembler with CG and sparse LU solvers, and manufactured
 problems with convergence reporting; ``curvem.cli`` wires it into a
 command-line tool.
 """

@@ -29,8 +29,6 @@ from .quadrature import BOOST
 from .vem import (ChunkOperators, Coefficient, ElementChunk, ElementOperatorError, dof_count,
                   edge_dof_points, edge_dofs, element_chunks, global_dof_count)
 
-_DENSE_LIMIT = 2000
-
 
 class SolverError(Exception):
     """Raised for non-convergence or unsupported solver requests."""
@@ -231,8 +229,8 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     """Solve the eliminated system and reconstruct the full DoF vector.
 
     ``method`` is "cg" (Jacobi-preconditioned, relative-residual tolerance
-    ``tol``) or "direct" (dense Cholesky, limited to small systems; it is
-    the only path that loads ``scipy.linalg``).
+    ``tol``) or "direct" (a sparse LU with symmetric diagonal pivots; it is
+    the only path that loads ``scipy.sparse.linalg``).
     """
     if system.reduced_matrix is None:
         raise SolverError("apply_dirichlet must run before solve")
@@ -242,15 +240,17 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     if method == "cg":
         x = _cg(a_mat, b, tol, maxiter if maxiter is not None else max(1000, 40 * n))
     elif method == "direct":
-        if n > _DENSE_LIMIT:
-            raise SolverError(f"dense direct solve limited to {_DENSE_LIMIT} "
-                              f"unknowns, system has {n}")
-        from scipy.linalg import cho_factor, cho_solve
+        from scipy.sparse.linalg import splu
 
         try:
-            x = cho_solve(cho_factor(a_mat.toarray()), b)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(f"dense Cholesky failed: {exc}") from None
+            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:  # a zero pivot: the factor is exactly singular
+            raise NotSPDError(f"sparse LU failed: {exc}") from None
+        # diagonal pivots make the factor an LDL^T: SPD iff every pivot is positive
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+            raise NotSPDError("sparse LU found a pivot off the diagonal or not positive")
+        x = lu.solve(b)
     else:
         raise SolverError(f"unknown solver method {method!r}")
     out = system.boundary_values.copy()

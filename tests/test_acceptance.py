@@ -182,7 +182,7 @@ def test_6_kernel_and_spd():
     kernel_ok = worst <= 1e-10
 
     # eliminated systems of the coarse meshes: CG must run SPD-clean and
-    # match the dense Cholesky solution
+    # match the sparse direct solution
     gap = 0.0
     spd_ok = True
     cases = [(problem1(), build_mapped_tensor_mesh(4, *boundary_curves())),
@@ -204,7 +204,7 @@ def test_6_kernel_and_spd():
     _line(ok, "stiffness kernel and SPD solves",
           f"worst constant-kernel defect {worst:.3e} (<= 1e-10) over "
           f"{len(meshes)} meshes, k=1..3; CG SPD-clean: {spd_ok}; "
-          f"CG vs dense gap {gap:.3e} (<= 1e-9)")
+          f"CG vs direct gap {gap:.3e} (<= 1e-9)")
     assert kernel_ok
     assert spd_ok
     assert agree_ok

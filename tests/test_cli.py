@@ -7,16 +7,16 @@ import pytest
 
 import curvem.analysis
 import curvem.cli
-from curvem import (RateFit, build_annulus_interface_mesh, build_mapped_tensor_mesh,
-                    export_mesh, straighten_mesh)
+from curvem import (ConvergenceReport, ConvergenceRow, RateFit, build_annulus_interface_mesh,
+                    build_mapped_tensor_mesh, export_mesh, fit_rates, straighten_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.cli import (
     EXIT_CONFIG,
     EXIT_MESH,
     EXIT_OK,
-    EXIT_SOLVER,
     EXIT_THRESHOLD,
     EXPERIMENTS,
+    PATCH_TOL,
     POLYGON_AUDIT_TOL,
     ConfigError,
     _build_parser,
@@ -30,7 +30,7 @@ from curvem.cli import (
 )
 from curvem.quadrature import BOOST
 
-from _oracles import shoelace_area
+from _oracles import EXACT_SOLVE_RTOL, recorded_rows, shoelace_area
 
 
 def config_for(argv):
@@ -487,11 +487,43 @@ def test_vertex_on_no_edge_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_solver_limit_exits_4(tmp_path, capsys):
-    code = main(["run", "patch", "--k", "2", "--n", "24",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_SOLVER
-    assert "solver error" in capsys.readouterr().err
+def test_main_direct_patch_run_on_a_fine_mesh(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "patch", "--k", "2", "--n", "24", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rows = (out / "patch.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["2", "24"]]
+    assert all(float(row.split(",")[2]) <= PATCH_TOL for row in rows)
+
+
+def test_main_direct_run_matches_the_recorded_cg_errors_and_rates(tmp_path, capsys):
+    # k = 2: at k = 3, n = 32 the recorded CG row is itself 4.5e-9 from an
+    # exact solve, beyond EXACT_SOLVE_RTOL; n = 32 has 3969 unknowns
+    out = tmp_path / "out"
+    assert main(["run", "test1-curved", "--solver", "direct", "--k", "2", "--n", "16,32",
+                 "--out", str(out)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    recorded = recorded_rows("test1-curved", 2, (16, 32))
+    rows = (out / "test1-curved_k2.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == len(recorded)
+    for row, want in zip(rows, recorded):
+        n, h, n_dof, err_h1, err_l2 = row.split(",")[:5]
+        assert (int(n), float(h), int(n_dof)) == (want["n"], want["h"], want["n_dof"])
+        assert float(err_h1) == pytest.approx(want["err_h1"], rel=EXACT_SOLVE_RTOL, abs=0)
+        assert float(err_l2) == pytest.approx(want["err_l2"], rel=EXACT_SOLVE_RTOL, abs=0)
+    fit = fit_rates(ConvergenceReport("test1", 2, [ConvergenceRow(
+        row["n"], row["h"], row["n_dof"], row["err_h1"], row["err_l2"]) for row in recorded]))
+    assert (f"  last-interval rates: H1 {fit.last_h1:.3f}, L2 {fit.last_l2:.3f}; "
+            f"least-squares: H1 {fit.lsq_h1:.3f}, L2 {fit.lsq_l2:.3f}\n") in stdout
+
+
+def test_main_runs_at_degree_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "test1-curved", "--k", "4", "--n", "2,4", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rows = (out / "test1-curved_k4.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "4"]
+    assert "\nk = 4\n" in (out / "summary.txt").read_text(encoding="utf-8")
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -2,9 +2,6 @@
 with the recorded outputs, which an exact solve anchors, chunking, and
 degree 4."""
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -33,15 +30,7 @@ from curvem import vem
 from curvem.cli import PATCH_TOL
 from curvem.vem import ChunkOperators, element_chunks, local_operators
 
-# The recorded outputs of `curvem run test1-curved` and `curvem run test2` at
-# defaults, the rows the benchmark checks its runs against.  A change that
-# is meant to move them re-records them there, and nowhere else.
-RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-# CG stops at a relative residual of 1e-12, so its errors are not those of
-# an exact solve of the same system.  On the levels pinned below they differ
-# by at most 4.5e-11 relative (test1 at k = 2), which this bound exceeds 22x.
-EXACT_SOLVE_RTOL = 1e-9
+from _oracles import EXACT_SOLVE_RTOL, recorded_rows
 
 
 @pytest.mark.parametrize("problem, reference", [(problem1, ("test1-curved", (4, 8, 16))),
@@ -56,9 +45,7 @@ def test_errors_match_per_element_reference(problem, reference, k):
     from scipy.sparse.linalg import spsolve
 
     experiment, ns = reference
-    rows = [row for row in json.loads(RECORDED.read_text(encoding="utf-8"))["cli"][experiment]
-            if row["k"] == k and row["n"] in ns]
-    assert [row["n"] for row in rows] == list(ns)
+    rows = recorded_rows(experiment, k, ns)
     prob = problem()
     for row in rows:
         mesh = prob.mesh_factory(row["n"])

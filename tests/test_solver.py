@@ -373,10 +373,30 @@ def test_direct_rejects_indefinite_matrix():
         solve(system, method="direct")
 
 
-def test_direct_solver_enforces_size_limit():
+def test_direct_matches_cg_on_a_larger_system():
     system = poisson_system(n=24, k=2)
     assert system.reduced_matrix.shape[0] > 2000
-    with pytest.raises(SolverError, match="limited"):
+    x_direct = solve(system, method="direct")
+    x_cg = solve(system, method="cg", tol=1e-14)
+    assert np.abs(x_cg - x_direct).max() <= 1e-9 * np.abs(x_direct).max()
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_system_without_interior_unknowns_returns_its_boundary_values(method):
+    system = assemble(build_mapped_tensor_mesh(1, *boundary_curves()), 1, Coefficient())
+    apply_dirichlet(system, lambda x, y: 1.0 + x * y)
+    assert system.reduced_matrix.shape == (0, 0)
+    assert np.array_equal(solve(system, method=method), system.boundary_values)
+
+
+@pytest.mark.parametrize("block, fragment", [
+    (np.ones((2, 2)), "exactly singular"),  # positive diagonal, rank one
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "pivot off the diagonal")])
+def test_direct_rejects_what_no_positive_diagonal_factor_fits(block, fragment):
+    system = poisson_system(n=2, k=2)
+    n = system.reduced_matrix.shape[0]
+    system.reduced_matrix = sparse.block_diag([block, sparse.identity(n - 2)], format="csr")
+    with pytest.raises(NotSPDError, match=fragment):
         solve(system, method="direct")
 
 
