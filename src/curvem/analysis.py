@@ -26,7 +26,7 @@ from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, 
     straighten_mesh
 from .quadrature import BOOST
 from .solver import SolverError, apply_dirichlet, assemble, solve
-from .vem import Coefficient, _for_label, global_dof_count
+from .vem import Coefficient, _exponents, _for_label, global_dof_count
 
 
 @dataclass(frozen=True)
@@ -380,16 +380,31 @@ def run_convergence(problem: ManufacturedProblem, ks, ns, *, meshes=None,
             yield ConvergenceReport(problem=name, k=k, rows=[next(rows) for _ in ns])
 
 
-_PATCH_POLYNOMIALS = {
-    1: (lambda x, y: 2.0 * x - 3.0 * y + 1.0,
-        lambda x, y: np.zeros(np.shape(x))),
-    2: (lambda x, y: x * x + 2.0 * y * y - x * y + x,
-        lambda x, y: np.full(np.shape(x), -6.0)),
-    3: (lambda x, y: x ** 3 - 3.0 * x * y * y + y ** 3 + x * x,
-        lambda x, y: -(6.0 * y + 2.0)),
-    4: (lambda x, y: x ** 4 + y ** 4 - 3.0 * x * x * y * y + x * y,
-        lambda x, y: -(6.0 * x * x + 6.0 * y * y)),
-}
+def _patch_polynomial(k: int) -> tuple[Callable, Callable]:
+    """(u, -lap u) for u = sum of (-1)^(a+b) / (1+a+b) x^a y^b over every
+    monomial of degree at most k, both from the basis exponent table."""
+    terms = [((-1.0) ** (a + b) / (1 + a + b), a, b) for a, b in _exponents(k)]
+    # -lap u term by term: x^(a-2) only where a >= 2, y^(b-2) only where b >= 2
+    source = [(-c * a * (a - 1), a - 2, b) for c, a, b in terms if a >= 2] \
+        + [(-c * b * (b - 1), a, b - 2) for c, a, b in terms if b >= 2]
+
+    def polynomial(table):
+        return lambda x, y: sum((c * x ** a * y ** b for c, a, b in table),
+                                np.zeros(np.shape(x)))
+
+    return polynomial(terms), polynomial(source)
+
+
+def _patch_error(mesh: Mesh, k: int, solver_method: str = "direct") -> float:
+    """Max relative DoF error of the solve whose exact solution is ``_patch_polynomial(k)``."""
+    u, f = _patch_polynomial(k)
+    system = assemble(mesh, k, Coefficient(diffusion=1.0, source=f))
+    apply_dirichlet(system, u)
+    solution = solve(system, method=solver_method)
+    reference = np.zeros(system.dof_map.total)
+    for block in system.blocks:
+        reference[block.chunk.dofs] = block.chunk.interpolate(u)
+    return float(np.max(np.abs(solution - reference))) / float(np.max(np.abs(reference)))
 
 
 def run_patch_test(ks, ns=(2,), *, solver_method: str = "direct") -> Iterator[float]:
@@ -400,21 +415,6 @@ def run_patch_test(ks, ns=(2,), *, solver_method: str = "direct") -> Iterator[fl
     discrete space contains P_k and the scheme must reproduce it to solver
     accuracy; the levels run side by side, as in ``run_convergence``.
     """
-    for k in ks:
-        if k not in _PATCH_POLYNOMIALS:
-            raise ValueError(f"no patch polynomial for k={k}")
     bottom, top = test1_boundary_curves()
     meshes = [straighten_mesh(build_mapped_tensor_mesh(n, bottom, top)) for n in ns]
-
-    def solve_level(k, level):
-        u, f = _PATCH_POLYNOMIALS[k]
-        system = assemble(meshes[level], k, Coefficient(diffusion=1.0, source=f))
-        apply_dirichlet(system, u)
-        solution = solve(system, method=solver_method)
-        reference = np.zeros(system.dof_map.total)
-        for block in system.blocks:
-            reference[block.chunk.dofs] = block.chunk.interpolate(u)
-        scale = float(np.max(np.abs(reference)))
-        return float(np.max(np.abs(solution - reference))) / scale
-
-    yield from _run_levels(solve_level, ks, ns, meshes)
+    yield from _run_levels(lambda k, i: _patch_error(meshes[i], k, solver_method), ks, ns, meshes)

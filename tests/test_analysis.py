@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvem import (
     ConvergenceReport,
     ConvergenceRow,
+    Mesh,
     build_mapped_tensor_mesh,
     compute_errors,
     fit_rates,
@@ -17,10 +20,13 @@ from curvem import (
     assemble,
     apply_dirichlet,
     build_dof_map,
+    straighten_mesh,
 )
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import vem
+from curvem.analysis import _patch_error, _patch_polynomial
+from curvem.cli import PATCH_TOL
 
 from _oracles import (finite_difference_gradient, finite_difference_laplacian,
                       first_problem_formulas, traced_peak)
@@ -222,15 +228,33 @@ def test_csv_format_round_trips_floats():
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_patch_recovers_polynomials(k):
     (err,) = run_patch_test((k,))
-    assert err <= 1e-9
+    assert err <= PATCH_TOL
 
 
-def test_patch_rejects_unsupported_degree():
-    with pytest.raises(ValueError, match="patch polynomial"):
-        list(run_patch_test((7,)))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_patch_polynomial_has_every_monomial_and_its_source_is_minus_its_laplacian(k):
+    u, source = _patch_polynomial(k)
+    x, y = np.random.default_rng(k).uniform(-1.0, 2.0, (2, 12))
+    written_out = sum((-1.0) ** d / (1 + d) * x ** a * y ** (d - a)
+                      for d in range(k + 1) for a in range(d + 1))
+    assert np.allclose(u(x, y), written_out, rtol=1e-14, atol=0.0)
+    lap = finite_difference_laplacian(u, x, y, h=1e-4)
+    assert np.allclose(source(x, y), -lap, rtol=1e-5, atol=1e-3)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 2.0 * np.pi), st.floats(0.25, 4.0), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.integers(1, 6))
+def test_patch_holds_on_rotated_scaled_and_shifted_quadrilaterals(theta, scale, dx, dy, k):
+    mesh = straighten_mesh(problem1().mesh_factory(2))
+    turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    moved = Mesh(scale * mesh.points @ turn.T + [dx, dy], mesh.edge_vertices,
+                 mesh.edge_curves, mesh.edge_params, mesh.loop_offsets, mesh.loop_edges,
+                 mesh.loop_signs, mesh.labels)
+    assert _patch_error(moved, k) <= PATCH_TOL
 
 
 def test_run_convergence_checks_mesh_list_length():

@@ -1,6 +1,10 @@
 """Command-line parsing, experiment drivers, and exit codes."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,24 @@ def test_main_patch_run_writes_outputs(tmp_path, capsys):
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "patch test k=1" in summary and "patch test k=2" in summary
     assert "patch test k=1" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_package_entry_point(tmp_path):
+    # main() in-process never executes curvem/__main__.py; a fresh interpreter does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def curvem(*argv):
+        return subprocess.run([sys.executable, "-m", "curvem", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    rejected = curvem("run", "patch", "--k", "5")
+    assert rejected.returncode == EXIT_CONFIG
+    assert "config error: --k must lie in 1..4" in rejected.stderr
+    assert not (tmp_path / "curvem-out").exists()
+    ran = curvem("run", "patch", "--k", "1,2", "--out", str(tmp_path / "out"))
+    assert ran.returncode == EXIT_OK, ran.stderr
+    rows = (tmp_path / "out" / "patch.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
 
 
 def test_main_patch_run_covers_every_level(tmp_path, capsys):
