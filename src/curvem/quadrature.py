@@ -13,11 +13,12 @@ Nodes can fall outside the region (between the boundary and the vertical
 line x = alpha), so integrands must be defined and smooth on the bounding
 box of the (curved) boundary, not only on the polygon.
 
-A polygon's boundary is described by its chord corners and one
-``SideBatch`` per side.  ``green_rule`` builds the rules of a batch of like
-polygons at once, as arrays of shape (polygons, points), and checks
-nothing about their shape: mesh elements are checked once, by the
-``Mesh`` constructor (counterclockwise chords, positive area).
+A polygon's boundary is described by one ``SideBatch`` per side, in
+traversal order; the sides' ``start`` rows are its chord corners.
+``green_rule`` builds the rules of a batch of like polygons at once, as
+arrays of shape (polygons, points), and checks nothing about their shape:
+mesh elements are checked once, by the ``Mesh`` constructor
+(counterclockwise chords, positive area).
 ``polygon_quadrature`` is its rule on one all-straight polygon given from
 outside a mesh, so it rejects clockwise and zero-area input itself.
 """
@@ -219,19 +220,21 @@ def trace_curves(curves, t):
     return gamma, dgamma
 
 
-def green_rule(vertices, sides, n_straight: int, n_curved: int):
+def green_rule(sides, n_straight: int, n_curved: int):
     """Green-rule nodes and weights of E like polygons.
 
-    ``vertices`` is the chord polygons, shape (E, n, 2), and ``sides`` one
-    ``SideBatch`` per side.  Straight sides use ``n_straight`` points per
-    direction and curved sides ``n_curved``.  A straight side horizontal in
-    every polygon carries no nodes; one horizontal in some polygons only
-    gets zero weights there.  The polygons are taken as they are: element
-    shape is checked once, by the ``Mesh`` constructor.  Returns x, y and
-    w, each of shape (E, Q).
+    ``sides`` is one ``SideBatch`` per side of the polygons, in traversal
+    order, so the ``start`` rows of the sides are the polygons' corners.
+    Straight sides use ``n_straight`` points per direction and curved sides
+    ``n_curved``; the inner rules run from the vertical line x = alpha, the
+    mean corner abscissa.  A straight side horizontal in every polygon
+    carries no nodes; one horizontal in some polygons only gets zero
+    weights there.  The polygons are taken as they are: element shape is
+    checked once, by the ``Mesh`` constructor.  Returns x, y and w, each of
+    shape (E, Q).
     """
-    alpha = np.ascontiguousarray(vertices[:, :, 0]).mean(axis=1)[:, None, None]
-    e = len(vertices)
+    alpha = np.stack([side.start[:, 0] for side in sides], axis=1).mean(axis=1)[:, None, None]
+    e = len(alpha)
     rule_s = gauss_legendre(n_straight)
     rule_c = gauss_legendre(n_curved) if n_curved else None
     xs, ys, ws = [], [], []
@@ -280,7 +283,7 @@ def polygon_quadrature(vertices, M: int) -> QuadratureRule2D:
     if area < 0.0:
         raise QuadratureError("polygon must be counterclockwise")
     sides = tuple(SideBatch(v[None, i], v[None, (i + 1) % len(v)]) for i in range(len(v)))
-    x, y, w = green_rule(v[None], sides, M + 1, 0)
+    x, y, w = green_rule(sides, M + 1, 0)
     return QuadratureRule2D(points=np.stack([x[0], y[0]], axis=-1), weights=w[0])
 
 

@@ -112,17 +112,18 @@ def _chord_centroid(vertices):
     return np.array([cx, cy])
 
 
-def fan_integrate(vertices, sides, fs, n=32) -> list[float]:
+def fan_integrate(sides, fs, n=32) -> list[float]:
     """Integrals of each f in ``fs`` over a curved polygon by one centroid fan.
 
-    ``vertices`` is the chord polygon (n, 2) and ``sides`` its boundary as
-    ``quadrature.SideBatch`` records of one polygon each, in CCW order.
+    ``sides`` is the polygon's boundary as ``quadrature.SideBatch`` records
+    of one polygon each, in CCW order; their ``start`` points are the
+    corners of the chord polygon, whose centroid c is the fan's center.
     Each side sigma(u) spans a blended patch X(u, v) = c + v (sigma(u) - c)
     with signed Jacobian v sigma'(u) x (sigma(u) - c); summed over sides
     this reproduces the region integral for any simple CCW loop.  Each f
     must be defined on the convex hull of the element and centroid.
     """
-    c = _chord_centroid(np.asarray(vertices, dtype=float))
+    c = _chord_centroid(np.array([side.start[0] for side in sides], dtype=float))
     u, wu = _unit_interval_rule(n)
     pieces = []
     for side in sides:

@@ -230,7 +230,10 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
 
     ``method`` is "cg" (Jacobi-preconditioned, relative-residual tolerance
     ``tol``) or "direct" (a sparse LU with symmetric diagonal pivots; it is
-    the only path that loads ``scipy.sparse.linalg``).
+    the only path that loads ``scipy.sparse.linalg``).  CG's stopping test
+    bounds the relative residual, not the error: on test1 at k = 8, n = 16
+    it meets 1e-12 with err_L2 39% away from a direct solve's, which is why
+    the CLI's ``--k`` stops at 4.
     """
     if system.reduced_matrix is None:
         raise SolverError("apply_dirichlet must run before solve")

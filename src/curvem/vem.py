@@ -57,8 +57,8 @@ class ElementOperatorError(Exception):
 
 
 _COND_LIMIT = 1e13
-# the conditioning screen below errs by far less than this factor, so an
-# element it passes has a condition number under _COND_LIMIT
+# the conditioning screen of ChunkOperators._check errs by far less than
+# this factor, so an element it passes has a condition number under _COND_LIMIT
 _SCREEN_LIMIT = _COND_LIMIT / 10.0
 
 CHUNK_SIZE = 128  # elements per kernel batch; bounds the kernel's memory
@@ -192,37 +192,20 @@ def _values(f, x, y):
     return np.broadcast_to(np.asarray(out, dtype=float), (x.size,)).reshape(x.shape)
 
 
-def _screen(mats):
-    """Flags of the stacked matrices whose condition may exceed the limit,
-    and their inverses.
-
-    ||G||_F ||G^-1||_F is at least the 2-norm condition number of G.  A
-    stack that LAPACK cannot invert gets infinite inverses, which flag
-    every matrix.
-    """
-    try:
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        inv = np.full(mats.shape, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-    return ~(bound <= _SCREEN_LIMIT), inv
-
-
 @dataclass(frozen=True, eq=False)
 class ElementChunk:
     """Geometry and DoF layout of up to ``CHUNK_SIZE`` like elements.
 
     Per-element arrays stack along a leading axis of length E, in the order
     of ``elements``; ``n`` is the shared edge count.  Side j runs from
-    corner j to corner j+1.
+    corner j to corner j+1, so the ``start`` rows of the sides are the
+    corners.
     """
 
     k: int
     elements: np.ndarray    # (E,) element ids
     labels: np.ndarray      # (E,)
     dofs: np.ndarray        # (E, n_dof) global DoFs in local order
-    vertices: np.ndarray    # (E, n, 2) corner positions
     sides: tuple            # n SideBatch
     lengths: np.ndarray     # (E, n) edge lengths, arc length on curved edges
     center: np.ndarray      # (E, 2) chord centroids
@@ -258,7 +241,7 @@ class ElementChunk:
         Returns x, y and w of shape (E, Q); row i is element i's rule, the
         same bits in a chunk of any size.
         """
-        return green_rule(self.vertices, self.sides, *rule_points(k, boost))
+        return green_rule(self.sides, *rule_points(k, boost))
 
     def _scaled(self, x, y):
         h = self.h[:, None]
@@ -274,11 +257,8 @@ class ElementChunk:
 
     def by_label(self, lookup: Callable, x, y):
         """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m)."""
-        labels = np.unique(self.labels)
-        if len(labels) == 1:
-            return _values(lookup(int(labels[0])), x, y)
         out = None
-        for label in labels:
+        for label in np.unique(self.labels):
             rows = self.labels == label
             vals = _values(lookup(int(label)), x[rows], y[rows])
             vals = vals if isinstance(vals, tuple) else (vals,)
@@ -341,7 +321,7 @@ def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementCh
     return ElementChunk(
         k=k, elements=ids, labels=mesh.labels[ids],
         dofs=np.concatenate([dofs.reshape(e, n * k), moments], axis=1),
-        vertices=vertices, sides=tuple(sides),
+        sides=tuple(sides),
         lengths=mesh.edge_lengths[edge_ids], center=mesh.centroids[ids],
         h=mesh.diameters[ids], area=mesh.areas[ids],
         dof_points=points.reshape(e, n * k, 2))
@@ -431,22 +411,22 @@ class ChunkOperators:
                 mavg += (w[:, None, :] @ vals)[:, 0]
         return b_flux, bavg, mavg
 
-    def _check(self, matrices, what: str) -> np.ndarray:
-        """Inverses of ``matrices``, once no element's condition number
-        exceeds the limit; raise for the first one that does.
+    def _check(self, matrices, what: str):
+        """Raise for the first element whose ``matrices`` member has a
+        condition number over the limit.
 
-        Only the elements ``_screen`` flags get the exact (SVD) condition
-        number, which decides and is the one the message reports.
+        The screen ||G||_F ||G^-1||_F, ``np.linalg.cond(G, "fro")``, is at
+        least the 2-norm condition number and infinite for a singular G.
+        Only the members it flags get the exact (SVD) condition number,
+        which decides and is the one the message reports.
         """
-        flagged, inv = _screen(matrices)
-        (rows,) = np.nonzero(flagged)
+        (rows,) = np.nonzero(~(np.linalg.cond(matrices, "fro") <= _SCREEN_LIMIT))
         cond = np.linalg.cond(matrices[rows])
         bad = ~(cond <= _COND_LIMIT)
         if bad.any():
             i = int(np.argmax(bad))
             raise ElementOperatorError(
                 f"element {self.chunk.elements[rows[i]]}: {what} has condition {cond[i]:.3e}")
-        return inv
 
     def _projectors(self, b_flux, bavg, mavg):
         chunk, k = self.chunk, self.chunk.k
@@ -476,9 +456,10 @@ class ChunkOperators:
         d_mat[:, :n_bnd] = chunk.basis(chunk.dof_points[..., 0], chunk.dof_points[..., 1])
         if nm:
             d_mat[:, n_bnd:] = self.mass_rect / chunk.area[:, None, None]
-            h_inv = self._check(self.mass_rect[..., :nm], "moment mass matrix")
+            self._check(self.mass_rect[..., :nm], "moment mass matrix")
             self.pi0 = np.zeros((e, nm, n_dof))
-            self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * h_inv
+            self.pi0[:, :, n_bnd:] = chunk.area[:, None, None] * np.linalg.inv(
+                self.mass_rect[..., :nm])
         else:
             # degree 1: the only computable constant projection is the
             # average of the boundary DoFs

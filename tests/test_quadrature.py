@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvem import (QuadratureError, circle_curve, gauss_legendre, gauss_lobatto,
                     graph_curve, lagrange_values)
+from curvem.cli import random_star_polygon
 from curvem.quadrature import SideBatch, green_rule, polygon_quadrature, rule_points
 from curvem.reference import fan_integrate, polygon_integrate, triangulate
 
@@ -116,44 +119,73 @@ def _straight_side(start, end):
     return SideBatch(np.asarray(start)[None], np.asarray(end)[None])
 
 
-def _rule(verts, sides, k, boost):
+def _rule(sides, k, boost):
     """The degree-k Green rule of one polygon: x, y and w of shape (Q,)."""
-    x, y, w = green_rule(verts[None], sides, *rule_points(k, boost))
+    x, y, w = green_rule(sides, *rule_points(k, boost))
     return x[0], y[0], w[0]
 
 
 def _half_disk():
     c = circle_curve("c", (0.0, 0.0), 1.0)
     verts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    return verts, (_curved_side(verts[0], verts[1], c, 0.0, np.pi),
-                   _straight_side(verts[1], verts[0]))
+    return (_curved_side(verts[0], verts[1], c, 0.0, np.pi),
+            _straight_side(verts[1], verts[0]))
 
 
 def test_green_rule_half_disk():
     # a half-circle side is the stress case: the boost controls its error
-    verts, sides = _half_disk()
-    x, y, w = _rule(verts, sides, 4, boost=6)
+    sides = _half_disk()
+    x, y, w = _rule(sides, 4, boost=6)
     assert w.sum() == pytest.approx(np.pi / 2, abs=1e-13)
     assert w @ x == pytest.approx(0.0, abs=1e-13)
     assert w @ y == pytest.approx(2.0 / 3.0, abs=1e-12)
-    _, _, coarse = _rule(verts, sides, 4, boost=0)
+    _, _, coarse = _rule(sides, 4, boost=0)
     assert abs(coarse.sum() - np.pi / 2) > 1e-8  # boost genuinely matters
 
 
-def test_curved_quadrature_matches_fan_oracle():
+def _graph_quad():
+    """A quadrilateral whose bottom side follows a sine graph; its end
+    points sit on the curve."""
     g = graph_curve("g", amplitude=0.05, frequency=np.pi)
     verts = np.array([g.eval(np.array([0.0]))[0], g.eval(np.array([1.0]))[0],
                       [1.0, 0.4], [0.0, 0.4]])
-    # the bottom side follows the sine graph; its endpoints sit on the curve
-    sides = (_curved_side(verts[0], verts[1], g, 0.0, 1.0),
-             _straight_side(verts[1], verts[2]),
-             _straight_side(verts[2], verts[3]),
-             _straight_side(verts[3], verts[0]))
-    x, y, w = _rule(verts, sides, 3, boost=6)
-    for a, b in [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3), (4, 0)]:
-        f = lambda x, y, a=a, b=b: x ** a * y ** b
-        assert w @ f(x, y) == pytest.approx(
-            fan_integrate(verts, sides, [f], n=32)[0], rel=1e-11, abs=1e-14)
+    return (_curved_side(verts[0], verts[1], g, 0.0, 1.0),
+            _straight_side(verts[1], verts[2]),
+            _straight_side(verts[2], verts[3]),
+            _straight_side(verts[3], verts[0]))
+
+
+@st.composite
+def arc_star_polygons(draw):
+    """Sides of a random star polygon with one side bent into a circular arc
+    that bulges outward by a sagitta of 2-25% of its half chord."""
+    verts = random_star_polygon(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    j = draw(st.integers(0, len(verts) - 1))
+    p0, p1 = verts[j], verts[(j + 1) % len(verts)]
+    half = 0.5 * np.hypot(*(p1 - p0))
+    sagitta = draw(st.floats(0.02, 0.25)) * half
+    radius = (half * half + sagitta * sagitta) / (2.0 * sagitta)
+    # the polygon is CCW, so its outward normal is the chord direction
+    # turned clockwise; the center lies inward of the chord
+    direction = (p1 - p0) / (2.0 * half)
+    center = 0.5 * (p0 + p1) - (radius - sagitta) * np.array([direction[1], -direction[0]])
+    phase = np.arctan2(p0[1] - center[1], p0[0] - center[0])
+    span = 2.0 * np.arcsin(half / radius)
+    arc = circle_curve("arc", center, radius, phase=phase, param_interval=(0.0, span))
+    return tuple(_curved_side(p0, p1, arc, 0.0, span) if i == j
+                 else _straight_side(verts[i], verts[(i + 1) % len(verts)])
+                 for i in range(len(verts)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(arc_star_polygons())
+@example(_graph_quad())
+def test_curved_quadrature_matches_fan_oracle(sides):
+    x, y, w = _rule(sides, 3, boost=6)
+    monomials = [lambda x, y, a=a, b=d - a: x ** a * y ** b
+                 for d in range(5) for a in range(d + 1)]
+    for f, oracle in zip(monomials, fan_integrate(sides, monomials, n=32)):
+        assert w @ f(x, y) == pytest.approx(oracle, rel=1e-11, abs=1e-14)
 
 
 def test_rule_points_counts():
