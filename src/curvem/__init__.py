@@ -15,9 +15,9 @@ from .analysis import (ConvergenceReport, ConvergenceRow, ManufacturedProblem,
                        test2_problem)
 from .geometry import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
                        circle_curve, graph_curve)
-from .mesh import (Edge, Element, ElementQuality, Mesh, MeshError,
-                   MeshQualityReport, Vertex, build_annulus_interface_mesh,
-                   build_mapped_tensor_mesh, straighten_mesh, validate_mesh)
+from .mesh import (Edge, Element, Mesh, MeshError, MeshQualityReport, Vertex,
+                   build_annulus_interface_mesh, build_mapped_tensor_mesh,
+                   straighten_mesh, validate_mesh)
 from .mesh_io import (MeshFormatError, export_mesh, format_mesh, import_mesh,
                       parse_mesh)
 from .quadrature import (QuadratureError, QuadratureRule1D, gauss_legendre,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCurve", "Coefficient", "ConvergenceReport", "ConvergenceRow",
     "CurveSegment", "DofMap", "Edge", "Element", "ElementOperatorError",
-    "ElementQuality", "GeometryError", "LinearSystem", "ManufacturedProblem",
+    "GeometryError", "LinearSystem", "ManufacturedProblem",
     "Mesh", "MeshError", "MeshFormatError", "MeshQualityReport", "NotSPDError",
     "QuadratureError", "QuadratureRule1D", "RateFit",
     "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",

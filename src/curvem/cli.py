@@ -28,6 +28,7 @@ in this process or side by side in forked helpers (``analysis.run_convergence``)
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable
 from contextlib import closing
@@ -150,10 +151,14 @@ _OPTIONS = {
                       lambda trials: trials >= 1, "be at least 1"),
     "M": _Option("m_list", _parse_int_list, _AUDIT, "comma-separated audit rule orders",
                  lambda ms: min(ms) >= 1 and len(set(ms)) == len(ms), "be positive, each once"),
-    "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate"),
-    "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate"),
-    "max_rate_h1": _Option("max_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 above this H1 rate"),
-    "max_rate_l2": _Option("max_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 above this L2 rate"),
+    "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate",
+                           math.isfinite, "be finite"),
+    "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate",
+                           math.isfinite, "be finite"),
+    "max_rate_h1": _Option("max_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 above this H1 rate",
+                           math.isfinite, "be finite"),
+    "max_rate_l2": _Option("max_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 above this L2 rate",
+                           math.isfinite, "be finite"),
 }
 
 
@@ -413,7 +418,7 @@ def _validate_meshes(meshes, ns, rho: float) -> list[str]:
     for n, mesh in zip(ns, meshes):
         report = validate_mesh(mesh, rho)
         if not report.ok:
-            bad = [q.element for q in report.elements if not q.ok]
+            bad = np.flatnonzero(~report.elements["ok"])
             problems.append(
                 f"mesh n={n}: {len(bad)} elements below rho={rho} "
                 f"(worst edge ratio {report.worst_edge_ratio:.4f}, "
@@ -506,16 +511,15 @@ def _cmd_validate(args) -> int:
     rho = _value("rho", args.rho, "--rho")
     mesh = import_mesh(args.meshfile)
     report = validate_mesh(mesh, rho)
-    bad = [q for q in report.elements if not q.ok]
+    bad = np.flatnonzero(~report.elements["ok"])
     print(f"{args.meshfile}: {len(mesh.labels)} elements, "
           f"worst edge ratio {report.worst_edge_ratio:.4f}, "
           f"worst star ratio {report.worst_star_ratio:.4f} (rho = {rho})")
-    if bad:
+    if len(bad):
         print(f"{len(bad)} of {len(mesh.labels)} elements below rho")
     listed = bad[:20]
-    for q in listed:
-        print(f"element {q.element}: edge ratio {q.edge_ratio:.4f}, "
-              f"star ratio {q.star_ratio:.4f}")
+    for p, q in zip(listed.tolist(), report.elements[listed]):
+        print(f"element {p}: edge ratio {q['edge_ratio']:.4f}, star ratio {q['star_ratio']:.4f}")
     if len(bad) > len(listed):
         print(f"... {len(bad) - len(listed)} more not listed")
     print("mesh quality: " + ("pass" if report.ok else "FAIL"))

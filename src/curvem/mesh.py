@@ -63,7 +63,8 @@ _CURVE_SAMPLES = 8
 # Point pairs per block of the diameter computation; bounds its memory.
 _PAIRS_PER_BLOCK = 1 << 16
 # (element, side triple, side) entries per block of the kernel vertex
-# enumeration in validate_mesh; bounds its memory.
+# enumeration in validate_mesh, and (element, polyline point) entries per
+# block of polylines; bounds their memory.
 _SLACKS_PER_BLOCK = 1 << 16
 # A disk counts as inside a side when it crosses it by at most this much, in
 # units of the element diameter.
@@ -329,14 +330,18 @@ def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polyline_groups(mesh: Mesh):
-    """Every element's boundary polyline, grouped by length m: yields the
-    elements ``ids`` of each group and their polylines, shape (E, m, 2)."""
-    pts, owner = _polylines(mesh, np.arange(len(mesh.loop_offsets) - 1))
-    count = np.bincount(owner, minlength=len(mesh.loop_offsets) - 1)
-    start = np.cumsum(count) - count
+    """Every element's boundary polyline, grouped by length m and each group
+    cut into blocks of at most ``_SLACKS_PER_BLOCK // m`` elements (at least
+    one): yields the elements ``ids`` of each block and their polylines,
+    shape (E, m, 2)."""
+    count = np.add.reduceat(1 + _CURVE_SAMPLES * mesh.edge_curved[mesh.loop_edges],
+                            mesh.loop_offsets[:-1])
     for m in np.unique(count).tolist():
-        ids = np.flatnonzero(count == m)
-        yield ids, pts[start[ids, None] + np.arange(m)]
+        group = np.flatnonzero(count == m)
+        block = max(1, _SLACKS_PER_BLOCK // m)
+        for lo in range(0, len(group), block):
+            ids = group[lo:lo + block]
+            yield ids, _polylines(mesh, ids)[0].reshape(len(ids), m, 2)
 
 
 def _conformity_errors(mesh: Mesh) -> list[str]:
@@ -666,26 +671,21 @@ def straighten_mesh(mesh: Mesh) -> Mesh:
 
 
 @dataclass
-class ElementQuality:
-    element: int
-    edge_ratio: float
-    star_ratio: float
-    ok: bool
-
-
-@dataclass
 class MeshQualityReport:
+    """``validate_mesh``'s result: ``elements`` is a (P,) structured array,
+    row p holding element p's ``edge_ratio``, ``star_ratio`` and ``ok``."""
+
     rho: float
     ok: bool
-    elements: list[ElementQuality]
+    elements: np.ndarray
 
     @property
     def worst_edge_ratio(self) -> float:
-        return min(e.edge_ratio for e in self.elements)
+        return float(np.min(self.elements["edge_ratio"]))
 
     @property
     def worst_star_ratio(self) -> float:
-        return min(e.star_ratio for e in self.elements)
+        return float(np.min(self.elements["star_ratio"]))
 
 
 def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -766,7 +766,7 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / mesh.diameters
     star_ratio = _star_ratios(mesh)
     ok = (edge_ratio >= rho) & (star_ratio >= rho)
-    checks = [ElementQuality(element=p, edge_ratio=float(edge_ratio[p]),
-                             star_ratio=float(star_ratio[p]), ok=bool(ok[p]))
-              for p in range(len(mesh.labels))]
+    checks = np.empty(len(ok), dtype=[("edge_ratio", float), ("star_ratio", float),
+                                      ("ok", bool)])
+    checks["edge_ratio"], checks["star_ratio"], checks["ok"] = edge_ratio, star_ratio, ok
     return MeshQualityReport(rho=rho, ok=bool(np.all(ok)), elements=checks)

@@ -117,8 +117,7 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
         vals[at] = ops.stiffness([kappa[label] for label in chunk.labels.tolist()])[:, iu, ju]
         blocks.append(OperatorBlock(chunk=chunk, pi_nabla=ops.pi_nabla))
 
-    rhs = np.zeros(total)
-    np.add.at(rhs, load_dofs, load_vals)
+    rhs = np.bincount(load_dofs, weights=load_vals, minlength=total)
     del load_dofs, load_vals
     # a stable sort on the key is a (row, col) sort that keeps equal entries
     # in element order for the sums; each sorted array is dropped after its

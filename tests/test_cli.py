@@ -150,6 +150,10 @@ def test_config_file_value_errors_name_their_line(tmp_path):
                        "it reads k, n, solver, out$") as err:
         config_for(["run", "patch", "--config", str(cfg_file)])
     assert str(err.value).startswith(f"{cfg_file}:2: ")
+    cfg_file.write_text("k = 1\nmin_rate_l2 = inf\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="min_rate_l2 must be finite, got inf$") as err:
+        config_for(["run", "test1-curved", "--config", str(cfg_file)])
+    assert str(err.value).startswith(f"{cfg_file}:2: ")
 
 
 def test_each_experiment_reads_exactly_its_options():
@@ -209,6 +213,8 @@ def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
     (["run", "quadrature-audit", "--M", "70", "--trials", "1"],
      "M=70 needs a 71-point Gauss rule, more than the 64 available"),
     (["run", "quadrature-audit", "--seed", "-1"], "seed must be nonnegative"),
+    (["run", "test1-curved", "--min-rate-h1", "nan"], "--min-rate-h1 must be finite, got nan"),
+    (["run", "test2", "--max-rate-l2", "inf"], "--max-rate-l2 must be finite, got inf"),
 ])
 def test_invalid_options_are_rejected(argv, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvem import (BoundaryCurve, CurveSegment, Edge, Element, GeometryError, Mesh,
                     MeshError, Vertex, arc_length, build_annulus_interface_mesh,
@@ -12,6 +14,7 @@ from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import mesh as mesh_module
+from curvem.cli import random_star_polygon
 from curvem.mesh import _SLACKS_PER_BLOCK, _polyline_groups, _polylines, _star_ratios
 from curvem.vem import element_chunks
 
@@ -330,7 +333,7 @@ def test_validate_mesh_flags_bad_aspect():
                       [Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])])
     report = validate_mesh(mesh, 0.05)
     assert not report.ok
-    assert not report.elements[0].ok
+    assert not report.elements["ok"][0]
     assert report.worst_edge_ratio < 0.05
 
 
@@ -362,7 +365,7 @@ def oracle_star_ratios(mesh):
 def test_validate_star_ratios_match_vertex_enumeration(make_mesh):
     mesh = make_mesh()
     report = validate_mesh(mesh, 0.03)
-    star = np.array([q.star_ratio for q in report.elements])
+    star = report.elements["star_ratio"]
     assert np.allclose(star, oracle_star_ratios(mesh), rtol=1e-10, atol=0.0)
     assert np.all(star > 0.0)
 
@@ -381,8 +384,8 @@ def test_validate_flags_exactly_the_elements_the_oracle_flags():
                      for p, el in enumerate(mesh.elements)])
     expected = np.flatnonzero((edge < rho) | (oracle_star_ratios(mesh) < rho))
     assert expected.tolist() == [117, 132, 133]
-    assert [q.element for q in report.elements if not q.ok] == expected.tolist()
-    assert [q.edge_ratio for q in report.elements] == edge.tolist()
+    assert np.flatnonzero(~report.elements["ok"]).tolist() == expected.tolist()
+    assert report.elements["edge_ratio"].tolist() == edge.tolist()
     assert not report.ok
 
 
@@ -393,7 +396,7 @@ def test_validate_empty_kernel_gives_zero_star_ratio():
     edges = [Edge(v0=i, v1=(i + 1) % 8) for i in range(8)]
     comb = Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(8)])])
     report = validate_mesh(comb, 0.05)
-    assert report.elements[0].star_ratio == 0.0
+    assert report.elements["star_ratio"][0] == 0.0
     assert kernel_chebyshev_radius(_polylines(comb, [0])[0]) == 0.0
     assert not report.ok
 
@@ -431,7 +434,7 @@ def test_validate_star_ratio_of_ten_curved_sides_matches_the_oracle():
     polyline = _polylines(mesh, [0])[0]
     assert len(polyline) == 90
     assert 117480 * 90 > 4 * _SLACKS_PER_BLOCK
-    star = validate_mesh(mesh, 0.3).elements[0].star_ratio
+    star = validate_mesh(mesh, 0.3).elements["star_ratio"][0]
     oracle = kernel_chebyshev_radius(polyline) / mesh.diameters[0]
     assert star == pytest.approx(oracle, rel=1e-10, abs=0.0)
     assert 0.3 < star < 0.5
@@ -455,12 +458,51 @@ def test_star_ratios_do_not_depend_on_the_block_size(monkeypatch, make_mesh, sma
         assert max(1, small // polylines[..., 0].size) == per_block < m * (m - 1) * (m - 2) // 6
 
 
+def star_polygon_mesh(seeds):
+    """One element per seed, a ``random_star_polygon`` of 5 to 10 corners,
+    each shifted 3 to the right of the one before so that none overlap."""
+    polygons = [random_star_polygon(np.random.default_rng(seed)) + [3.0 * i, 0.0]
+                for i, seed in enumerate(seeds)]
+    sizes = np.array([len(polygon) for polygon in polygons])
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    corner = np.arange(sizes.sum()) - first
+    following = first + (corner + 1) % np.repeat(sizes, sizes)
+    return Mesh(np.concatenate(polygons), np.stack([first + corner, following], axis=-1),
+                [None] * len(first), np.full((len(first), 2), np.nan),
+                np.concatenate([[0], np.cumsum(sizes)]), np.arange(len(first)),
+                np.ones(len(first)), np.ones(len(seeds)))
+
+
+@pytest.mark.parametrize("slacks", [_SLACKS_PER_BLOCK, 1 << 4], ids=["default", "2^4"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=6))
+def test_star_ratios_of_random_star_polygons_match_the_oracle(slacks, seeds):
+    # one mesh mixes polyline lengths 5 to 10; at 1 << 4 slacks a block
+    # holds 1 to 3 elements, so the blocks split the groups of equal length
+    mesh = star_polygon_mesh(seeds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh_module, "_SLACKS_PER_BLOCK", slacks)
+        star = validate_mesh(mesh, 0.05).elements["star_ratio"]
+    assert np.allclose(star, oracle_star_ratios(mesh), rtol=1e-10, atol=0.0)
+
+
 def test_validate_peak_memory_is_bounded_by_the_blocks():
     # blocks of 1 << 20 slacks peak at 17.6 MB here, of 1 << 16 at 3.4 MB
     mesh = build_annulus_interface_mesh(16, 64)
     validate_mesh(mesh, 0.03)  # warm caches
     peak = traced_peak(lambda: validate_mesh(mesh, 0.03))
     assert peak <= 5e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_validate_peak_memory_is_bounded_by_element_blocks(monkeypatch):
+    # the polylines of a group are built a block of elements at a time: at
+    # 1 << 12 slacks a block holds 1024 of test1's 4096 quadrilaterals and
+    # validation peaks at 0.9 MB; whole groups peaked at 3.2 MB
+    mesh = build_mapped_tensor_mesh(64, *boundary_curves())
+    monkeypatch.setattr(mesh_module, "_SLACKS_PER_BLOCK", 1 << 12)
+    validate_mesh(mesh, 0.03)  # warm caches
+    peak = traced_peak(lambda: validate_mesh(mesh, 0.03))
+    assert peak < 2e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
