@@ -286,9 +286,9 @@ def _run_levels(solve_level: Callable, ks, ns, meshes) -> Iterator:
     the first and at most one per other level.  The helpers get
     ``solve_level`` and all it reads (problem callables and meshes, which
     cannot be pickled) by fork inheritance; only the (k, i) pairs go out
-    and results come back.  With no CPU to spare, where fork is missing, or
-    inside a daemon process (which may not have children), every level runs
-    here, in order.
+    and results come back.  With no CPU to spare, where fork is missing or
+    fails (as at a process limit), or inside a daemon process (which may not
+    have children), every level runs here, in order.
 
     The first level, in order, that fails raises its exception when it is
     reached, after every result before it.  A helper that dies (killed, or
@@ -298,29 +298,42 @@ def _run_levels(solve_level: Callable, ks, ns, meshes) -> Iterator:
     ends or is closed.
     """
     import multiprocessing
-    levels = [(k, i) for k in ks for i in range(len(ns))]
-    affinity = getattr(os, "sched_getaffinity", None)
-    helpers = min(len(affinity(0)) - 1 if affinity else 0, len(levels) - 1)
-    if (helpers <= 0 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        for level in levels:
-            yield solve_level(*level)
-        return
     from concurrent.futures import Future
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    weights = [global_dof_count(meshes[i], k) for k, i in levels]
-    heaviest_first = sorted(range(len(levels)), key=lambda i: -weights[i])
-    pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_levels, initargs=(solve_level,))
+    levels = [(k, i) for k in ks for i in range(len(ns))]
+    affinity = getattr(os, "sched_getaffinity", None)
+    helpers = min(len(affinity(0)) - 1 if affinity else 0, len(levels) - 1)
+    pool = None
+    if (helpers > 0 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        weights = [global_dof_count(meshes[i], k) for k, i in levels]
+        heaviest_first = sorted(range(len(levels)), key=lambda i: -weights[i])
+        running = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_levels, initargs=(solve_level,))
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on a fork beside other OS threads, as OpenBLAS's.
+                # Helpers stay safe: the pool forks them all here, before its own thread
+                # starts, and OpenBLAS joins its threads before a fork (pthread_atfork).
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                        r"use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                outcomes = {i: pool.submit(_solve_adopted, *levels[i])
+                            for i in heaviest_first[1:]}
+        except OSError:  # a fork failed (EAGAIN, ENOMEM): every level runs here
+            pool.shutdown(cancel_futures=True)
+            # the pool ends helpers only from its own thread, which never started
+            for helper in set(multiprocessing.active_children()) - running:
+                helper.terminate()
+                helper.join()
+            pool = None
+    if pool is None:
+        for level in levels:
+            yield solve_level(*level)
+        return
     try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on a fork beside other OS threads, as OpenBLAS's.
-            # Helpers stay safe: the pool forks them all here, before its own thread
-            # starts, and OpenBLAS joins its threads before a fork (pthread_atfork).
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
-            outcomes = {i: pool.submit(_solve_adopted, *levels[i]) for i in heaviest_first[1:]}
         own = outcomes[heaviest_first[0]] = Future()
         try:
             own.set_result(solve_level(*levels[heaviest_first[0]]))

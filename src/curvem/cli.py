@@ -186,7 +186,7 @@ def _read_config_file(path: str):
     """``(path:line prefix, key, text)`` of each ``key = value`` line; a BOM is skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -54,17 +54,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import BoundaryCurve, CurveSegment, arc_length, circle_curve
+from .geometry import BoundaryCurve, CurveSegment, GeometryError, arc_length, circle_curve
 from .quadrature import gauss_legendre, trace_curves
 
 _ENDPOINT_TOL = 1e-12
 _INT64 = np.iinfo(np.int64)
 _CURVE_SAMPLES = 8
-# Point pairs per block of the diameter computation; bounds its memory.
-_PAIRS_PER_BLOCK = 1 << 16
-# (element, side triple, side) entries per block of the kernel vertex
-# enumeration in validate_mesh, and (element, polyline point) entries per
-# block of polylines; bounds their memory.
+# Entries per block of every walk over the elements' polylines: (element,
+# point pair) of the diameters, (element, point) of the polylines and
+# (element, side triple, side) of validate_mesh's kernel vertex enumeration;
+# bounds their memory.
 _SLACKS_PER_BLOCK = 1 << 16
 # A disk counts as inside a side when it crosses it by at most this much, in
 # units of the element diameter.
@@ -258,15 +257,25 @@ def _check_layout(mesh: Mesh) -> None:
 
 
 def _param_errors(curves, params) -> list[str]:
-    """The curved edges with a non-finite parameter (a curve checks its own)."""
-    return [f"edge {i}: curve {curve.id!r} has a non-finite parameter"
-            for i, curve in enumerate(curves)
-            if curve is not None and not np.all(np.isfinite(params[i]))]
+    """The curved edges whose parameters are not finite or not a segment
+    t0 < t1 of their curve's interval (a curve checks its own)."""
+    errors = []
+    for i, curve in enumerate(curves):
+        if curve is None:
+            continue
+        if not np.all(np.isfinite(params[i])):
+            errors.append(f"edge {i}: curve {curve.id!r} has a non-finite parameter")
+            continue
+        try:
+            CurveSegment(curve, *params[i].tolist())
+        except GeometryError as exc:
+            errors.append(f"edge {i}: {exc}")
+    return errors
 
 
 def _finite_errors(mesh: Mesh) -> list[str]:
-    """The vertices that are not finite and the curved edges with a
-    non-finite parameter."""
+    """The vertices that are not finite and the curved edges whose
+    parameters are not finite or leave their curve (``_param_errors``)."""
     bad = np.flatnonzero(~np.isfinite(mesh.points).all(axis=1))
     return ([f"vertex {i}: non-finite position {tuple(mesh.points[i].tolist())}"
              for i in bad.tolist()] + _param_errors(mesh.edge_curves, mesh.edge_params))
@@ -305,12 +314,11 @@ def _next_side(mesh: Mesh) -> np.ndarray:
     return nxt
 
 
-def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary polylines of elements ``ids``, concatenated.
+def _polylines(mesh: Mesh, ids) -> np.ndarray:
+    """Boundary polylines of elements ``ids``, concatenated, shape (M, 2).
 
     Each is walked in traversal order: every corner, followed on a curved
-    side by 8 samples of the curve.  Returns the points (M, 2) and the
-    position in ``ids`` of each point's element (M,).
+    side by 8 samples of the curve.
     """
     ids = np.asarray(ids, dtype=np.int64)
     rows = _loop_rows(mesh, ids)
@@ -325,23 +333,22 @@ def _polylines(mesh: Mesh, ids) -> tuple[np.ndarray, np.ndarray]:
         samples = _edge_samples(mesh, edges[curved])
         samples = np.where(signs[curved, None, None] > 0, samples, samples[:, ::-1])
         pts[start[curved, None] + 1 + np.arange(_CURVE_SAMPLES)] = samples
-    sides = np.repeat(np.arange(len(ids)), np.diff(mesh.loop_offsets)[ids])
-    return pts, np.repeat(sides, count)
+    return pts
 
 
-def _polyline_groups(mesh: Mesh):
+def _polyline_groups(mesh: Mesh, cost):
     """Every element's boundary polyline, grouped by length m and each group
-    cut into blocks of at most ``_SLACKS_PER_BLOCK // m`` elements (at least
-    one): yields the elements ``ids`` of each block and their polylines,
-    shape (E, m, 2)."""
+    cut into blocks of at most ``_SLACKS_PER_BLOCK // cost(m)`` elements (at
+    least one), where ``cost(m)`` counts a walk's entries per element: yields
+    the elements ``ids`` of each block and their polylines, shape (E, m, 2)."""
     count = np.add.reduceat(1 + _CURVE_SAMPLES * mesh.edge_curved[mesh.loop_edges],
                             mesh.loop_offsets[:-1])
     for m in np.unique(count).tolist():
         group = np.flatnonzero(count == m)
-        block = max(1, _SLACKS_PER_BLOCK // m)
+        block = max(1, _SLACKS_PER_BLOCK // cost(m))
         for lo in range(0, len(group), block):
             ids = group[lo:lo + block]
-            yield ids, _polylines(mesh, ids)[0].reshape(len(ids), m, 2)
+            yield ids, _polylines(mesh, ids).reshape(len(ids), m, 2)
 
 
 def _conformity_errors(mesh: Mesh) -> list[str]:
@@ -451,15 +458,10 @@ def _edge_lengths(mesh: Mesh) -> np.ndarray:
 
 def _diameters(clouds: np.ndarray) -> np.ndarray:
     """Largest point distance within each cloud of shape (E, m, 2)."""
-    out = np.empty(len(clouds))
-    m = clouds.shape[1]
-    block = max(1, _PAIRS_PER_BLOCK // (m * m))
-    for lo in range(0, len(clouds), block):
-        x, y = clouds[lo:lo + block, :, 0], clouds[lo:lo + block, :, 1]
-        dx = x[:, :, None] - x[:, None, :]
-        dy = y[:, :, None] - y[:, None, :]
-        out[lo:lo + block] = np.sqrt(np.max(dx * dx + dy * dy, axis=(1, 2)))
-    return out
+    x, y = clouds[..., 0], clouds[..., 1]
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - y[:, None, :]
+    return np.sqrt(np.max(dx * dx + dy * dy, axis=(1, 2)))
 
 
 def _derive_geometry(mesh: Mesh) -> None:
@@ -522,7 +524,7 @@ def _derive_geometry(mesh: Mesh) -> None:
     mesh.areas = area
     mesh.centroids = moments / (6.0 * chord)[:, None]
     diameters = np.empty(len(sizes))
-    for ids, polylines in _polyline_groups(mesh):
+    for ids, polylines in _polyline_groups(mesh, lambda m: m * m):
         diameters[ids] = _diameters(polylines)
     mesh.diameters = diameters
     mesh.h = float(np.max(diameters))
@@ -743,7 +745,7 @@ def _star_ratios(mesh: Mesh) -> np.ndarray:
     element's diameter.  Each polyline is taken in its element's frame:
     coordinates relative to the centroid in units of the diameter."""
     ratios = np.empty(len(mesh.diameters))
-    for ids, polylines in _polyline_groups(mesh):
+    for ids, polylines in _polyline_groups(mesh, lambda m: m):
         ratios[ids] = _chebyshev_radii((polylines - mesh.centroids[ids, None])
                                        / mesh.diameters[ids, None, None])
     return ratios

@@ -42,7 +42,8 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 
 class MeshFormatError(Exception):
-    """Raised for malformed mesh files, with the offending line number."""
+    """Raised for malformed mesh files, with the offending line number (or
+    byte offset, for text that is not UTF-8)."""
 
 
 def _records(text: str):
@@ -179,9 +180,15 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def import_mesh(path) -> Mesh:
-    """Read and finalize a mesh file (UTF-8, with or without a byte-order mark)."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_mesh(fh.read())
+    """Read and finalize a mesh file (UTF-8, with or without a byte-order
+    mark); text that is not UTF-8 raises MeshFormatError at its byte offset."""
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"{path}: not UTF-8 text at byte {exc.start} "
+                                  f"({exc.reason})") from None
+    return parse_mesh(text.removeprefix("\ufeff"))
 
 
 def format_mesh(mesh: Mesh) -> str:

@@ -475,6 +475,24 @@ def test_validate_label_outside_64_bits_exits_2(tmp_path, capsys):
                                        "'99999999999999999999' does not fit in 64 bits\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "{bad}", "--rho", "0.1"], "mesh file error: {bad}: not UTF-8 text at byte "),
+    (["run", "test1-curved", "--mesh", "{bad}", "{bad}", "--out", "{out}"],
+     "mesh file error: {bad}: not UTF-8 text at byte "),
+    (["run", "test1-curved", "--config", "{bad}", "--out", "{out}"],
+     "config error: cannot read config file '{bad}': 'utf-8' codec can't decode byte "),
+], ids=["validate", "run-mesh", "config"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, argv, message):
+    bad, out = tmp_path / "bad.bin", tmp_path / "out"
+    bad.write_bytes(np.random.default_rng(0).bytes(200))
+    assert main([arg.format(bad=bad, out=out) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(bad=bad))
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_quality_failure_exits_3(tmp_path, capsys):
     path = tmp_path / "thin.txt"
     path.write_text(THIN_QUAD, encoding="utf-8")

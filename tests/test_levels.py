@@ -7,6 +7,7 @@ output, exit code or message, and none may outlive the run or a generator
 closed early.
 """
 
+import errno
 import multiprocessing
 import os
 import warnings
@@ -120,6 +121,23 @@ def test_helpers_start_where_fork_warns_of_threads(tmp_path, capsys, monkeypatch
     helped = run_on_cpus(2, argv, tmp_path / "helped", capsys, monkeypatch)
     assert alone[0] == EXIT_OK
     assert helped == alone
+
+
+def test_helpers_that_cannot_be_forked_leave_every_level_here(tmp_path, capsys, monkeypatch):
+    # as at a process limit: each fork fails, so the 2-CPU run starts no helper
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    log = tmp_path / "solves.log"
+    log_solves(monkeypatch, log)
+    argv = ["run", "test1-curved", "--k", "1", "--n", "4,8"]
+    alone = run_on_cpus(1, argv, tmp_path / "alone", capsys, monkeypatch)
+    solves(log)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    unhelped = run_on_cpus(2, argv, tmp_path / "unhelped", capsys, monkeypatch)
+    assert alone[0] == EXIT_OK
+    assert unhelped == alone
+    assert {pid for pid, _ in solves(log)} == {os.getpid()}
 
 
 def test_first_failing_level_in_order_fails_the_run(tmp_path, capsys, monkeypatch):

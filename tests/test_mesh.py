@@ -129,6 +129,27 @@ def test_build_rejects_non_finite_vertex(bad):
         Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])])
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("reverse", "segment needs t0 < t1, got [0.39269908169872414, 0.0]"),
+    ("shift", "segment [3.141592653589793, 3.5342917352885173] leaves parameter interval "
+              "[0.0, 3.141592653589793]"),
+], ids=["reversed", "shifted-by-pi"])
+def test_arrays_with_a_bad_curve_segment_name_the_edge(edit, message):
+    # curved edge 8 of test2 n = 2 lies on Gamma2, t in [0, pi], whose
+    # points repeat with period pi; either edit keeps the mesh conforming
+    base = problem2().mesh_factory(2)
+    edge_vertices, params, signs = (base.edge_vertices.copy(), base.edge_params.copy(),
+                                    base.loop_signs.copy())
+    if edit == "reverse":
+        edge_vertices[8], params[8] = edge_vertices[8, ::-1], params[8, ::-1]
+        signs[base.loop_edges == 8] *= -1
+    else:
+        params[8] += np.pi
+    with pytest.raises(MeshError, match=re.escape(f"edge 8: curve 'Gamma2': {message}")):
+        Mesh(base.points, edge_vertices, base.edge_curves, params, base.loop_offsets,
+             base.loop_edges, signs, base.labels)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_build_rejects_non_finite_curve_parameter(bad):
     # a curve record built directly checks every coefficient, so no mesh
@@ -351,7 +372,7 @@ def test_validate_mesh_star_ratio_detects_thin_kernel():
 
 
 def oracle_star_ratios(mesh):
-    return np.array([kernel_chebyshev_radius(_polylines(mesh, [p])[0]) / mesh.diameters[p]
+    return np.array([kernel_chebyshev_radius(_polylines(mesh, [p])) / mesh.diameters[p]
                      for p in range(len(mesh.elements))])
 
 
@@ -397,7 +418,7 @@ def test_validate_empty_kernel_gives_zero_star_ratio():
     comb = Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(8)])])
     report = validate_mesh(comb, 0.05)
     assert report.elements["star_ratio"][0] == 0.0
-    assert kernel_chebyshev_radius(_polylines(comb, [0])[0]) == 0.0
+    assert kernel_chebyshev_radius(_polylines(comb, [0])) == 0.0
     assert not report.ok
 
 
@@ -431,7 +452,7 @@ def test_validate_star_ratio_of_ten_curved_sides_matches_the_oracle():
     # 10 arcs, alternately bulging out and in: a 90-point polyline whose
     # 117480 side triples take several enumeration blocks
     mesh = arc_polygon([0.08, -0.05] * 5)
-    polyline = _polylines(mesh, [0])[0]
+    polyline = _polylines(mesh, [0])
     assert len(polyline) == 90
     assert 117480 * 90 > 4 * _SLACKS_PER_BLOCK
     star = validate_mesh(mesh, 0.3).elements["star_ratio"][0]
@@ -452,8 +473,11 @@ def test_star_ratios_do_not_depend_on_the_block_size(monkeypatch, make_mesh, sma
     for size in (small, 1 << 20):
         monkeypatch.setattr(mesh_module, "_SLACKS_PER_BLOCK", size)
         assert np.array_equal(_star_ratios(mesh), ratios)
+        # the diameter pass takes blocks of the same budget, m * m entries
+        # per element: at 1 << 8 test1-n8's quadrilaterals go 16 to a block
+        assert np.array_equal(make_mesh().diameters, mesh.diameters)
     # at the small size every polyline group takes several blocks
-    for _, polylines in _polyline_groups(mesh):
+    for _, polylines in _polyline_groups(mesh, lambda m: m):
         m = polylines.shape[1]
         assert max(1, small // polylines[..., 0].size) == per_block < m * (m - 1) * (m - 2) // 6
 

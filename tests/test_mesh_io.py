@@ -1,5 +1,6 @@
 """Mesh file parsing, serialization, and error reporting."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,16 @@ def test_file_with_a_byte_order_mark_is_read(tmp_path):
     path.write_text(format_mesh(mesh), encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     assert format_mesh(import_mesh(path)) == format_mesh(mesh)
+
+
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_file_that_is_not_utf8_names_the_file_and_byte(tmp_path, prefix):
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(prefix + b"curvem-mesh 1\ncounts \xff\n")
+    offset = len(prefix) + 21
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                       f"at byte {offset} \\(invalid start byte\\)$"):
+        import_mesh(path)
 
 
 def test_comments_and_blank_lines_are_ignored():
