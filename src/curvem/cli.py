@@ -42,7 +42,7 @@ from .analysis import (fit_rates, run_convergence, run_patch_test, test1_problem
                        test2_problem)
 from .geometry import GeometryError, circle_curve
 from .mesh import Mesh, MeshError, straighten_mesh, validate_mesh
-from .mesh_io import MeshFormatError, import_mesh
+from .mesh_io import MeshFormatError, _lines, _read_text, import_mesh
 from .quadrature import _MAX_POINTS, BOOST, QuadratureError, polygon_quadrature
 from .reference import fan_integrate, polygon_integrate
 from .solver import SolverError
@@ -183,15 +183,12 @@ def _value(name: str, text, spelled: str):
 
 
 def _read_config_file(path: str):
-    """``(path:line prefix, key, text)`` of each ``key = value`` line; a BOM is skipped."""
+    """``(path:line prefix, key, text)`` of each ``key = value`` line (mesh_io's reader)."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _lines(text):
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))

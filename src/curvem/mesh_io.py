@@ -26,6 +26,9 @@ reproduces them bit-exactly.  Integers must fit in 64 bits.
 A mesh is its arrays (see ``curvem.mesh``): ``parse_mesh`` reads each
 section into them and hands them to the ``Mesh`` constructor, and
 ``format_mesh`` writes them; neither goes through the entity records.
+Mesh files and ``curvem run --config`` files share one reader: ``_read_text``
+(UTF-8 less a leading byte-order mark, a bad byte reported at its file offset)
+and ``_lines`` (the numbered lines left after ``#`` comments and blanks).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from .geometry import BoundaryCurve, CurveSegment, GeometryError
 from .mesh import Mesh
 
+import math
 import numpy as np
 
 _MAGIC = "curvem-mesh"
@@ -46,11 +50,18 @@ class MeshFormatError(Exception):
     byte offset, for text that is not UTF-8)."""
 
 
-def _records(text: str):
+def _read_text(path) -> str:
+    """UTF-8 text less a leading BOM; a bad byte raises at its file offset."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8").removeprefix("\ufeff")
+
+
+def _lines(text: str):
+    """``(line number, line)`` of each line left after ``#`` comments and blanks."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield ln, line.split()
+            yield ln, line
 
 
 def _fail(ln: int, message: str):
@@ -64,29 +75,22 @@ def _take(records, what: str):
         raise MeshFormatError(f"unexpected end of file, expected {what}") from None
 
 
-def _parse_float(ln, token, what):
+def _parse(ln, token, what, cast):
+    """``cast(token)``: a finite float, or an int that fits in 64 bits."""
     try:
-        value = float(token)
+        value = cast(token)
     except ValueError:
         _fail(ln, f"bad {what} {token!r}")
-    if not np.isfinite(value):
+    if cast is float and not math.isfinite(value):
         _fail(ln, f"non-finite {what} {token!r}")
-    return value
-
-
-def _parse_int(ln, token, what):
-    try:
-        value = int(token)
-    except ValueError:
-        _fail(ln, f"bad {what} {token!r}")
-    if not _INT64_MIN <= value <= _INT64_MAX:
+    if cast is int and not _INT64_MIN <= value <= _INT64_MAX:
         _fail(ln, f"{what} {token!r} does not fit in 64 bits")
     return value
 
 
 def parse_mesh(text: str) -> Mesh:
     """Parse the text of a mesh file; see the module docstring for the grammar."""
-    records = _records(text)
+    records = ((ln, line.split()) for ln, line in _lines(text))
 
     ln, fields = _take(records, "header")
     if fields[:1] != [_MAGIC] or len(fields) != 2:
@@ -97,7 +101,7 @@ def parse_mesh(text: str) -> Mesh:
     ln, fields = _take(records, "counts")
     if fields[0] != "counts" or len(fields) != 5:
         _fail(ln, "expected 'counts <nv> <nc> <ne> <np>'")
-    nv, nc, ne, np_ = counts = [_parse_int(ln, f, "count") for f in fields[1:]]
+    nv, nc, ne, np_ = counts = [_parse(ln, f, "count", int) for f in fields[1:]]
     if min(counts) < 0:
         _fail(ln, f"negative count in {' '.join(fields)!r}")
 
@@ -109,9 +113,9 @@ def parse_mesh(text: str) -> Mesh:
         cid, kind = fields[1], fields[2]
         if cid in curves:
             _fail(ln, f"duplicate curve id {cid!r}")
-        a = _parse_float(ln, fields[3], "interval bound")
-        b = _parse_float(ln, fields[4], "interval bound")
-        params = [_parse_float(ln, f, "curve parameter") for f in fields[5:]]
+        a = _parse(ln, fields[3], "interval bound", float)
+        b = _parse(ln, fields[4], "interval bound", float)
+        params = [_parse(ln, f, "curve parameter", float) for f in fields[5:]]
         try:
             curves[cid] = BoundaryCurve(cid, (a, b), kind, tuple(params))
         except GeometryError as exc:
@@ -122,16 +126,16 @@ def parse_mesh(text: str) -> Mesh:
         ln, fields = _take(records, "vertex record")
         if fields[0] != "v" or len(fields) != 3:
             _fail(ln, "expected 'v <x> <y>'")
-        points.append((_parse_float(ln, fields[1], "coordinate"),
-                       _parse_float(ln, fields[2], "coordinate")))
+        points.append((_parse(ln, fields[1], "coordinate", float),
+                       _parse(ln, fields[2], "coordinate", float)))
 
     edge_vertices, edge_curves, edge_params = [], [], []
     for _ in range(ne):
         ln, fields = _take(records, "edge record")
         if fields[0] != "e" or len(fields) not in (3, 6):
             _fail(ln, "expected 'e <v0> <v1> [<curve_id> <t0> <t1>]'")
-        v0 = _parse_int(ln, fields[1], "vertex index")
-        v1 = _parse_int(ln, fields[2], "vertex index")
+        v0 = _parse(ln, fields[1], "vertex index", int)
+        v1 = _parse(ln, fields[2], "vertex index", int)
         if not (0 <= v0 < nv and 0 <= v1 < nv):
             _fail(ln, f"edge references missing vertex ({v0}, {v1})")
         curve, t0, t1 = None, np.nan, np.nan
@@ -139,8 +143,8 @@ def parse_mesh(text: str) -> Mesh:
             cid = fields[3]
             if cid not in curves:
                 _fail(ln, f"edge references unknown curve {cid!r}")
-            t0 = _parse_float(ln, fields[4], "parameter")
-            t1 = _parse_float(ln, fields[5], "parameter")
+            t0 = _parse(ln, fields[4], "parameter", float)
+            t1 = _parse(ln, fields[5], "parameter", float)
             curve = curves[cid]
             try:
                 CurveSegment(curve, t0, t1)  # checks the interval
@@ -157,11 +161,11 @@ def parse_mesh(text: str) -> Mesh:
         ln, fields = _take(records, "element record")
         if fields[0] != "p" or len(fields) < 2:
             _fail(ln, "expected 'p <n> <signed edge refs>'")
-        n = _parse_int(ln, fields[1], "edge count")
+        n = _parse(ln, fields[1], "edge count", int)
         if len(fields) != 2 + n:
             _fail(ln, f"element lists {len(fields) - 2} edges, declared {n}")
         for f in fields[2:]:
-            ref = _parse_int(ln, f, "edge reference")
+            ref = _parse(ln, f, "edge reference", int)
             if ref == 0 or abs(ref) > ne:
                 _fail(ln, f"edge reference {ref} out of range")
             loop_refs.append(ref)
@@ -169,7 +173,7 @@ def parse_mesh(text: str) -> Mesh:
         ln_label, fields = _take(records, "label record")
         if fields[0] != "label" or len(fields) != 2:
             _fail(ln_label, "expected 'label <integer>'")
-        labels.append(_parse_int(ln_label, fields[1], "label"))
+        labels.append(_parse(ln_label, fields[1], "label", int))
 
     for ln, fields in records:
         _fail(ln, f"unexpected trailing record {fields[0]!r}")
@@ -180,15 +184,13 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def import_mesh(path) -> Mesh:
-    """Read and finalize a mesh file (UTF-8, with or without a byte-order
-    mark); text that is not UTF-8 raises MeshFormatError at its byte offset."""
-    with open(path, "rb") as fh:
-        try:
-            text = fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MeshFormatError(f"{path}: not UTF-8 text at byte {exc.start} "
-                                  f"({exc.reason})") from None
-    return parse_mesh(text.removeprefix("\ufeff"))
+    """Read and finalize a mesh file; a byte that is not UTF-8 raises MeshFormatError."""
+    try:
+        text = _read_text(path)
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not UTF-8 text at byte {exc.start} "
+                              f"({exc.reason})") from None
+    return parse_mesh(text)
 
 
 def format_mesh(mesh: Mesh) -> str:

@@ -4,7 +4,8 @@ Deliberately built on different algorithms than the package (adaptive
 Simpson instead of Gauss-Kronrod, explicit recursion instead of library
 calls) so a shared bug cannot hide.  ``traced_peak`` is the one tool
 the memory tests share; ``recorded_rows`` reads the recorded outputs that
-the CLI's errors are checked against.
+the CLI's errors are checked against; ``respelled`` rewrites the text of a
+mesh or config file in the other spellings of the line grammar the two share.
 """
 
 import itertools
@@ -33,6 +34,13 @@ def recorded_rows(experiment, k, ns):
             if row["k"] == k and row["n"] in ns]
     assert [row["n"] for row in rows] == list(ns)
     return rows
+
+
+def respelled(text):
+    """``text`` with CRLF line ends, a comment-only line and a blank line
+    before each of its lines and a trailing comment after each, as bytes."""
+    return "".join(f"# note {i}\r\n \t\r\n{line}  # trailing = 0\r\n"
+                   for i, line in enumerate(text.splitlines())).encode("utf-8")
 
 
 def traced_peak(run):

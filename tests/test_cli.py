@@ -24,6 +24,7 @@ from curvem.cli import (
     PATCH_TOL,
     POLYGON_AUDIT_TOL,
     ConfigError,
+    RunConfig,
     _build_parser,
     _OPTIONS,
     audit_curved_elements,
@@ -35,7 +36,7 @@ from curvem.cli import (
 )
 from curvem.quadrature import BOOST
 
-from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows, shoelace_area
+from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows, respelled, shoelace_area
 
 
 def config_for(argv):
@@ -131,6 +132,27 @@ def test_config_file_with_a_byte_order_mark(tmp_path):
     cfg_file = tmp_path / "audit.cfg"
     cfg_file.write_text("trials = 3\n", encoding="utf-8-sig")
     assert config_for(["run", "quadrature-audit", "--config", str(cfg_file)]).trials == 3
+
+
+def test_config_file_reads_the_mesh_files_line_grammar(tmp_path):
+    plain, other = tmp_path / "plain.cfg", tmp_path / "decorated.cfg"
+    plain.write_text("k = 2,3\nrho = 0.1\nsolver = direct\nmin_rate_l2 = 1.5\n"
+                     "out = results\n", encoding="utf-8")
+    other.write_bytes(respelled(plain.read_text(encoding="utf-8")))
+    config = config_for(["run", "test1-curved", "--config", str(plain)])
+    assert config == RunConfig("test1-curved", k_list=(2, 3), rho=0.1, solver="direct",
+                               out_dir="results", min_rate_l2=1.5)
+    assert config_for(["run", "test1-curved", "--config", str(other)]) == config
+
+
+def test_config_file_with_a_byte_order_mark_reports_the_file_offset(tmp_path, capsys):
+    cfg, out = tmp_path / "bom.cfg", tmp_path / "out"
+    cfg.write_bytes(b"\xef\xbb\xbfk = 1\n\xff\n")
+    assert main(["run", "patch", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "can't decode byte 0xff in position 9: invalid start byte" in err
+    assert not out.exists()
 
 
 def test_missing_config_file():

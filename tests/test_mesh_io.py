@@ -22,6 +22,9 @@ from curvem import (
     parse_mesh,
 )
 from curvem import test1_boundary_curves as boundary_curves
+from curvem import test2_problem as interface_problem
+
+from _oracles import respelled
 
 
 def test_round_trip_is_bit_exact_on_curved_tensor_mesh():
@@ -140,6 +143,19 @@ def test_comments_and_blank_lines_are_ignored():
     decorated = "# generated file\n\n" + text.replace(
         "counts", "counts", 1).replace("\nv ", "  # trailing\n\nv ", 1)
     assert format_mesh(parse_mesh(decorated)) == text
+
+
+def test_crlf_comments_and_blank_lines_in_a_file_leave_the_arrays(tmp_path):
+    plain, other = tmp_path / "plain.mesh", tmp_path / "decorated.mesh"
+    export_mesh(interface_problem().mesh_factory(2), plain)
+    other.write_bytes(respelled(plain.read_text(encoding="utf-8")))
+    assert b"\r\n# note 1\r\n" in other.read_bytes()
+    mesh, reread = import_mesh(plain), import_mesh(other)
+    for name in INPUT_ARRAYS:
+        assert np.array_equal(getattr(reread, name), getattr(mesh, name),
+                              equal_nan=name == "edge_params"), name
+    assert reread.curves == mesh.curves
+    assert list(reread.edge_curves) == list(mesh.edge_curves)
 
 
 def _square_text():
