@@ -1,12 +1,11 @@
-"""Command-line driver: convergence experiments, mesh checks, quadrature audits.
+"""Command-line driver: convergence experiments, the patch test, mesh checks.
 
-Exit codes: 0 success, 1 threshold or audit violation, 2 configuration
-(such as a repeated ``--k``, ``--n`` or ``--M`` value, or ``--mesh`` files
-of equal mesh size), file-parse or output-write errors, 3 mesh
-conformity/quality failures (such as a vertex on no edge) and elements
-whose local operators cannot be built (a label without problem data, a
-singular projector), 4 solver failures, including a level helper process
-that dies.
+Exit codes: 0 success, 1 threshold violation, 2 configuration (such as a
+repeated ``--k`` or ``--n`` value, or ``--mesh`` files of equal mesh size),
+file-parse or output-write errors, 3 mesh conformity/quality failures (such
+as a vertex on no edge) and elements whose local operators cannot be built
+(a label without problem data, a singular projector), 4 solver failures,
+including a level helper process that dies.
 
 Each ``curvem run`` experiment accepts only the options it reads.  Any other,
 as a flag or as a key of the ``key = value`` file named by ``--config``
@@ -16,7 +15,6 @@ as a flag or as a key of the ``key = value`` file named by ``--config``
     --k --n --solver                      test1-curved, test1-straight, test2, patch
     --mesh --rho --{min,max}-rate-{h1,l2} test1-curved, test1-straight, test2
     --out                                 every experiment
-    --seed --trials --M                   quadrature-audit (``curvem quadrature-audit``)
 
 ``--mesh`` replaces the generated meshes of ``--n``, so giving both exits 2 too.
 
@@ -40,13 +38,12 @@ import numpy as np
 
 from .analysis import (fit_rates, run_convergence, run_patch_test, test1_problem,
                        test2_problem)
-from .geometry import GeometryError, circle_curve
-from .mesh import Mesh, MeshError, straighten_mesh, validate_mesh
+from .geometry import GeometryError
+from .mesh import MeshError, straighten_mesh, validate_mesh
 from .mesh_io import MeshFormatError, _lines, _read_text, import_mesh
-from .quadrature import _MAX_POINTS, BOOST, QuadratureError, polygon_quadrature
-from .reference import fan_integrate, polygon_integrate
+from .quadrature import QuadratureError
 from .solver import SolverError
-from .vem import ElementOperatorError, _exponents, element_chunks
+from .vem import ElementOperatorError
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -57,15 +54,10 @@ EXIT_SOLVER = 4
 # each experiment and the RunConfig defaults it overrides
 EXPERIMENTS = {"test1-curved": {}, "test1-straight": {},
                "test2": {"n_list": (2, 4, 8, 16), "rho": 0.03},
-               "patch": {"n_list": (2,), "solver": "direct"},
-               "quadrature-audit": {}}
+               "patch": {"n_list": (2,), "solver": "direct"}}
 _CONVERGENCE = ("test1-curved", "test1-straight", "test2")
 
 PATCH_TOL = 1e-9
-POLYGON_AUDIT_TOL = 1e-12
-DISK_AUDIT_TOL = 1e-10
-CURVED_MONOMIAL_TOL = 1e-9
-MONOTONICITY_FLOOR = 1e-13
 
 
 class ConfigError(Exception):
@@ -87,9 +79,6 @@ class RunConfig:
     rho: float = 0.05
     solver: str = "cg"
     out_dir: str = "curvem-out"
-    seed: int = 1234
-    trials: int = 50
-    m_list: tuple[int, ...] = (1, 2, 3, 4)
     min_rate_h1: float | None = None
     min_rate_l2: float | None = None
     max_rate_h1: float | None = None
@@ -127,8 +116,7 @@ class _Option:
 
 
 _SOLVES = _CONVERGENCE + ("patch",)
-_AUDIT = ("quadrature-audit",)
-_INT, _FLOAT, _TEXT = _parse_value(int), _parse_value(float), _parse_value(str)
+_FLOAT, _TEXT = _parse_value(float), _parse_value(str)
 
 # the flag is "--" + name with "-" for "_", the config-file key is the name;
 # a file value of an option with nargs is a whitespace-separated list
@@ -145,12 +133,6 @@ _OPTIONS = {
     "solver": _Option("solver", _TEXT, _SOLVES, "cg or direct",
                       lambda solver: solver in ("cg", "direct"), "be 'cg' or 'direct'"),
     "out": _Option("out_dir", _TEXT, tuple(EXPERIMENTS), "output directory"),
-    "seed": _Option("seed", _INT, _AUDIT, "audit random seed",
-                    lambda seed: seed >= 0, "be nonnegative"),
-    "trials": _Option("trials", _INT, _AUDIT, "audit polygon count",
-                      lambda trials: trials >= 1, "be at least 1"),
-    "M": _Option("m_list", _parse_int_list, _AUDIT, "comma-separated audit rule orders",
-                 lambda ms: min(ms) >= 1 and len(set(ms)) == len(ms), "be positive, each once"),
     "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate",
                            math.isfinite, "be finite"),
     "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate",
@@ -231,13 +213,7 @@ def parse_config(args: argparse.Namespace, unknown=()) -> RunConfig:
         if name == "n" and min(value) < least:
             raise ConfigError(f"{where}{experiment} needs {spell(name)} levels of at least "
                               f"{least}, got {value!r}")
-    config = RunConfig(experiment, **values)
-    # an audit polygon rule takes M + 1 points; element rules at most rule_points(6)[1] = 9
-    m_order = max(config.m_list)
-    if experiment == "quadrature-audit" and m_order + 1 > _MAX_POINTS:
-        raise ConfigError(f"M={m_order} needs a {m_order + 1}-point Gauss rule, "
-                          f"more than the {_MAX_POINTS} available")
-    return config
+    return RunConfig(experiment, **values)
 
 
 def _output_dir(config: RunConfig) -> Path:
@@ -255,140 +231,6 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OutputError(exc) from None
-
-
-# ---------------------------------------------------------------------------
-# quadrature audit pieces (also exercised by the acceptance tests)
-
-
-def random_star_polygon(rng: np.random.Generator) -> np.ndarray:
-    """Random simple polygon: star-shaped, in the positive quadrant.
-
-    Positive coordinates keep monomial integrals away from cancellation, so
-    relative comparisons against the oracle stay meaningful.
-    """
-    nv = int(rng.integers(5, 11))
-    angles = (np.arange(nv) + rng.uniform(0.15, 0.85, nv)) * 2.0 * np.pi / nv
-    radii = rng.uniform(0.3, 0.9, nv)
-    center = rng.uniform(1.0, 1.5, 2)
-    return center[None, :] + radii[:, None] * np.stack(
-        [np.cos(angles), np.sin(angles)], axis=-1)
-
-
-def _monomials(degree: int):
-    """x^a y^b for each exponent pair (a, b) of ``vem._exponents(degree)``."""
-    return [lambda x, y, a=a, b=b: x ** a * y ** b for a, b in _exponents(degree)]
-
-
-def audit_polygon_exactness(m_list, trials: int, seed: int):
-    """Worst relative deviation from the triangulation oracle per (M, trial)."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for m_order in m_list:
-        monomials = _monomials(2 * m_order)
-        for trial in range(trials):
-            verts = random_star_polygon(rng)
-            rule = polygon_quadrature(verts, m_order)
-            oracles = polygon_integrate(verts, monomials, n=max(12, m_order + 1))
-            worst = 0.0
-            for f, oracle in zip(monomials, oracles):
-                worst = max(worst, abs(rule.integrate(f) - oracle) / max(abs(oracle), 1e-30))
-            rows.append((m_order, trial, worst))
-    return rows
-
-
-def quarter_disk_mesh() -> Mesh:
-    """Unit disk split into four quarter elements with exactly curved arcs."""
-    circle = circle_curve("Gamma", (0.0, 0.0), 1.0)
-    ts = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
-    # edges: the spokes from the center, then the arcs
-    return Mesh([np.zeros(2)] + [circle.eval(t) for t in ts[:4]],
-                [(0, 1 + q) for q in range(4)] + [(1 + q, 1 + (q + 1) % 4) for q in range(4)],
-                [None] * 4 + [circle] * 4, [(np.nan, np.nan)] * 4 + list(zip(ts, ts[1:])),
-                3 * np.arange(5), [e for q in range(4) for e in (q, 4 + q, (q + 1) % 4)],
-                [1, 1, -1] * 4, [1] * 4)
-
-
-def audit_disk_area() -> float:
-    """Absolute gap between pi and the degree-4 quadrature area of the quarter-disk mesh."""
-    mesh = quarter_disk_mesh()
-    areas = [0.0] * len(mesh.labels)
-    for chunk in element_chunks(mesh, 4):
-        x, y, w = chunk.rule(4, BOOST)
-        for i, p in enumerate(chunk.elements.tolist()):
-            areas[p] = float(w[i] @ np.ones(x.shape[1]))
-    return abs(sum(areas) - float(np.pi))
-
-
-def audit_curved_elements(boosts=(0, 2, 4, 6)):
-    """``{(element name, boost): [(a, b, rel), ...]}``, the relative gaps between the
-    degree-3 rule and the fan oracle for x^a y^b up to degree 4, on the first test1
-    n=4 element (gently curved) and a quarter disk (strongly curved).  Each
-    element's oracle is computed once, for every boost."""
-    monomials = _monomials(4)
-    elements = (("test1-element", test1_problem().mesh_factory(4)),
-                ("quarter-disk", quarter_disk_mesh()))
-    table = {}
-    for name, mesh in elements:
-        chunk = element_chunks(mesh, 3, [0])[0]
-        oracles = fan_integrate(chunk.sides, monomials, n=32)
-        for boost in boosts:
-            x, y, w = chunk.rule(3, boost)
-            table[name, boost] = [
-                (a, b, abs(float(w[0] @ f(x[0], y[0])) - oracle) / max(abs(oracle), 1e-30))
-                for (a, b), f, oracle in zip(_exponents(4), monomials, oracles)]
-    return table
-
-
-def monotone_within_floor(errs, floor: float = MONOTONICITY_FLOOR) -> bool:
-    return all(errs[i + 1] <= errs[i] or errs[i + 1] <= floor
-               for i in range(len(errs) - 1))
-
-
-def _run_quadrature_audit(config: RunConfig) -> int:
-    out = _output_dir(config)
-    checks = []  # (check, case, value, threshold, passed): the CSV rows
-    summary = [f"quadrature audit (seed {config.seed}, {config.trials} trials)"]
-
-    poly_rows = audit_polygon_exactness(config.m_list, config.trials, config.seed)
-    checks += [("polygon-exactness", f"M={m_order} trial={trial}", rel, POLYGON_AUDIT_TOL,
-                rel <= POLYGON_AUDIT_TOL) for m_order, trial, rel in poly_rows]
-    worst = max(rel for _, _, rel in poly_rows)
-    summary.append(f"polygon exactness vs triangulation oracle: worst relative "
-                   f"deviation {worst:.3e} (tolerance {POLYGON_AUDIT_TOL:.0e})")
-
-    gap = audit_disk_area()
-    checks.append(("disk-area", f"boost={BOOST}", gap, DISK_AUDIT_TOL, gap <= DISK_AUDIT_TOL))
-    summary.append(f"unit-disk area gap {gap:.3e} (tolerance {DISK_AUDIT_TOL:.0e})")
-
-    table = audit_curved_elements()
-    mono_rows = table["test1-element", BOOST]
-    checks += [("curved-monomials", f"x^{a}y^{b}", rel, CURVED_MONOMIAL_TOL,
-                rel <= CURVED_MONOMIAL_TOL) for a, b, rel in mono_rows]
-    worst = max(rel for _, _, rel in mono_rows)
-    summary.append(f"curved-element monomials vs fan oracle: worst relative "
-                   f"deviation {worst:.3e} (tolerance {CURVED_MONOMIAL_TOL:.0e})")
-
-    sweeps = {}  # element name -> {boost: worst gap}
-    for (name, boost), rows in table.items():
-        sweeps.setdefault(name, {})[boost] = max(rel for _, _, rel in rows)
-    for name, errs in sweeps.items():
-        good = monotone_within_floor(list(errs.values()))
-        checks += [("boost-monotonicity", f"{name} boost={boost}", err, MONOTONICITY_FLOOR,
-                    good) for boost, err in errs.items()]
-        pretty = ", ".join(f"{e:.3e}" for e in errs.values())
-        summary.append(f"boost sweep on {name}: {pretty} "
-                       f"({'monotone' if good else 'NOT monotone'})")
-
-    ok = all(passed for *_, passed in checks)
-    summary.append(f"audit result: {'pass' if ok else 'FAIL'}")
-    csv_lines = ["check,case,value,threshold,status"] + [
-        f"{check},{case},{value!r},{limit!r},{'pass' if passed else 'FAIL'}"
-        for check, case, value, limit, passed in checks]
-    _write(out / "quadrature_audit.csv", "\n".join(csv_lines) + "\n")
-    _write(out / "summary.txt", "\n".join(summary) + "\n")
-    print("\n".join(summary))
-    return EXIT_OK if ok else EXIT_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +341,6 @@ def run(config: RunConfig) -> int:
     """Execute one experiment described by a resolved RunConfig."""
     if config.experiment == "patch":
         return _run_patch(config)
-    if config.experiment == "quadrature-audit":
-        return _run_quadrature_audit(config)
     return _run_convergence_experiment(config)
 
 
@@ -525,9 +365,7 @@ def _cmd_validate(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="curvem",
-        description="Virtual element solver on polygonal meshes with curved edges; "
-                    "'curvem quadrature-audit' is 'curvem run quadrature-audit'")
+        prog="curvem", description="Virtual element solver on polygonal meshes with curved edges")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
@@ -544,9 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["quadrature-audit"]:
-        argv.insert(0, "run")
     parser = _build_parser()
     # an unknown flag of ``run`` is a config error that lists what the
     # experiment reads; ``validate`` keeps argparse's usage error

@@ -6,6 +6,11 @@ calls) so a shared bug cannot hide.  ``traced_peak`` is the one tool
 the memory tests share; ``recorded_rows`` reads the recorded outputs that
 the CLI's errors are checked against; ``respelled`` rewrites the text of a
 mesh or config file in the other spellings of the line grammar the two share.
+
+The quadrature audit, acceptance checks 1 and 7, compares the package's
+Green rules with two subdivision oracles that share only the Gauss-Legendre
+nodes with them: ``polygon_integrate`` triangulates a straight polygon and
+``fan_integrate`` fans a curved element out from its chord centroid.
 """
 
 import itertools
@@ -14,6 +19,10 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+
+from curvem import Mesh, circle_curve, gauss_legendre, test1_problem
+from curvem.quadrature import BOOST, polygon_quadrature
+from curvem.vem import element_chunks
 
 # The recorded outputs of `curvem run test1-curved` and `curvem run test2` at
 # defaults, the rows the benchmark checks its runs against.  A change that
@@ -136,7 +145,6 @@ def element_loop_geometry(mesh):
     (lengths, areas, centroids, diameters, h).
     """
     from curvem.geometry import arc_length
-    from curvem.quadrature import gauss_legendre
 
     def positions(ids):
         return np.array([mesh.vertices[i].position for i in ids])
@@ -389,3 +397,228 @@ def lexsort_stiffness(mesh, k, coeff, boost=2):
     lower = sparse.csr_matrix((np.add.reduceat(vals, starts), (rows[starts], cols[starts])),
                               shape=(total, total))
     return (lower + lower.T - sparse.diags(lower.diagonal())).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# the quadrature audit: Green rules against subdivision oracles
+
+POLYGON_AUDIT_TOL = 1e-12
+DISK_AUDIT_TOL = 1e-10
+CURVED_MONOMIAL_TOL = 1e-9
+MONOTONICITY_FLOOR = 1e-13
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def triangulate(vertices) -> list[tuple[int, int, int]]:
+    """Ear-clipping triangulation of a simple CCW polygon.
+
+    Returns index triples into ``vertices``; near-degenerate ears are
+    clipped last so collinear corners do not stall the loop.
+    """
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    if n < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    scale = float(np.max(np.abs(v))) + 1.0
+    eps = 1e-14 * scale * scale
+    remaining = list(range(n))
+    triangles = []
+    while len(remaining) > 3:
+        clipped = False
+        for pos in range(len(remaining)):
+            i0 = remaining[pos - 1]
+            i1 = remaining[pos]
+            i2 = remaining[(pos + 1) % len(remaining)]
+            if _cross(v[i0], v[i1], v[i2]) <= eps:
+                continue
+            ear = True
+            for j in remaining:
+                if j in (i0, i1, i2):
+                    continue
+                d0 = _cross(v[i0], v[i1], v[j])
+                d1 = _cross(v[i1], v[i2], v[j])
+                d2 = _cross(v[i2], v[i0], v[j])
+                if d0 > -eps and d1 > -eps and d2 > -eps:
+                    ear = False
+                    break
+            if ear:
+                triangles.append((i0, i1, i2))
+                remaining.pop(pos)
+                clipped = True
+                break
+        if not clipped:
+            # only (near-)degenerate ears left; clip the least harmful one
+            pos = max(range(len(remaining)),
+                      key=lambda p: _cross(v[remaining[p - 1]], v[remaining[p]],
+                                           v[remaining[(p + 1) % len(remaining)]]))
+            triangles.append((remaining[pos - 1], remaining[pos],
+                              remaining[(pos + 1) % len(remaining)]))
+            remaining.pop(pos)
+    triangles.append(tuple(remaining))
+    return triangles
+
+
+def _unit_interval_rule(n):
+    rule = gauss_legendre(n)
+    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+
+
+def _integrals(pieces, fs) -> list[float]:
+    """Per f, the sum of w * f(px, py) over the (px, py, w) pieces, in order."""
+    totals = []
+    for f in fs:
+        total = 0.0
+        for px, py, w in pieces:
+            total += float(np.sum(w * f(px, py)))
+        totals.append(total)
+    return totals
+
+
+def polygon_integrate(vertices, fs, n=16) -> list[float]:
+    """Integrals of each f in ``fs`` over a simple CCW polygon: one
+    triangulation, each triangle by the Duffy-collapsed tensor rule."""
+    v = np.asarray(vertices, dtype=float)
+    u, wu = _unit_interval_rule(n)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    pieces = []
+    for p0, p1, p2 in (v[list(tri)] for tri in triangulate(v)):
+        px = (1 - uu) * p0[0] + uu * ((1 - vv) * p1[0] + vv * p2[0])
+        py = (1 - uu) * p0[1] + uu * ((1 - vv) * p1[1] + vv * p2[1])
+        pieces.append((px, py, np.outer(wu * u, wu) * _cross(p0, p1, p2)))
+    return _integrals(pieces, fs)
+
+
+def _chord_centroid(vertices):
+    x, y = vertices[:, 0], vertices[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * float(np.sum(cross))
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
+    return np.array([cx, cy])
+
+
+def fan_integrate(sides, fs, n=32) -> list[float]:
+    """Integrals of each f in ``fs`` over a curved polygon by one centroid fan.
+
+    ``sides`` is the polygon's boundary as ``quadrature.SideBatch`` records
+    of one polygon each, in CCW order; their ``start`` points are the
+    corners of the chord polygon, whose centroid c is the fan's center.
+    Each side sigma(u) spans a blended patch X(u, v) = c + v (sigma(u) - c)
+    with signed Jacobian v sigma'(u) x (sigma(u) - c); summed over sides
+    this reproduces the region integral for any simple CCW loop.  Each f
+    must be defined on the convex hull of the element and centroid.
+    """
+    c = _chord_centroid(np.array([side.start[0] for side in sides], dtype=float))
+    u, wu = _unit_interval_rule(n)
+    pieces = []
+    for side in sides:
+        if side.curves:
+            t0, t1 = side.t0[0], side.t1[0]
+            if side.sign[0] < 0:
+                t = t1 + u * (t0 - t1)
+                dt = t0 - t1
+            else:
+                t = t0 + u * (t1 - t0)
+                dt = t1 - t0
+            curve = side.curves[0]
+            sigma = curve.eval(t)
+            dsigma = curve.eval_derivative(t) * dt
+        else:
+            p0 = side.start[0]
+            direction = side.end[0] - p0
+            sigma = p0[None, :] + u[:, None] * direction[None, :]
+            dsigma = np.broadcast_to(direction, sigma.shape)
+        rel = sigma - c[None, :]
+        jac_u = dsigma[:, 0] * rel[:, 1] - dsigma[:, 1] * rel[:, 0]
+        # the radial coordinate v runs over the same nodes as u
+        pieces.append((c[0] + np.outer(u, rel[:, 0]), c[1] + np.outer(u, rel[:, 1]),
+                       np.outer(u * wu, -jac_u * wu)))
+    return _integrals(pieces, fs)
+
+
+def random_star_polygon(rng: np.random.Generator) -> np.ndarray:
+    """Random simple polygon: star-shaped, in the positive quadrant.
+
+    Positive coordinates keep monomial integrals away from cancellation, so
+    relative comparisons against the oracle stay meaningful.
+    """
+    nv = int(rng.integers(5, 11))
+    angles = (np.arange(nv) + rng.uniform(0.15, 0.85, nv)) * 2.0 * np.pi / nv
+    radii = rng.uniform(0.3, 0.9, nv)
+    center = rng.uniform(1.0, 1.5, 2)
+    return center[None, :] + radii[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def monomial_integrands(degree: int):
+    """x^a y^b for each basis exponent pair (a, b) up to ``degree``."""
+    return [lambda x, y, a=a, b=b: x ** a * y ** b for a, b in _basis_exponents(degree)]
+
+
+def audit_polygon_exactness(m_list, trials: int, seed: int):
+    """Worst relative deviation from the triangulation oracle per (M, trial)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for m_order in m_list:
+        monomials = monomial_integrands(2 * m_order)
+        for trial in range(trials):
+            verts = random_star_polygon(rng)
+            rule = polygon_quadrature(verts, m_order)
+            oracles = polygon_integrate(verts, monomials, n=max(12, m_order + 1))
+            worst = 0.0
+            for f, oracle in zip(monomials, oracles):
+                worst = max(worst, abs(rule.integrate(f) - oracle) / max(abs(oracle), 1e-30))
+            rows.append((m_order, trial, worst))
+    return rows
+
+
+def quarter_disk_mesh() -> Mesh:
+    """Unit disk split into four quarter elements with exactly curved arcs."""
+    circle = circle_curve("Gamma", (0.0, 0.0), 1.0)
+    ts = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
+    # edges: the spokes from the center, then the arcs
+    return Mesh([np.zeros(2)] + [circle.eval(t) for t in ts[:4]],
+                [(0, 1 + q) for q in range(4)] + [(1 + q, 1 + (q + 1) % 4) for q in range(4)],
+                [None] * 4 + [circle] * 4, [(np.nan, np.nan)] * 4 + list(zip(ts, ts[1:])),
+                3 * np.arange(5), [e for q in range(4) for e in (q, 4 + q, (q + 1) % 4)],
+                [1, 1, -1] * 4, [1] * 4)
+
+
+def audit_disk_area() -> float:
+    """Absolute gap between pi and the degree-4 quadrature area of the quarter-disk mesh."""
+    mesh = quarter_disk_mesh()
+    areas = [0.0] * len(mesh.labels)
+    for chunk in element_chunks(mesh, 4):
+        x, y, w = chunk.rule(4, BOOST)
+        for i, p in enumerate(chunk.elements.tolist()):
+            areas[p] = float(w[i] @ np.ones(x.shape[1]))
+    return abs(sum(areas) - float(np.pi))
+
+
+def audit_curved_elements(boosts=(0, 2, 4, 6)):
+    """``{(element name, boost): [(a, b, rel), ...]}``, the relative gaps between the
+    degree-3 rule and the fan oracle for x^a y^b up to degree 4, on the first test1
+    n=4 element (gently curved) and a quarter disk (strongly curved).  Each
+    element's oracle is computed once, for every boost."""
+    monomials = monomial_integrands(4)
+    elements = (("test1-element", test1_problem().mesh_factory(4)),
+                ("quarter-disk", quarter_disk_mesh()))
+    table = {}
+    for name, mesh in elements:
+        chunk = element_chunks(mesh, 3, [0])[0]
+        oracles = fan_integrate(chunk.sides, monomials, n=32)
+        for boost in boosts:
+            x, y, w = chunk.rule(3, boost)
+            table[name, boost] = [
+                (a, b, abs(float(w[0] @ f(x[0], y[0])) - oracle) / max(abs(oracle), 1e-30))
+                for (a, b), f, oracle in zip(_basis_exponents(4), monomials, oracles)]
+    return table
+
+
+def monotone_within_floor(errs, floor: float = MONOTONICITY_FLOOR) -> bool:
+    return all(errs[i + 1] <= errs[i] or errs[i + 1] <= floor
+               for i in range(len(errs) - 1))

@@ -35,21 +35,22 @@ from curvem import (
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
-from curvem.cli import (
+from curvem.cli import PATCH_TOL
+from curvem.quadrature import BOOST
+from curvem.vem import ChunkOperators, element_chunks
+
+from _oracles import (
     CURVED_MONOMIAL_TOL,
     DISK_AUDIT_TOL,
     MONOTONICITY_FLOOR,
-    PATCH_TOL,
     POLYGON_AUDIT_TOL,
     audit_curved_elements,
     audit_disk_area,
     audit_polygon_exactness,
+    finite_difference_gradient,
+    finite_difference_laplacian,
     monotone_within_floor,
 )
-from curvem.quadrature import BOOST
-from curvem.vem import ChunkOperators, element_chunks
-
-from _oracles import finite_difference_gradient, finite_difference_laplacian
 
 CURVED_NS = (4, 8, 16, 32)
 INTERFACE_NS = (2, 4, 8, 16)

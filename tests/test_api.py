@@ -1,11 +1,16 @@
 """The public names of the package and what importing it loads."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import curvem
+import curvem.cli
+from curvem.cli import EXIT_CONFIG, main
 
 # sorted, as ``sorted(curvem.__all__)`` lists them
 PUBLIC_NAMES = [
@@ -63,3 +68,28 @@ def test_importing_the_cli_loads_no_heavy_scipy_module():
 
 def test_importing_the_cli_loads_no_process_machinery():
     assert loaded_by_cli_import(PROCESS_MODULES) == "[]"
+
+
+# what the package held of the quadrature audit, now in tests/_oracles.py
+AUDIT_NAMES = ["random_star_polygon", "_monomials", "audit_polygon_exactness",
+               "quarter_disk_mesh", "audit_disk_area", "audit_curved_elements",
+               "monotone_within_floor", "POLYGON_AUDIT_TOL", "DISK_AUDIT_TOL",
+               "CURVED_MONOMIAL_TOL", "MONOTONICITY_FLOOR", "_run_quadrature_audit",
+               "polygon_integrate", "fan_integrate"]
+
+
+def test_the_quadrature_audit_lives_in_the_tests():
+    # no module to load, and none of its code in the CLI
+    assert importlib.util.find_spec("curvem.reference") is None
+    assert [name for name in AUDIT_NAMES if hasattr(curvem.cli, name)] == []
+
+
+def test_the_quadrature_audit_is_no_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "quadrature-audit"]) == EXIT_CONFIG
+    assert "config error: unknown experiment 'quadrature-audit'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["quadrature-audit"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'quadrature-audit'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

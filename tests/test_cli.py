@@ -22,21 +22,15 @@ from curvem.cli import (
     EXIT_THRESHOLD,
     EXPERIMENTS,
     PATCH_TOL,
-    POLYGON_AUDIT_TOL,
     ConfigError,
     RunConfig,
     _build_parser,
     _OPTIONS,
-    audit_curved_elements,
-    audit_polygon_exactness,
     main,
-    monotone_within_floor,
     parse_config,
-    random_star_polygon,
 )
-from curvem.quadrature import BOOST
 
-from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows, respelled, shoelace_area
+from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows, respelled
 
 
 def config_for(argv):
@@ -50,16 +44,14 @@ def flag(name):
 CONVERGENCE_READS = ("k", "n", "mesh", "rho", "solver", "out",
                      "min_rate_h1", "min_rate_l2", "max_rate_h1", "max_rate_l2")
 READS = {"test1-curved": CONVERGENCE_READS, "test1-straight": CONVERGENCE_READS,
-         "test2": CONVERGENCE_READS, "patch": ("k", "n", "solver", "out"),
-         "quadrature-audit": ("out", "seed", "trials", "M")}
+         "test2": CONVERGENCE_READS, "patch": ("k", "n", "solver", "out")}
 
 # every option: flag arguments that set it, and the value they give,
 # which no experiment has as its default
 SAMPLES = {"k": (["2,3"], (2, 3)), "n": (["4,8"], (4, 8)),
            "mesh": (["a.txt", "b.txt"], ("a.txt", "b.txt")), "rho": (["0.1"], 0.1),
            "solver": (["direct"], "direct"),
-           "out": (["results"], "results"), "seed": (["7"], 7), "trials": (["3"], 3),
-           "M": (["1,2"], (1, 2)), "min_rate_h1": (["1.5"], 1.5),
+           "out": (["results"], "results"), "min_rate_h1": (["1.5"], 1.5),
            "min_rate_l2": (["2.5"], 2.5), "max_rate_h1": (["3.5"], 3.5),
            "max_rate_l2": (["4.5"], 4.5)}
 
@@ -90,7 +82,6 @@ def test_flag_overrides():
     assert cfg.min_rate_h1 == 1.5
     assert cfg.max_rate_l2 == 3.5
     assert cfg.min_rate_l2 is None
-    assert config_for(["run", "quadrature-audit", "--seed", "7"]).seed == 7
 
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -129,9 +120,9 @@ def test_config_file_demands_assignments(tmp_path):
 
 
 def test_config_file_with_a_byte_order_mark(tmp_path):
-    cfg_file = tmp_path / "audit.cfg"
-    cfg_file.write_text("trials = 3\n", encoding="utf-8-sig")
-    assert config_for(["run", "quadrature-audit", "--config", str(cfg_file)]).trials == 3
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("k = 3\n", encoding="utf-8-sig")
+    assert config_for(["run", "patch", "--config", str(cfg_file)]).k_list == (3,)
 
 
 def test_config_file_reads_the_mesh_files_line_grammar(tmp_path):
@@ -197,22 +188,29 @@ def test_flag_and_file_key_give_the_same_config(tmp_path, experiment, name):
                                 **{_OPTIONS[name].field: value})
 
 
+# the options of the former quadrature-audit experiment, which no experiment reads
+RETIRED = {"seed": ["7"], "trials": ["3"], "M": ["1,2"]}
+
+
 @pytest.mark.parametrize("experiment, name", [
     (experiment, name) for experiment, names in READS.items()
-    for name in SAMPLES if name not in names])
+    for name in [*SAMPLES, *RETIRED] if name not in names])
 def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
                                                                experiment, name):
     out = tmp_path / "out"
-    tokens, _ = SAMPLES[name]
+    tokens = SAMPLES[name][0] if name in SAMPLES else RETIRED[name]
     assert main(["run", experiment, flag(name), *tokens, "--out", str(out)]) == EXIT_CONFIG
     reads = ", ".join(map(flag, READS[experiment]))
-    assert (f"config error: {experiment} does not read {flag(name)}; it reads {reads}\n"
+    # argparse knows no retired flag, so its value is quoted with it
+    given = flag(name) if name in SAMPLES else " ".join([flag(name), *tokens])
+    assert (f"config error: {experiment} does not read {given}; it reads {reads}\n"
             == capsys.readouterr().err)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {' '.join(tokens)}\n", encoding="utf-8")
     assert main(["run", experiment, "--config", str(cfg_file),
                  "--out", str(out)]) == EXIT_CONFIG
-    assert f"{cfg_file}:1: {experiment} does not read {name};" in capsys.readouterr().err
+    assert (f"{cfg_file}:1: {experiment} does not read {name};" if name in SAMPLES
+            else f"{cfg_file}:1: unknown key {name!r}\n") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -226,15 +224,7 @@ def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
     (["run", "patch", "--solver", "lu"], "solver must be"),
     (["run", "test1-curved", "--rho", "0"], "rho must lie in"),
     (["run", "test1-curved", "--min-rate-h1", "fast"], "bad min_rate_h1 value 'fast'"),
-    (["run", "quadrature-audit", "--seed", "1.5"], "bad seed value"),
     (["run", "test1-curved", "--rho", "0.6"], "rho must lie in"),
-    (["run", "quadrature-audit", "--trials", "0"], "trials must be at least 1"),
-    (["run", "quadrature-audit", "--M", "0,2"], "M must be positive"),
-    (["run", "quadrature-audit", "--M", "1,64", "--trials", "1"],
-     "M=64 needs a 65-point Gauss rule, more than the 64 available"),
-    (["run", "quadrature-audit", "--M", "70", "--trials", "1"],
-     "M=70 needs a 71-point Gauss rule, more than the 64 available"),
-    (["run", "quadrature-audit", "--seed", "-1"], "seed must be nonnegative"),
     (["run", "test1-curved", "--min-rate-h1", "nan"], "--min-rate-h1 must be finite, got nan"),
     (["run", "test2", "--max-rate-l2", "inf"], "--max-rate-l2 must be finite, got inf"),
 ])
@@ -248,12 +238,11 @@ def test_invalid_options_are_rejected(argv, fragment):
     ("test1-curved", "k", "1,1", "{} must lie in 1..4, each once, got (1, 1)"),
     ("patch", "k", "2,3,2", "{} must lie in 1..4, each once, got (2, 3, 2)"),
     ("test1-curved", "n", "4,8,4", "{} must be positive, each once, got (4, 8, 4)"),
-    ("quadrature-audit", "M", "1,1", "{} must be positive, each once, got (1, 1)"),
-], ids=["test2-n", "test1-curved-k", "patch-k", "test1-curved-n", "audit-M"])
+], ids=["test2-n", "test1-curved-k", "patch-k", "test1-curved-n"])
 def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch,
                                                    experiment, name, text, message):
-    # a level below what the mesh generator takes, or a degree, a level or
-    # an audit order given twice
+    # a level below what the mesh generator takes, or a degree or a level
+    # given twice
     monkeypatch.setattr(curvem.cli, "run", lambda config: pytest.fail("the run started"))
     out = tmp_path / "out"
     assert main(["run", experiment, flag(name), text, "--out", str(out)]) == EXIT_CONFIG
@@ -681,76 +670,3 @@ def test_validate_output_is_pinned(tmp_path, capsys):
     export_mesh(build_annulus_interface_mesh(4, 16), path)
     assert main(["validate", str(path), "--rho", "0.3"]) == EXIT_MESH
     assert capsys.readouterr().out == VALIDATE_TEST2_N4_RHO_0_3.format(path=path)
-
-
-def test_quadrature_audit_shortcut(tmp_path, capsys):
-    out = tmp_path / "audit"
-    code = main(["quadrature-audit", "--trials", "2", "--M", "1,2",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    csv = (out / "quadrature_audit.csv").read_text(encoding="utf-8")
-    assert csv.splitlines()[0] == "check,case,value,threshold,status"
-    assert "FAIL" not in csv
-    summary = (out / "summary.txt").read_text(encoding="utf-8")
-    assert "audit result: pass" in summary
-    capsys.readouterr()
-
-
-def test_quadrature_audit_shortcut_takes_the_audit_options(tmp_path, capsys, monkeypatch):
-    seen = []
-    monkeypatch.setattr(curvem.cli, "run", lambda config: seen.append(config) or EXIT_OK)
-    cfg_file = tmp_path / "audit.cfg"
-    cfg_file.write_text("trials = 9\nseed = 8\n", encoding="utf-8")
-    out = str(tmp_path / "out")
-    assert main(["quadrature-audit", "--config", str(cfg_file), "--M", "1,2",
-                 "--trials", "3", "--seed", "5", "--out", out]) == EXIT_OK
-    [cfg] = seen
-    assert (cfg.experiment, cfg.m_list, cfg.trials, cfg.seed, cfg.out_dir) == (
-        "quadrature-audit", (1, 2), 3, 5, out)
-    assert main(["quadrature-audit", "--k", "1"]) == EXIT_CONFIG
-    assert "quadrature-audit does not read --k" in capsys.readouterr().err
-    assert seen == [cfg]
-
-
-def test_audit_csv_reads_the_curved_element_table(tmp_path, capsys):
-    out = tmp_path / "audit"
-    assert main(["quadrature-audit", "--trials", "1", "--M", "1", "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
-    rows = [line.split(",") for line in
-            (out / "quadrature_audit.csv").read_text(encoding="utf-8").splitlines()[1:]]
-    table = audit_curved_elements()
-    monomials = [(case, value) for check, case, value, *_ in rows if check == "curved-monomials"]
-    assert monomials == [(f"x^{a}y^{b}", repr(rel))
-                         for a, b, rel in table["test1-element", BOOST]]
-    sweeps = [(case, value) for check, case, value, *_ in rows if check == "boost-monotonicity"]
-    assert sweeps == [(f"{name} boost={boost}", repr(max(rel for _, _, rel in gaps)))
-                      for (name, boost), gaps in table.items()]
-
-
-def test_random_star_polygons_are_simple_and_positive():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        verts = random_star_polygon(rng)
-        assert 5 <= len(verts) <= 10
-        assert verts.min() > 0.0
-        assert shoelace_area(verts) > 0.0
-
-
-def test_monotone_within_floor():
-    assert monotone_within_floor([1e-3, 1e-5, 1e-7])
-    assert monotone_within_floor([1e-3, 1e-3, 1e-4])
-    assert not monotone_within_floor([1e-3, 5e-3])
-    # increases below the floor are rounding noise, not regressions
-    assert monotone_within_floor([1e-15, 5e-14])
-
-
-def test_audit_polygon_exactness_is_tight():
-    rows = audit_polygon_exactness((1, 2), trials=3, seed=42)
-    assert len(rows) == 6
-    assert max(rel for _, _, rel in rows) <= 1e-12
-
-
-def test_audit_polygon_oracle_stays_exact_at_high_order():
-    # the triangulation oracle needs M + 1 points to integrate degree 2M exactly
-    [(_, _, rel)] = audit_polygon_exactness([24], 1, 1234)
-    assert rel <= POLYGON_AUDIT_TOL

@@ -14,11 +14,11 @@ from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import mesh as mesh_module
-from curvem.cli import random_star_polygon
 from curvem.mesh import _SLACKS_PER_BLOCK, _polyline_groups, _polylines, _star_ratios
 from curvem.vem import element_chunks
 
-from _oracles import element_loop_geometry, kernel_chebyshev_radius, traced_peak
+from _oracles import (element_loop_geometry, kernel_chebyshev_radius, random_star_polygon,
+                      traced_peak)
 
 
 def unit_square_mesh():

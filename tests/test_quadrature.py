@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from curvem import (QuadratureError, circle_curve, gauss_legendre, gauss_lobatto,
                     graph_curve, lagrange_values)
-from curvem.cli import random_star_polygon
 from curvem.quadrature import SideBatch, green_rule, polygon_quadrature, rule_points
-from curvem.reference import fan_integrate, polygon_integrate, triangulate
 
-from _oracles import shoelace_area
+from _oracles import (POLYGON_AUDIT_TOL, audit_polygon_exactness, fan_integrate,
+                      monotone_within_floor, polygon_integrate, random_star_polygon,
+                      shoelace_area, triangulate)
 
 
 def test_gauss_legendre_matches_numpy():
@@ -202,3 +202,32 @@ def test_reference_polygon_integrate_simple():
     [x4] = polygon_integrate(verts, [lambda x, y: x ** 4])
     assert xy == pytest.approx(0.25, rel=1e-13)
     assert x4 == pytest.approx(0.2, rel=1e-13)
+
+
+def test_random_star_polygons_are_simple_and_positive():
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        verts = random_star_polygon(rng)
+        assert 5 <= len(verts) <= 10
+        assert verts.min() > 0.0
+        assert shoelace_area(verts) > 0.0
+
+
+def test_monotone_within_floor():
+    assert monotone_within_floor([1e-3, 1e-5, 1e-7])
+    assert monotone_within_floor([1e-3, 1e-3, 1e-4])
+    assert not monotone_within_floor([1e-3, 5e-3])
+    # increases below the floor are rounding noise, not regressions
+    assert monotone_within_floor([1e-15, 5e-14])
+
+
+def test_audit_polygon_exactness_is_tight():
+    rows = audit_polygon_exactness((1, 2), trials=3, seed=42)
+    assert len(rows) == 6
+    assert max(rel for _, _, rel in rows) <= 1e-12
+
+
+def test_audit_polygon_oracle_stays_exact_at_high_order():
+    # the triangulation oracle needs M + 1 points to integrate degree 2M exactly
+    [(_, _, rel)] = audit_polygon_exactness([24], 1, 1234)
+    assert rel <= POLYGON_AUDIT_TOL
