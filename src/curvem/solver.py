@@ -87,6 +87,8 @@ def _starts(sizes) -> np.ndarray:
 
 def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> LinearSystem:
     """Assemble stiffness and load of the degree-k discretization."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ElementOperatorError(f"degree k must be an integer >= 1, got {k}")
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
     n_local = dof_count(np.diff(mesh.loop_offsets), k)
@@ -240,6 +242,8 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     b = system.reduced_rhs
     n = a_mat.shape[0]
     if method == "cg":
+        if not tol > 0.0:  # also nan: CG would run until p is exactly zero
+            raise SolverError(f"CG tolerance tol must be positive, got {tol}")
         x = _cg(a_mat, b, tol, maxiter if maxiter is not None else max(1000, 40 * n))
     elif method == "direct":
         from scipy.sparse.linalg import splu

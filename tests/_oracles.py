@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from curvem import Mesh, circle_curve, gauss_legendre, test1_problem
-from curvem.quadrature import BOOST, polygon_quadrature
+from curvem import Mesh, circle_curve, test1_problem
+from curvem.quadrature import BOOST, gauss_legendre, polygon_quadrature
 from curvem.vem import element_chunks
 
 # The recorded outputs of `curvem run test1-curved` and `curvem run test2` at

@@ -19,13 +19,13 @@ from curvem import (
     solve,
     assemble,
     apply_dirichlet,
-    build_dof_map,
     straighten_mesh,
 )
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import vem
 from curvem.analysis import _patch_error, _patch_polynomial
+from curvem.solver import build_dof_map
 from curvem.cli import PATCH_TOL
 
 from _oracles import (finite_difference_gradient, finite_difference_laplacian,

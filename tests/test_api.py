@@ -1,7 +1,10 @@
 """The public names of the package and what importing it loads."""
 
+import ast
+import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +21,10 @@ PUBLIC_NAMES = [
     "CurveSegment", "DofMap", "Edge", "Element", "ElementOperatorError",
     "GeometryError", "LinearSystem", "ManufacturedProblem",
     "Mesh", "MeshError", "MeshFormatError", "MeshQualityReport", "NotSPDError",
-    "QuadratureError", "QuadratureRule1D", "RateFit",
-    "SolverError", "Vertex", "apply_dirichlet", "arc_length", "assemble",
-    "build_annulus_interface_mesh", "build_dof_map", "build_mapped_tensor_mesh",
-    "circle_curve", "compute_errors", "dof_count",
-    "edge_dof_points", "export_mesh", "fit_rates", "format_mesh",
-    "gauss_legendre", "gauss_lobatto", "graph_curve",
-    "import_mesh", "lagrange_values", "n_moments", "parse_mesh",
+    "QuadratureError", "RateFit", "SolverError", "Vertex", "apply_dirichlet", "assemble",
+    "build_annulus_interface_mesh", "build_mapped_tensor_mesh",
+    "circle_curve", "compute_errors", "export_mesh", "fit_rates", "format_mesh",
+    "graph_curve", "import_mesh", "parse_mesh",
     "run_convergence", "run_patch_test", "solve",
     "straighten_mesh", "test1_boundary_curves", "test1_problem",
     "test2_problem", "validate_mesh",
@@ -39,8 +39,63 @@ def test_every_exported_name_resolves_once():
 
 def test_public_api_is_pinned():
     # any change to the public API has to edit this list
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(curvem.__all__) == PUBLIC_NAMES
+
+
+# kernel helpers that no study step needs from the package root
+KERNEL_NAMES = {
+    "QuadratureRule1D": "quadrature", "gauss_legendre": "quadrature",
+    "gauss_lobatto": "quadrature", "lagrange_values": "quadrature",
+    "dof_count": "vem", "edge_dof_points": "vem", "n_moments": "vem",
+    "build_dof_map": "solver", "arc_length": "geometry",
+}
+
+
+@pytest.mark.parametrize("name, module", sorted(KERNEL_NAMES.items()))
+def test_kernel_helpers_live_in_their_modules_only(name, module):
+    assert not hasattr(curvem, name)
+    assert hasattr(importlib.import_module(f"curvem.{module}"), name)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "curvem"
+
+
+def imports_through_the_root(tree):
+    """The ``import`` statements of ``tree`` that read the package root."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name == "curvem" or alias.name.startswith("curvem.")]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((0, "curvem"), (1, None)):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_through_the_package_root(path):
+    assert imports_through_the_root(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_its_two_examples():
+    assert len(README_BLOCKS) == 2
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=["assemble-and-solve", "convergence"])
+def test_readme_example_runs_as_written(block):
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "curvem"
+                for alias in node.names]
+    assert imported
+    assert [name for name in imported if name not in curvem.__all__] == []
+    exec(compile(block, str(README), "exec"), {})
 
 
 # scipy modules that only the direct solver may load, on first use

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curvem import (BoundaryCurve, CurveSegment, GeometryError, arc_length,
-                    circle_curve, graph_curve)
+from curvem import (BoundaryCurve, CurveSegment, GeometryError, circle_curve,
+                    graph_curve)
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
-from curvem.geometry import _qk21
+from curvem.geometry import _qk21, arc_length
 
 from _oracles import simpson_arc_length
 

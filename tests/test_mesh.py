@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvem import (BoundaryCurve, CurveSegment, Edge, Element, GeometryError, Mesh,
-                    MeshError, Vertex, arc_length, build_annulus_interface_mesh,
+                    MeshError, Vertex, build_annulus_interface_mesh,
                     build_mapped_tensor_mesh, circle_curve, graph_curve,
                     straighten_mesh, validate_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem import mesh as mesh_module
+from curvem.geometry import arc_length
 from curvem.mesh import _SLACKS_PER_BLOCK, _polyline_groups, _polylines, _star_ratios
 from curvem.vem import element_chunks
 

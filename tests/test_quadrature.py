@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvem import (QuadratureError, circle_curve, gauss_legendre, gauss_lobatto,
-                    graph_curve, lagrange_values)
-from curvem.quadrature import SideBatch, green_rule, polygon_quadrature, rule_points
+from curvem import QuadratureError, circle_curve, graph_curve
+from curvem.quadrature import (SideBatch, gauss_legendre, gauss_lobatto, green_rule,
+                               lagrange_values, polygon_quadrature, rule_points)
 
 from _oracles import (POLYGON_AUDIT_TOL, audit_polygon_exactness, fan_integrate,
                       monotone_within_floor, polygon_integrate, random_star_polygon,

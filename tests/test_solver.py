@@ -25,10 +25,7 @@ from curvem import (
     apply_dirichlet,
     assemble,
     build_annulus_interface_mesh,
-    build_dof_map,
     build_mapped_tensor_mesh,
-    dof_count,
-    n_moments,
     solve,
     straighten_mesh,
 )
@@ -36,7 +33,8 @@ from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 
-from curvem.vem import edge_dofs, element_chunks
+from curvem.solver import build_dof_map
+from curvem.vem import dof_count, edge_dofs, element_chunks, n_moments
 
 from _oracles import element_dofs, lexsort_stiffness, textbook_cg, traced_peak
 
@@ -150,6 +148,16 @@ def test_assembly_rejects_a_diffusion_that_is_not_positive(monkeypatch, coeff, v
     with pytest.raises(ElementOperatorError) as info:
         assemble(problem2().mesh_factory(2), 2, coeff)
     assert str(info.value) == f"label 2: diffusion must be positive, got {value}"
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_assembly_rejects_a_degree_below_one(monkeypatch, k):
+    # checked first, before any chunk is built
+    monkeypatch.setattr(curvem.solver, "element_chunks",
+                        lambda *args: pytest.fail("a chunk was built"))
+    with pytest.raises(ElementOperatorError) as info:
+        assemble(problem1().mesh_factory(2), k, problem1().coefficient())
+    assert str(info.value) == f"degree k must be an integer >= 1, got {k}"
 
 
 def test_assembly_peak_memory_is_bounded_by_the_triplets():
@@ -416,6 +424,18 @@ def test_cg_iteration_cap():
     system = poisson_system(n=4, k=2)
     with pytest.raises(SolverError, match="did not reach"):
         solve(system, method="cg", tol=1e-14, maxiter=3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_cg_rejects_a_tolerance_that_is_not_positive(monkeypatch, tol):
+    # NotSPDError is a SolverError too: the error must blame tol, not the
+    # SPD matrix of test1
+    system = poisson_system(n=4, k=2)
+    monkeypatch.setattr(curvem.solver, "_cg", lambda *args: pytest.fail("CG ran"))
+    with pytest.raises(SolverError) as info:
+        solve(system, method="cg", tol=tol)
+    assert type(info.value) is SolverError
+    assert str(info.value) == f"CG tolerance tol must be positive, got {tol}"
 
 
 def test_zero_rhs_gives_zero_solution():

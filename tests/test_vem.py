@@ -13,20 +13,17 @@ from curvem import (
     ElementOperatorError,
     Mesh,
     build_annulus_interface_mesh,
-    build_dof_map,
     build_mapped_tensor_mesh,
     circle_curve,
-    dof_count,
-    edge_dof_points,
-    n_moments,
     straighten_mesh,
 )
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature
-from curvem.vem import (CHUNK_SIZE, ChunkOperators, _SCREEN_LIMIT, element_chunks,
-                        local_operators)
+from curvem.solver import build_dof_map
+from curvem.vem import (CHUNK_SIZE, ChunkOperators, _SCREEN_LIMIT, dof_count, edge_dof_points,
+                        element_chunks, local_operators, n_moments)
 
 from _oracles import (chunk_partition, element_dofs, finite_difference_gradient,
                       monomial_gradients, monomials)
