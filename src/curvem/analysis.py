@@ -165,8 +165,17 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
     one slice of a chunk of like elements at a time
     (``ElementChunk.slices``), with the projectors of the assembled
     ``system``.  The slices bound the memory of the rule's basis values;
-    each element's terms are the same bits in a slice of any size.
+    each element's terms are the same bits in a slice of any size.  Raises
+    ``SolverError`` when ``k``, the element count of ``mesh`` or the length
+    of ``solution`` is not the system's.
     """
+    dof_map = system.dof_map
+    for what, given, expected in (
+            ("degree k", k, system.blocks[0].chunk.k if system.blocks else k),
+            ("element count", len(mesh.labels), dof_map.n_elements),
+            ("solution length", len(solution), dof_map.total)):
+        if given != expected:
+            raise SolverError(f"{what} {given} does not match the system's {expected}")
     # per element: |grad e|^2, |grad u|^2, e^2, u^2 integrated
     parts = np.empty((4, len(mesh.labels)))
     for block in system.blocks:

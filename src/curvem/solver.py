@@ -1,16 +1,15 @@
 """Global assembly, Dirichlet elimination and linear solvers.
 
 Each element chunk of :mod:`curvem.vem` carries its global DoFs, so this
-module does no DoF numbering of its own.  The stiffness matrix is
-accumulated as triplets of its lower triangle, sorted on one stable
-integer key (row * size + col), summed and built straight into CSR.  That
-lower triangle plus its transpose, with the doubled diagonal reset to the
-lower triangle's own, is the assembled matrix: exactly symmetric, and the
-same arrays as ``lower + lower.T - diag(lower)``.  The reset finds an entry
-in every row: the ``Mesh`` constructor puts every vertex and edge in an
-element, ``assemble`` rejects a diffusion value that is not positive, and
-with positive diffusion each stabilized local stiffness has a positive
-diagonal.  Local
+module does no DoF numbering of its own.  That numbering puts the Dirichlet
+DoFs last, so the unknowns are the leading rows and columns of the
+assembled matrix and elimination keeps a view of its rows.  The stiffness
+matrix is accumulated as triplets of its lower triangle, sorted on one
+stable integer key (row * size + col) and summed.  Each row of the
+symmetric CSR matrix is then that row of the lower triangle, which ends on
+the diagonal, followed by the same column of it below the diagonal: the
+same arrays as ``lower + lower.T - diag(lower)``, exactly symmetric, built
+into arrays allocated once.  Local
 operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
 and load entries are laid out in element order before any sum is taken, so
 every entry accumulates in the order of an element-by-element loop,
@@ -26,8 +25,8 @@ from scipy import sparse
 
 from .mesh import Mesh
 from .quadrature import BOOST
-from .vem import (ChunkOperators, Coefficient, ElementChunk, ElementOperatorError, dof_count,
-                  edge_dof_points, edge_dofs, element_chunks, global_dof_count)
+from .vem import (CHUNK_SIZE, ChunkOperators, Coefficient, ElementChunk, ElementOperatorError,
+                  _numbering, dof_count, edge_dof_points, element_chunks, global_dof_count)
 
 
 class SolverError(Exception):
@@ -40,7 +39,8 @@ class NotSPDError(SolverError):
 
 @dataclass
 class DofMap:
-    """Global facts of the numbering: its size and the boundary DoFs."""
+    """Global facts of the numbering: its size and the boundary DoFs, which
+    are its trailing block."""
 
     n_elements: int
     total: int
@@ -49,13 +49,16 @@ class DofMap:
 
 
 def build_dof_map(mesh: Mesh, k: int) -> DofMap:
-    """Count the DoFs of the degree-k space and locate the boundary ones."""
+    """Count the DoFs of the degree-k space and locate the boundary ones:
+    the boundary vertices, then the boundary edges' DoFs, in id order."""
     vertices = np.flatnonzero(mesh.vertex_on_boundary)
     edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
+    vertex_dofs, edge_first, _ = _numbering(mesh, k)
     _, points = edge_dof_points(mesh, edges, k)
     return DofMap(
         n_elements=len(mesh.labels), total=global_dof_count(mesh, k),
-        boundary_dofs=np.concatenate([vertices, edge_dofs(mesh, edges, k).ravel()]),
+        boundary_dofs=np.concatenate([vertex_dofs[vertices],
+                                      (edge_first[edges, None] + np.arange(k - 1)).ravel()]),
         boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
 
 
@@ -99,10 +102,12 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
         if not value > 0.0:
             raise ElementOperatorError(f"label {label}: diffusion must be positive, got {value}")
     load_start = _starts(n_local)
-    tri_start = _starts(n_local * (n_local + 1) // 2)
+    n_tri = n_local * (n_local + 1) // 2
+    tri_start = _starts(n_tri)
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
     load_vals = np.empty(load_start[-1])
-    keys = np.empty(tri_start[-1], dtype=np.int64)
+    # every key is below total**2, so 32 bits hold it below 2**16 DoFs
+    keys = np.empty(tri_start[-1], dtype=np.uint32 if total < 2 ** 16 else np.int64)
     vals = np.empty(tri_start[-1])
     blocks = []
     for chunk in element_chunks(mesh, k):
@@ -133,80 +138,133 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     del vals
     cols = keys[starts]
     del keys, starts
+    # a sum that is exactly zero is no entry, as in scipy's sparse sums
+    nonzero = summed != 0.0
+    if not nonzero.all():
+        summed, cols = summed[nonzero], cols[nonzero]
+    del nonzero
     rows = np.empty_like(cols)
     np.divmod(cols, total, out=(rows, cols))
-    # scipy's rule: 32-bit indices unless a count or index needs more
-    index = np.int32 if max(len(summed), total) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(total + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    lower_ptr = _starts(np.bincount(rows, minlength=total))
     del rows
-    lower = sparse.csr_matrix((summed, cols.astype(index), indptr), shape=(total, total))
-    del summed, cols, indptr
-    diagonal = lower.diagonal()
-    # off the diagonal the sum is a + 0 = a; both operands drop exact zeros
-    matrix = (lower + lower.T).tocsr()
-    del lower
-    matrix.setdiag(diagonal)  # every row holds its diagonal, doubled: reset in place
+    # row blocks of at most one chunk's triplets, the loop's own budget
+    matrix = _symmetric_csr(summed, cols, lower_ptr, CHUNK_SIZE * int(n_tri.max()))
     return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
+
+
+def _symmetric_csr(lower: np.ndarray, cols: np.ndarray, lower_ptr: np.ndarray,
+                   block: int) -> sparse.csr_matrix:
+    """The symmetric matrix whose lower triangle is the CSR (lower, cols, lower_ptr).
+
+    Row r is row r of the triangle, then column r of it below the diagonal.
+    Every row of the triangle must end on its diagonal: the ``Mesh``
+    constructor puts every vertex and edge in an element, ``assemble``
+    rejects a diffusion value that is not positive, and with positive
+    diffusion each stabilized local stiffness has a positive diagonal.  The
+    result's arrays are allocated once and filled in blocks of rows holding
+    at most ``block`` entries of the triangle (or one row), whose
+    temporaries are all that sits beside them.
+    """
+    total = len(lower_ptr) - 1
+    lengths = np.diff(lower_ptr)
+    below = np.bincount(cols, minlength=total) - 1  # entries under each diagonal
+    nnz = len(lower) + int(below.sum())
+    # scipy's rule: 32-bit indices unless a count or index needs more
+    index = np.int32 if max(nnz, total) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(total + 1, dtype=index)
+    np.cumsum(lengths + below, out=indptr[1:])
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    fill = indptr[:-1] + lengths  # each row's next free slot right of its diagonal
+    start = 0
+    while start < total:
+        stop = max(start + 1, int(np.searchsorted(lower_ptr, lower_ptr[start] + block,
+                                                  side="right")) - 1)
+        span = slice(lower_ptr[start], lower_ptr[stop])
+        values, columns = lower[span], cols[span]
+        count = lengths[start:stop]
+        rows = np.repeat(np.arange(start, stop), count)
+        at = np.arange(span.start, span.stop) \
+            + np.repeat(indptr[start:stop] - lower_ptr[start:stop], count)
+        data[at], indices[at] = values, columns
+        # the entries below the diagonal by column, rows ascending in each,
+        # appended to the rows named by their columns
+        off = np.flatnonzero(columns < rows)
+        off = off[np.argsort(columns[off], kind="stable")]
+        column = columns[off]
+        first = np.ones(len(off), dtype=bool)  # the first entry of each column
+        first[1:] = column[1:] != column[:-1]
+        rank = np.arange(len(off))
+        rank -= np.maximum.accumulate(np.where(first, rank, 0))
+        at = fill[column] + rank
+        data[at], indices[at] = values[off], rows[off]
+        np.add.at(fill, column, 1)
+        start = stop
+    return sparse.csr_matrix((data, indices, indptr), shape=(total, total))
 
 
 def apply_dirichlet(system: LinearSystem, g) -> None:
     """Eliminate boundary DoFs symmetrically against boundary data g(x, y).
 
-    Keeps the boundary values on the system so ``solve`` can reconstruct
-    the full DoF vector.  ``matrix[interior][:, interior]`` is taken in one
-    masked pass over the CSR arrays, never copying the interior rows.
+    The boundary DoFs must be the trailing block of the numbering, as
+    ``assemble`` numbers them.  The reduced matrix is then the leading
+    rows of ``system.matrix``: a CSR of shape (unknowns, total) on the
+    matrix's own arrays, whose columns past the unknowns ``solve`` meets
+    with zeros.  (scipy copies the rows instead when they hold under half
+    of the entries.)  Keeps the boundary values on the system so ``solve``
+    can reconstruct the full DoF vector.  Raises ``SolverError`` where g is
+    not finite.
     """
     dof_map = system.dof_map
-    values = np.zeros(dof_map.total)
+    total = dof_map.total
+    n = total - len(dof_map.boundary_dofs)
+    if not np.array_equal(dof_map.boundary_dofs, np.arange(n, total)):
+        raise SolverError(f"boundary DoFs must be the trailing block {n}..{total - 1} "
+                          f"of the numbering")
+    values = np.zeros(total)
     pts = dof_map.boundary_points
     if len(pts):
-        values[dof_map.boundary_dofs] = g(pts[:, 0], pts[:, 1])
-    mask = np.ones(dof_map.total, dtype=bool)
-    mask[dof_map.boundary_dofs] = False
-    interior = np.flatnonzero(mask)
-    matrix, indptr, indices = system.matrix, system.matrix.indptr, system.matrix.indices
-    system.reduced_rhs = (system.rhs - matrix @ values)[interior]
-    keep = np.repeat(mask, np.diff(indptr))  # entries of interior rows ...
-    keep &= mask[indices]  # ... in interior columns
-    # entries kept per interior row, summed from each nonempty row's start
-    # to the next one's: what lies between is boundary rows, which keep none
-    reduced_indptr = np.zeros(len(interior) + 1, dtype=indptr.dtype)
-    starts = indptr[interior]
-    nonempty = indptr[interior + 1] > starts
-    if nonempty.any():
-        reduced_indptr[1:][nonempty] = np.add.reduceat(keep, starts[nonempty],
-                                                       dtype=indptr.dtype)
-    np.cumsum(reduced_indptr, out=reduced_indptr)
-    columns = indices[keep]
-    columns -= np.cumsum(~mask, dtype=indices.dtype)[columns]  # boundary columns before
-    system.reduced_matrix = sparse.csr_matrix((matrix.data[keep], columns, reduced_indptr),
-                                              shape=(len(interior),) * 2)
+        values[n:] = g(pts[:, 0], pts[:, 1])
+        bad = np.flatnonzero(~np.isfinite(values[n:]))
+        if len(bad):
+            x, y = pts[bad[0]]
+            raise SolverError(f"boundary data is {values[n + bad[0]]} at ({x:.17g}, {y:.17g})")
+    matrix = system.matrix
+    rows = sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr[:n + 1]),
+                             shape=(n, total))
+    system.reduced_rhs = system.rhs[:n] - rows @ values
+    system.reduced_matrix = rows
     system.boundary_values = values
-    system.interior = interior
+    system.interior = np.arange(n)
 
 
 def _cg(matrix, b, tol, maxiter):
     """Jacobi-preconditioned conjugate gradients with SPD monitoring.
 
-    The updates run in place on preallocated vectors.  Each is the same
-    floating-point operation as its textbook form, so the iterates keep
-    their bits.
+    ``matrix`` holds the n = len(b) rows of the system and may have more
+    columns: it multiplies a buffer whose first n entries are the search
+    direction and whose tail stays zero.  The updates run in place on
+    preallocated vectors.  Each is the same floating-point operation as
+    its textbook form, so the iterates keep their bits.
     """
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         raise NotSPDError("nonpositive diagonal entry in reduced matrix")
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise SolverError(f"CG right-hand side is not finite: its norm is {bnorm}")
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
     r = b.copy()
     z = r / diag
-    p = z.copy()
+    buffer = np.zeros(matrix.shape[1])
+    p = buffer[:len(b)]
+    p[:] = z
     step = np.empty_like(b)
     rz = float(r @ z)
     for _ in range(maxiter):
-        ap = matrix @ p
+        ap = matrix @ buffer
         pap = float(p @ ap)
         if pap <= 0.0:
             raise NotSPDError(f"non-positive curvature p.A.p = {pap:.3e}")
@@ -230,11 +288,12 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     """Solve the eliminated system and reconstruct the full DoF vector.
 
     ``method`` is "cg" (Jacobi-preconditioned, relative-residual tolerance
-    ``tol``) or "direct" (a sparse LU with symmetric diagonal pivots; it is
-    the only path that loads ``scipy.sparse.linalg``).  CG's stopping test
-    bounds the relative residual, not the error: on test1 at k = 8, n = 16
-    it meets 1e-12 with err_L2 39% away from a direct solve's, which is why
-    the CLI's ``--k`` stops at 4.
+    ``tol``, at most ``maxiter`` iterations, by default max(1000, 40 n) for
+    n unknowns) or "direct" (a sparse LU with symmetric diagonal pivots; it
+    is the only path that loads ``scipy.sparse.linalg``).  CG's stopping
+    test bounds the relative residual, not the error: on test1 at k = 8,
+    n = 16 it meets 1e-12 with err_L2 39% away from a direct solve's, which
+    is why the CLI's ``--k`` stops at 4.
     """
     if system.reduced_matrix is None:
         raise SolverError("apply_dirichlet must run before solve")
@@ -244,12 +303,17 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     if method == "cg":
         if not tol > 0.0:  # also nan: CG would run until p is exactly zero
             raise SolverError(f"CG tolerance tol must be positive, got {tol}")
-        x = _cg(a_mat, b, tol, maxiter if maxiter is not None else max(1000, 40 * n))
+        if maxiter is None:
+            maxiter = max(1000, 40 * n)
+        elif not (isinstance(maxiter, (int, np.integer)) and maxiter >= 1):
+            raise SolverError(f"CG iteration cap maxiter must be a positive integer, "
+                              f"got {maxiter!r}")
+        x = _cg(a_mat, b, tol, maxiter)
     elif method == "direct":
         from scipy.sparse.linalg import splu
 
         try:
-            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = splu(a_mat[:, :n].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
         except RuntimeError as exc:  # a zero pivot: the factor is exactly singular
             raise NotSPDError(f"sparse LU failed: {exc}") from None
@@ -260,5 +324,5 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     else:
         raise SolverError(f"unknown solver method {method!r}")
     out = system.boundary_values.copy()
-    out[system.interior] = x
+    out[:n] = x
     return out

@@ -9,10 +9,14 @@ interior moments against the monomials of degree <= k-2.
 
 An element's local DoFs are its corners, each followed by the interior DoFs
 of its outgoing edge in traversal order, then its moments.  Global numbering
-is blockwise: vertex values, then k-1 interior DoFs per edge in the edge's
-canonical v0 -> v1 direction, so the two elements that share an edge agree
-on them, then the moments element by element.  ``ElementChunk.dofs`` is the
-one map from the local layout to the global one.
+is blockwise, boundary last: interior vertex values, then the k-1 interior
+DoFs of each interior edge in the edge's canonical v0 -> v1 direction, so
+the two elements that share an edge agree on them, then the moments element
+by element, then the boundary vertex values and the boundary edges' DoFs.
+Each block runs in vertex, edge or element id order.  The Dirichlet DoFs
+are thus the trailing block and the unknowns a leading one.
+``ElementChunk.dofs`` is the one map from the local layout to the global
+one.
 
 Polynomials are generally *not* contained in the local space on curved
 elements, so all consistency runs through projections onto P_k computed
@@ -114,11 +118,27 @@ def global_dof_count(mesh: Mesh, k: int) -> int:
     return len(mesh.points) + len(mesh.edge_vertices) * (k - 1) + len(mesh.labels) * n_moments(k)
 
 
-def edge_dofs(mesh: Mesh, edge_ids, k: int) -> np.ndarray:
-    """Global interior DoFs of edges, shape edge_ids.shape + (k-1,), in the
-    canonical v0 -> v1 order of ``edge_dof_points``."""
-    ids = np.asarray(edge_ids, dtype=np.int64)[..., None]
-    return len(mesh.points) + ids * (k - 1) + np.arange(k - 1)
+def _first_dofs(on_boundary: np.ndarray, width: int, interior_start: int,
+                boundary_start: int) -> np.ndarray:
+    """First global DoF of each entity that holds ``width`` DoFs: interior
+    entities count up from ``interior_start`` and boundary ones from
+    ``boundary_start``, each in id order."""
+    before = np.cumsum(on_boundary) - on_boundary  # boundary entities before each
+    return np.where(on_boundary, boundary_start + before * width,
+                    interior_start + (np.arange(len(on_boundary)) - before) * width)
+
+
+def _numbering(mesh: Mesh, k: int):
+    """The global numbering: (DoF of each vertex, first interior DoF of each
+    edge, first moment DoF)."""
+    on_vertices, on_edges = mesh.vertex_on_boundary, mesh.edge_on_boundary
+    boundary_vertices = int(on_vertices.sum())
+    first_edge = len(on_vertices) - boundary_vertices
+    first_moment = first_edge + (len(on_edges) - int(on_edges.sum())) * (k - 1)
+    n_interior = first_moment + len(mesh.labels) * n_moments(k)
+    return (_first_dofs(on_vertices, 1, 0, n_interior),
+            _first_dofs(on_edges, k - 1, first_edge, n_interior + boundary_vertices),
+            first_moment)
 
 
 def edge_dof_points(mesh: Mesh, edge_ids, k: int):
@@ -283,7 +303,7 @@ class ElementChunk:
         return out
 
 
-def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementChunk:
+def _gather(mesh: Mesh, k: int, numbering, codes: np.ndarray, ids: np.ndarray) -> ElementChunk:
     n = len(codes)
     rows = mesh.loop_offsets[ids, None] + np.arange(n)
     edge_ids = mesh.loop_edges[rows]
@@ -304,19 +324,19 @@ def _gather(mesh: Mesh, k: int, codes: np.ndarray, ids: np.ndarray) -> ElementCh
     # boundary DoFs and their points: each corner, then the interior DoFs of
     # its outgoing edge, which a side against the edge's direction walks
     # in reverse
+    vertex_dofs, edge_first, first_moment = numbering
     e, nm = len(ids), n_moments(k)
     dofs = np.empty((e, n, k), dtype=np.int64)
     points = np.empty((e, n, k, 2))
-    dofs[:, :, 0] = vertex_ids
+    dofs[:, :, 0] = vertex_dofs[vertex_ids]
     points[:, :, 0] = vertices
     if k > 1:
         j = np.arange(k - 1)
         along = np.where(signs[..., None] > 0, j, k - 2 - j)
-        dofs[:, :, 1:] = np.take_along_axis(edge_dofs(mesh, edge_ids, k), along, axis=2)
+        dofs[:, :, 1:] = edge_first[edge_ids][..., None] + along
         inner = edge_dof_points(mesh, edge_ids, k)[1]
         points[:, :, 1:] = np.take_along_axis(inner, along[..., None], axis=2)
-    # the moments fill the last slots of the global numbering, element by element
-    moments = global_dof_count(mesh, k) + (ids[:, None] - len(mesh.labels)) * nm + np.arange(nm)
+    moments = first_moment + ids[:, None] * nm + np.arange(nm)
 
     return ElementChunk(
         k=k, elements=ids, labels=mesh.labels[ids],
@@ -350,7 +370,8 @@ def element_chunks(mesh: Mesh, k: int, elements=None) -> list[ElementChunk]:
         inverse = inverse.reshape(-1)
         groups += [(signature, at[inverse == g]) for g, signature in enumerate(unique)]
     groups.sort(key=lambda group: group[1][0])
-    return [_gather(mesh, k, codes, ids[at[i:i + CHUNK_SIZE]])
+    numbering = _numbering(mesh, k)
+    return [_gather(mesh, k, numbering, codes, ids[at[i:i + CHUNK_SIZE]])
             for codes, at in groups for i in range(0, len(at), CHUNK_SIZE)]
 
 

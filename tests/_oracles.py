@@ -320,15 +320,11 @@ def textbook_cg(matrix, b, tol, maxiter):
     raise RuntimeError("textbook_cg did not converge")
 
 
-def element_dofs(mesh, k, elements):
-    """Global DoFs of like elements in the local layout, shape (E, n_dof).
-
-    The blockwise numbering written out: vertex v is DoF v, interior DoF j
-    of edge e is nv + e (k-1) + j, and moment beta of element p is
-    nv + ne (k-1) + p nm + beta.  Each corner is followed by the interior
-    DoFs of its outgoing edge, reversed where the side runs against the
-    edge; the moments come last.
-    """
+def blockwise_dofs(mesh, k, elements):
+    """Like ``element_dofs``, in the blockwise numbering, which leaves the
+    boundary DoFs in place: vertex v is DoF v, interior DoF j of edge e is
+    nv + e (k-1) + j, and moment beta of element p is nv + ne (k-1) + p nm +
+    beta."""
     elements = np.asarray(elements, dtype=np.int64)
     nv, ne, nm = len(mesh.points), len(mesh.edge_vertices), k * (k - 1) // 2
     (n,) = set(np.diff(mesh.loop_offsets)[elements].tolist())
@@ -341,6 +337,38 @@ def element_dofs(mesh, k, elements):
         out[:, :, 1:] = nv + mesh.loop_edges[rows][:, :, None] * (k - 1) + along
     moments = nv + ne * (k - 1) + elements[:, None] * nm + np.arange(nm)
     return np.concatenate([out.reshape(len(elements), n * k), moments], axis=1)
+
+
+def blockwise_on_boundary(mesh, k):
+    """Which DoFs of the blockwise numbering lie on the boundary, from the
+    records: the boundary vertices and the k-1 DoFs of each boundary edge."""
+    counts = np.bincount([edge for element in mesh.elements for edge, _ in element.edge_loop],
+                         minlength=len(mesh.edges))
+    on_vertices = np.array([vertex.on_boundary for vertex in mesh.vertices], dtype=bool)
+    return np.concatenate([on_vertices, np.repeat(counts == 1, k - 1),
+                           np.zeros(len(mesh.elements) * (k * (k - 1) // 2), dtype=bool)])
+
+
+def boundary_last(mesh, k):
+    """The package's DoF of each DoF of the blockwise numbering: the
+    blockwise one with its boundary DoFs moved to the end, so interior
+    vertices, interior edges' DoFs and moments come first and the boundary
+    vertices and boundary edges' DoFs last, each part in its blockwise
+    order."""
+    on_boundary = blockwise_on_boundary(mesh, k)
+    renumber = np.empty(len(on_boundary), dtype=np.int64)
+    renumber[np.argsort(on_boundary, kind="stable")] = np.arange(len(on_boundary))
+    return renumber
+
+
+def element_dofs(mesh, k, elements):
+    """Global DoFs of like elements in the local layout, shape (E, n_dof):
+    ``blockwise_dofs`` renumbered by ``boundary_last``.
+
+    Each corner is followed by the interior DoFs of its outgoing edge,
+    reversed where the side runs against the edge; the moments come last.
+    """
+    return boundary_last(mesh, k)[blockwise_dofs(mesh, k, elements)]
 
 
 def chunk_partition(mesh, elements):

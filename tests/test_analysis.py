@@ -11,6 +11,7 @@ from curvem import (
     ConvergenceReport,
     ConvergenceRow,
     Mesh,
+    SolverError,
     build_mapped_tensor_mesh,
     compute_errors,
     fit_rates,
@@ -183,6 +184,25 @@ def test_compute_errors_peak_memory_is_bounded_by_the_slices():
     compute_errors(mesh, 3, solution, prob, system)  # warm caches
     peak = traced_peak(lambda: compute_errors(mesh, 3, solution, prob, system))
     assert peak <= 4e6, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("what", ["degree k", "element count", "solution length"])
+def test_compute_errors_rejects_arguments_that_do_not_match_the_system(what):
+    # a k = 3 rule on this k = 2 system returned errors 2.4e-5 and 7.5e-5
+    # relative off, a short solution raised IndexError, and a larger mesh
+    # left columns of the per-element sums unset
+    prob = problem1()
+    mesh = prob.mesh_factory(4)
+    system = assemble(mesh, 2, prob.coefficient())
+    solution = np.zeros(system.dof_map.total)
+    given, expected = {"degree k": (3, 2), "element count": (64, 16),
+                       "solution length": (len(solution) - 1, len(solution))}[what]
+    args = {"degree k": (mesh, 3, solution),
+            "element count": (prob.mesh_factory(8), 2, solution),
+            "solution length": (mesh, 2, solution[:-1])}[what]
+    with pytest.raises(SolverError) as info:
+        compute_errors(*args, prob, system)
+    assert str(info.value) == f"{what} {given} does not match the system's {expected}"
 
 
 def test_fit_rates_on_synthetic_errors():

@@ -15,6 +15,7 @@ import pytest
 
 import curvem
 import curvem.cli
+from curvem.solver import build_dof_map
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -51,6 +52,9 @@ def test_worker_library_path_runs_traced(tmp_path):
     assert result["residual"] <= 1e-11
     assert tracer.counters["solver.assembled_elements"] == 16
     assert tracer.counters["solver.cg_iterations"] > 0
+    # the counters see the unknowns: the rows of the reduced matrix
+    dof_map = build_dof_map(curvem.import_mesh(mesh), 3)
+    assert tracer.counters["solver.unknowns"] == dof_map.total - len(dof_map.boundary_dofs)
 
 
 @pytest.mark.parametrize("name", [name for name, spec in bench.WORKLOADS.items()

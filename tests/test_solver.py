@@ -34,9 +34,10 @@ from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
 
 from curvem.solver import build_dof_map
-from curvem.vem import dof_count, edge_dofs, element_chunks, n_moments
+from curvem.vem import dof_count, element_chunks, n_moments
 
-from _oracles import element_dofs, lexsort_stiffness, textbook_cg, traced_peak
+from _oracles import (blockwise_dofs, blockwise_on_boundary, element_dofs, lexsort_stiffness,
+                      textbook_cg, traced_peak)
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -55,21 +56,47 @@ def test_dof_map_counts_and_blocks(k):
     nv, ne, np_ = len(mesh.vertices), len(mesh.edges), len(mesh.elements)
     assert dof_map.total == nv + ne * (k - 1) + np_ * n_moments(k)
     assert dof_map.n_elements == np_
-    # vertex v is DoF v; edges follow the vertices, then element 0's moments
-    # follow the edges
-    for chunk in element_chunks(mesh, k):
-        corners = mesh.loop_offsets[chunk.elements, None] + np.arange(len(chunk.sides))
-        assert np.array_equal(chunk.dofs[:, :chunk.n_bnd:k], mesh.loop_corners[corners])
-    if k > 1:
-        assert edge_dofs(mesh, [0, 1], k)[:, 0].tolist() == [nv, nv + (k - 1)]
-    first = element_chunks(mesh, k, [0])[0]
-    assert first.dofs[0, first.n_bnd:].tolist() == [nv + ne * (k - 1) + beta
-                                                   for beta in range(n_moments(k))]
     # boundary DoFs: one per boundary vertex plus k-1 per boundary edge
     n_bverts = sum(v.on_boundary for v in mesh.vertices)
     n_bedges = int(mesh.edge_on_boundary.sum())
-    assert len(dof_map.boundary_dofs) == n_bverts + n_bedges * (k - 1)
+    n_inner = dof_map.total - n_bverts - n_bedges * (k - 1)
+    assert np.array_equal(dof_map.boundary_dofs, np.arange(n_inner, dof_map.total))
     assert dof_map.boundary_points.shape == (len(dof_map.boundary_dofs), 2)
+    # interior vertices come first, in id order, then the interior edges,
+    # element 0's moments after them; the boundary vertices lead the
+    # trailing block
+    inner_verts = [v for v in range(nv) if not mesh.vertices[v].on_boundary]
+    outer_verts = [v for v in range(nv) if mesh.vertices[v].on_boundary]
+    for chunk in element_chunks(mesh, k):
+        corners = mesh.loop_corners[mesh.loop_offsets[chunk.elements, None]
+                                    + np.arange(len(chunk.sides))]
+        expect = [inner_verts.index(v) if v in inner_verts else n_inner + outer_verts.index(v)
+                  for v in corners.ravel().tolist()]
+        assert chunk.dofs[:, :chunk.n_bnd:k].ravel().tolist() == expect
+    first = element_chunks(mesh, k, [0])[0]
+    moments = len(inner_verts) + (ne - n_bedges) * (k - 1)
+    assert first.dofs[0, first.n_bnd:].tolist() == [moments + beta for beta in range(n_moments(k))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_boundary_dofs_trail_the_blockwise_order(k):
+    # the blockwise numbering with its boundary DoFs moved to the end: each
+    # part keeps its order, so the interior DoFs number 0.. in the blockwise
+    # order, the boundary DoFs follow in theirs, and each boundary point is
+    # the location of its DoF
+    mesh = build_mapped_tensor_mesh(3, *boundary_curves())
+    dof_map = build_dof_map(mesh, k)
+    on_boundary = blockwise_on_boundary(mesh, k)
+    renumber = np.full(dof_map.total, -1)
+    points = np.empty((dof_map.total, 2))
+    for chunk in element_chunks(mesh, k):
+        renumber[blockwise_dofs(mesh, k, chunk.elements)] = chunk.dofs
+        points[chunk.dofs[:, :chunk.n_bnd]] = chunk.dof_points
+    n_inner = int(np.sum(~on_boundary))
+    assert np.array_equal(renumber[~on_boundary], np.arange(n_inner))
+    assert np.array_equal(renumber[on_boundary], np.arange(n_inner, dof_map.total))
+    assert np.array_equal(dof_map.boundary_dofs, np.arange(n_inner, dof_map.total))
+    assert np.array_equal(dof_map.boundary_points, points[n_inner:])
 
 
 def test_element_dofs_cover_global_range():
@@ -129,6 +156,23 @@ def test_assembly_matches_the_lexsort_pipeline(problem, n, straight, k):
     assert matrix.has_sorted_indices
 
 
+def test_assembly_drops_entries_that_sum_to_exactly_zero(monkeypatch):
+    # as the sum of the triangles does: with each element's coupling of its
+    # first two corners zeroed, a boundary side's pair is an exact zero
+    stiffness = curvem.vem.ChunkOperators.stiffness
+
+    def without_first_coupling(self, kappa):
+        out = stiffness(self, kappa)
+        out[:, 0, 1] = out[:, 1, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(curvem.vem.ChunkOperators, "stiffness", without_first_coupling)
+    mesh, coeff = problem1().mesh_factory(4), problem1().coefficient()
+    matrix = assemble(mesh, 2, coeff).matrix
+    assert np.all(matrix.data != 0.0)
+    assert_same_arrays(matrix, lexsort_stiffness(mesh, 2, coeff))
+
+
 class _NoInnerDiffusion(Coefficient):
     """test2's data with zero diffusion inside r = 1/2, a coefficient whose
     ``kappa`` checks nothing."""
@@ -164,7 +208,7 @@ def test_assembly_peak_memory_is_bounded_by_the_triplets():
     # a triplet's key and value take 16 bytes; the sort, the sums, the CSR
     # build and the mirror may together hold no more than 64 bytes per
     # triplet; on this mesh lower + lower.T - diag peaked at 69, the sum
-    # and a diagonal reset at 58
+    # and a diagonal reset at 58, the transpose-free build at 56
     mesh = build_mapped_tensor_mesh(32, *boundary_curves())
     coeff = problem1().coefficient()
     assemble(build_mapped_tensor_mesh(2, *boundary_curves()), 3, coeff)  # warm caches
@@ -182,11 +226,14 @@ def test_apply_dirichlet_splits_and_reduces():
     pts = dof_map.boundary_points
     assert np.allclose(system.boundary_values[dof_map.boundary_dofs],
                        g(pts[:, 0], pts[:, 1]), atol=0)
-    assert len(system.interior) == dof_map.total - len(dof_map.boundary_dofs)
-    assert system.reduced_matrix.shape == (len(system.interior),) * 2
+    n = dof_map.total - len(dof_map.boundary_dofs)
+    assert np.array_equal(system.interior, np.arange(n))
+    # the interior rows, whose columns past the unknowns solve meets with zeros
+    assert system.reduced_matrix.shape == (n, dof_map.total)
+    assert_same_arrays(system.reduced_matrix, system.matrix[:n])
     # elimination is symmetric: reduced block equals the interior submatrix
     sub = system.matrix[system.interior][:, system.interior]
-    assert np.abs((system.reduced_matrix - sub).toarray()).max() == 0.0
+    assert np.abs((system.reduced_matrix[:, :n] - sub).toarray()).max() == 0.0
 
 
 def test_apply_dirichlet_holds_little_beyond_what_it_keeps():
@@ -195,18 +242,16 @@ def test_apply_dirichlet_holds_little_beyond_what_it_keeps():
     g = lambda x, y: x * y + 1.0
     peak = traced_peak(lambda: apply_dirichlet(system, g))
     reduced, interior = system.reduced_matrix, system.interior
-    kept = sum(a.nbytes for a in (reduced.data, reduced.indices, reduced.indptr, interior,
-                                  system.reduced_rhs, system.boundary_values))
-    # slicing the interior rows first and then their columns peaked at 2.1
-    # times what elimination keeps, one masked pass over the CSR arrays at 1.1
-    assert peak <= 1.5 * kept, f"{peak / kept:.2f} x the kept bytes"
-    # the arrays and bits of slicing the interior rows, then their columns
+    # the rows of the matrix, on its own data and indices
+    assert np.shares_memory(reduced.data, system.matrix.data)
+    assert np.shares_memory(reduced.indices, system.matrix.indices)
+    # so elimination holds a few DoF-length vectors: the boundary values,
+    # the interior numbers, the lifted right-hand side and its product; a
+    # masked pass over the CSR arrays peaked at 38 of them here
+    vector = 8 * system.dof_map.total
+    assert peak <= 5 * vector, f"{peak / vector:.2f} x a DoF-length vector"
+    # the bits of the interior rows, lifted against the boundary columns
     rows = system.matrix[interior]
-    sub = rows[:, interior]
-    for name in ("data", "indices", "indptr"):
-        expect = getattr(sub, name)
-        assert getattr(reduced, name).dtype == expect.dtype
-        assert np.array_equal(getattr(reduced, name), expect)
     boundary = system.dof_map.boundary_dofs
     lifted = system.rhs[interior] - rows[:, boundary] @ system.boundary_values[boundary]
     assert np.array_equal(system.reduced_rhs, lifted)
@@ -270,12 +315,13 @@ def test_resident_memory_of_each_stage_is_bounded():
 RESIDENT_STAGES_64 = RESIDENT_STAGES[:RESIDENT_STAGES.index("solution =")].replace(
     "mesh_factory(32)", "mesh_factory(64)") + "print(json.dumps(rises))\n"
 
-# the highest of 10 runs (as above) read 7.3, 32.2 and 32.3 MB; elimination
-# adds 0.1 MB to assembly's peak, the running-count elimination 6 MB (37.6 to
-# 38.0 MB in 5 runs); each bound is about 2 MB above the highest.  A single
-# run read 39.05 MB at elimination once in six on a shared host, so the
-# bounds hold the median of three runs started together.
-RESIDENT_BOUNDS_64_MB = {"mesh": 9.0, "assemble": 34.5, "apply_dirichlet": 34.5}
+# the highest of 10 runs (as above) read 7.9, 29.9 and 30.1 MB; elimination
+# adds 0.1 MB to assembly's peak.  Each bound is about 2 MB above the
+# highest.  Building the matrix as lower + lower.T with an elimination copy
+# read 33.1-33.2 MB at both stages, and a running-count elimination 37.6 to
+# 38.0 MB.  A single run read 39.1 MB at elimination once in six on a shared
+# host, so the bounds hold the median of three runs started together.
+RESIDENT_BOUNDS_64_MB = {"mesh": 9.0, "assemble": 32.0, "apply_dirichlet": 32.0}
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -302,14 +348,37 @@ def test_apply_dirichlet_handles_rows_without_entries(empty_rows):
     dense = rng.uniform(1.0, 2.0, (7, 7)) * (rng.uniform(size=(7, 7)) < 0.5)
     dense[list(empty_rows)] = 0.0
     matrix = sparse.csr_matrix(dense)
-    boundary = np.array([1, 4])
-    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=boundary,
-                     boundary_points=np.zeros((2, 2)))
+    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=np.array([5, 6]),
+                     boundary_points=np.array([[1.0, 0.0], [2.0, 0.0]]))
     system = LinearSystem(matrix=matrix, rhs=np.ones(7), dof_map=dof_map, blocks=[])
     apply_dirichlet(system, lambda x, y: x + 1.0)
-    interior = np.array([0, 2, 3, 5, 6])
-    assert np.array_equal(system.interior, interior)
-    assert_same_arrays(system.reduced_matrix, matrix[interior][:, interior])
+    assert np.array_equal(system.interior, np.arange(5))
+    assert_same_arrays(system.reduced_matrix, matrix[:5])
+    assert np.array_equal(system.reduced_rhs, 1.0 - dense[:5, 5:] @ [2.0, 3.0])
+
+
+@pytest.mark.parametrize("boundary", [[1, 4], [4, 6], [6, 5], [5]],
+                         ids=["inside", "gap", "reversed", "short"])
+def test_apply_dirichlet_rejects_a_boundary_that_is_not_the_trailing_block(boundary):
+    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=np.array(boundary),
+                     boundary_points=np.zeros((len(boundary), 2)))
+    system = LinearSystem(matrix=sparse.identity(7, format="csr"), rhs=np.ones(7),
+                          dof_map=dof_map, blocks=[])
+    with pytest.raises(SolverError, match="trailing block"):
+        apply_dirichlet(system, lambda x, y: x)
+    assert system.reduced_matrix is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_apply_dirichlet_names_where_the_boundary_data_is_not_finite(bad):
+    system = poisson_system(n=4, k=2)
+    pts = system.dof_map.boundary_points
+    at = len(pts) // 2
+    g = lambda x, y: np.where((x == pts[at, 0]) & (y == pts[at, 1]), bad, x * y)
+    with pytest.raises(SolverError) as info:
+        apply_dirichlet(system, g)
+    assert str(info.value) == (f"boundary data is {bad} at "
+                               f"({pts[at, 0]:.17g}, {pts[at, 1]:.17g})")
 
 
 def test_solve_requires_elimination_first():
@@ -337,7 +406,7 @@ def test_cg_iterates_match_the_textbook_loop():
     u = solve(system, method="cg", tol=1e-12)
     n = system.reduced_matrix.shape[0]
     expected = system.boundary_values.copy()
-    expected[system.interior] = textbook_cg(system.reduced_matrix, system.reduced_rhs,
+    expected[system.interior] = textbook_cg(system.reduced_matrix[:, :n], system.reduced_rhs,
                                             1e-12, max(1000, 40 * n))
     assert np.array_equal(u, expected)
 
@@ -399,7 +468,7 @@ def test_direct_matches_cg_on_a_larger_system():
 def test_system_without_interior_unknowns_returns_its_boundary_values(method):
     system = assemble(build_mapped_tensor_mesh(1, *boundary_curves()), 1, Coefficient())
     apply_dirichlet(system, lambda x, y: 1.0 + x * y)
-    assert system.reduced_matrix.shape == (0, 0)
+    assert system.reduced_matrix.shape == (0, system.dof_map.total)
     assert np.array_equal(solve(system, method=method), system.boundary_values)
 
 
@@ -436,6 +505,48 @@ def test_cg_rejects_a_tolerance_that_is_not_positive(monkeypatch, tol):
         solve(system, method="cg", tol=tol)
     assert type(info.value) is SolverError
     assert str(info.value) == f"CG tolerance tol must be positive, got {tol}"
+
+
+@pytest.mark.parametrize("maxiter", [0, -1, 2.5, "10"])
+def test_cg_rejects_an_iteration_cap_that_is_not_a_positive_integer(monkeypatch, maxiter):
+    # 0 and -1 ran no iteration and reported a miss "in 0" and "in -1
+    # iterations"; 2.5 raised TypeError from range
+    system = poisson_system(n=4, k=2)
+    monkeypatch.setattr(curvem.solver, "_cg", lambda *args: pytest.fail("CG ran"))
+    with pytest.raises(SolverError) as info:
+        solve(system, method="cg", maxiter=maxiter)
+    assert str(info.value) == ("CG iteration cap maxiter must be a positive integer, "
+                               f"got {maxiter!r}")
+
+
+class _CountingRows(sparse.csr_matrix):
+    """CSR matrix that counts its products (CG iterations)."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        self.matvecs += 1
+        return super().__matmul__(other)
+
+
+def test_cg_stops_before_iterating_on_a_right_hand_side_that_is_not_finite():
+    # a nan source reaches CG through the load; it ran all max(1000, 40 n)
+    # iterations on nans, 1960 on this system, before failing to converge
+    mesh = build_mapped_tensor_mesh(4, *boundary_curves())
+    system = assemble(mesh, 2, Coefficient(source=lambda x, y: np.where(x > 0.5, np.nan, 1.0)))
+    apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)))
+    system.reduced_matrix = _CountingRows(system.reduced_matrix)
+    with pytest.raises(SolverError, match="right-hand side is not finite: its norm is nan"):
+        solve(system, method="cg")
+    assert system.reduced_matrix.matvecs == 0
+
+
+@pytest.mark.parametrize("block", [1, 5, 10 ** 9])
+def test_symmetric_csr_fills_the_mirror_in_any_row_blocks(block):
+    matrix = poisson_system(n=4, k=3).matrix
+    lower = sparse.tril(matrix, format="csr")
+    built = curvem.solver._symmetric_csr(lower.data, lower.indices, lower.indptr, block)
+    assert_same_arrays(built, three_operand_mirror(matrix))
 
 
 def test_zero_rhs_gives_zero_solution():

@@ -25,7 +25,7 @@ from curvem.solver import build_dof_map
 from curvem.vem import (CHUNK_SIZE, ChunkOperators, _SCREEN_LIMIT, dof_count, edge_dof_points,
                         element_chunks, local_operators, n_moments)
 
-from _oracles import (chunk_partition, element_dofs, finite_difference_gradient,
+from _oracles import (boundary_last, chunk_partition, element_dofs, finite_difference_gradient,
                       monomial_gradients, monomials)
 from test_mesh import mixed_polygon_mesh
 from test_mesh_io import shifted_graph_meshes
@@ -149,16 +149,17 @@ def test_layout_walks_boundary_then_moments():
     n_edges = len(element.edge_loop)
     assert len(dofs) == chunk.n_dof == dof_count(n_edges, k)
     assert chunk.dof_points.shape == (1, n_edges * k, 2)
-    assert list(dofs[-n_moments(k):]) == [nv + ne * (k - 1) + beta
+    new = boundary_last(mesh, k)  # the blockwise numbering, boundary DoFs moved last
+    assert list(dofs[-n_moments(k):]) == [new[nv + ne * (k - 1) + beta]
                                          for beta in range(n_moments(k))]
     # walk alternates corner, then k-1 interior points of the outgoing edge,
     # whose canonical indices run in traversal order
     corners = mesh.loop_corners[mesh.loop_offsets[0]:mesh.loop_offsets[1]].tolist()
     for piece, ((eid, sign), vid) in enumerate(zip(element.edge_loop, corners)):
-        assert dofs[piece * k] == vid
+        assert dofs[piece * k] == new[vid]
         assert np.array_equal(chunk.dof_points[0, piece * k], mesh.vertices[vid].position)
         order = list(range(k - 1)) if sign > 0 else list(range(k - 2, -1, -1))
-        assert list(dofs[piece * k + 1: piece * k + k]) == [nv + eid * (k - 1) + j
+        assert list(dofs[piece * k + 1: piece * k + k]) == [new[nv + eid * (k - 1) + j]
                                                            for j in order]
         _, points = edge_dof_points(mesh, eid, k)
         assert np.array_equal(chunk.dof_points[0, piece * k + 1: piece * k + k],
@@ -168,7 +169,7 @@ def test_layout_walks_boundary_then_moments():
 def test_shared_edge_exposes_identical_points_to_both_elements():
     k = 3
     for mesh in (curved_mesh(), build_annulus_interface_mesh(2, 8)):
-        nv = len(mesh.vertices)
+        nv, new = len(mesh.vertices), boundary_last(mesh, k)
         seen, visits = {}, Counter()
         for chunk in element_chunks(mesh, k):
             dofs = chunk.dofs[:, :chunk.n_bnd]
@@ -180,7 +181,7 @@ def test_shared_edge_exposes_identical_points_to_both_elements():
                 seen[gdof] = point
         # each of an interior edge's k-1 DoFs is seen from both sides
         for eid in np.flatnonzero(~mesh.edge_on_boundary).tolist():
-            assert [visits[nv + eid * (k - 1) + j] for j in range(k - 1)] == [2] * (k - 1)
+            assert [visits[new[nv + eid * (k - 1) + j]] for j in range(k - 1)] == [2] * (k - 1)
 
 
 NUMBERING_MESHES = {
