@@ -76,8 +76,8 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     Nodes are Newton-refined from the Chebyshev asymptotic guesses to
     1e-15; weights use 2 / ((1 - x^2) P_n'(x)^2).
     """
-    if not 1 <= n <= _MAX_POINTS:
-        raise QuadratureError(f"gauss_legendre: n={n} outside [1, {_MAX_POINTS}]")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_POINTS):
+        raise QuadratureError(f"gauss_legendre: n={n!r} is not an integer in [1, {_MAX_POINTS}]")
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(100):
@@ -107,8 +107,8 @@ def gauss_lobatto(n: int) -> QuadratureRule1D:
     Newton-refined from Chebyshev-Lobatto guesses; weights are
     2 / (n (n-1) P_{n-1}(x)^2).
     """
-    if not 2 <= n <= _MAX_POINTS:
-        raise QuadratureError(f"gauss_lobatto: n={n} outside [2, {_MAX_POINTS}]")
+    if not (isinstance(n, (int, np.integer)) and 2 <= n <= _MAX_POINTS):
+        raise QuadratureError(f"gauss_lobatto: n={n!r} is not an integer in [2, {_MAX_POINTS}]")
     if n == 2:
         return _freeze_rule(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     m = n - 1
@@ -294,8 +294,8 @@ def rule_points(k: int, boost: int = BOOST) -> tuple[int, int]:
     gradients of degree-k polynomials); curved sides get k+1+boost, where
     the extra points compensate for the non-polynomial parametrization.
     """
-    if k < 1:
-        raise QuadratureError(f"rule_points: k={k} must be >= 1")
-    if boost < 0:
-        raise QuadratureError(f"rule_points: boost={boost} must be >= 0")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise QuadratureError(f"rule_points: k={k!r} must be an integer >= 1")
+    if not (isinstance(boost, (int, np.integer)) and boost >= 0):
+        raise QuadratureError(f"rule_points: boost={boost!r} must be an integer >= 0")
     return k, k + 1 + boost

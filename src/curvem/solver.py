@@ -1,9 +1,10 @@
 """Global assembly, Dirichlet elimination and linear solvers.
 
 Each element chunk of :mod:`curvem.vem` carries its global DoFs, so this
-module does no DoF numbering of its own.  That numbering puts the Dirichlet
-DoFs last, so the unknowns are the leading rows and columns of the
-assembled matrix and elimination keeps a view of its rows.  The stiffness
+module does no DoF numbering of its own.  It knows one fact of that
+numbering: the unknowns are the leading ``DofMap.n_unknowns`` DoFs, so they
+are the leading rows and columns of the assembled matrix and elimination
+keeps a view of its rows.  The stiffness
 matrix is accumulated as triplets of its lower triangle, sorted on one
 stable integer key (row * size + col) and summed.  Each row of the
 symmetric CSR matrix is then that row of the lower triangle, which ends on
@@ -25,8 +26,8 @@ from scipy import sparse
 
 from .mesh import Mesh
 from .quadrature import BOOST
-from .vem import (CHUNK_SIZE, ChunkOperators, Coefficient, ElementChunk, ElementOperatorError,
-                  _numbering, dof_count, edge_dof_points, element_chunks, global_dof_count)
+from .vem import (CHUNK_SIZE, ChunkOperators, Coefficient, DofMap, ElementChunk,
+                  ElementOperatorError, build_dof_map, dof_count, element_chunks)
 
 
 class SolverError(Exception):
@@ -35,31 +36,6 @@ class SolverError(Exception):
 
 class NotSPDError(SolverError):
     """Raised when a supposedly SPD matrix exposes non-positive curvature."""
-
-
-@dataclass
-class DofMap:
-    """Global facts of the numbering: its size and the boundary DoFs, which
-    are its trailing block."""
-
-    n_elements: int
-    total: int
-    boundary_dofs: np.ndarray
-    boundary_points: np.ndarray
-
-
-def build_dof_map(mesh: Mesh, k: int) -> DofMap:
-    """Count the DoFs of the degree-k space and locate the boundary ones:
-    the boundary vertices, then the boundary edges' DoFs, in id order."""
-    vertices = np.flatnonzero(mesh.vertex_on_boundary)
-    edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
-    vertex_dofs, edge_first, _ = _numbering(mesh, k)
-    _, points = edge_dof_points(mesh, edges, k)
-    return DofMap(
-        n_elements=len(mesh.labels), total=global_dof_count(mesh, k),
-        boundary_dofs=np.concatenate([vertex_dofs[vertices],
-                                      (edge_first[edges, None] + np.arange(k - 1)).ravel()]),
-        boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
 
 
 @dataclass
@@ -79,7 +55,6 @@ class LinearSystem:
     dof_map: DofMap
     blocks: list[OperatorBlock] = field(repr=False)
     boundary_values: np.ndarray | None = None
-    interior: np.ndarray | None = None
     reduced_matrix: sparse.csr_matrix | None = None
     reduced_rhs: np.ndarray | None = None
 
@@ -99,8 +74,9 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     # checked before any chunk is built, whatever the coefficient object
     kappa = {label: coeff.kappa(label) for label in dict.fromkeys(mesh.labels.tolist())}
     for label, value in kappa.items():
-        if not value > 0.0:
-            raise ElementOperatorError(f"label {label}: diffusion must be positive, got {value}")
+        if not 0.0 < value < np.inf:
+            raise ElementOperatorError(
+                f"label {label}: diffusion must be positive and finite, got {value}")
     load_start = _starts(n_local)
     n_tri = n_local * (n_local + 1) // 2
     tri_start = _starts(n_tri)
@@ -159,7 +135,7 @@ def _symmetric_csr(lower: np.ndarray, cols: np.ndarray, lower_ptr: np.ndarray,
     Row r is row r of the triangle, then column r of it below the diagonal.
     Every row of the triangle must end on its diagonal: the ``Mesh``
     constructor puts every vertex and edge in an element, ``assemble``
-    rejects a diffusion value that is not positive, and with positive
+    rejects a diffusion value that is not positive and finite, and with such
     diffusion each stabilized local stiffness has a positive diagonal.  The
     result's arrays are allocated once and filled in blocks of rows holding
     at most ``block`` entries of the triangle (or one row), whose
@@ -206,23 +182,20 @@ def _symmetric_csr(lower: np.ndarray, cols: np.ndarray, lower_ptr: np.ndarray,
 def apply_dirichlet(system: LinearSystem, g) -> None:
     """Eliminate boundary DoFs symmetrically against boundary data g(x, y).
 
-    The boundary DoFs must be the trailing block of the numbering, as
-    ``assemble`` numbers them.  The reduced matrix is then the leading
-    rows of ``system.matrix``: a CSR of shape (unknowns, total) on the
-    matrix's own arrays, whose columns past the unknowns ``solve`` meets
-    with zeros.  (scipy copies the rows instead when they hold under half
-    of the entries.)  Keeps the boundary values on the system so ``solve``
-    can reconstruct the full DoF vector.  Raises ``SolverError`` where g is
-    not finite.
+    The unknowns are the leading ``dof_map.n_unknowns`` DoFs, as
+    ``assemble`` numbers them.  The reduced matrix is then the leading rows
+    of ``system.matrix``: a CSR of shape (unknowns, total) on the matrix's
+    own arrays, whose columns past the unknowns ``solve`` meets with zeros.
+    (scipy copies the rows instead when they hold under half of the
+    entries.)  Keeps the boundary values on the system so ``solve`` can
+    reconstruct the full DoF vector.  Raises ``SolverError`` for more
+    boundary points than DoFs and where g is not finite.
     """
     dof_map = system.dof_map
-    total = dof_map.total
-    n = total - len(dof_map.boundary_dofs)
-    if not np.array_equal(dof_map.boundary_dofs, np.arange(n, total)):
-        raise SolverError(f"boundary DoFs must be the trailing block {n}..{total - 1} "
-                          f"of the numbering")
+    total, n, pts = dof_map.total, dof_map.n_unknowns, dof_map.boundary_points
+    if n < 0:
+        raise SolverError(f"{len(pts)} boundary points but only {total} DoFs")
     values = np.zeros(total)
-    pts = dof_map.boundary_points
     if len(pts):
         values[n:] = g(pts[:, 0], pts[:, 1])
         bad = np.flatnonzero(~np.isfinite(values[n:]))
@@ -235,7 +208,6 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     system.reduced_rhs = system.rhs[:n] - rows @ values
     system.reduced_matrix = rows
     system.boundary_values = values
-    system.interior = np.arange(n)
 
 
 def _cg(matrix, b, tol, maxiter):

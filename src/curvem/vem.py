@@ -8,15 +8,15 @@ each edge (placed in the curve parameter on curved edges), and scaled
 interior moments against the monomials of degree <= k-2.
 
 An element's local DoFs are its corners, each followed by the interior DoFs
-of its outgoing edge in traversal order, then its moments.  Global numbering
-is blockwise, boundary last: interior vertex values, then the k-1 interior
-DoFs of each interior edge in the edge's canonical v0 -> v1 direction, so
-the two elements that share an edge agree on them, then the moments element
-by element, then the boundary vertex values and the boundary edges' DoFs.
-Each block runs in vertex, edge or element id order.  The Dirichlet DoFs
-are thus the trailing block and the unknowns a leading one.
-``ElementChunk.dofs`` is the one map from the local layout to the global
-one.
+of its outgoing edge in traversal order, then its moments.  This module
+alone knows the global numbering (``_numbering``): vertex values, then the
+k-1 interior DoFs of each edge in the edge's canonical v0 -> v1 direction,
+so the two elements that share an edge agree on them, then the moments
+element by element, each block in id order, with the boundary vertices and
+edges moved behind everything else by a stable partition.  The Dirichlet
+DoFs are thus the trailing block, and the unknowns the leading
+``DofMap.n_unknowns`` DoFs.  ``ElementChunk.dofs`` is the one map from the
+local layout to the global one.
 
 Polynomials are generally *not* contained in the local space on curved
 elements, so all consistency runs through projections onto P_k computed
@@ -118,27 +118,19 @@ def global_dof_count(mesh: Mesh, k: int) -> int:
     return len(mesh.points) + len(mesh.edge_vertices) * (k - 1) + len(mesh.labels) * n_moments(k)
 
 
-def _first_dofs(on_boundary: np.ndarray, width: int, interior_start: int,
-                boundary_start: int) -> np.ndarray:
-    """First global DoF of each entity that holds ``width`` DoFs: interior
-    entities count up from ``interior_start`` and boundary ones from
-    ``boundary_start``, each in id order."""
-    before = np.cumsum(on_boundary) - on_boundary  # boundary entities before each
-    return np.where(on_boundary, boundary_start + before * width,
-                    interior_start + (np.arange(len(on_boundary)) - before) * width)
-
-
 def _numbering(mesh: Mesh, k: int):
-    """The global numbering: (DoF of each vertex, first interior DoF of each
-    edge, first moment DoF)."""
-    on_vertices, on_edges = mesh.vertex_on_boundary, mesh.edge_on_boundary
-    boundary_vertices = int(on_vertices.sum())
-    first_edge = len(on_vertices) - boundary_vertices
-    first_moment = first_edge + (len(on_edges) - int(on_edges.sum())) * (k - 1)
-    n_interior = first_moment + len(mesh.labels) * n_moments(k)
-    return (_first_dofs(on_vertices, 1, 0, n_interior),
-            _first_dofs(on_edges, k - 1, first_edge, n_interior + boundary_vertices),
-            first_moment)
+    """The first DoF of each vertex, of each edge's interior DoFs and of each
+    element's moments: vertices, edges and elements, holding 1, k-1 and
+    ``n_moments(k)`` DoFs, in that block order, stably partitioned by their
+    boundary flag (no element is on the boundary)."""
+    counts = len(mesh.points), len(mesh.edge_vertices), len(mesh.labels)
+    widths = np.repeat([1, k - 1, n_moments(k)], counts)
+    on_boundary = np.concatenate([mesh.vertex_on_boundary, mesh.edge_on_boundary,
+                                  np.zeros(counts[2], dtype=bool)])
+    order = np.argsort(on_boundary, kind="stable")
+    first = np.empty(len(order), dtype=np.int64)
+    first[order] = np.cumsum(widths[order]) - widths[order]
+    return np.split(first, np.cumsum(counts[:2]))
 
 
 def edge_dof_points(mesh: Mesh, edge_ids, k: int):
@@ -164,6 +156,36 @@ def edge_dof_points(mesh: Mesh, edge_ids, k: int):
     return params.reshape(ids.shape + nodes.shape), points.reshape(ids.shape + (len(nodes), 2))
 
 
+@dataclass
+class DofMap:
+    """Global facts of the numbering: its size and the boundary DoFs'
+    locations.  The boundary DoFs are its trailing block, so the unknowns
+    are the leading ``n_unknowns``."""
+
+    n_elements: int
+    total: int
+    boundary_points: np.ndarray
+
+    @property
+    def n_unknowns(self) -> int:
+        return self.total - len(self.boundary_points)
+
+    @property
+    def boundary_dofs(self) -> np.ndarray:
+        return np.arange(self.n_unknowns, self.total)
+
+
+def build_dof_map(mesh: Mesh, k: int) -> DofMap:
+    """Count the DoFs of the degree-k space and locate the boundary ones in
+    the order of ``_numbering``: the boundary vertices, then the boundary
+    edges' DoFs, each in id order."""
+    vertices = np.flatnonzero(mesh.vertex_on_boundary)
+    edges = np.flatnonzero(mesh.edge_on_boundary) if k > 1 else np.empty(0, dtype=np.int64)
+    _, points = edge_dof_points(mesh, edges, k)
+    return DofMap(n_elements=len(mesh.labels), total=global_dof_count(mesh, k),
+                  boundary_points=np.concatenate([mesh.points[vertices], points.reshape(-1, 2)]))
+
+
 def _for_label(table, label: int, what: str):
     """``table`` itself, or its entry for ``label`` when it is a mapping.
 
@@ -183,7 +205,8 @@ class Coefficient:
     """Problem data: piecewise-constant diffusion and source by element label.
 
     ``diffusion`` is a single positive number or a mapping label -> kappa
-    (``solver.assemble`` checks that every value it reads is positive);
+    (``solver.assemble`` checks that every value it reads is positive and
+    finite);
     ``source`` is a vectorized callable f(x, y) or a mapping label -> callable
     for data with subdomain-dependent smooth branches.
     """
@@ -324,7 +347,7 @@ def _gather(mesh: Mesh, k: int, numbering, codes: np.ndarray, ids: np.ndarray) -
     # boundary DoFs and their points: each corner, then the interior DoFs of
     # its outgoing edge, which a side against the edge's direction walks
     # in reverse
-    vertex_dofs, edge_first, first_moment = numbering
+    vertex_dofs, edge_first, moment_first = numbering
     e, nm = len(ids), n_moments(k)
     dofs = np.empty((e, n, k), dtype=np.int64)
     points = np.empty((e, n, k, 2))
@@ -336,7 +359,7 @@ def _gather(mesh: Mesh, k: int, numbering, codes: np.ndarray, ids: np.ndarray) -
         dofs[:, :, 1:] = edge_first[edge_ids][..., None] + along
         inner = edge_dof_points(mesh, edge_ids, k)[1]
         points[:, :, 1:] = np.take_along_axis(inner, along[..., None], axis=2)
-    moments = first_moment + ids[:, None] * nm + np.arange(nm)
+    moments = moment_first[ids, None] + np.arange(nm)
 
     return ElementChunk(
         k=k, elements=ids, labels=mesh.labels[ids],

@@ -5,7 +5,8 @@ Simpson instead of Gauss-Kronrod, explicit recursion instead of library
 calls) so a shared bug cannot hide.  ``traced_peak`` is the one tool
 the memory tests share; ``recorded_rows`` reads the recorded outputs that
 the CLI's errors are checked against; ``respelled`` rewrites the text of a
-mesh or config file in the other spellings of the line grammar the two share.
+mesh or config file in the other spellings of the line grammar the two share;
+``mixed_mesh`` turns a test1 mesh into one of curved triangles and hexagons.
 
 The quadrature audit, acceptance checks 1 and 7, compares the package's
 Green rules with two subdivision oracles that share only the Gauss-Legendre
@@ -318,6 +319,50 @@ def textbook_cg(matrix, b, tol, maxiter):
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise RuntimeError("textbook_cg did not converge")
+
+
+def mixed_mesh(quads):
+    """A test1 mesh of even level n (``build_mapped_tensor_mesh``) made into
+    one of triangles and hexagons through the ``Mesh`` array constructor.
+
+    In even rows each pair of horizontally adjacent quads merges into a
+    hexagon, whose middle corners sit on the grid lines; in odd rows each
+    quad splits along its rising diagonal into two triangles.  The curved
+    sides of the bottom row go to hexagons, those of the top row to
+    triangles.  Vertices keep their ids, the edges still used keep their
+    order and the diagonals follow them.
+    """
+    n = int(round(np.sqrt(len(quads.labels))))
+    assert n * n == len(quads.labels) and n % 2 == 0
+
+    def right(i, j):  # edge (i, j) -> (i + 1, j)
+        return j * n + i
+
+    def up(i, j):  # edge (i, j) -> (i, j + 1)
+        return n * (n + 1) + i * n + j
+
+    diagonals, loops = [], []  # each loop a list of (edge, sign)
+    for j in range(n):
+        if j % 2 == 0:
+            loops += [[(right(i, j), 1), (right(i + 1, j), 1), (up(i + 2, j), 1),
+                       (right(i + 1, j + 1), -1), (right(i, j + 1), -1), (up(i, j), -1)]
+                      for i in range(0, n, 2)]
+            continue
+        for i in range(n):
+            diagonal = len(quads.edge_vertices) + len(diagonals)
+            diagonals.append((j * (n + 1) + i, (j + 1) * (n + 1) + i + 1))
+            loops.append([(right(i, j), 1), (up(i + 1, j), 1), (diagonal, -1)])
+            loops.append([(diagonal, 1), (right(i, j + 1), -1), (up(i, j), -1)])
+    edges = np.array([edge for loop in loops for edge, _ in loop])
+    kept = np.unique(edges)
+    renumber = np.full(len(quads.edge_vertices) + len(diagonals), -1)
+    renumber[kept] = np.arange(len(kept))
+    n_diagonals = len(diagonals)
+    return Mesh(quads.points, np.concatenate([quads.edge_vertices, diagonals])[kept],
+                np.concatenate([quads.edge_curves, np.full(n_diagonals, None)])[kept],
+                np.concatenate([quads.edge_params, np.full((n_diagonals, 2), np.nan)])[kept],
+                np.cumsum([0] + [len(loop) for loop in loops]), renumber[edges],
+                [sign for loop in loops for _, sign in loop], np.ones(len(loops)))
 
 
 def blockwise_dofs(mesh, k, elements):

@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-Nine checks, one test each, printing one pass/fail line per check:
+Ten checks, one test each, printing one pass/fail line per check:
 
 1. polygon quadrature exactness against the triangulation oracle
 2. polynomial patch reproduction on straight meshes
@@ -12,6 +12,8 @@ Nine checks, one test each, printing one pass/fail line per check:
 8. byte-identical outputs across repeated runs
 9. p-version: exact curves cut the H1 error at least 3x per degree up to
    k = 8, while chords stall at the geometric error
+10. general polygons: on curved triangles and hexagons, patch reproduction,
+    check 3's rates with exact curves and check 4's ceilings with chords
 
 The convergence studies solve on meshes of a few thousand elements; the
 whole module runs in about a minute.
@@ -31,10 +33,12 @@ from curvem import (
     run_convergence,
     run_patch_test,
     solve,
+    straighten_mesh,
 )
 from curvem import test1_boundary_curves as boundary_curves
 from curvem import test1_problem as problem1
 from curvem import test2_problem as problem2
+from curvem.analysis import _patch_error
 from curvem.cli import PATCH_TOL
 from curvem.quadrature import BOOST
 from curvem.vem import ChunkOperators, element_chunks
@@ -49,6 +53,7 @@ from _oracles import (
     audit_polygon_exactness,
     finite_difference_gradient,
     finite_difference_laplacian,
+    mixed_mesh,
     monotone_within_floor,
 )
 
@@ -264,3 +269,35 @@ def test_9_p_version_exact_curves_against_the_chord_wall():
           + ", ".join(f"{err:.2e}" for err in chords) + " (within 10% of 8.2e-2)")
     assert exact_ok
     assert chord_ok
+
+
+def test_10_general_polygons():
+    """test1 on triangles and hexagons, both with curved sides: the patch
+    on the straightened n = 4 mesh, then exact curves against chords on
+    n = 8, 16, 32, held to the bounds of checks 3 and 4."""
+    prob = problem1()
+    patch_mesh = straighten_mesh(mixed_mesh(prob.mesh_factory(4)))
+    patch = [_patch_error(patch_mesh, k) for k in (1, 2, 3, 4)]
+    ns = (8, 16, 32)
+    meshes = [mixed_mesh(prob.mesh_factory(n)) for n in ns]
+    exact = {report.k: fit_rates(report)
+             for report in run_convergence(prob, (2, 3), ns, meshes=meshes)}
+    chords = {report.k: fit_rates(report)
+              for report in run_convergence(prob, (2, 3), ns, meshes=meshes, straighten=True)}
+    patch_ok = max(patch) <= PATCH_TOL
+    exact_ok = all(exact[k].last_h1 >= k - 0.2 and exact[k].last_l2 >= k + 1 - 0.25
+                   for k in (2, 3))
+    chord_ok = all(chords[k].last_l2 <= 2.5 for k in (2, 3)) and chords[3].last_h1 <= 1.8
+    _line(patch_ok and exact_ok and chord_ok, "general polygons",
+          "patch k=1..4 " + ", ".join(f"{err:.1e}" for err in patch)
+          + f" (<= {PATCH_TOL:.0e}); exact curves "
+          + "; ".join(f"k={k}: H1 {exact[k].last_h1:.3f}, L2 {exact[k].last_l2:.3f}"
+                      for k in (2, 3))
+          + f"; chords L2 k=2 {chords[2].last_l2:.3f}, k=3 {chords[3].last_l2:.3f} (<= 2.50), "
+          f"H1 k=3 {chords[3].last_h1:.3f} (<= 1.80)")
+    assert patch_ok
+    for k in (2, 3):
+        assert exact[k].last_h1 >= k - 0.2
+        assert exact[k].last_l2 >= k + 1 - 0.25
+        assert chords[k].last_l2 <= 2.5
+    assert chords[3].last_h1 <= 1.8

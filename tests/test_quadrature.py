@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvem import QuadratureError, circle_curve, graph_curve
+from curvem import (Coefficient, QuadratureError, assemble, build_mapped_tensor_mesh,
+                    circle_curve, graph_curve)
+from curvem import test1_boundary_curves as boundary_curves
 from curvem.quadrature import (SideBatch, gauss_legendre, gauss_lobatto, green_rule,
                                lagrange_values, polygon_quadrature, rule_points)
 
@@ -45,6 +49,23 @@ def test_rules_reject_bad_counts():
         gauss_legendre(0)
     with pytest.raises(QuadratureError):
         gauss_lobatto(1)
+
+
+def assemble_with_boost(boost):
+    mesh = build_mapped_tensor_mesh(4, *boundary_curves())
+    return assemble(mesh, 2, Coefficient(), boost=boost)
+
+
+@pytest.mark.parametrize("count, value", [
+    (gauss_legendre, 5.5), (gauss_legendre, 3.0), (gauss_lobatto, 4.5), (gauss_lobatto, "3"),
+    (lambda k: rule_points(k, 2), 2.0), (lambda boost: rule_points(2, boost), 2.5),
+    (assemble_with_boost, 2.5)],
+    ids=["legendre", "legendre-float", "lobatto", "lobatto-str", "rule-k", "rule-boost",
+         "assemble-boost"])
+def test_point_counts_must_be_integers(count, value):
+    # boost 2.5 asked gauss_legendre for 5.5 points, which numpy rejected
+    with pytest.raises(QuadratureError, match=re.escape(repr(value))):
+        count(value)
 
 
 def test_lagrange_values_partition_and_interpolation():

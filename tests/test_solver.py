@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from curvem.solver import build_dof_map
 from curvem.vem import dof_count, element_chunks, n_moments
 
 from _oracles import (blockwise_dofs, blockwise_on_boundary, element_dofs, lexsort_stiffness,
-                      textbook_cg, traced_peak)
+                      mixed_mesh, textbook_cg, traced_peak)
 
 
 def poisson_system(n=4, k=2, curved=True):
@@ -49,9 +50,21 @@ def poisson_system(n=4, k=2, curved=True):
     return system
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_dof_map_counts_and_blocks(k):
-    mesh = build_mapped_tensor_mesh(3, *boundary_curves())
+# the numbering's meshes: test1's quadrilaterals, and its curved and
+# straightened triangles and hexagons
+NUMBERING_MESHES = {
+    "": lambda: build_mapped_tensor_mesh(3, *boundary_curves()),
+    "mixed": lambda: mixed_mesh(build_mapped_tensor_mesh(4, *boundary_curves())),
+    "mixed-straight": lambda: straighten_mesh(
+        mixed_mesh(build_mapped_tensor_mesh(4, *boundary_curves()))),
+}
+NUMBERING_CASES = [pytest.param(name, k, id=f"{name}-{k}" if name else str(k))
+                   for name in NUMBERING_MESHES for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, k", NUMBERING_CASES)
+def test_dof_map_counts_and_blocks(name, k):
+    mesh = NUMBERING_MESHES[name]()
     dof_map = build_dof_map(mesh, k)
     nv, ne, np_ = len(mesh.vertices), len(mesh.edges), len(mesh.elements)
     assert dof_map.total == nv + ne * (k - 1) + np_ * n_moments(k)
@@ -78,13 +91,13 @@ def test_dof_map_counts_and_blocks(k):
     assert first.dofs[0, first.n_bnd:].tolist() == [moments + beta for beta in range(n_moments(k))]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_boundary_dofs_trail_the_blockwise_order(k):
+@pytest.mark.parametrize("name, k", NUMBERING_CASES)
+def test_boundary_dofs_trail_the_blockwise_order(name, k):
     # the blockwise numbering with its boundary DoFs moved to the end: each
     # part keeps its order, so the interior DoFs number 0.. in the blockwise
     # order, the boundary DoFs follow in theirs, and each boundary point is
     # the location of its DoF
-    mesh = build_mapped_tensor_mesh(3, *boundary_curves())
+    mesh = NUMBERING_MESHES[name]()
     dof_map = build_dof_map(mesh, k)
     on_boundary = blockwise_on_boundary(mesh, k)
     renumber = np.full(dof_map.total, -1)
@@ -141,9 +154,15 @@ def assert_same_arrays(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def mixed_test1_problem():
+    """test1 on its meshes of triangles and hexagons."""
+    return replace(problem1(), mesh_factory=lambda n: mixed_mesh(problem1().mesh_factory(n)))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem, n, straight", [
-    (problem1, 8, False), (problem2, 4, False), (problem1, 8, True)])
+    (problem1, 8, False), (problem2, 4, False), (problem1, 8, True),
+    (mixed_test1_problem, 4, False), (mixed_test1_problem, 4, True)])
 def test_assembly_matches_the_lexsort_pipeline(problem, n, straight, k):
     problem = problem()
     mesh = problem.mesh_factory(n)
@@ -182,8 +201,9 @@ class _NoInnerDiffusion(Coefficient):
 
 
 @pytest.mark.parametrize("coeff, value", [
-    (_NoInnerDiffusion(), "0.0"), (Coefficient(diffusion={1: 1.0, 2: -1.0}), "-1.0")],
-    ids=["zero", "negative"])
+    (_NoInnerDiffusion(), "0.0"), (Coefficient(diffusion={1: 1.0, 2: -1.0}), "-1.0"),
+    (Coefficient(diffusion={1: 1.0, 2: float("inf")}), "inf")],
+    ids=["zero", "negative", "infinite"])
 def test_assembly_rejects_a_diffusion_that_is_not_positive(monkeypatch, coeff, value):
     # zero diffusion inside r = 1/2 would leave those DoFs all-zero rows
     # without a diagonal entry; assemble stops before any chunk is built
@@ -191,7 +211,7 @@ def test_assembly_rejects_a_diffusion_that_is_not_positive(monkeypatch, coeff, v
                         lambda *args: pytest.fail("a chunk was built"))
     with pytest.raises(ElementOperatorError) as info:
         assemble(problem2().mesh_factory(2), 2, coeff)
-    assert str(info.value) == f"label 2: diffusion must be positive, got {value}"
+    assert str(info.value) == f"label 2: diffusion must be positive and finite, got {value}"
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -226,13 +246,12 @@ def test_apply_dirichlet_splits_and_reduces():
     pts = dof_map.boundary_points
     assert np.allclose(system.boundary_values[dof_map.boundary_dofs],
                        g(pts[:, 0], pts[:, 1]), atol=0)
-    n = dof_map.total - len(dof_map.boundary_dofs)
-    assert np.array_equal(system.interior, np.arange(n))
+    n = dof_map.n_unknowns
     # the interior rows, whose columns past the unknowns solve meets with zeros
     assert system.reduced_matrix.shape == (n, dof_map.total)
     assert_same_arrays(system.reduced_matrix, system.matrix[:n])
     # elimination is symmetric: reduced block equals the interior submatrix
-    sub = system.matrix[system.interior][:, system.interior]
+    sub = system.matrix[:n][:, :n]
     assert np.abs((system.reduced_matrix[:, :n] - sub).toarray()).max() == 0.0
 
 
@@ -241,19 +260,19 @@ def test_apply_dirichlet_holds_little_beyond_what_it_keeps():
     system = assemble(mesh, 3, Coefficient(source=lambda x, y: np.cos(x + y)))
     g = lambda x, y: x * y + 1.0
     peak = traced_peak(lambda: apply_dirichlet(system, g))
-    reduced, interior = system.reduced_matrix, system.interior
+    reduced, n = system.reduced_matrix, system.dof_map.n_unknowns
     # the rows of the matrix, on its own data and indices
     assert np.shares_memory(reduced.data, system.matrix.data)
     assert np.shares_memory(reduced.indices, system.matrix.indices)
     # so elimination holds a few DoF-length vectors: the boundary values,
-    # the interior numbers, the lifted right-hand side and its product; a
-    # masked pass over the CSR arrays peaked at 38 of them here
+    # the lifted right-hand side and its product; a masked pass over the
+    # CSR arrays peaked at 38 of them here
     vector = 8 * system.dof_map.total
     assert peak <= 5 * vector, f"{peak / vector:.2f} x a DoF-length vector"
     # the bits of the interior rows, lifted against the boundary columns
-    rows = system.matrix[interior]
+    rows = system.matrix[:n]
     boundary = system.dof_map.boundary_dofs
-    lifted = system.rhs[interior] - rows[:, boundary] @ system.boundary_values[boundary]
+    lifted = system.rhs[:n] - rows[:, boundary] @ system.boundary_values[boundary]
     assert np.array_equal(system.reduced_rhs, lifted)
 
 
@@ -348,24 +367,24 @@ def test_apply_dirichlet_handles_rows_without_entries(empty_rows):
     dense = rng.uniform(1.0, 2.0, (7, 7)) * (rng.uniform(size=(7, 7)) < 0.5)
     dense[list(empty_rows)] = 0.0
     matrix = sparse.csr_matrix(dense)
-    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=np.array([5, 6]),
-                     boundary_points=np.array([[1.0, 0.0], [2.0, 0.0]]))
+    dof_map = DofMap(n_elements=1, total=7, boundary_points=np.array([[1.0, 0.0], [2.0, 0.0]]))
     system = LinearSystem(matrix=matrix, rhs=np.ones(7), dof_map=dof_map, blocks=[])
     apply_dirichlet(system, lambda x, y: x + 1.0)
-    assert np.array_equal(system.interior, np.arange(5))
+    assert dof_map.n_unknowns == 5
+    assert np.array_equal(dof_map.boundary_dofs, [5, 6])
     assert_same_arrays(system.reduced_matrix, matrix[:5])
     assert np.array_equal(system.reduced_rhs, 1.0 - dense[:5, 5:] @ [2.0, 3.0])
 
 
-@pytest.mark.parametrize("boundary", [[1, 4], [4, 6], [6, 5], [5]],
-                         ids=["inside", "gap", "reversed", "short"])
-def test_apply_dirichlet_rejects_a_boundary_that_is_not_the_trailing_block(boundary):
-    dof_map = DofMap(n_elements=1, total=7, boundary_dofs=np.array(boundary),
-                     boundary_points=np.zeros((len(boundary), 2)))
+def test_apply_dirichlet_rejects_more_boundary_points_than_dofs():
+    # the boundary DoFs are the trailing block, which a hand-built map can
+    # make longer than the numbering
+    dof_map = DofMap(n_elements=1, total=7, boundary_points=np.zeros((8, 2)))
     system = LinearSystem(matrix=sparse.identity(7, format="csr"), rhs=np.ones(7),
                           dof_map=dof_map, blocks=[])
-    with pytest.raises(SolverError, match="trailing block"):
+    with pytest.raises(SolverError) as info:
         apply_dirichlet(system, lambda x, y: x)
+    assert str(info.value) == "8 boundary points but only 7 DoFs"
     assert system.reduced_matrix is None
 
 
@@ -406,8 +425,8 @@ def test_cg_iterates_match_the_textbook_loop():
     u = solve(system, method="cg", tol=1e-12)
     n = system.reduced_matrix.shape[0]
     expected = system.boundary_values.copy()
-    expected[system.interior] = textbook_cg(system.reduced_matrix[:, :n], system.reduced_rhs,
-                                            1e-12, max(1000, 40 * n))
+    expected[:n] = textbook_cg(system.reduced_matrix[:, :n], system.reduced_rhs,
+                               1e-12, max(1000, 40 * n))
     assert np.array_equal(u, expected)
 
 
