@@ -51,9 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
+from ._checks import check_integer
 from .geometry import BoundaryCurve, CurveSegment, GeometryError, arc_length, circle_curve
 from .quadrature import gauss_legendre, trace_curves
 
@@ -565,8 +567,7 @@ def build_mapped_tensor_mesh(n: int, bottom: BoundaryCurve | None = None,
     a straight side at y = 0 or y = 1; curve pieces indistinguishable from
     their chord are emitted as straight edges.
     """
-    if n < 1:
-        raise MeshError(f"build_mapped_tensor_mesh: n={n} must be >= 1")
+    check_integer(MeshError, "build_mapped_tensor_mesh: n", n, 1)
     if bottom is not None:
         _check_graph_curve(bottom, "bottom")
     if top is not None:
@@ -614,9 +615,10 @@ def build_annulus_interface_mesh(n_rings: int, n_sectors: int) -> Mesh:
     shape ratios bounded under refinement; ``n_sectors`` must be even.
     Elements are labeled 1 outside the interface and 2 inside.
     """
-    if n_rings < 2 or n_sectors < 4 or n_sectors % 2 != 0:
-        raise MeshError("build_annulus_interface_mesh: need n_rings >= 2 and even "
-                        f"n_sectors >= 4, got ({n_rings}, {n_sectors})")
+    check_integer(MeshError, "build_annulus_interface_mesh: n_rings", n_rings, 2)
+    check_integer(MeshError, "build_annulus_interface_mesh: n_sectors", n_sectors, 4)
+    if n_sectors % 2 != 0:
+        raise MeshError(f"build_annulus_interface_mesh: n_sectors must be even, got {n_sectors}")
     R, S = n_rings, n_sectors
     gamma1 = circle_curve("Gamma1", (0.0, 0.0), 1.0)
     gamma2 = circle_curve("Gamma2", (0.0, 0.0), 0.5, omega=2.0,
@@ -762,8 +764,12 @@ def validate_mesh(mesh: Mesh, rho: float) -> MeshQualityReport:
     tested on the boundary polyline (chord corners plus samples along
     curved edges) via the kernel's Chebyshev radius, found by exact vertex
     enumeration over the polyline's side triples; an empty kernel gives
-    ratio 0.
+    ratio 0.  A disk inside an element has at most half its diameter as
+    radius, so rho must lie in (0, 0.5], as the CLI's ``--rho`` does; any other
+    value raises ``MeshError``.
     """
+    if not (isinstance(rho, Real) and 0.0 < rho <= 0.5):
+        raise MeshError(f"validate_mesh: rho must lie in (0, 0.5], got {rho!r}")
     lengths = mesh.edge_lengths[mesh.loop_edges]
     edge_ratio = np.minimum.reduceat(lengths, mesh.loop_offsets[:-1]) / mesh.diameters
     star_ratio = _star_ratios(mesh)

@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import check_integer
+
 _MAX_POINTS = 64
 # extra Gauss points per direction on curved sides (``rule_points``): the
 # one value that assembly, the error norms and the audits integrate with
@@ -69,15 +71,16 @@ def _legendre_pair(n: int, x: np.ndarray):
     return pm, p
 
 
-@lru_cache(maxsize=None)
+# typed, so that 3.0 and True reach the check instead of the rules cached
+# for 3 and 1
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule1D:
     """n-point Gauss-Legendre rule on [-1, 1], exact for degree 2n-1.
 
     Nodes are Newton-refined from the Chebyshev asymptotic guesses to
     1e-15; weights use 2 / ((1 - x^2) P_n'(x)^2).
     """
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_POINTS):
-        raise QuadratureError(f"gauss_legendre: n={n!r} is not an integer in [1, {_MAX_POINTS}]")
+    check_integer(QuadratureError, "gauss_legendre: n", n, 1, _MAX_POINTS)
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(100):
@@ -99,7 +102,7 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     return _freeze_rule(x, w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as gauss_legendre
 def gauss_lobatto(n: int) -> QuadratureRule1D:
     """n-point Gauss-Lobatto rule on [-1, 1] including both endpoints.
 
@@ -107,8 +110,7 @@ def gauss_lobatto(n: int) -> QuadratureRule1D:
     Newton-refined from Chebyshev-Lobatto guesses; weights are
     2 / (n (n-1) P_{n-1}(x)^2).
     """
-    if not (isinstance(n, (int, np.integer)) and 2 <= n <= _MAX_POINTS):
-        raise QuadratureError(f"gauss_lobatto: n={n!r} is not an integer in [2, {_MAX_POINTS}]")
+    check_integer(QuadratureError, "gauss_lobatto: n", n, 2, _MAX_POINTS)
     if n == 2:
         return _freeze_rule(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     m = n - 1
@@ -294,8 +296,6 @@ def rule_points(k: int, boost: int = BOOST) -> tuple[int, int]:
     gradients of degree-k polynomials); curved sides get k+1+boost, where
     the extra points compensate for the non-polynomial parametrization.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise QuadratureError(f"rule_points: k={k!r} must be an integer >= 1")
-    if not (isinstance(boost, (int, np.integer)) and boost >= 0):
-        raise QuadratureError(f"rule_points: boost={boost!r} must be an integer >= 0")
+    check_integer(QuadratureError, "rule_points: k", k, 1)
+    check_integer(QuadratureError, "rule_points: boost", boost, 0)
     return k, k + 1 + boost

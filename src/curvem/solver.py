@@ -6,11 +6,14 @@ numbering: the unknowns are the leading ``DofMap.n_unknowns`` DoFs, so they
 are the leading rows and columns of the assembled matrix and elimination
 keeps a view of its rows.  The stiffness
 matrix is accumulated as triplets of its lower triangle, sorted on one
-stable integer key (row * size + col) and summed.  Each row of the
+stable integer key (row * size + col) and summed; the sort's order is
+narrowed to uint32 before it gathers the keys and values.  Each row of the
 symmetric CSR matrix is then that row of the lower triangle, which ends on
 the diagonal, followed by the same column of it below the diagonal: the
-same arrays as ``lower + lower.T - diag(lower)``, exactly symmetric, built
-into arrays allocated once.  Local
+same arrays as ``lower + lower.T - diag(lower)``, exactly symmetric.  The
+matrix's ``data`` and ``indices`` are allocated once, the summed triangle
+is parked in their tails, and the rows are built in place ahead of it, so
+no other copy of the triangle sits beside them.  Local
 operators come from the chunked kernel of :mod:`curvem.vem`; their triplets
 and load entries are laid out in element order before any sum is taken, so
 every entry accumulates in the order of an element-by-element loop,
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from ._checks import check_integer
 from .mesh import Mesh
 from .quadrature import BOOST
 from .vem import (CHUNK_SIZE, ChunkOperators, Coefficient, DofMap, ElementChunk,
@@ -65,8 +69,7 @@ def _starts(sizes) -> np.ndarray:
 
 def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> LinearSystem:
     """Assemble stiffness and load of the degree-k discretization."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ElementOperatorError(f"degree k must be an integer >= 1, got {k}")
+    check_integer(ElementOperatorError, "degree k", k, 1)
     dof_map = build_dof_map(mesh, k)
     total = dof_map.total
     n_local = dof_count(np.diff(mesh.loop_offsets), k)
@@ -83,8 +86,9 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     load_dofs = np.empty(load_start[-1], dtype=np.int64)
     load_vals = np.empty(load_start[-1])
     # every key is below total**2, so 32 bits hold it below 2**16 DoFs
-    keys = np.empty(tri_start[-1], dtype=np.uint32 if total < 2 ** 16 else np.int64)
-    vals = np.empty(tri_start[-1])
+    triplets = [np.empty(tri_start[-1], dtype=np.uint32 if total < 2 ** 16 else np.int64),
+                np.empty(tri_start[-1])]
+    keys, vals = triplets
     blocks = []
     for chunk in element_chunks(mesh, k):
         ops = ChunkOperators(chunk, boost)
@@ -101,11 +105,30 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
         blocks.append(OperatorBlock(chunk=chunk, pi_nabla=ops.pi_nabla))
 
     rhs = np.bincount(load_dofs, weights=load_vals, minlength=total)
-    del load_dofs, load_vals
+    del load_dofs, load_vals, keys, vals
+    # row blocks of at most one chunk's triplets, the loop's own budget
+    matrix = _summed_csr(triplets, total, CHUNK_SIZE * int(n_tri.max()))
+    return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
+
+
+def _summed_csr(triplets: list, total: int, block: int) -> sparse.csr_matrix:
+    """The symmetric matrix whose lower triangle sums the triplets.
+
+    ``triplets`` is the list [keys, vals] of lower-triangle entries keyed
+    row * total + col, in element order; it is emptied, so that each array
+    is freed after its last read.  The sums are parked in the tails of the
+    result's ``data`` and ``indices``, which ``_symmetric_csr`` fills in
+    place, in row blocks of at most ``block`` triangle entries.
+    """
+    keys, vals = triplets
+    triplets.clear()
     # a stable sort on the key is a (row, col) sort that keeps equal entries
-    # in element order for the sums; each sorted array is dropped after its
-    # last read
+    # in element order for the sums; the order narrows to 32 bits where the
+    # count allows, before the gathers, and each sorted array is dropped
+    # after its last read
     order = np.argsort(keys, kind="stable")
+    if len(order) <= 2 ** 32:
+        order = order.astype(np.uint32)
     vals = vals[order]
     keys = keys[order]
     del order
@@ -123,44 +146,58 @@ def assemble(mesh: Mesh, k: int, coeff: Coefficient, boost: int = BOOST) -> Line
     np.divmod(cols, total, out=(rows, cols))
     lower_ptr = _starts(np.bincount(rows, minlength=total))
     del rows
-    # row blocks of at most one chunk's triplets, the loop's own budget
-    matrix = _symmetric_csr(summed, cols, lower_ptr, CHUNK_SIZE * int(n_tri.max()))
-    return LinearSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, blocks=blocks)
-
-
-def _symmetric_csr(lower: np.ndarray, cols: np.ndarray, lower_ptr: np.ndarray,
-                   block: int) -> sparse.csr_matrix:
-    """The symmetric matrix whose lower triangle is the CSR (lower, cols, lower_ptr).
-
-    Row r is row r of the triangle, then column r of it below the diagonal.
-    Every row of the triangle must end on its diagonal: the ``Mesh``
-    constructor puts every vertex and edge in an element, ``assemble``
-    rejects a diffusion value that is not positive and finite, and with such
-    diffusion each stabilized local stiffness has a positive diagonal.  The
-    result's arrays are allocated once and filled in blocks of rows holding
-    at most ``block`` entries of the triangle (or one row), whose
-    temporaries are all that sits beside them.
-    """
-    total = len(lower_ptr) - 1
-    lengths = np.diff(lower_ptr)
     below = np.bincount(cols, minlength=total) - 1  # entries under each diagonal
-    nnz = len(lower) + int(below.sum())
+    # every row of the triangle ends on its diagonal, so the mirror adds
+    # len(summed) - total entries, and the triangle takes the rest
+    tail = len(summed) - total
+    nnz = tail + len(summed)
     # scipy's rule: 32-bit indices unless a count or index needs more
     index = np.int32 if max(nnz, total) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(total + 1, dtype=index)
-    np.cumsum(lengths + below, out=indptr[1:])
     data = np.empty(nnz)
+    data[tail:] = summed
+    del summed
     indices = np.empty(nnz, dtype=index)
+    indices[tail:] = cols
+    del cols
+    return _symmetric_csr(data, indices, lower_ptr, below, block)
+
+
+def _symmetric_csr(data: np.ndarray, indices: np.ndarray, lower_ptr: np.ndarray,
+                   below: np.ndarray, block: int) -> sparse.csr_matrix:
+    """The symmetric matrix whose lower triangle is parked in the tails of
+    ``data`` and ``indices``, built in place in those arrays.
+
+    The triangle is the CSR (values, columns, ``lower_ptr``) whose entries
+    are the last ``lower_ptr[-1]`` of ``data`` and ``indices``; ``below[r]``
+    counts its entries in column r under the diagonal, and the arrays hold
+    exactly the result's entries.  Row r of the result is row r of the
+    triangle, then column r of it below the diagonal.  Every row of the
+    triangle must end on its diagonal: the ``Mesh`` constructor puts every
+    vertex and edge in an element, ``assemble`` rejects a diffusion value
+    that is not positive and finite, and with such diffusion each
+    stabilized local stiffness has a positive diagonal.
+
+    The rows are filled forward in blocks holding at most ``block`` entries
+    of the triangle (or one row), each block's triangle entries copied out
+    first.  Row r starts at or before its triangle row's slot in the tail,
+    and a mirrored entry lands in an earlier row, so no write reaches a
+    triangle entry that has not been read yet.
+    """
+    total = len(lower_ptr) - 1
+    tail = len(data) - int(lower_ptr[-1])
+    lengths = np.diff(lower_ptr)
+    indptr = np.zeros(total + 1, dtype=indices.dtype)
+    np.cumsum(lengths + below, out=indptr[1:])
     fill = indptr[:-1] + lengths  # each row's next free slot right of its diagonal
     start = 0
     while start < total:
         stop = max(start + 1, int(np.searchsorted(lower_ptr, lower_ptr[start] + block,
                                                   side="right")) - 1)
-        span = slice(lower_ptr[start], lower_ptr[stop])
-        values, columns = lower[span], cols[span]
+        span = slice(tail + lower_ptr[start], tail + lower_ptr[stop])
+        values, columns = data[span].copy(), indices[span].copy()
         count = lengths[start:stop]
         rows = np.repeat(np.arange(start, stop), count)
-        at = np.arange(span.start, span.stop) \
+        at = np.arange(lower_ptr[start], lower_ptr[stop]) \
             + np.repeat(indptr[start:stop] - lower_ptr[start:stop], count)
         data[at], indices[at] = values, columns
         # the entries below the diagonal by column, rows ascending in each,
@@ -277,9 +314,8 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
             raise SolverError(f"CG tolerance tol must be positive, got {tol}")
         if maxiter is None:
             maxiter = max(1000, 40 * n)
-        elif not (isinstance(maxiter, (int, np.integer)) and maxiter >= 1):
-            raise SolverError(f"CG iteration cap maxiter must be a positive integer, "
-                              f"got {maxiter!r}")
+        else:
+            check_integer(SolverError, "CG iteration cap maxiter", maxiter, 1)
         x = _cg(a_mat, b, tol, maxiter)
     elif method == "direct":
         from scipy.sparse.linalg import splu

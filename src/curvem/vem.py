@@ -527,11 +527,18 @@ class ChunkOperators:
         a correction.  The correction vanishes whenever f lies in P_{k-2},
         keeping polynomial solutions with polynomial sources reproduced to
         solver precision.  The source is integrated with the degree-(k+2)
-        rule, exact to degree 2k+2 on straight sides.
+        rule, exact to degree 2k+2 on straight sides.  A source value that
+        is not finite raises ``ElementOperatorError`` naming its label.
         """
         chunk, k = self.chunk, self.chunk.k
         x, y, w = chunk.rule(k + 2, self.boost)
         fvals = chunk.by_label(source_for, x, y)
+        finite = np.isfinite(fvals)
+        if not finite.all():
+            e, q = np.argwhere(~finite)[0]
+            raise ElementOperatorError(
+                f"label {chunk.labels[e]}: source must be finite, got {fvals[e, q]} "
+                f"at ({x[e, q]:.17g}, {y[e, q]:.17g})")
         moments = ((w * fvals)[:, None, :] @ chunk.basis(x, y))[:, 0]
         nm = max(n_moments(k), 1)
         lead = (self.pi0.mT @ moments[:, :nm, None])[..., 0]

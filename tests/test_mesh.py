@@ -772,3 +772,11 @@ def test_build_rejects_position_that_is_not_a_2_vector(position):
     vertices[3] = Vertex(position=np.array(position))
     with pytest.raises(MeshError, match=r"points\[3\]: expected 2 values, got shape \(\d,\)"):
         Mesh.build(vertices, edges, [Element(edge_loop=[(i, 1) for i in range(4)])])
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.6, float("nan"), float("inf")])
+def test_validate_mesh_rejects_a_rho_outside_its_range(rho):
+    # -1 passed every element, and nan and 0.6 returned a report
+    with pytest.raises(MeshError) as info:
+        validate_mesh(build_mapped_tensor_mesh(2), rho)
+    assert str(info.value) == f"validate_mesh: rho must lie in (0, 0.5], got {rho!r}"

@@ -334,13 +334,18 @@ def test_resident_memory_of_each_stage_is_bounded():
 RESIDENT_STAGES_64 = RESIDENT_STAGES[:RESIDENT_STAGES.index("solution =")].replace(
     "mesh_factory(32)", "mesh_factory(64)") + "print(json.dumps(rises))\n"
 
-# the highest of 10 runs (as above) read 7.9, 29.9 and 30.1 MB; elimination
-# adds 0.1 MB to assembly's peak.  Each bound is about 2 MB above the
-# highest.  Building the matrix as lower + lower.T with an elimination copy
-# read 33.1-33.2 MB at both stages, and a running-count elimination 37.6 to
-# 38.0 MB.  A single run read 39.1 MB at elimination once in six on a shared
-# host, so the bounds hold the median of three runs started together.
-RESIDENT_BOUNDS_64_MB = {"mesh": 9.0, "assemble": 32.0, "apply_dirichlet": 32.0}
+# the highest of 42 runs (as above, three at a time as this test starts
+# them) read 8.0, 27.8 and 27.9 MB: assembly peaks at its key sort, in two
+# modes, 26.0-26.2 and 27.6-27.8 MB, and elimination adds at most 0.2 MB.
+# The mesh bound is about 1 MB above the highest, the others 2 MB above.
+# Building the full matrix beside the summed triangle instead of in its own
+# arrays read 29.6-29.9 MB, the matrix as lower + lower.T with an
+# elimination copy 33.1-33.2 MB at both stages, and a running-count
+# elimination 37.6 to 38.0 MB.  Earlier runs on the same host read about
+# 1.5 MB less for both builds.  A single run read 39.1 MB at elimination
+# once in six on a shared host, so the bounds hold the median of three runs
+# started together.
+RESIDENT_BOUNDS_64_MB = {"mesh": 9.0, "assemble": 29.9, "apply_dirichlet": 29.9}
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -534,8 +539,7 @@ def test_cg_rejects_an_iteration_cap_that_is_not_a_positive_integer(monkeypatch,
     monkeypatch.setattr(curvem.solver, "_cg", lambda *args: pytest.fail("CG ran"))
     with pytest.raises(SolverError) as info:
         solve(system, method="cg", maxiter=maxiter)
-    assert str(info.value) == ("CG iteration cap maxiter must be a positive integer, "
-                               f"got {maxiter!r}")
+    assert str(info.value) == f"CG iteration cap maxiter must be an integer >= 1, got {maxiter!r}"
 
 
 class _CountingRows(sparse.csr_matrix):
@@ -549,23 +553,75 @@ class _CountingRows(sparse.csr_matrix):
 
 
 def test_cg_stops_before_iterating_on_a_right_hand_side_that_is_not_finite():
-    # a nan source reaches CG through the load; it ran all max(1000, 40 n)
-    # iterations on nans, 1960 on this system, before failing to converge
-    mesh = build_mapped_tensor_mesh(4, *boundary_curves())
-    system = assemble(mesh, 2, Coefficient(source=lambda x, y: np.where(x > 0.5, np.nan, 1.0)))
-    apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)))
+    # CG ran all max(1000, 40 n) iterations on nans, 1960 on this system,
+    # before failing to converge; assemble now names a source that is not
+    # finite, so the right-hand side is set by hand
+    system = poisson_system(n=4, k=2)
+    system.reduced_rhs[3] = np.nan
     system.reduced_matrix = _CountingRows(system.reduced_matrix)
     with pytest.raises(SolverError, match="right-hand side is not finite: its norm is nan"):
         solve(system, method="cg")
     assert system.reduced_matrix.matvecs == 0
 
 
+def _nan_right_of_half(x, y):
+    return np.where(x > 0.5, np.nan, 1.0)
+
+
+def _one(x, y):
+    return np.ones(np.shape(x))
+
+
+def _inf(x, y):
+    return np.full(np.shape(x), np.inf)
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+@pytest.mark.parametrize("problem, source, label, value", [
+    (problem1, _nan_right_of_half, 1, "nan"), (problem2, {1: _one, 2: _inf}, 2, "inf")],
+    ids=["test1-nan", "test2-inner-inf"])
+def test_a_source_that_is_not_finite_is_named_by_its_label(monkeypatch, problem, source, label,
+                                                          value, method):
+    # CG named only its right-hand side; the direct solve returned a
+    # solution that was not finite, with no error
+    monkeypatch.setattr(curvem.solver, "_cg", lambda *args: pytest.fail("CG ran"))
+    mesh = problem().mesh_factory(4)
+    coeff = replace(problem().coefficient(), source=source)
+    with pytest.raises(ElementOperatorError) as info:
+        system = assemble(mesh, 2, coeff)
+        apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)))
+        solve(system, method=method)
+    assert str(info.value).startswith(f"label {label}: source must be finite, got {value} at (")
+
+
 @pytest.mark.parametrize("block", [1, 5, 10 ** 9])
 def test_symmetric_csr_fills_the_mirror_in_any_row_blocks(block):
+    # the triangle parked in the tails of arrays that hold the whole matrix,
+    # their heads filled with values no entry has
     matrix = poisson_system(n=4, k=3).matrix
     lower = sparse.tril(matrix, format="csr")
-    built = curvem.solver._symmetric_csr(lower.data, lower.indices, lower.indptr, block)
+    data = np.full(matrix.nnz, np.nan)
+    indices = np.full(matrix.nnz, -1, dtype=matrix.indices.dtype)
+    data[-lower.nnz:], indices[-lower.nnz:] = lower.data, lower.indices
+    below = np.bincount(lower.indices, minlength=matrix.shape[0]) - 1
+    built = curvem.solver._symmetric_csr(data, indices, lower.indptr, below, block)
     assert_same_arrays(built, three_operand_mirror(matrix))
+    assert np.shares_memory(built.data, data) and np.shares_memory(built.indices, indices)
+
+
+@pytest.mark.parametrize("block", [1, 10 ** 9])
+def test_summed_csr_drops_sums_that_cancel(block):
+    # triplets of a 3 x 3 triangle, keyed row * 3 + col, out of key order:
+    # the (1, 0) pair cancels exactly, the (2, 1) pair sums to 1.5 and the
+    # (2, 0) entry is -0.25
+    keys = np.array([4, 3, 0, 8, 3, 7, 4, 6, 7], dtype=np.uint32)
+    vals = np.array([2.0, 0.75, 1.0, 3.0, -0.75, 0.5, 1.0, -0.25, 1.0])
+    triplets = [keys, vals]
+    built = curvem.solver._summed_csr(triplets, 3, block)
+    assert triplets == []
+    want = sparse.csr_matrix(np.array([[1.0, 0.0, -0.25], [0.0, 3.0, 1.5],
+                                       [-0.25, 1.5, 3.0]]))
+    assert_same_arrays(built, want)
 
 
 def test_zero_rhs_gives_zero_solution():
