@@ -7,14 +7,14 @@ as a vertex on no edge) and elements whose local operators cannot be built
 (a label without problem data, a singular projector), 4 solver failures,
 including a level helper process that dies.
 
-Each ``curvem run`` experiment accepts only the options it reads.  Any other,
-as a flag or as a key of the ``key = value`` file named by ``--config``
-(``min_rate_h1 = 1.5`` for ``--min-rate-h1``; flags override the file), exits
-2 before any mesh is built or any output is written:
+Each ``curvem run`` experiment has its own argparse parser, which takes
+only the options the experiment reads (``curvem run EXP --help`` lists
+them).  Any other flag, a flag before the experiment name, an abbreviated
+flag or a bad value exits 2 before any mesh is built or any output is
+written:
 
-    --k --n --solver                      test1-curved, test1-straight, test2, patch
+    --k --n --solver --out                test1-curved, test1-straight, test2, patch
     --mesh --rho --{min,max}-rate-{h1,l2} test1-curved, test1-straight, test2
-    --out                                 every experiment
 
 ``--mesh`` replaces the generated meshes of ``--n``, so giving both exits 2 too.
 
@@ -30,7 +30,7 @@ import math
 import sys
 from collections.abc import Callable
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .analysis import (fit_rates, run_convergence, run_patch_test, test1_problem
                        test2_problem)
 from .geometry import GeometryError
 from .mesh import MeshError, straighten_mesh, validate_mesh
-from .mesh_io import MeshFormatError, _lines, _read_text, import_mesh
+from .mesh_io import MeshFormatError, import_mesh
 from .quadrature import QuadratureError
 from .solver import SolverError
 from .vem import ElementOperatorError
@@ -55,7 +55,6 @@ EXIT_SOLVER = 4
 EXPERIMENTS = {"test1-curved": {}, "test1-straight": {},
                "test2": {"n_list": (2, 4, 8, 16), "rho": 0.03},
                "patch": {"n_list": (2,), "solver": "direct"}}
-_CONVERGENCE = ("test1-curved", "test1-straight", "test2")
 
 PATCH_TOL = 1e-9
 
@@ -85,135 +84,90 @@ class RunConfig:
     max_rate_l2: float | None = None
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"bad {what} list {text!r}") from None
-    if not values:
-        raise ConfigError(f"empty {what} list")
-    return values
+def _distinct_ints(low: int, high: int | None = None):
+    """The ``type=`` of a comma-separated list of distinct integers in [low, high]."""
+    need = f"be at least {low}" if high is None else f"lie in {low}..{high}"
 
-
-def _parse_value(cast):
-    def parse(text: str, what: str):
+    def parse(text: str) -> tuple[int, ...]:
         try:
-            return cast(text)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad {what} value {text!r}") from None
+            values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of integers: {text!r}") from None
+        if (not values or min(values) < low or (high is not None and max(values) > high)
+                or len(set(values)) < len(values)):
+            raise argparse.ArgumentTypeError(f"must {need}, each once, got {values!r}")
+        return values
     return parse
 
 
-@dataclass(frozen=True)
-class _Option:
-    field: str  # of RunConfig
-    parse: Callable[[str, str], object]  # (text, option name) -> value or ConfigError
-    experiments: tuple[str, ...]  # the experiments that read it
-    help: str
-    ok: Callable[[object], bool] = lambda value: True
-    need: str = ""  # what ``ok`` asks of a value, for the error message
-    nargs: str | None = None
-
-
-_SOLVES = _CONVERGENCE + ("patch",)
-_FLOAT, _TEXT = _parse_value(float), _parse_value(str)
-
-# the flag is "--" + name with "-" for "_", the config-file key is the name;
-# a file value of an option with nargs is a whitespace-separated list
-_OPTIONS = {
-    "k": _Option("k_list", _parse_int_list, _SOLVES, "comma-separated polynomial degrees",
-                 lambda ks: all(1 <= k <= 4 for k in ks) and len(set(ks)) == len(ks),
-                 "lie in 1..4, each once"),
-    "n": _Option("n_list", _parse_int_list, _SOLVES, "comma-separated refinement levels",
-                 lambda ns: min(ns) >= 1 and len(set(ns)) == len(ns), "be positive, each once"),
-    "mesh": _Option("mesh_files", _parse_value(tuple), _CONVERGENCE,
-                    "mesh files instead of generated meshes", nargs="+"),
-    "rho": _Option("rho", _FLOAT, _CONVERGENCE, "shape-regularity parameter",
-                   lambda rho: 0.0 < rho <= 0.5, "lie in (0, 0.5]"),
-    "solver": _Option("solver", _TEXT, _SOLVES, "cg or direct",
-                      lambda solver: solver in ("cg", "direct"), "be 'cg' or 'direct'"),
-    "out": _Option("out_dir", _TEXT, tuple(EXPERIMENTS), "output directory"),
-    "min_rate_h1": _Option("min_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 below this H1 rate",
-                           math.isfinite, "be finite"),
-    "min_rate_l2": _Option("min_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 below this L2 rate",
-                           math.isfinite, "be finite"),
-    "max_rate_h1": _Option("max_rate_h1", _FLOAT, _CONVERGENCE, "exit 1 above this H1 rate",
-                           math.isfinite, "be finite"),
-    "max_rate_l2": _Option("max_rate_l2", _FLOAT, _CONVERGENCE, "exit 1 above this L2 rate",
-                           math.isfinite, "be finite"),
-}
-
-
-# the smallest level an experiment's generated meshes take, where it is more
-# than 1: test2's disk mesh has n rings on each side of the interface
-# circle, and its generator takes at least two
-_LEAST_N = {"test2": 2}
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _value(name: str, text, spelled: str):
-    """The parsed value of option ``name``, which must pass its check; a
-    failed check names the option as ``spelled``, its flag or file key."""
-    option = _OPTIONS[name]
-    value = option.parse(text, name)
-    if not option.ok(value):
-        raise ConfigError(f"{spelled} must {option.need}, got {value!r}")
-    return value
-
-
-def _read_config_file(path: str):
-    """``(path:line prefix, key, text)`` of each ``key = value`` line (mesh_io's reader)."""
-    try:
-        text = _read_text(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    for ln, line in _lines(text):
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        yield f"{path}:{ln}: ", key, value.split() if _OPTIONS[key].nargs else value
-
-
-def parse_config(args: argparse.Namespace, unknown=()) -> RunConfig:
-    """Resolve defaults, config file and command-line flags into a RunConfig.
-
-    ``unknown`` holds the command-line arguments argparse did not recognize.
-    """
-    experiment = args.experiment
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}, "
-                          f"choose from {', '.join(EXPERIMENTS)}")
-    reads = [name for name, option in _OPTIONS.items() if experiment in option.experiments]
-    if unknown:
-        raise ConfigError(f"{experiment} does not read {' '.join(unknown)}; "
-                          f"it reads {', '.join(map(_flag, reads))}")
-    given = list(_read_config_file(args.config)) if args.config else []
-    given += [("", name, text) for name in _OPTIONS if (text := getattr(args, name)) is not None]
-    values = dict(EXPERIMENTS[experiment])
-    spelled = {}  # each option given so far, as it was spelled
-    for where, name, text in given:
-        spell = str if where else _flag  # file lines name keys, the command line flags
-        if name not in reads:
-            raise ConfigError(f"{where}{experiment} does not read {spell(name)}; "
-                              f"it reads {', '.join(map(spell, reads))}")
-        spelled[name] = spell(name)
-        if {"mesh", "n"} <= spelled.keys():
-            raise ConfigError(f"{where}{experiment} takes {spelled['mesh']} or {spelled['n']}, "
-                              f"not both: the mesh files replace the generated levels")
+def _number(need: str, ok: Callable[[float], bool]):
+    """The ``type=`` of a float that passes ``ok``; ``need`` words the check."""
+    def parse(text: str) -> float:
         try:
-            values[_OPTIONS[name].field] = value = _value(name, text, spell(name))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}{exc}") from None
-        least = _LEAST_N.get(experiment, 1)
-        if name == "n" and min(value) < least:
-            raise ConfigError(f"{where}{experiment} needs {spell(name)} levels of at least "
-                              f"{least}, got {value!r}")
-    return RunConfig(experiment, **values)
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {need}, got {value!r}")
+        return value
+    return parse
+
+
+_RHO = _number("lie in (0, 0.5]", lambda rho: 0.0 < rho <= 0.5)
+_RATE = _number("be finite", math.isfinite)
+
+
+class _ConfigParser(argparse.ArgumentParser):
+    """A parser whose errors are ``ConfigError``s that end in its usage line."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+class _ExperimentParser(_ConfigParser):
+    """The parser of one experiment: an argument it does not read is an error
+    of this parser, whose usage line lists what the experiment reads."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+def _add_experiment(experiments, experiment: str) -> None:
+    """Register ``experiment``'s parser: the options it reads, with the
+    defaults of its RunConfig."""
+    parser = experiments.add_parser(experiment, allow_abbrev=False,
+                                    formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser.set_defaults(**asdict(RunConfig(experiment, **EXPERIMENTS[experiment])))
+    convergence = experiment != "patch"
+    parser.add_argument("--k", dest="k_list", type=_distinct_ints(1, 4), metavar="K,...",
+                        help="comma-separated polynomial degrees")
+    # test2's disk mesh has n rings on each side of the interface circle,
+    # and its generator takes at least two
+    least = 2 if experiment == "test2" else 1
+    levels = parser.add_mutually_exclusive_group()
+    levels.add_argument("--n", dest="n_list", type=_distinct_ints(least), metavar="N,...",
+                        help="comma-separated refinement levels")
+    if convergence:
+        levels.add_argument("--mesh", dest="mesh_files", nargs="+", metavar="FILE",
+                            help="mesh files instead of generated meshes")
+        parser.add_argument("--rho", type=_RHO, help="shape-regularity parameter")
+    parser.add_argument("--solver", choices=("cg", "direct"), help="linear solver")
+    parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
+    if convergence:
+        for bound, side in (("min", "below"), ("max", "above")):
+            for norm in ("h1", "l2"):
+                parser.add_argument(f"--{bound}-rate-{norm}", type=_RATE,
+                                    help=f"exit 1 {side} this {norm.upper()} rate")
+
+
+def parse_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of a parsed ``curvem run`` command line."""
+    values = {name: value for name, value in vars(args).items() if name != "command"}
+    return RunConfig(**values | {"mesh_files": tuple(values["mesh_files"])})
 
 
 def _output_dir(config: RunConfig) -> Path:
@@ -345,7 +299,7 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rho = _value("rho", args.rho, "--rho")
+    rho = args.rho  # checked by the parser
     mesh = import_mesh(args.meshfile)
     report = validate_mesh(mesh, rho)
     bad = np.flatnonzero(~report.elements["ok"])
@@ -365,33 +319,29 @@ def _cmd_validate(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="curvem", description="Virtual element solver on polygonal meshes with curved edges")
-    sub = parser.add_subparsers(dest="command", required=True)
+        prog="curvem", allow_abbrev=False,
+        description="Virtual element solver on polygonal meshes with curved edges")
+    # the errors of every parser below the top one are config errors
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_ConfigParser)
+    run_p = commands.add_parser("run", help="run one experiment", allow_abbrev=False)
+    experiments = run_p.add_subparsers(dest="experiment", required=True,
+                                       parser_class=_ExperimentParser)
+    for experiment in EXPERIMENTS:
+        _add_experiment(experiments, experiment)
 
-    run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("experiment", help=f"one of: {', '.join(EXPERIMENTS)}")
-    run_p.add_argument("--config", help="flat key = value option file")
-    for name, option in _OPTIONS.items():
-        run_p.add_argument(_flag(name), dest=name, nargs=option.nargs,
-                           help=f"{option.help} (read by {', '.join(option.experiments)})")
-
-    val_p = sub.add_parser("validate", help="check a mesh file")
+    # not an experiment parser: argparse's top parser reports an unknown flag
+    val_p = commands.add_parser("validate", help="check a mesh file", allow_abbrev=False)
     val_p.add_argument("meshfile")
-    val_p.add_argument("--rho", required=True, help=_OPTIONS["rho"].help)
+    val_p.add_argument("--rho", required=True, type=_RHO, help="shape-regularity parameter")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    # an unknown flag of ``run`` is a config error that lists what the
-    # experiment reads; ``validate`` keeps argparse's usage error
-    args, unknown = parser.parse_known_args(argv)
-    if unknown and args.command == "validate":
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "validate":
             return _cmd_validate(args)
-        return run(parse_config(args, unknown))
+        return run(parse_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -466,6 +466,7 @@ def _diameters(clouds: np.ndarray) -> np.ndarray:
     return np.sqrt(np.max(dx * dx + dy * dy, axis=(1, 2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _derive_geometry(mesh: Mesh) -> None:
     """Edge lengths and element areas, chord centroids and diameters.
 
@@ -475,6 +476,9 @@ def _derive_geometry(mesh: Mesh) -> None:
     added in loop order.  The diameter is the largest distance between two
     points of the element's boundary polyline (corners plus 8 samples per
     curved side), the same polyline the star-shapedness check walks.
+    Coordinates near the float range overflow these sums; numpy's warnings
+    are silenced and the first element whose area, centroid or diameter is
+    not finite raises ``MeshError``.
     """
     rule = gauss_legendre(24)
     mesh.edge_lengths = _edge_lengths(mesh)
@@ -529,6 +533,13 @@ def _derive_geometry(mesh: Mesh) -> None:
     for ids, polylines in _polyline_groups(mesh, lambda m: m * m):
         diameters[ids] = _diameters(polylines)
     mesh.diameters = diameters
+    bad = np.flatnonzero(~(np.isfinite(area) & np.isfinite(mesh.centroids).all(axis=1)
+                           & np.isfinite(diameters)))
+    if len(bad):
+        p = int(bad[0])
+        x, y = mesh.centroids[p].tolist()
+        raise MeshError(f"element {p}: geometry is not finite (area {area[p]:.3e}, "
+                        f"centroid ({x:.3e}, {y:.3e}), diameter {diameters[p]:.3e})")
     mesh.h = float(np.max(diameters))
 
 

@@ -26,9 +26,9 @@ reproduces them bit-exactly.  Integers must fit in 64 bits.
 A mesh is its arrays (see ``curvem.mesh``): ``parse_mesh`` reads each
 section into them and hands them to the ``Mesh`` constructor, and
 ``format_mesh`` writes them; neither goes through the entity records.
-Mesh files and ``curvem run --config`` files share one reader: ``_read_text``
-(UTF-8 less a leading byte-order mark, a bad byte reported at its file offset)
-and ``_lines`` (the numbered lines left after ``#`` comments and blanks).
+The text is read by ``_read_text`` (UTF-8 less a leading byte-order mark,
+a bad byte reported at its file offset) and split by ``_lines`` (the
+numbered lines left after ``#`` comments and blanks).
 """
 
 from __future__ import annotations

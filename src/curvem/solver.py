@@ -23,6 +23,7 @@ whatever the chunking, and repeated runs produce bit-identical systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy import sparse
@@ -226,7 +227,8 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     (scipy copies the rows instead when they hold under half of the
     entries.)  Keeps the boundary values on the system so ``solve`` can
     reconstruct the full DoF vector.  Raises ``SolverError`` for more
-    boundary points than DoFs and where g is not finite.
+    boundary points than DoFs, where g gives neither a scalar nor one value
+    per boundary point, and where g is not finite.
     """
     dof_map = system.dof_map
     total, n, pts = dof_map.total, dof_map.n_unknowns, dof_map.boundary_points
@@ -234,7 +236,11 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
         raise SolverError(f"{len(pts)} boundary points but only {total} DoFs")
     values = np.zeros(total)
     if len(pts):
-        values[n:] = g(pts[:, 0], pts[:, 1])
+        given = g(pts[:, 0], pts[:, 1])
+        if np.ndim(given) and np.shape(given) != (len(pts),):
+            raise SolverError(f"boundary data must be a scalar or {len(pts)} values, one per "
+                              f"boundary point, got shape {np.shape(given)}")
+        values[n:] = given
         bad = np.flatnonzero(~np.isfinite(values[n:]))
         if len(bad):
             x, y = pts[bad[0]]
@@ -259,8 +265,12 @@ def _cg(matrix, b, tol, maxiter):
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         raise NotSPDError("nonpositive diagonal entry in reduced matrix")
-    bnorm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
+        if np.isfinite(b).all():
+            raise SolverError(f"CG right-hand side is finite but its norm overflows "
+                              f"(largest entry {np.max(np.abs(b)):.3e})")
         raise SolverError(f"CG right-hand side is not finite: its norm is {bnorm}")
     x = np.zeros_like(b)
     if bnorm == 0.0:
@@ -310,8 +320,10 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
     b = system.reduced_rhs
     n = a_mat.shape[0]
     if method == "cg":
-        if not tol > 0.0:  # also nan: CG would run until p is exactly zero
-            raise SolverError(f"CG tolerance tol must be positive, got {tol}")
+        # nan too: CG would run until p is exactly zero; at 1 or more it stops
+        # after one step
+        if not (isinstance(tol, Real) and 0.0 < tol < 1.0):
+            raise SolverError(f"CG tolerance tol must be a real number in (0, 1), got {tol!r}")
         if maxiter is None:
             maxiter = max(1000, 40 * n)
         else:

@@ -5,8 +5,9 @@ Simpson instead of Gauss-Kronrod, explicit recursion instead of library
 calls) so a shared bug cannot hide.  ``traced_peak`` is the one tool
 the memory tests share; ``recorded_rows`` reads the recorded outputs that
 the CLI's errors are checked against; ``respelled`` rewrites the text of a
-mesh or config file in the other spellings of the line grammar the two share;
-``mixed_mesh`` turns a test1 mesh into one of curved triangles and hexagons.
+mesh file in the other spellings of its line grammar; ``mixed_mesh`` turns a
+test1 mesh into one of curved triangles and hexagons; ``contrast_problem``
+is test2's interface problem at any diffusion contrast.
 
 The quadrature audit, acceptance checks 1 and 7, compares the package's
 Green rules with two subdivision oracles that share only the Gauss-Legendre
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from curvem import Mesh, circle_curve, test1_problem
+from curvem import ManufacturedProblem, Mesh, circle_curve, test1_problem, test2_problem
 from curvem.quadrature import BOOST, gauss_legendre, polygon_quadrature
 from curvem.vem import element_chunks
 
@@ -296,6 +297,34 @@ def first_problem_formulas():
         return (pxx + 2.0) * w + 2.0 * (px * wx + py * wy) + p * lap_w
 
     return exact, gradient, source
+
+
+def contrast_problem(beta):
+    """test2's interface problem at contrast beta, on test2's meshes.
+
+    kappa = beta outside r = 1/2 (label 1) and 1 inside (label 2), with
+    f = beta outside and 1 inside, so -lap u = 1 on both sides:
+    u = A - r^2/4 inside and u = 1/4 - r^2/4 + C ln r outside, with
+    C = (beta - 1) / (8 beta) and A = 1/4 - C ln 2.  For every beta, u is
+    continuous across the interface, its flux kappa du/dr is -1/4 on both
+    sides of it, and it vanishes on the unit circle.
+    """
+    c = (beta - 1.0) / (8.0 * beta)
+    a = 0.25 - c * np.log(2.0)
+
+    def outer(x, y):
+        r2 = x * x + y * y
+        g = c / r2 - 0.5
+        return 0.25 - 0.25 * r2 + 0.5 * c * np.log(r2), g * x, g * y
+
+    def inner(x, y):
+        return a - 0.25 * (x * x + y * y), -0.5 * x, -0.5 * y
+
+    return ManufacturedProblem(
+        name=f"contrast-{beta:g}", mesh_factory=test2_problem().mesh_factory,
+        diffusion={1: beta, 2: 1.0}, solution={1: outer, 2: inner},
+        source={1: lambda x, y: np.full(np.shape(x), beta), 2: lambda x, y: np.ones(np.shape(x))},
+        boundary=lambda x, y: np.zeros(np.shape(x)))
 
 
 def textbook_cg(matrix, b, tol, maxiter):

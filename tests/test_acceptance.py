@@ -7,7 +7,8 @@ Ten checks, one test each, printing one pass/fail line per check:
 3. optimal convergence rates with exactly curved boundary edges
 4. sub-optimal rates when curved edges are replaced by chords
 5. curved-interface problem: rates plus exact-solution identities, and
-   check 4's ceilings with chords
+   check 4's ceilings with chords; a second test holds the rates and
+   identities at a diffusion contrast of 1e4
 6. stiffness kernel / SPD behaviour of the assembled systems
 7. curved-quadrature audit (disk area, monomials, boost monotonicity)
 8. byte-identical outputs across repeated runs
@@ -52,6 +53,7 @@ from _oracles import (
     audit_curved_elements,
     audit_disk_area,
     audit_polygon_exactness,
+    contrast_problem,
     finite_difference_gradient,
     finite_difference_laplacian,
     mixed_mesh,
@@ -191,6 +193,42 @@ def test_5_interface_problem(interface_reports, interface_chord_reports):
     assert trace_gap <= 1e-12
     assert flux_gap <= 1e-12
     assert residual_gap <= 1e-12
+
+
+def test_5_interface_rates_hold_at_high_contrast():
+    """Check 5's rate floors with kappa = 1e4 outside the interface and 1
+    inside, on the same meshes, and the contrast family's identities."""
+    beta = 1e4
+    prob = contrast_problem(beta)
+    fits = {report.k: fit_rates(report) for report in run_convergence(
+        prob, (2, 3), INTERFACE_NS, solver_method="direct")}
+    rates_ok = all(fit.last_h1 >= k - 0.2 and fit.last_l2 >= k + 1 - 0.25
+                   for k, fit in fits.items())
+
+    outer, inner = prob.solution_for(1), prob.solution_for(2)
+    trace_gap = flux_gap = boundary_gap = 0.0
+    for theta in np.linspace(0.0, 2.0 * np.pi, 17):
+        c, s = np.cos(theta), np.sin(theta)
+        u_out, gx_out, gy_out = outer(0.5 * c, 0.5 * s)
+        u_in, gx_in, gy_in = inner(0.5 * c, 0.5 * s)
+        trace_gap = max(trace_gap, abs(u_out - u_in))
+        # kappa du/dr on each side against the flux -1/4
+        flux_gap = max(flux_gap, abs(beta * (c * gx_out + s * gy_out) + 0.25),
+                       abs(c * gx_in + s * gy_in + 0.25))
+        boundary_gap = max(boundary_gap, abs(outer(c, s)[0]))
+    for label, pt in ((1, (0.61, 0.17)), (2, (0.2, -0.1))):
+        solution = prob.solution_for(label)
+        u = lambda x, y: solution(x, y)[0]
+        assert finite_difference_laplacian(u, *pt) == pytest.approx(-1.0, rel=1e-5)
+        assert solution(*pt)[1:] == pytest.approx(finite_difference_gradient(u, *pt), rel=1e-7)
+    identities_ok = max(trace_gap, flux_gap, boundary_gap) <= 1e-12
+    _line(rates_ok and identities_ok, "curved-interface problem at contrast 1e4",
+          "; ".join(f"k={k}: H1 {fit.last_h1:.3f}, L2 {fit.last_l2:.3f}"
+                    for k, fit in fits.items())
+          + f"; trace gap {trace_gap:.1e}, flux gap {flux_gap:.1e}, "
+          f"boundary gap {boundary_gap:.1e} (all <= 1e-12)")
+    assert rates_ok
+    assert identities_ok
 
 
 def test_6_kernel_and_spd():

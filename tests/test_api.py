@@ -142,7 +142,8 @@ def test_the_quadrature_audit_lives_in_the_tests():
 def test_the_quadrature_audit_is_no_command(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "quadrature-audit"]) == EXIT_CONFIG
-    assert "config error: unknown experiment 'quadrature-audit'" in capsys.readouterr().err
+    assert ("config error: argument experiment: invalid choice: 'quadrature-audit'"
+            in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(["quadrature-audit"])
     assert exc.value.code == EXIT_CONFIG

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -25,16 +26,25 @@ from curvem.cli import (
     ConfigError,
     RunConfig,
     _build_parser,
-    _OPTIONS,
     main,
     parse_config,
 )
 
-from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows, respelled
+from _oracles import EXACT_SOLVE_RTOL, RECORDED, recorded_rows
 
 
 def config_for(argv):
     return parse_config(_build_parser().parse_args(argv))
+
+
+def experiment_parsers():
+    """Each experiment's parser, as ``curvem run`` holds them."""
+    run_parser = _build_parser()._subparsers._group_actions[0].choices["run"]
+    return run_parser._subparsers._group_actions[0].choices
+
+
+def usage(experiment):
+    return experiment_parsers()[experiment].format_usage()
 
 
 def flag(name):
@@ -54,6 +64,8 @@ SAMPLES = {"k": (["2,3"], (2, 3)), "n": (["4,8"], (4, 8)),
            "out": (["results"], "results"), "min_rate_h1": (["1.5"], 1.5),
            "min_rate_l2": (["2.5"], 2.5), "max_rate_h1": (["3.5"], 3.5),
            "max_rate_l2": (["4.5"], 4.5)}
+# the RunConfig field of each option whose name is not the field's
+FIELDS = {"k": "k_list", "n": "n_list", "mesh": "mesh_files", "out": "out_dir"}
 
 
 def test_defaults_per_experiment():
@@ -84,108 +96,29 @@ def test_flag_overrides():
     assert cfg.min_rate_l2 is None
 
 
-def test_config_file_with_flag_precedence(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "# study options\n"
-        "k = 2,3\n"
-        "n = 4,8   # two levels\n"
-        "out = from-file\n",
-        encoding="utf-8")
-    cfg = config_for(["run", "test1-curved", "--config", str(cfg_file)])
-    assert cfg.k_list == (2, 3)
-    assert cfg.n_list == (4, 8)
-    assert cfg.out_dir == "from-file"
-    cfg = config_for(["run", "test1-curved", "--config", str(cfg_file),
-                      "--k", "1", "--out", "from-flag"])
-    assert cfg.k_list == (1,)
-    assert cfg.out_dir == "from-flag"
-    assert cfg.n_list == (4, 8)
-
-
-def test_config_file_unknown_key(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("k = 2\nmystery = 4\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown key 'mystery'") as err:
-        config_for(["run", "patch", "--config", str(cfg_file)])
-    assert f"{cfg_file}:2" in str(err.value)
-
-
-def test_config_file_demands_assignments(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("k = 2\njust words\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="expected 'key = value'") as err:
-        config_for(["run", "patch", "--config", str(cfg_file)])
-    assert ":2" in str(err.value)
-
-
-def test_config_file_with_a_byte_order_mark(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("k = 3\n", encoding="utf-8-sig")
-    assert config_for(["run", "patch", "--config", str(cfg_file)]).k_list == (3,)
-
-
-def test_config_file_reads_the_mesh_files_line_grammar(tmp_path):
-    plain, other = tmp_path / "plain.cfg", tmp_path / "decorated.cfg"
-    plain.write_text("k = 2,3\nrho = 0.1\nsolver = direct\nmin_rate_l2 = 1.5\n"
-                     "out = results\n", encoding="utf-8")
-    other.write_bytes(respelled(plain.read_text(encoding="utf-8")))
-    config = config_for(["run", "test1-curved", "--config", str(plain)])
-    assert config == RunConfig("test1-curved", k_list=(2, 3), rho=0.1, solver="direct",
-                               out_dir="results", min_rate_l2=1.5)
-    assert config_for(["run", "test1-curved", "--config", str(other)]) == config
-
-
-def test_config_file_with_a_byte_order_mark_reports_the_file_offset(tmp_path, capsys):
-    cfg, out = tmp_path / "bom.cfg", tmp_path / "out"
-    cfg.write_bytes(b"\xef\xbb\xbfk = 1\n\xff\n")
-    assert main(["run", "patch", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "can't decode byte 0xff in position 9: invalid start byte" in err
-    assert not out.exists()
-
-
-def test_missing_config_file():
-    with pytest.raises(ConfigError, match="cannot read config file"):
-        config_for(["run", "patch", "--config", "no/such/file.cfg"])
-
-
-def test_config_file_value_errors_name_their_line(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n = 4,8\nk = two\n", encoding="utf-8")
-    # a bad file value fails even where a flag overrides it
-    with pytest.raises(ConfigError, match="bad k list 'two'") as err:
-        config_for(["run", "patch", "--config", str(cfg_file), "--k", "1"])
-    assert str(err.value).startswith(f"{cfg_file}:2: ")
-    cfg_file.write_text("k = 1\nrho = 0.1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="patch does not read rho; "
-                       "it reads k, n, solver, out$") as err:
-        config_for(["run", "patch", "--config", str(cfg_file)])
-    assert str(err.value).startswith(f"{cfg_file}:2: ")
-    cfg_file.write_text("k = 1\nmin_rate_l2 = inf\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="min_rate_l2 must be finite, got inf$") as err:
-        config_for(["run", "test1-curved", "--config", str(cfg_file)])
-    assert str(err.value).startswith(f"{cfg_file}:2: ")
-
-
 def test_each_experiment_reads_exactly_its_options():
-    assert set(SAMPLES) == set(_OPTIONS)
-    assert {experiment: tuple(name for name, option in _OPTIONS.items()
-                              if experiment in option.experiments)
-            for experiment in EXPERIMENTS} == READS
+    assert set(SAMPLES) == {name for names in READS.values() for name in names}
+    assert {experiment: tuple(action.option_strings[0] for action in parser._actions
+                              if action.dest != "help")
+            for experiment, parser in experiment_parsers().items()} == {
+        experiment: tuple(map(flag, names)) for experiment, names in READS.items()}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_experiment_help_lists_exactly_its_options(capsys, experiment):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", experiment, "--help"])
+    assert exc.value.code == EXIT_OK
+    listed = re.findall(r"^ {2}(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["--help", *map(flag, READS[experiment])]
 
 
 @pytest.mark.parametrize("experiment, name", [
     (experiment, name) for experiment, names in READS.items() for name in names])
-def test_flag_and_file_key_give_the_same_config(tmp_path, experiment, name):
+def test_flag_and_file_key_give_the_same_config(experiment, name):
     tokens, value = SAMPLES[name]
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{name} = {' '.join(tokens)}\n", encoding="utf-8")
-    from_flag = config_for(["run", experiment, flag(name), *tokens])
-    assert from_flag == config_for(["run", experiment, "--config", str(cfg_file)])
-    assert from_flag == replace(config_for(["run", experiment]),
-                                **{_OPTIONS[name].field: value})
+    assert config_for(["run", experiment, flag(name), *tokens]) == replace(
+        config_for(["run", experiment]), **{FIELDS.get(name, name): value})
 
 
 # the options of the former quadrature-audit experiment, which no experiment reads
@@ -200,44 +133,57 @@ def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
     out = tmp_path / "out"
     tokens = SAMPLES[name][0] if name in SAMPLES else RETIRED[name]
     assert main(["run", experiment, flag(name), *tokens, "--out", str(out)]) == EXIT_CONFIG
-    reads = ", ".join(map(flag, READS[experiment]))
-    # argparse knows no retired flag, so its value is quoted with it
-    given = flag(name) if name in SAMPLES else " ".join([flag(name), *tokens])
-    assert (f"config error: {experiment} does not read {given}; it reads {reads}\n"
-            == capsys.readouterr().err)
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{name} = {' '.join(tokens)}\n", encoding="utf-8")
-    assert main(["run", experiment, "--config", str(cfg_file),
-                 "--out", str(out)]) == EXIT_CONFIG
-    assert (f"{cfg_file}:1: {experiment} does not read {name};" if name in SAMPLES
-            else f"{cfg_file}:1: unknown key {name!r}\n") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the experiment's usage line lists what it reads
+    assert err == (f"config error: unrecognized arguments: {' '.join([flag(name), *tokens])}\n"
+                   f"{usage(experiment)}")
+    assert all(flag(read) in err for read in READS[experiment])
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (["run", "nothing"], "unknown experiment"),
-    (["run", "patch", "--k", "0"], "k must lie in 1..4"),
-    (["run", "patch", "--k", "5"], "k must lie in 1..4"),
-    (["run", "patch", "--k", "two"], "bad k list"),
-    (["run", "patch", "--n", "0"], "n must be positive"),
-    (["run", "patch", "--n", ","], "empty n list"),
-    (["run", "patch", "--solver", "lu"], "solver must be"),
-    (["run", "test1-curved", "--rho", "0"], "rho must lie in"),
-    (["run", "test1-curved", "--min-rate-h1", "fast"], "bad min_rate_h1 value 'fast'"),
-    (["run", "test1-curved", "--rho", "0.6"], "rho must lie in"),
-    (["run", "test1-curved", "--min-rate-h1", "nan"], "--min-rate-h1 must be finite, got nan"),
-    (["run", "test2", "--max-rate-l2", "inf"], "--max-rate-l2 must be finite, got inf"),
-])
-def test_invalid_options_are_rejected(argv, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+# (argv, the case, how the message starts); each case keeps the test id it
+# had when the messages were worded by hand
+INVALID_OPTIONS = [
+    (["run", "nothing"], "unknown experiment", "argument experiment: invalid choice: 'nothing'"),
+    (["run", "patch", "--k", "0"], "k must lie in 1..4",
+     "argument --k: must lie in 1..4, each once, got (0,)"),
+    (["run", "patch", "--k", "5"], "k must lie in 1..4",
+     "argument --k: must lie in 1..4, each once, got (5,)"),
+    (["run", "patch", "--k", "two"], "bad k list",
+     "argument --k: not a comma-separated list of integers: 'two'"),
+    (["run", "patch", "--n", "0"], "n must be positive",
+     "argument --n: must be at least 1, each once, got (0,)"),
+    (["run", "patch", "--n", ","], "empty n list",
+     "argument --n: must be at least 1, each once, got ()"),
+    (["run", "patch", "--solver", "lu"], "solver must be",
+     "argument --solver: invalid choice: 'lu'"),
+    (["run", "test1-curved", "--rho", "0"], "rho must lie in",
+     "argument --rho: must lie in (0, 0.5], got 0.0"),
+    (["run", "test1-curved", "--min-rate-h1", "fast"], "bad min_rate_h1 value 'fast'",
+     "argument --min-rate-h1: not a number: 'fast'"),
+    (["run", "test1-curved", "--rho", "0.6"], "rho must lie in",
+     "argument --rho: must lie in (0, 0.5], got 0.6"),
+    (["run", "test1-curved", "--min-rate-h1", "nan"], "--min-rate-h1 must be finite, got nan",
+     "argument --min-rate-h1: must be finite, got nan"),
+    (["run", "test2", "--max-rate-l2", "inf"], "--max-rate-l2 must be finite, got inf",
+     "argument --max-rate-l2: must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=f"argv{i}-{case}")
+    for i, (argv, case, message) in enumerate(INVALID_OPTIONS)])
+def test_invalid_options_are_rejected(argv, message):
+    with pytest.raises(ConfigError) as err:
         config_for(argv)
+    assert str(err.value).startswith(message)
 
 
 @pytest.mark.parametrize("experiment, name, text, message", [
-    ("test2", "n", "1,2", "test2 needs {} levels of at least 2, got (1, 2)"),
-    ("test1-curved", "k", "1,1", "{} must lie in 1..4, each once, got (1, 1)"),
-    ("patch", "k", "2,3,2", "{} must lie in 1..4, each once, got (2, 3, 2)"),
-    ("test1-curved", "n", "4,8,4", "{} must be positive, each once, got (4, 8, 4)"),
+    ("test2", "n", "1,2", "must be at least 2, each once, got (1, 2)"),
+    ("test1-curved", "k", "1,1", "must lie in 1..4, each once, got (1, 1)"),
+    ("patch", "k", "2,3,2", "must lie in 1..4, each once, got (2, 3, 2)"),
+    ("test1-curved", "n", "4,8,4", "must be at least 1, each once, got (4, 8, 4)"),
 ], ids=["test2-n", "test1-curved-k", "patch-k", "test1-curved-n"])
 def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch,
                                                    experiment, name, text, message):
@@ -246,13 +192,8 @@ def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(curvem.cli, "run", lambda config: pytest.fail("the run started"))
     out = tmp_path / "out"
     assert main(["run", experiment, flag(name), text, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message.format(flag(name))}\n"
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
-    assert main(["run", experiment, "--config", str(cfg_file),
-                 "--out", str(out)]) == EXIT_CONFIG
-    assert (capsys.readouterr().err
-            == f"config error: {cfg_file}:1: {message.format(name)}\n")
+    assert capsys.readouterr().err == (
+        f"config error: argument {flag(name)}: {message}\n{usage(experiment)}")
     assert not out.exists()
     # only test2's meshes need two levels
     assert config_for(["run", "test1-curved", "--n", "1,2"]).n_list == (1, 2)
@@ -268,16 +209,23 @@ def test_main_maps_config_errors_to_exit_2(capsys):
 def test_fixed_boost_and_tolerance_are_not_options(tmp_path, capsys, experiment, name):
     out = tmp_path / "out"
     assert main(["run", experiment, flag(name), "2", "--out", str(out)]) == EXIT_CONFIG
-    reads = ", ".join(map(flag, READS[experiment]))
-    assert (f"config error: {experiment} does not read --{name} 2; it reads {reads}\n"
-            == capsys.readouterr().err)
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{name} = 2\n", encoding="utf-8")
-    assert main(["run", experiment, "--config", str(cfg_file),
-                 "--out", str(out)]) == EXIT_CONFIG
-    assert (f"config error: {cfg_file}:1: unknown key {name!r}\n"
-            == capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"config error: unrecognized arguments: --{name} 2\n{usage(experiment)}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--k", "2", "patch"], ["run", "--out", "{out}", "patch"],
+    ["run", "patch", "--ou", "{out}"], ["run", "test1-curved", "--min-rate", "1"],
+], ids=["flag-before-experiment", "out-before-experiment", "abbreviated-out",
+        "abbreviated-rate"])
+def test_flags_before_the_experiment_or_abbreviated_exit_2(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_patch_run_writes_outputs(tmp_path, capsys):
@@ -301,7 +249,7 @@ def test_python_dash_m_runs_the_package_entry_point(tmp_path):
 
     rejected = curvem("run", "patch", "--k", "5")
     assert rejected.returncode == EXIT_CONFIG
-    assert "config error: --k must lie in 1..4" in rejected.stderr
+    assert "config error: argument --k: must lie in 1..4" in rejected.stderr
     assert not (tmp_path / "curvem-out").exists()
     ran = curvem("run", "patch", "--k", "1,2", "--out", str(tmp_path / "out"))
     assert ran.returncode == EXIT_OK, ran.stderr
@@ -398,29 +346,21 @@ def test_main_one_level_run_exits_2_before_solving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, lines, where, spelled", [
-    (["--mesh", "a.txt", "b.txt", "--n", "4,8"], None, "", "--mesh or --n"),
-    ([], "mesh = a.txt b.txt\nn = 4,8\n", "{cfg}:2: ", "mesh or n"),
-    (["--mesh", "a.txt", "b.txt"], "n = 4,8\n", "", "--mesh or n"),
-], ids=["flags", "file-keys", "file-key-and-flag"])
-def test_mesh_and_n_are_not_given_together(tmp_path, capsys, flags, lines, where, spelled):
-    cfg = tmp_path / "run.cfg"
-    if lines is not None:
-        cfg.write_text(lines, encoding="utf-8")
-        flags = [*flags, "--config", str(cfg)]
+@pytest.mark.parametrize("flags, message", [
+    (["--mesh", "a.txt", "b.txt", "--n", "4,8"], "argument --n: not allowed with argument --mesh"),
+    (["--n", "4,8", "--mesh", "a.txt", "b.txt"], "argument --mesh: not allowed with argument --n"),
+], ids=["flags", "n-first"])
+def test_mesh_and_n_are_not_given_together(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     assert main(["run", "test1-curved", *flags, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: {where.format(cfg=cfg)}test1-curved takes {spelled}, not both: "
-        "the mesh files replace the generated levels\n")
+    assert capsys.readouterr().err == f"config error: {message}\n{usage('test1-curved')}"
     assert not out.exists()
     # an experiment's own default levels are not given
     assert config_for(["run", "test2", "--mesh", "a.txt", "b.txt"]).mesh_files == \
         ("a.txt", "b.txt")
 
 
-@pytest.mark.parametrize("form", ["flags", "file"])
-def test_mesh_files_of_equal_size_exit_2(tmp_path, capsys, monkeypatch, form):
+def test_mesh_files_of_equal_size_exit_2(tmp_path, capsys, monkeypatch):
     # equal sizes leave the rates undetermined
     a, b, c = (str(tmp_path / name) for name in ("a.txt", "b.txt", "c.txt"))
     for path, n in ((a, 4), (b, 8), (c, 4)):
@@ -429,14 +369,8 @@ def test_mesh_files_of_equal_size_exit_2(tmp_path, capsys, monkeypatch, form):
                         lambda *args: pytest.fail("the meshes were validated"))
     # two files of one mesh, and one file given twice
     for given, first, second in (([a, b, c], a, c), ([b, b], b, b)):
-        if form == "flags":
-            argv = ["--mesh", *given]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"mesh = {' '.join(given)}\n", encoding="utf-8")
-            argv = ["--config", str(cfg)]
         out = tmp_path / "out"
-        assert main(["run", "test1-curved", *argv, "--out", str(out)]) == EXIT_CONFIG
+        assert main(["run", "test1-curved", "--mesh", *given, "--out", str(out)]) == EXIT_CONFIG
         h = curvem.import_mesh(second).h
         assert capsys.readouterr().err == (
             f"config error: {first} and {second} both have h = {h!r}; "
@@ -490,9 +424,7 @@ def test_validate_label_outside_64_bits_exits_2(tmp_path, capsys):
     (["validate", "{bad}", "--rho", "0.1"], "mesh file error: {bad}: not UTF-8 text at byte "),
     (["run", "test1-curved", "--mesh", "{bad}", "{bad}", "--out", "{out}"],
      "mesh file error: {bad}: not UTF-8 text at byte "),
-    (["run", "test1-curved", "--config", "{bad}", "--out", "{out}"],
-     "config error: cannot read config file '{bad}': 'utf-8' codec can't decode byte "),
-], ids=["validate", "run-mesh", "config"])
+], ids=["validate", "run-mesh"])
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, argv, message):
     bad, out = tmp_path / "bad.bin", tmp_path / "out"
     bad.write_bytes(np.random.default_rng(0).bytes(200))
@@ -626,6 +558,24 @@ def test_validate_subcommand(tmp_path, capsys):
         main(["validate", str(path), "--rho", "0.05", "--tol", "2"])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --tol 2" in capsys.readouterr().err
+
+
+def test_validate_mesh_whose_geometry_overflows_exits_3(tmp_path, capsys):
+    # one interior vertex of the test1 n = 2 mesh moved to x = 1e308: the
+    # report is one line, with no numpy overflow warning before it
+    mesh = build_mapped_tensor_mesh(2, *boundary_curves())
+    path = tmp_path / "far.txt"
+    export_mesh(mesh, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    vertex = int(np.flatnonzero(~mesh.vertex_on_boundary)[0])
+    at = [i for i, line in enumerate(lines) if line.startswith("v ")][vertex]
+    lines[at] = "v 1e308 0.5\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["validate", str(path), "--rho", "0.05"]) == EXIT_MESH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mesh error: element ")
+    assert captured.err.count("\n") == 1
 
 
 def test_validate_empty_mesh_exits_3(tmp_path, capsys):

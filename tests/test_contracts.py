@@ -1,5 +1,5 @@
-"""The argument contract: a bad count or degree raises the package's own
-exception, naming the parameter."""
+"""The argument contract: a bad count, degree or solver input raises the
+package's own exception, naming the parameter."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,16 @@ def _assemble(k, boost=2):
     return assemble(problem.mesh_factory(2), k, problem.coefficient(), boost=boost)
 
 
-def _solve(maxiter):
+def _solve(maxiter=None, tol=1e-12, rhs=None):
     system = _assemble(1)
     apply_dirichlet(system, problem1().boundary)
-    return solve(system, maxiter=maxiter)
+    if rhs is not None:
+        system.reduced_rhs[:] = rhs
+    return solve(system, tol=tol, maxiter=maxiter)
+
+
+def _dirichlet(values):
+    apply_dirichlet(_assemble(1), lambda x, y: values)
 
 
 # (call, bad value, exception, the parameter as the message names it, its
@@ -61,3 +67,37 @@ def test_numpy_integers_count():
     assert len(mesh.elements) == 4
     assert rule_points(np.int32(3), np.int64(0)) == (3, 4)
     assert len(gauss_legendre(np.int16(3)).nodes) == 3
+
+
+# (call, bad value, exception, message): a finite right-hand side whose norm
+# overflowed warned in numpy and then was called not finite, a tolerance of
+# 1 or more returned after one CG step, a string raised TypeError, and
+# boundary data of the wrong length failed to broadcast in numpy
+ENTRY_CASES = [
+    (lambda rhs: _solve(rhs=rhs), 1e300, SolverError,
+     "CG right-hand side is finite but its norm overflows (largest entry 1.000e+300)"),
+    (lambda tol: _solve(tol=tol), np.inf, SolverError,
+     "CG tolerance tol must be a real number in (0, 1), got inf"),
+    (lambda tol: _solve(tol=tol), 2.0, SolverError,
+     "CG tolerance tol must be a real number in (0, 1), got 2.0"),
+    (lambda tol: _solve(tol=tol), "1e-8", SolverError,
+     "CG tolerance tol must be a real number in (0, 1), got '1e-8'"),
+    (_dirichlet, np.zeros(3), SolverError,
+     "boundary data must be a scalar or 8 values, one per boundary point, got shape (3,)"),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", ENTRY_CASES, ids=[
+    "cg-rhs-norm-overflows", "tol-inf", "tol-2", "tol-text", "dirichlet-wrong-count"])
+def test_solver_inputs_are_checked_on_entry(call, value, error, message):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_scalar_boundary_data_broadcasts():
+    system = _assemble(1)
+    apply_dirichlet(system, lambda x, y: 0.5)
+    n = system.dof_map.n_unknowns
+    assert np.array_equal(system.boundary_values[n:], np.full(system.dof_map.total - n, 0.5))

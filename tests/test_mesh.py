@@ -130,6 +130,20 @@ def test_build_rejects_non_finite_vertex(bad):
         Mesh.build(vertices, edges, [Element(edge_loop=[(0, 1), (1, 1), (2, 1), (3, 1)])])
 
 
+@pytest.mark.parametrize("scale, geometry", [
+    (1e150, "area 2.375e+299, centroid (inf, inf), diameter 7.071e+149"),
+    (1e160, "area inf, centroid (nan, nan), diameter inf"),
+], ids=["centroid-overflows", "area-and-diameter-overflow"])
+def test_mesh_whose_geometry_overflows_is_rejected(scale, geometry):
+    # finite points whose sums overflow: the first element is named, with no
+    # numpy warning, which the suite's filter would turn into an error
+    base = straighten_mesh(problem1().mesh_factory(2))
+    with pytest.raises(MeshError) as err:
+        Mesh(base.points * scale, base.edge_vertices, base.edge_curves, base.edge_params,
+             base.loop_offsets, base.loop_edges, base.loop_signs, base.labels)
+    assert str(err.value) == f"element 0: geometry is not finite ({geometry})"
+
+
 @pytest.mark.parametrize("edit, message", [
     ("reverse", "segment needs t0 < t1, got [0.39269908169872414, 0.0]"),
     ("shift", "segment [3.141592653589793, 3.5342917352885173] leaves parameter interval "

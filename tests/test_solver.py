@@ -528,7 +528,7 @@ def test_cg_rejects_a_tolerance_that_is_not_positive(monkeypatch, tol):
     with pytest.raises(SolverError) as info:
         solve(system, method="cg", tol=tol)
     assert type(info.value) is SolverError
-    assert str(info.value) == f"CG tolerance tol must be positive, got {tol}"
+    assert str(info.value) == f"CG tolerance tol must be a real number in (0, 1), got {tol!r}"
 
 
 @pytest.mark.parametrize("maxiter", [0, -1, 2.5, "10"])
