@@ -167,7 +167,9 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
     ``system``.  The slices bound the memory of the rule's basis values;
     each element's terms are the same bits in a slice of any size.  Raises
     ``SolverError`` when ``k``, the element count of ``mesh`` or the length
-    of ``solution`` is not the system's.
+    of ``solution`` is not the system's, and ``ElementOperatorError``
+    naming the label when the problem's exact solution does not give
+    (u, du/dx, du/dy) as real values.
     """
     dof_map = system.dof_map
     for what, given, expected in (
@@ -188,7 +190,7 @@ def compute_errors(mesh: Mesh, k: int, solution: np.ndarray,
             vals, gxb, gyb = chunk.basis_grad(x, y)
             uh = (vals @ coeffs)[..., 0]
             uhx, uhy = (gxb @ coeffs)[..., 0], (gyb @ coeffs)[..., 0]
-            ue, uex, uey = chunk.by_label(problem.solution_for, x, y)
+            ue, uex, uey = chunk.by_label(problem.solution_for, x, y, "exact solution", 3)
             parts[:, chunk.elements] = [np.vecdot(w, (uex - uhx) ** 2 + (uey - uhy) ** 2),
                                         np.vecdot(w, uex ** 2 + uey ** 2),
                                         np.vecdot(w, (ue - uh) ** 2),

@@ -228,7 +228,8 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     entries.)  Keeps the boundary values on the system so ``solve`` can
     reconstruct the full DoF vector.  Raises ``SolverError`` for more
     boundary points than DoFs, where g gives neither a scalar nor one value
-    per boundary point, and where g is not finite.
+    per boundary point, where its values are not real numbers, and where g
+    is not finite.
     """
     dof_map = system.dof_map
     total, n, pts = dof_map.total, dof_map.n_unknowns, dof_map.boundary_points
@@ -236,10 +237,12 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
         raise SolverError(f"{len(pts)} boundary points but only {total} DoFs")
     values = np.zeros(total)
     if len(pts):
-        given = g(pts[:, 0], pts[:, 1])
-        if np.ndim(given) and np.shape(given) != (len(pts),):
+        given = np.asarray(g(pts[:, 0], pts[:, 1]))
+        if given.ndim and given.shape != (len(pts),):
             raise SolverError(f"boundary data must be a scalar or {len(pts)} values, one per "
-                              f"boundary point, got shape {np.shape(given)}")
+                              f"boundary point, got shape {given.shape}")
+        if given.dtype.kind not in "iuf":
+            raise SolverError(f"boundary data must be real numbers, got dtype {given.dtype}")
         values[n:] = given
         bad = np.flatnonzero(~np.isfinite(values[n:]))
         if len(bad):

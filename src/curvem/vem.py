@@ -46,6 +46,7 @@ chunk (``ElementChunk.slices``), which bound its memory.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Mapping
 
@@ -57,7 +58,8 @@ from .quadrature import (BOOST, SideBatch, gauss_legendre, gauss_lobatto, green_
 
 
 class ElementOperatorError(Exception):
-    """Raised when a local projector system is singular or ill-conditioned."""
+    """Raised when an element's problem data is missing or not real, or its
+    local projector system is singular or ill-conditioned."""
 
 
 _COND_LIMIT = 1e13
@@ -205,8 +207,8 @@ class Coefficient:
     """Problem data: piecewise-constant diffusion and source by element label.
 
     ``diffusion`` is a single positive number or a mapping label -> kappa
-    (``solver.assemble`` checks that every value it reads is positive and
-    finite);
+    (``kappa`` checks that the value is a real number, ``solver.assemble``
+    that every value it reads is positive and finite);
     ``source`` is a vectorized callable f(x, y) or a mapping label -> callable
     for data with subdomain-dependent smooth branches.
     """
@@ -215,7 +217,12 @@ class Coefficient:
     source: Callable | Mapping[int, Callable] | None = None
 
     def kappa(self, label: int) -> float:
-        return float(_for_label(self.diffusion, label, "diffusion value"))
+        value = _for_label(self.diffusion, label, "diffusion value")
+        # bool is an int to Python, and numpy's bool is no number at all
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ElementOperatorError(
+                f"label {label}: diffusion must be a real number, got {value!r}")
+        return float(value)
 
     def source_for(self, label: int):
         if self.source is None:
@@ -223,16 +230,28 @@ class Coefficient:
         return _for_label(self.source, label, "source")
 
 
-def _values(f, x, y):
+def _values(f, x, y, what: str, count: int = 1):
     """f at points (x, y) of any shape, called on flattened arrays.
 
-    Returns an array shaped like x, or a tuple of them when f returns one.
+    Returns an array shaped like x, or a tuple of ``count`` of them when
+    ``count`` > 1, where f must return a tuple of that length.  Each value
+    must be a real scalar or one real number per point; otherwise raises
+    ``ElementOperatorError`` naming ``what``.
     """
     out = f(x.ravel(), y.ravel())
-    if isinstance(out, tuple):
-        return tuple(np.broadcast_to(np.asarray(o, dtype=float), (x.size,)).reshape(x.shape)
-                     for o in out)
-    return np.broadcast_to(np.asarray(out, dtype=float), (x.size,)).reshape(x.shape)
+    if count > 1 and not (isinstance(out, tuple) and len(out) == count):
+        got = f"a tuple of {len(out)}" if isinstance(out, tuple) else type(out).__name__
+        raise ElementOperatorError(f"{what} must return a tuple of {count} arrays, got {got}")
+    arrays = []
+    for o in out if count > 1 else (out,):
+        o = np.asarray(o)
+        if o.ndim and o.shape != (x.size,):
+            raise ElementOperatorError(f"{what} must give a scalar or {x.size} values, one "
+                                       f"per point, got shape {o.shape}")
+        if o.dtype.kind not in "iuf":
+            raise ElementOperatorError(f"{what} must give real numbers, got dtype {o.dtype}")
+        arrays.append(np.broadcast_to(o.astype(float, copy=False), (x.size,)).reshape(x.shape))
+    return tuple(arrays) if count > 1 else arrays[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,30 +317,32 @@ class ElementChunk:
         """``basis`` values and their x and y derivatives, three (E, m, dim) arrays."""
         return _monomials(self.k, *self._scaled(x, y), self.h[:, None])
 
-    def by_label(self, lookup: Callable, x, y):
-        """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m)."""
-        out = None
+    def by_label(self, lookup: Callable, x, y, what: str, count: int = 1):
+        """Evaluate ``lookup(label)`` at each element's points (x, y), shape (E, m).
+
+        Returns ``count`` such arrays as a tuple when ``count`` > 1; the
+        checks of ``_values`` raise ``ElementOperatorError`` naming the
+        label and ``what``.
+        """
+        out = tuple(np.empty(x.shape) for _ in range(count))
         for label in np.unique(self.labels):
             rows = self.labels == label
-            vals = _values(lookup(int(label)), x[rows], y[rows])
-            vals = vals if isinstance(vals, tuple) else (vals,)
-            if out is None:
-                out = tuple(np.empty(x.shape) for _ in vals)
-            for o, v in zip(out, vals):
+            vals = _values(lookup(int(label)), x[rows], y[rows], f"label {label}: {what}", count)
+            for o, v in zip(out, vals if count > 1 else (vals,)):
                 o[rows] = v
-        return out if len(out) > 1 else out[0]
+        return out if count > 1 else out[0]
 
     def interpolate(self, u, boost: int = BOOST) -> np.ndarray:
         """DoF vectors of a smooth function: point values plus scaled moments."""
         e = len(self.elements)
         out = np.empty((e, self.n_dof))
         pts = self.dof_points.reshape(-1, 2)
-        out[:, :self.n_bnd] = _values(u, pts[:, 0], pts[:, 1]).reshape(e, self.n_bnd)
+        out[:, :self.n_bnd] = _values(u, pts[:, 0], pts[:, 1], "u").reshape(e, self.n_bnd)
         nm = n_moments(self.k)
         if nm:
             x, y, w = self.rule(self.k + 2, boost)
             vals = self.basis(x, y)[..., :nm]
-            out[:, self.n_bnd:] = ((w * _values(u, x, y))[:, None, :] @ vals)[:, 0] \
+            out[:, self.n_bnd:] = ((w * _values(u, x, y, "u"))[:, None, :] @ vals)[:, 0] \
                 / self.area[:, None]
         return out
 
@@ -532,7 +553,7 @@ class ChunkOperators:
         """
         chunk, k = self.chunk, self.chunk.k
         x, y, w = chunk.rule(k + 2, self.boost)
-        fvals = chunk.by_label(source_for, x, y)
+        fvals = chunk.by_label(source_for, x, y, "source")
         finite = np.isfinite(fvals)
         if not finite.all():
             e, q = np.argwhere(~finite)[0]

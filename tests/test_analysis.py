@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from curvem import (
     ConvergenceReport,
     ConvergenceRow,
+    ElementOperatorError,
+    ManufacturedProblem,
     Mesh,
     SolverError,
     build_mapped_tensor_mesh,
     compute_errors,
     fit_rates,
+    parse_mesh,
     run_convergence,
     run_patch_test,
     solve,
@@ -203,6 +206,44 @@ def test_compute_errors_rejects_arguments_that_do_not_match_the_system(what):
     with pytest.raises(SolverError) as info:
         compute_errors(*args, prob, system)
     assert str(info.value) == f"{what} {given} does not match the system's {expected}"
+
+
+# the unit square as three vertical strips, one chunk of three elements
+STRIPS = """\
+curvem-mesh 1
+counts 8 0 10 3
+v 0 0
+v 0.33333333333333331 0
+v 0.66666666666666663 0
+v 1 0
+v 1 1
+v 0.66666666666666663 1
+v 0.33333333333333331 1
+v 0 1
+e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 7\ne 7 0\ne 1 6\ne 2 5
+p 4 1 9 7 8\nlabel 1
+p 4 2 10 6 -9\nlabel 1
+p 4 3 4 5 -10\nlabel 1
+"""
+
+
+def test_compute_errors_needs_the_gradient_of_the_exact_solution():
+    # an exact solution of u alone unpacked the rows of its values: on this
+    # chunk of three it returned errors (1.21, 1.98) and raised nothing
+    u = lambda x, y: np.sin(x) * np.cos(y)
+    grad = lambda x, y: (u(x, y), np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y))
+    prob = ManufacturedProblem("strips", lambda n: parse_mesh(STRIPS), 1.0, grad,
+                               lambda x, y: 2 * u(x, y), u)
+    mesh = prob.mesh_factory(1)
+    system = assemble(mesh, 2, prob.coefficient())
+    apply_dirichlet(system, u)
+    solution = solve(system, method="direct")
+    assert compute_errors(mesh, 2, solution, prob, system) == pytest.approx(
+        (0.0466, 0.0068), abs=1e-4)
+    with pytest.raises(ElementOperatorError) as info:
+        compute_errors(mesh, 2, solution, dataclasses.replace(prob, solution=u), system)
+    assert str(info.value) == ("label 1: exact solution must return a tuple of 3 arrays, "
+                               "got ndarray")
 
 
 def test_fit_rates_on_synthetic_errors():

@@ -13,7 +13,7 @@ import pytest
 
 import curvem.analysis
 import curvem.cli
-from curvem import (ConvergenceReport, ConvergenceRow, RateFit, build_annulus_interface_mesh,
+from curvem import (ConvergenceReport, ConvergenceRow, build_annulus_interface_mesh,
                     build_mapped_tensor_mesh, export_mesh, fit_rates, straighten_mesh)
 from curvem import test1_boundary_curves as boundary_curves
 from curvem.cli import (
@@ -51,8 +51,7 @@ def flag(name):
     return "--" + name.replace("_", "-")
 
 
-CONVERGENCE_READS = ("k", "n", "mesh", "rho", "solver", "out",
-                     "min_rate_h1", "min_rate_l2", "max_rate_h1", "max_rate_l2")
+CONVERGENCE_READS = ("k", "n", "mesh", "rho", "solver", "out")
 READS = {"test1-curved": CONVERGENCE_READS, "test1-straight": CONVERGENCE_READS,
          "test2": CONVERGENCE_READS, "patch": ("k", "n", "solver", "out")}
 
@@ -61,9 +60,7 @@ READS = {"test1-curved": CONVERGENCE_READS, "test1-straight": CONVERGENCE_READS,
 SAMPLES = {"k": (["2,3"], (2, 3)), "n": (["4,8"], (4, 8)),
            "mesh": (["a.txt", "b.txt"], ("a.txt", "b.txt")), "rho": (["0.1"], 0.1),
            "solver": (["direct"], "direct"),
-           "out": (["results"], "results"), "min_rate_h1": (["1.5"], 1.5),
-           "min_rate_l2": (["2.5"], 2.5), "max_rate_h1": (["3.5"], 3.5),
-           "max_rate_l2": (["4.5"], 4.5)}
+           "out": (["results"], "results")}
 # the RunConfig field of each option whose name is not the field's
 FIELDS = {"k": "k_list", "n": "n_list", "mesh": "mesh_files", "out": "out_dir"}
 
@@ -84,16 +81,12 @@ def test_defaults_per_experiment():
 
 def test_flag_overrides():
     cfg = config_for(["run", "test1-curved", "--k", "2,3", "--n", "4,8",
-                      "--rho", "0.1", "--solver", "direct", "--out", "results",
-                      "--min-rate-h1", "1.5", "--max-rate-l2", "3.5"])
+                      "--rho", "0.1", "--solver", "direct", "--out", "results"])
     assert cfg.k_list == (2, 3)
     assert cfg.n_list == (4, 8)
     assert cfg.rho == 0.1
     assert cfg.solver == "direct"
     assert cfg.out_dir == "results"
-    assert cfg.min_rate_h1 == 1.5
-    assert cfg.max_rate_l2 == 3.5
-    assert cfg.min_rate_l2 is None
 
 
 def test_each_experiment_reads_exactly_its_options():
@@ -121,8 +114,11 @@ def test_flag_and_file_key_give_the_same_config(experiment, name):
         config_for(["run", experiment]), **{FIELDS.get(name, name): value})
 
 
-# the options of the former quadrature-audit experiment, which no experiment reads
-RETIRED = {"seed": ["7"], "trials": ["3"], "M": ["1,2"]}
+# retired options, which no experiment reads: those of the former
+# quadrature-audit experiment, and the rate thresholds of the convergence
+# experiments, whose rates the acceptance suite judges
+RETIRED = {"seed": ["7"], "trials": ["3"], "M": ["1,2"], "min_rate_h1": ["1.5"],
+           "min_rate_l2": ["2.5"], "max_rate_h1": ["3.5"], "max_rate_l2": ["4.5"]}
 
 
 @pytest.mark.parametrize("experiment, name", [
@@ -141,38 +137,34 @@ def test_every_experiment_rejects_the_options_it_does_not_read(tmp_path, capsys,
     assert not out.exists()
 
 
-# (argv, the case, how the message starts); each case keeps the test id it
-# had when the messages were worded by hand
+# (test id, argv, how the message starts); each argvN case keeps the test
+# id it had when the messages were worded by hand
 INVALID_OPTIONS = [
-    (["run", "nothing"], "unknown experiment", "argument experiment: invalid choice: 'nothing'"),
-    (["run", "patch", "--k", "0"], "k must lie in 1..4",
+    ("argv0-unknown experiment", ["run", "nothing"],
+     "argument experiment: invalid choice: 'nothing'"),
+    ("argv1-k must lie in 1..4", ["run", "patch", "--k", "0"],
      "argument --k: must lie in 1..4, each once, got (0,)"),
-    (["run", "patch", "--k", "5"], "k must lie in 1..4",
+    ("argv2-k must lie in 1..4", ["run", "patch", "--k", "5"],
      "argument --k: must lie in 1..4, each once, got (5,)"),
-    (["run", "patch", "--k", "two"], "bad k list",
+    ("argv3-bad k list", ["run", "patch", "--k", "two"],
      "argument --k: not a comma-separated list of integers: 'two'"),
-    (["run", "patch", "--n", "0"], "n must be positive",
+    ("argv4-n must be positive", ["run", "patch", "--n", "0"],
      "argument --n: must be at least 1, each once, got (0,)"),
-    (["run", "patch", "--n", ","], "empty n list",
+    ("argv5-empty n list", ["run", "patch", "--n", ","],
      "argument --n: must be at least 1, each once, got ()"),
-    (["run", "patch", "--solver", "lu"], "solver must be",
+    ("argv6-solver must be", ["run", "patch", "--solver", "lu"],
      "argument --solver: invalid choice: 'lu'"),
-    (["run", "test1-curved", "--rho", "0"], "rho must lie in",
+    ("argv7-rho must lie in", ["run", "test1-curved", "--rho", "0"],
      "argument --rho: must lie in (0, 0.5], got 0.0"),
-    (["run", "test1-curved", "--min-rate-h1", "fast"], "bad min_rate_h1 value 'fast'",
-     "argument --min-rate-h1: not a number: 'fast'"),
-    (["run", "test1-curved", "--rho", "0.6"], "rho must lie in",
+    ("argv9-rho must lie in", ["run", "test1-curved", "--rho", "0.6"],
      "argument --rho: must lie in (0, 0.5], got 0.6"),
-    (["run", "test1-curved", "--min-rate-h1", "nan"], "--min-rate-h1 must be finite, got nan",
-     "argument --min-rate-h1: must be finite, got nan"),
-    (["run", "test2", "--max-rate-l2", "inf"], "--max-rate-l2 must be finite, got inf",
-     "argument --max-rate-l2: must be finite, got inf"),
+    ("rho-not-a-number", ["run", "test2", "--rho", "fast"],
+     "argument --rho: not a number: 'fast'"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(argv, message, id=f"argv{i}-{case}")
-    for i, (argv, case, message) in enumerate(INVALID_OPTIONS)])
+    pytest.param(argv, message, id=case) for case, argv, message in INVALID_OPTIONS])
 def test_invalid_options_are_rejected(argv, message):
     with pytest.raises(ConfigError) as err:
         config_for(argv)
@@ -216,9 +208,8 @@ def test_fixed_boost_and_tolerance_are_not_options(tmp_path, capsys, experiment,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--k", "2", "patch"], ["run", "--out", "{out}", "patch"],
-    ["run", "patch", "--ou", "{out}"], ["run", "test1-curved", "--min-rate", "1"],
-], ids=["flag-before-experiment", "out-before-experiment", "abbreviated-out",
-        "abbreviated-rate"])
+    ["run", "patch", "--ou", "{out}"],
+], ids=["flag-before-experiment", "out-before-experiment", "abbreviated-out"])
 def test_flags_before_the_experiment_or_abbreviated_exit_2(tmp_path, capsys, monkeypatch,
                                                             argv):
     monkeypatch.chdir(tmp_path)
@@ -267,22 +258,18 @@ def test_main_patch_run_covers_every_level(tmp_path, capsys):
     assert "k=1 (n=2)" in summary and "k=1 (n=4)" in summary
 
 
-def test_main_threshold_violation_exits_1(tmp_path, capsys, monkeypatch):
-    # a NaN rate, which a zero error gives, meets no bound
-    nan_fit = RateFit(lsq_h1=np.nan, lsq_l2=np.nan, pairwise_h1=[np.nan], pairwise_l2=[np.nan])
-    for fit, flag, violation in ((None, "--min-rate-l2", "min_rate_l2=5.0 violated"),
-                                 (nan_fit, "--min-rate-h1", "min_rate_h1=5.0 violated (nan)")):
-        if fit is not None:
-            monkeypatch.setattr(curvem.cli, "fit_rates", lambda report: fit)
-        out = tmp_path / flag
-        code = main(["run", "test1-curved", "--k", "1", "--n", "4,8",
-                     flag, "5", "--out", str(out)])
-        assert code == EXIT_THRESHOLD
-        summary = (out / "summary.txt").read_text(encoding="utf-8")
-        assert "threshold violations:" in summary
-        assert violation in summary
-        assert (out / "test1-curved_k1.csv").exists()
-    capsys.readouterr()
+def test_main_patch_level_above_tolerance_exits_1(tmp_path, capsys, monkeypatch):
+    # the one exit-1 path: a patch level whose error exceeds PATCH_TOL
+    def errors(ks, ns, solver_method):
+        yield from (0.0, 10 * PATCH_TOL)
+
+    monkeypatch.setattr(curvem.cli, "run_patch_test", errors)
+    out = tmp_path / "out"
+    assert main(["run", "patch", "--k", "1,2", "--out", str(out)]) == EXIT_THRESHOLD
+    rows = (out / "patch.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["pass", "FAIL"]
+    assert "patch test k=2 (n=2): max relative dof error 1.000e-08 -> FAIL" in \
+        capsys.readouterr().out
 
 
 def test_main_runs_are_byte_identical(tmp_path, capsys):
