@@ -1,6 +1,8 @@
-"""The integer check of the package's count and degree arguments."""
+"""The checks of the package's number arguments: counts, degrees and reals."""
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 
@@ -17,3 +19,9 @@ def check_integer(error: type[Exception], name: str, value, low: int,
         return
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise error(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """A real number, Python or numpy; bool is none, though Python counts it
+    as an int (and numpy's bool is no number at all)."""
+    return isinstance(value, Real) and not isinstance(value, bool)

@@ -21,12 +21,13 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
+from ._checks import check_integer
 from .geometry import BoundaryCurve, graph_curve
 from .mesh import Mesh, build_annulus_interface_mesh, build_mapped_tensor_mesh, \
     straighten_mesh
 from .quadrature import BOOST
 from .solver import SolverError, apply_dirichlet, assemble, solve
-from .vem import Coefficient, _exponents, _for_label, global_dof_count
+from .vem import Coefficient, ElementOperatorError, _exponents, _for_label, global_dof_count
 
 
 @dataclass(frozen=True)
@@ -233,10 +234,11 @@ class ConvergenceReport:
     k: int
     rows: list[ConvergenceRow]
 
-    def to_csv(self, fit: RateFit | None = None) -> str:
-        """Deterministic CSV with the per-interval rates of ``fit`` (or ``fit_rates``)."""
+    def to_csv(self) -> str:
+        """Deterministic CSV of the rows, with the per-interval rates that
+        ``fit_rates`` finds in them."""
         lines = ["n,h,n_dof,err_h1,err_l2,rate_h1,rate_l2"]
-        fit = fit_rates(self) if fit is None else fit
+        fit = fit_rates(self)
         for i, row in enumerate(self.rows):
             rate_h1 = repr(fit.pairwise_h1[i - 1]) if i else ""
             rate_l2 = repr(fit.pairwise_l2[i - 1]) if i else ""
@@ -421,6 +423,7 @@ def _patch_polynomial(k: int) -> tuple[Callable, Callable]:
 
 def _patch_error(mesh: Mesh, k: int, solver_method: str = "direct") -> float:
     """Max relative DoF error of the solve whose exact solution is ``_patch_polynomial(k)``."""
+    check_integer(ElementOperatorError, "degree k", k, 1)
     u, f = _patch_polynomial(k)
     system = assemble(mesh, k, Coefficient(diffusion=1.0, source=f))
     apply_dirichlet(system, u)

@@ -224,7 +224,7 @@ def _run_convergence_experiment(config: RunConfig) -> int:
     with closing(reports):
         for report in reports:
             k, fit = report.k, fit_rates(report)
-            _write(out / f"{config.experiment}_k{k}.csv", report.to_csv(fit))
+            _write(out / f"{config.experiment}_k{k}.csv", report.to_csv())
             summary.append(f"k = {k}")
             summary.append("  n        h     n_dof       err_H1       err_L2")
             for row in report.rows:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_real
+
 
 class GeometryError(Exception):
     """Raised for degenerate curves or out-of-range parameters."""
@@ -88,8 +90,9 @@ class BoundaryCurve:
         amplitude frequency offset for a graph.
 
     The record is the curve: equal fields make equal curves, and every
-    construction checks them (a finite interval and finite coefficients of a
-    known kind, a circle's radius and span, nonzero speed at 64 samples).
+    construction checks them (an interval of two finite real numbers a < b,
+    finite real coefficients of a known kind, not bool, a circle's radius
+    and span, nonzero speed at 64 samples).
     ``eval(t)`` takes a scalar or an array and returns points with a
     trailing axis of length 2.
     """
@@ -109,6 +112,12 @@ class BoundaryCurve:
             raise GeometryError(
                 f"curve {cid!r}: kind {self.kind!r} takes {len(kind.coefficients)} parameters "
                 f"({' '.join(kind.coefficients)}), got {len(self.params)}")
+        if len(self.param_interval) != 2 or not all(map(is_real, self.param_interval)):
+            raise GeometryError(f"curve {cid!r}: param_interval must be two real numbers, "
+                                f"got {self.param_interval!r}")
+        for name, value in zip(kind.coefficients, self.params):
+            if not is_real(value):
+                raise GeometryError(f"curve {cid!r}: {name} must be a real number, got {value!r}")
         (a, b), p = map(float, self.param_interval), tuple(map(float, self.params))
         object.__setattr__(self, "param_interval", (a, b))
         object.__setattr__(self, "params", p)
@@ -142,8 +151,13 @@ def circle_curve(curve_id, center, radius, omega=1.0, phase=0.0,
     The angular span |omega|*(b - a) must not exceed 2*pi, which makes the
     parametrization injective (up to the closed-curve endpoint).
     """
-    return BoundaryCurve(str(curve_id), param_interval, "circle",
-                         (center[0], center[1], radius, omega, phase))
+    cid = str(curve_id)
+    try:
+        cx, cy = center
+    except (TypeError, ValueError):
+        raise GeometryError(f"curve {cid!r}: center must be two real numbers, "
+                            f"got {center!r}") from None
+    return BoundaryCurve(cid, param_interval, "circle", (cx, cy, radius, omega, phase))
 
 
 def graph_curve(curve_id, amplitude, frequency, offset=0.0,
@@ -164,6 +178,10 @@ class CurveSegment:
     t1: float
 
     def __post_init__(self):
+        for name, value in (("t0", self.t0), ("t1", self.t1)):
+            if not is_real(value):
+                raise GeometryError(f"curve {self.curve.id!r}: segment {name} must be a real "
+                                    f"number, got {value!r}")
         a, b = self.curve.param_interval
         slack = 1e-12 * (b - a)
         if not self.t0 < self.t1:

@@ -256,14 +256,18 @@ def apply_dirichlet(system: LinearSystem, g) -> None:
     system.boundary_values = values
 
 
-def _cg(matrix, b, tol, maxiter):
+def _cg(matrix, b, tol):
     """Jacobi-preconditioned conjugate gradients with SPD monitoring.
 
     ``matrix`` holds the n = len(b) rows of the system and may have more
     columns: it multiplies a buffer whose first n entries are the search
     direction and whose tail stays zero.  The updates run in place on
     preallocated vectors.  Each is the same floating-point operation as
-    its textbook form, so the iterates keep their bits.
+    its textbook form, so the iterates keep their bits.  CG runs at most
+    max(1000, 40 n) iterations and raises ``SolverError`` if they miss
+    ``tol``, or if r.z underflows to zero first: the Jacobi diagonal is
+    positive, so while the residual is above ``tol`` a zero r.z is
+    underflow, not an indefinite matrix.
     """
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
@@ -285,7 +289,11 @@ def _cg(matrix, b, tol, maxiter):
     p[:] = z
     step = np.empty_like(b)
     rz = float(r @ z)
-    for _ in range(maxiter):
+    maxiter = max(1000, 40 * len(b))
+    for done in range(maxiter):
+        if rz == 0.0:
+            raise SolverError(f"CG did not reach relative residual {tol:.1e}: r.z underflowed "
+                              f"to zero after {done} iterations")
         ap = matrix @ buffer
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -305,13 +313,12 @@ def _cg(matrix, b, tol, maxiter):
                       f"in {maxiter} iterations")
 
 
-def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
-          maxiter: int | None = None) -> np.ndarray:
+def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12) -> np.ndarray:
     """Solve the eliminated system and reconstruct the full DoF vector.
 
     ``method`` is "cg" (Jacobi-preconditioned, relative-residual tolerance
-    ``tol``, at most ``maxiter`` iterations, by default max(1000, 40 n) for
-    n unknowns) or "direct" (a sparse LU with symmetric diagonal pivots; it
+    ``tol``, at most max(1000, 40 n) iterations for the system's n
+    unknowns) or "direct" (a sparse LU with symmetric diagonal pivots; it
     is the only path that loads ``scipy.sparse.linalg``).  CG's stopping
     test bounds the relative residual, not the error: on test1 at k = 8,
     n = 16 it meets 1e-12 with err_L2 39% away from a direct solve's, which
@@ -327,11 +334,7 @@ def solve(system: LinearSystem, method: str = "cg", tol: float = 1e-12,
         # after one step
         if not (isinstance(tol, Real) and 0.0 < tol < 1.0):
             raise SolverError(f"CG tolerance tol must be a real number in (0, 1), got {tol!r}")
-        if maxiter is None:
-            maxiter = max(1000, 40 * n)
-        else:
-            check_integer(SolverError, "CG iteration cap maxiter", maxiter, 1)
-        x = _cg(a_mat, b, tol, maxiter)
+        x = _cg(a_mat, b, tol)
     elif method == "direct":
         from scipy.sparse.linalg import splu
 

@@ -46,12 +46,12 @@ chunk (``ElementChunk.slices``), which bound its memory.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
+from ._checks import is_real
 from .mesh import Mesh, curve_points
 from .quadrature import (BOOST, SideBatch, gauss_legendre, gauss_lobatto, green_rule,
                          lagrange_values, rule_points)
@@ -218,8 +218,7 @@ class Coefficient:
 
     def kappa(self, label: int) -> float:
         value = _for_label(self.diffusion, label, "diffusion value")
-        # bool is an int to Python, and numpy's bool is no number at all
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        if not is_real(value):
             raise ElementOperatorError(
                 f"label {label}: diffusion must be a real number, got {value!r}")
         return float(value)

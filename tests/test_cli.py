@@ -115,10 +115,12 @@ def test_flag_and_file_key_give_the_same_config(experiment, name):
 
 
 # retired options, which no experiment reads: those of the former
-# quadrature-audit experiment, and the rate thresholds of the convergence
-# experiments, whose rates the acceptance suite judges
+# quadrature-audit experiment, the rate thresholds of the convergence
+# experiments, whose rates the acceptance suite judges, and the quadrature
+# boost and CG tolerance, which are fixed
 RETIRED = {"seed": ["7"], "trials": ["3"], "M": ["1,2"], "min_rate_h1": ["1.5"],
-           "min_rate_l2": ["2.5"], "max_rate_h1": ["3.5"], "max_rate_l2": ["4.5"]}
+           "min_rate_l2": ["2.5"], "max_rate_h1": ["3.5"], "max_rate_l2": ["4.5"],
+           "boost": ["2"], "tol": ["2"]}
 
 
 @pytest.mark.parametrize("experiment, name", [
@@ -194,16 +196,6 @@ def test_levels_the_experiment_cannot_solve_exit_2(tmp_path, capsys, monkeypatch
 def test_main_maps_config_errors_to_exit_2(capsys):
     assert main(["run", "bogus-experiment"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("experiment, name", [
-    (experiment, name) for experiment in EXPERIMENTS for name in ("boost", "tol")])
-def test_fixed_boost_and_tolerance_are_not_options(tmp_path, capsys, experiment, name):
-    out = tmp_path / "out"
-    assert main(["run", experiment, flag(name), "2", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: unrecognized arguments: --{name} 2\n{usage(experiment)}")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,14 +1,15 @@
-"""The argument contract: a bad count, degree, solver input or problem data
-value raises the package's own exception, naming the parameter or label."""
+"""The argument contract: a bad count, degree, curve, solver input or problem
+data value raises the package's own exception, naming the parameter or label."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from curvem import (Coefficient, ElementOperatorError, MeshError, QuadratureError, SolverError,
-                    apply_dirichlet, assemble, build_annulus_interface_mesh,
-                    build_mapped_tensor_mesh, compute_errors, solve)
+from curvem import (Coefficient, CurveSegment, ElementOperatorError, GeometryError, MeshError,
+                    QuadratureError, SolverError, apply_dirichlet, assemble,
+                    build_annulus_interface_mesh, build_mapped_tensor_mesh, circle_curve,
+                    compute_errors, graph_curve, run_patch_test, solve)
 from curvem import test1_problem as problem1
 from curvem.quadrature import gauss_legendre, gauss_lobatto, rule_points
 from curvem.vem import local_operators
@@ -19,12 +20,12 @@ def _assemble(k, boost=2):
     return assemble(problem.mesh_factory(2), k, problem.coefficient(), boost=boost)
 
 
-def _solve(maxiter=None, tol=1e-12, rhs=None):
+def _solve(tol=1e-12, rhs=None):
     system = _assemble(1)
     apply_dirichlet(system, problem1().boundary)
     if rhs is not None:
         system.reduced_rhs[:] = rhs
-    return solve(system, tol=tol, maxiter=maxiter)
+    return solve(system, tol=tol)
 
 
 def _dirichlet(values):
@@ -34,7 +35,8 @@ def _dirichlet(values):
 # (call, bad value, exception, the parameter as the message names it, its
 # range); numpy raised TypeError for the first three, assemble for True
 # after passing it as a degree, the counts of True made one-point rules,
-# and 3.0 got the cached rule of 3 points
+# 3.0 got the cached rule of 3 points, and the patch test's polynomial
+# raised TypeError for a degree of 2.5
 INTEGER_CASES = [
     (build_mapped_tensor_mesh, 2.5, MeshError, "build_mapped_tensor_mesh: n", ">= 1"),
     (lambda n: build_annulus_interface_mesh(n, 8), 2.5, MeshError,
@@ -45,19 +47,19 @@ INTEGER_CASES = [
     (_assemble, True, ElementOperatorError, "degree k", ">= 1"),
     (_assemble, 2.0, ElementOperatorError, "degree k", ">= 1"),
     (lambda boost: _assemble(1, boost), True, QuadratureError, "rule_points: boost", ">= 0"),
-    (_solve, True, SolverError, "CG iteration cap maxiter", ">= 1"),
     (gauss_legendre, True, QuadratureError, "gauss_legendre: n", "in [1, 64]"),
     (lambda n: gauss_legendre(3) and gauss_legendre(n), 3.0, QuadratureError,
      "gauss_legendre: n", "in [1, 64]"),
     (gauss_lobatto, np.int64(1), QuadratureError, "gauss_lobatto: n", "in [2, 64]"),
     (lambda k: rule_points(k, 2), np.True_, QuadratureError, "rule_points: k", ">= 1"),
+    (lambda k: next(run_patch_test((k,))), 2.5, ElementOperatorError, "degree k", ">= 1"),
 ]
 
 
 @pytest.mark.parametrize("call, value, error, name, bounds", INTEGER_CASES, ids=[
     "tensor-n-float", "annulus-rings-float", "annulus-sectors-float", "tensor-n-bool",
-    "assemble-k-bool", "assemble-k-float", "assemble-boost-bool", "solve-maxiter-bool",
-    "legendre-bool", "legendre-float-after-int", "lobatto-numpy-1", "rule-k-numpy-bool"])
+    "assemble-k-bool", "assemble-k-float", "assemble-boost-bool", "legendre-bool",
+    "legendre-float-after-int", "lobatto-numpy-1", "rule-k-numpy-bool", "patch-k-float"])
 def test_counts_and_degrees_must_be_integers(call, value, error, name, bounds):
     with pytest.raises(error) as info:
         call(value)
@@ -91,6 +93,14 @@ def _interpolate(values):
     local_operators(problem1().mesh_factory(2), 0, 1).chunk.interpolate(lambda x, y: values)
 
 
+def _center(value):
+    circle_curve("c", value, 1.0)
+
+
+def _radius(value):
+    circle_curve("c", (0.0, 0.0), value)
+
+
 # (call, bad value, exception, message): a finite right-hand side whose norm
 # overflowed warned in numpy and then was called not finite, a tolerance of
 # 1 or more returned after one CG step, a string raised TypeError, and
@@ -98,7 +108,10 @@ def _interpolate(values):
 # data is checked where it enters: complex data lost its imaginary part
 # with only numpy's ComplexWarning, text and values of the wrong count
 # raised numpy's ValueError, None, 1j and an array as diffusion numpy's
-# TypeError, and True was diffusion 1.0
+# TypeError, and True was diffusion 1.0.  A curve's center dropped a third
+# entry and raised IndexError for one, text was read as a number, None and
+# 1j raised float()'s TypeError, True was 1.0, and a segment bound given as
+# text raised a comparison's TypeError
 ENTRY_CASES = [
     (lambda rhs: _solve(rhs=rhs), 1e300, SolverError,
      "CG right-hand side is finite but its norm overflows (largest entry 1.000e+300)"),
@@ -126,6 +139,18 @@ ENTRY_CASES = [
     (_exact_solution, 1j, ElementOperatorError,
      "label 1: exact solution must give real numbers, got dtype complex128"),
     (_interpolate, 1j, ElementOperatorError, "u must give real numbers, got dtype complex128"),
+    (_center, (0.0, 0.0, 5.0), GeometryError,
+     "curve 'c': center must be two real numbers, got (0.0, 0.0, 5.0)"),
+    (_center, (0.0,), GeometryError, "curve 'c': center must be two real numbers, got (0.0,)"),
+    (_radius, "1", GeometryError, "curve 'c': radius must be a real number, got '1'"),
+    (_radius, 1j, GeometryError, "curve 'c': radius must be a real number, got 1j"),
+    (_radius, True, GeometryError, "curve 'c': radius must be a real number, got True"),
+    (lambda frequency: graph_curve("g", 0.05, frequency), None, GeometryError,
+     "curve 'g': frequency must be a real number, got None"),
+    (lambda b: graph_curve("g", 0.05, np.pi, param_interval=(0.0, b)), "1", GeometryError,
+     "curve 'g': param_interval must be two real numbers, got (0.0, '1')"),
+    (lambda t1: CurveSegment(graph_curve("g", 0.05, np.pi), 0.0, t1), "1", GeometryError,
+     "curve 'g': segment t1 must be a real number, got '1'"),
 ]
 
 
@@ -133,7 +158,9 @@ ENTRY_CASES = [
     "cg-rhs-norm-overflows", "tol-inf", "tol-2", "tol-text", "dirichlet-wrong-count",
     "diffusion-text", "diffusion-none", "diffusion-complex", "diffusion-array",
     "diffusion-bool", "dirichlet-complex", "dirichlet-text", "source-wrong-count",
-    "source-complex", "exact-solution-complex", "interpolate-complex"])
+    "source-complex", "exact-solution-complex", "interpolate-complex", "center-three",
+    "center-one", "radius-text", "radius-complex", "radius-bool", "frequency-none",
+    "interval-text", "segment-text"])
 def test_solver_inputs_are_checked_on_entry(call, value, error, message):
     with pytest.raises(error) as info:
         call(value)
@@ -152,6 +179,10 @@ def test_real_data_of_any_numeric_type_is_read():
     # numpy scalars and integers are real numbers
     for value in (np.float32(2.0), np.int64(2), 2):
         assert Coefficient(diffusion=value).kappa(1) == 2.0
+    curve = circle_curve("c", np.array([0.0, 1.0]), np.float32(2.0), omega=1,
+                         param_interval=(0, np.pi))
+    assert curve.params == (0.0, 1.0, 2.0, 1.0, 0.0) and curve.param_interval == (0.0, np.pi)
+    CurveSegment(curve, np.float64(0.5), 1)
     system = _assemble(1)
     apply_dirichlet(system, lambda x, y: np.ones(len(x), dtype=np.int32))
     n = system.dof_map.n_unknowns

@@ -47,6 +47,10 @@ def test_curve_built_from_its_record():
     assert np.allclose(c.eval(np.array([np.pi / 2]))[0], [-0.5, 0.0])
     with pytest.raises(GeometryError):
         BoundaryCurve("x", (0.0, 1.0), "nope", ())
+    with pytest.raises(GeometryError) as info:
+        BoundaryCurve("x", (0.0, 1.0), "graph", (0.05, np.pi))
+    assert str(info.value) == ("curve 'x': kind 'graph' takes 3 parameters "
+                               "(amplitude frequency offset), got 2")
 
 
 @pytest.mark.parametrize("cid", ["a b", "x#y", "", "tab\there", "nul\x00"],

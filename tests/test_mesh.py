@@ -145,10 +145,11 @@ def test_mesh_whose_geometry_overflows_is_rejected(scale, geometry):
 
 
 @pytest.mark.parametrize("edit, message", [
-    ("reverse", "segment needs t0 < t1, got [0.39269908169872414, 0.0]"),
-    ("shift", "segment [3.141592653589793, 3.5342917352885173] leaves parameter interval "
-              "[0.0, 3.141592653589793]"),
-], ids=["reversed", "shifted-by-pi"])
+    ("reverse", "edge 8: curve 'Gamma2': segment needs t0 < t1, got [0.39269908169872414, 0.0]"),
+    ("shift", "edge 8: curve 'Gamma2': segment [3.141592653589793, 3.5342917352885173] leaves "
+              "parameter interval [0.0, 3.141592653589793]"),
+    ("nan", "edge 8: curve 'Gamma2' has a non-finite parameter"),
+], ids=["reversed", "shifted-by-pi", "non-finite"])
 def test_arrays_with_a_bad_curve_segment_name_the_edge(edit, message):
     # curved edge 8 of test2 n = 2 lies on Gamma2, t in [0, pi], whose
     # points repeat with period pi; either edit keeps the mesh conforming
@@ -158,11 +159,14 @@ def test_arrays_with_a_bad_curve_segment_name_the_edge(edit, message):
     if edit == "reverse":
         edge_vertices[8], params[8] = edge_vertices[8, ::-1], params[8, ::-1]
         signs[base.loop_edges == 8] *= -1
-    else:
+    elif edit == "shift":
         params[8] += np.pi
-    with pytest.raises(MeshError, match=re.escape(f"edge 8: curve 'Gamma2': {message}")):
+    else:
+        params[8, 1] = np.nan
+    with pytest.raises(MeshError) as info:
         Mesh(base.points, edge_vertices, base.edge_curves, params, base.loop_offsets,
              base.loop_edges, signs, base.labels)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -321,6 +325,18 @@ def test_annulus_interface_edges_lie_on_half_radius_circle():
             assert np.hypot(p[0], p[1]) == pytest.approx(0.5, abs=1e-14)
             assert not mesh.edge_on_boundary[i]
     assert found == 8
+
+
+@pytest.mark.parametrize("side, curve, message", [
+    ("bottom", graph_curve("b", 0.05, np.pi, param_interval=(0.0, 2.0)),
+     "bottom: graph must be parametrized over [0, 1]"),
+    ("top", circle_curve("t", (0.5, 0.0), 1.0, param_interval=(0.0, 1.0)),
+     "top: curve is not the graph of a function of x"),
+], ids=["interval", "circle"])
+def test_mapped_mesh_takes_graphs_over_the_unit_interval(side, curve, message):
+    with pytest.raises(MeshError) as info:
+        build_mapped_tensor_mesh(2, **{side: curve})
+    assert str(info.value) == message
 
 
 def test_annulus_requires_even_sectors():

@@ -263,6 +263,28 @@ def test_malformed_files_report_line_numbers(mangle, line_no, fragment):
     assert f"line {line_no}:" in str(err.value)
 
 
+_CURVED = {"counts 4 0 4 1": "counts 4 1 4 1", "v 0 0": "c g graph 0 1 0 1 0\nv 0 0"}
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({**_CURVED, "c g graph 0 1 0 1 0": "c g graph 0"},
+     "line 3: expected 'c <id> <kind> <a> <b> <params...>'"),
+    ({"v 1 0": "v 1"}, "line 4: expected 'v <x> <y>'"),
+    ({"e 1 2": "e 1 2 g"}, "line 8: expected 'e <v0> <v1> [<curve_id> <t0> <t1>]'"),
+    ({**_CURVED, "e 0 1": "e 0 1 g 0 2"},
+     "line 8: curve 'g': segment [0.0, 2.0] leaves parameter interval [0.0, 1.0]"),
+    ({"p 4 1 2 3 4": "p"}, "line 11: expected 'p <n> <signed edge refs>'"),
+    ({"label 1": "label 1 2"}, "line 12: expected 'label <integer>'"),
+], ids=["curve", "vertex", "edge", "edge-leaves-its-curve", "element", "label"])
+def test_malformed_records_name_their_line_and_grammar(edits, message):
+    text = _square_text()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    with pytest.raises(MeshFormatError) as err:
+        parse_mesh(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
 def test_non_finite_numbers_are_rejected(token):
     with pytest.raises(MeshFormatError, match="non-finite coordinate") as err:

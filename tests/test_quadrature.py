@@ -130,6 +130,13 @@ def test_polygon_quadrature_rejects_zero_area():
         polygon_quadrature(verts, 2)
 
 
+def test_polygon_quadrature_rejects_a_negative_order():
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    with pytest.raises(QuadratureError) as info:
+        polygon_quadrature(verts, -1)
+    assert str(info.value) == "polygon_quadrature: M=-1 must be nonnegative"
+
+
 def _curved_side(start, end, curve, t0, t1):
     """A side of one polygon that follows ``curve`` from t0 to t1."""
     return SideBatch(np.asarray(start)[None], np.asarray(end)[None], curves=(curve,),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -513,10 +514,57 @@ def test_unknown_method_is_rejected():
         solve(system, method="lu")
 
 
+class _CountingRows(sparse.csr_matrix):
+    """CSR matrix that counts its products (CG iterations)."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        self.matvecs += 1
+        return super().__matmul__(other)
+
+
 def test_cg_iteration_cap():
+    # a dense 30 x 30 SPD block of condition number 1e12, whose derived cap
+    # of max(1000, 40 n) iterations misses tol = 1e-14
     system = poisson_system(n=4, k=2)
-    with pytest.raises(SolverError, match="did not reach"):
-        solve(system, method="cg", tol=1e-14, maxiter=3)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((30, 30)))
+    block = (q * np.logspace(0, 12, 30)) @ q.T
+    system.reduced_matrix = _CountingRows(0.5 * (block + block.T))
+    system.reduced_rhs = np.ones(30)
+    with pytest.raises(SolverError) as info:
+        solve(system, method="cg", tol=1e-14)
+    assert type(info.value) is SolverError
+    assert str(info.value) == "CG did not reach relative residual 1.0e-14 in 1200 iterations"
+    assert system.reduced_matrix.matvecs == 1200
+
+
+def test_cg_reports_an_unreachable_tolerance_as_a_miss():
+    # r.z underflows to exactly zero with the residual still above tol; the
+    # next p.A.p was 0.0, reported as non-positive curvature of an SPD matrix
+    problem = problem1()
+    system = assemble(problem.mesh_factory(4), 2, problem.coefficient())
+    apply_dirichlet(system, problem.boundary)
+    with pytest.raises(SolverError) as info:
+        solve(system, method="cg", tol=1e-300)
+    # after 376 iterations with one BLAS thread
+    assert type(info.value) is SolverError
+    assert re.fullmatch(r"CG did not reach relative residual 1\.0e-300: r\.z underflowed to "
+                        r"zero after \d+ iterations", str(info.value))
+
+
+def test_cg_names_the_curvature_of_an_indefinite_block():
+    # a positive diagonal passes the Jacobi check; b = (1, -1) is the
+    # eigenvector of the block's eigenvalue -1
+    system = poisson_system(n=2, k=2)
+    n = system.reduced_matrix.shape[0]
+    system.reduced_matrix = sparse.block_diag(
+        [np.array([[1.0, 2.0], [2.0, 1.0]]), sparse.identity(n - 2)], format="csr")
+    system.reduced_rhs = np.zeros(n)
+    system.reduced_rhs[:2] = 1.0, -1.0
+    with pytest.raises(NotSPDError) as info:
+        solve(system, method="cg")
+    assert str(info.value) == "non-positive curvature p.A.p = -2.000e+00"
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
@@ -529,27 +577,6 @@ def test_cg_rejects_a_tolerance_that_is_not_positive(monkeypatch, tol):
         solve(system, method="cg", tol=tol)
     assert type(info.value) is SolverError
     assert str(info.value) == f"CG tolerance tol must be a real number in (0, 1), got {tol!r}"
-
-
-@pytest.mark.parametrize("maxiter", [0, -1, 2.5, "10"])
-def test_cg_rejects_an_iteration_cap_that_is_not_a_positive_integer(monkeypatch, maxiter):
-    # 0 and -1 ran no iteration and reported a miss "in 0" and "in -1
-    # iterations"; 2.5 raised TypeError from range
-    system = poisson_system(n=4, k=2)
-    monkeypatch.setattr(curvem.solver, "_cg", lambda *args: pytest.fail("CG ran"))
-    with pytest.raises(SolverError) as info:
-        solve(system, method="cg", maxiter=maxiter)
-    assert str(info.value) == f"CG iteration cap maxiter must be an integer >= 1, got {maxiter!r}"
-
-
-class _CountingRows(sparse.csr_matrix):
-    """CSR matrix that counts its products (CG iterations)."""
-
-    matvecs = 0
-
-    def __matmul__(self, other):
-        self.matvecs += 1
-        return super().__matmul__(other)
 
 
 def test_cg_stops_before_iterating_on_a_right_hand_side_that_is_not_finite():
