@@ -27,8 +27,9 @@ A mesh is its arrays (see ``curvem.mesh``): ``parse_mesh`` reads each
 section into them and hands them to the ``Mesh`` constructor, and
 ``format_mesh`` writes them; neither goes through the entity records.
 The text is read by ``_read_text`` (UTF-8 less a leading byte-order mark,
-a bad byte reported at its file offset) and split by ``_lines`` (the
-numbered lines left after ``#`` comments and blanks).
+a bad byte reported at its file offset), split by ``_lines`` (the
+numbered lines left after ``#`` comments and blanks) and read a section at
+a time by ``_records``, which checks each record's tag and field count.
 """
 
 from __future__ import annotations
@@ -68,11 +69,18 @@ def _fail(ln: int, message: str):
     raise MeshFormatError(f"line {ln}: {message}")
 
 
-def _take(records, what: str):
-    try:
-        return next(records)
-    except StopIteration:
-        raise MeshFormatError(f"unexpected end of file, expected {what}") from None
+def _records(records, count: int, what: str, tag: str, fits, usage: str):
+    """The next ``count`` records as ``(line number, fields after the tag)``; a
+    missing record fails as "expected ``what``", and one whose tag is not
+    ``tag`` or whose field count fails ``fits`` fails as ``usage``."""
+    for _ in range(count):
+        try:
+            ln, fields = next(records)
+        except StopIteration:
+            raise MeshFormatError(f"unexpected end of file, expected {what}") from None
+        if fields[0] != tag or not fits(len(fields) - 1):
+            _fail(ln, usage)
+        yield ln, fields[1:]
 
 
 def _parse(ln, token, what, cast):
@@ -92,59 +100,49 @@ def parse_mesh(text: str) -> Mesh:
     """Parse the text of a mesh file; see the module docstring for the grammar."""
     records = ((ln, line.split()) for ln, line in _lines(text))
 
-    ln, fields = _take(records, "header")
-    if fields[:1] != [_MAGIC] or len(fields) != 2:
-        _fail(ln, f"expected header '{_MAGIC} {_VERSION}'")
-    if fields[1] != _VERSION:
-        _fail(ln, f"unsupported format version {fields[1]!r}")
+    ln, (version,) = next(_records(records, 1, "header", _MAGIC, lambda n: n == 1,
+                                   f"expected header '{_MAGIC} {_VERSION}'"))
+    if version != _VERSION:
+        _fail(ln, f"unsupported format version {version!r}")
 
-    ln, fields = _take(records, "counts")
-    if fields[0] != "counts" or len(fields) != 5:
-        _fail(ln, "expected 'counts <nv> <nc> <ne> <np>'")
-    nv, nc, ne, np_ = counts = [_parse(ln, f, "count", int) for f in fields[1:]]
+    ln, fields = next(_records(records, 1, "counts", "counts", lambda n: n == 4,
+                               "expected 'counts <nv> <nc> <ne> <np>'"))
+    nv, nc, ne, np_ = counts = [_parse(ln, f, "count", int) for f in fields]
     if min(counts) < 0:
-        _fail(ln, f"negative count in {' '.join(fields)!r}")
+        _fail(ln, f"negative count in {' '.join(['counts', *fields])!r}")
 
     curves = {}
-    for _ in range(nc):
-        ln, fields = _take(records, "curve record")
-        if fields[0] != "c" or len(fields) < 5:
-            _fail(ln, "expected 'c <id> <kind> <a> <b> <params...>'")
-        cid, kind = fields[1], fields[2]
+    for ln, (cid, kind, a, b, *params) in _records(
+            records, nc, "curve record", "c", lambda n: n >= 4,
+            "expected 'c <id> <kind> <a> <b> <params...>'"):
         if cid in curves:
             _fail(ln, f"duplicate curve id {cid!r}")
-        a = _parse(ln, fields[3], "interval bound", float)
-        b = _parse(ln, fields[4], "interval bound", float)
-        params = [_parse(ln, f, "curve parameter", float) for f in fields[5:]]
+        interval = tuple(_parse(ln, f, "interval bound", float) for f in (a, b))
+        params = tuple(_parse(ln, f, "curve parameter", float) for f in params)
         try:
-            curves[cid] = BoundaryCurve(cid, (a, b), kind, tuple(params))
+            curves[cid] = BoundaryCurve(cid, interval, kind, params)
         except GeometryError as exc:
             _fail(ln, str(exc))
 
-    points = []
-    for _ in range(nv):
-        ln, fields = _take(records, "vertex record")
-        if fields[0] != "v" or len(fields) != 3:
-            _fail(ln, "expected 'v <x> <y>'")
-        points.append((_parse(ln, fields[1], "coordinate", float),
-                       _parse(ln, fields[2], "coordinate", float)))
+    points = [(_parse(ln, x, "coordinate", float), _parse(ln, y, "coordinate", float))
+              for ln, (x, y) in _records(records, nv, "vertex record", "v",
+                                         lambda n: n == 2, "expected 'v <x> <y>'")]
 
     edge_vertices, edge_curves, edge_params = [], [], []
-    for _ in range(ne):
-        ln, fields = _take(records, "edge record")
-        if fields[0] != "e" or len(fields) not in (3, 6):
-            _fail(ln, "expected 'e <v0> <v1> [<curve_id> <t0> <t1>]'")
-        v0 = _parse(ln, fields[1], "vertex index", int)
-        v1 = _parse(ln, fields[2], "vertex index", int)
+    for ln, (v0, v1, *segment) in _records(
+            records, ne, "edge record", "e", lambda n: n in (2, 5),
+            "expected 'e <v0> <v1> [<curve_id> <t0> <t1>]'"):
+        v0 = _parse(ln, v0, "vertex index", int)
+        v1 = _parse(ln, v1, "vertex index", int)
         if not (0 <= v0 < nv and 0 <= v1 < nv):
             _fail(ln, f"edge references missing vertex ({v0}, {v1})")
         curve, t0, t1 = None, np.nan, np.nan
-        if len(fields) == 6:
-            cid = fields[3]
+        if segment:
+            cid, t0, t1 = segment
             if cid not in curves:
                 _fail(ln, f"edge references unknown curve {cid!r}")
-            t0 = _parse(ln, fields[4], "parameter", float)
-            t1 = _parse(ln, fields[5], "parameter", float)
+            t0 = _parse(ln, t0, "parameter", float)
+            t1 = _parse(ln, t1, "parameter", float)
             curve = curves[cid]
             try:
                 CurveSegment(curve, t0, t1)  # checks the interval
@@ -154,26 +152,22 @@ def parse_mesh(text: str) -> Mesh:
         edge_curves.append(curve)
         edge_params.append((t0, t1))
 
-    loop_offsets = [0]
-    loop_refs = []
-    labels = []
-    for _ in range(np_):
-        ln, fields = _take(records, "element record")
-        if fields[0] != "p" or len(fields) < 2:
-            _fail(ln, "expected 'p <n> <signed edge refs>'")
-        n = _parse(ln, fields[1], "edge count", int)
-        if len(fields) != 2 + n:
-            _fail(ln, f"element lists {len(fields) - 2} edges, declared {n}")
-        for f in fields[2:]:
+    loop_offsets, loop_refs, labels = [0], [], []
+    label_records = _records(records, np_, "label record", "label", lambda n: n == 1,
+                             "expected 'label <integer>'")
+    for ln, (n, *refs) in _records(records, np_, "element record", "p", lambda n: n >= 1,
+                                   "expected 'p <n> <signed edge refs>'"):
+        n = _parse(ln, n, "edge count", int)
+        if len(refs) != n:
+            _fail(ln, f"element lists {len(refs)} edges, declared {n}")
+        for f in refs:
             ref = _parse(ln, f, "edge reference", int)
             if ref == 0 or abs(ref) > ne:
                 _fail(ln, f"edge reference {ref} out of range")
             loop_refs.append(ref)
         loop_offsets.append(len(loop_refs))
-        ln_label, fields = _take(records, "label record")
-        if fields[0] != "label" or len(fields) != 2:
-            _fail(ln_label, "expected 'label <integer>'")
-        labels.append(_parse(ln_label, fields[1], "label", int))
+        ln, (label,) = next(label_records)  # each element's label follows it
+        labels.append(_parse(ln, label, "label", int))
 
     for ln, fields in records:
         _fail(ln, f"unexpected trailing record {fields[0]!r}")

@@ -20,7 +20,8 @@ arrays of shape (polygons, points), and checks nothing about their shape:
 mesh elements are checked once, by the ``Mesh`` constructor
 (counterclockwise chords, positive area).
 ``polygon_quadrature`` is its rule on one all-straight polygon given from
-outside a mesh, so it rejects clockwise and zero-area input itself.
+outside a mesh, so it checks its order and corners and rejects clockwise
+and zero-area input itself.
 """
 
 from __future__ import annotations
@@ -271,12 +272,23 @@ def polygon_quadrature(vertices, M: int) -> QuadratureRule2D:
     ``vertices`` (n, 2), exact for degree 2M.
 
     Uses (M+1)-point Gauss-Legendre rules in each direction, at most
-    (M+1)^2 nodes per side.  Rejects clockwise and zero-area input by its
-    shoelace area.
+    (M+1)^2 nodes per side.  Rejects an order that is not an integer in
+    [0, 63], corners that are not n >= 3 finite real points, and clockwise
+    and zero-area input by its shoelace area.
     """
-    if M < 0:
-        raise QuadratureError(f"polygon_quadrature: M={M} must be nonnegative")
-    v = np.asarray(vertices, dtype=float)
+    check_integer(QuadratureError, "polygon_quadrature: M", M, 0, _MAX_POINTS - 1)
+    v = np.asarray(vertices)
+    if v.dtype.kind not in "iuf":
+        raise QuadratureError("polygon_quadrature: vertices must be real numbers, "
+                              f"got dtype {v.dtype}")
+    if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
+        raise QuadratureError("polygon_quadrature: vertices must be an (n, 2) array with "
+                              f"n >= 3, got shape {v.shape}")
+    v = np.asarray(v, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if len(bad):
+        raise QuadratureError(f"polygon_quadrature: vertex {bad[0]} is not finite, "
+                              f"got {v[bad[0]].tolist()}")
     nxt = np.roll(v, -1, axis=0)
     area = 0.5 * np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])
     scale = np.max(np.abs(v)) + 1.0

@@ -11,7 +11,7 @@ from curvem import (Coefficient, CurveSegment, ElementOperatorError, GeometryErr
                     build_annulus_interface_mesh, build_mapped_tensor_mesh, circle_curve,
                     compute_errors, graph_curve, run_patch_test, solve)
 from curvem import test1_problem as problem1
-from curvem.quadrature import gauss_legendre, gauss_lobatto, rule_points
+from curvem.quadrature import gauss_legendre, gauss_lobatto, polygon_quadrature, rule_points
 from curvem.vem import local_operators
 
 
@@ -32,11 +32,16 @@ def _dirichlet(values):
     apply_dirichlet(_assemble(1), lambda x, y: values)
 
 
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
 # (call, bad value, exception, the parameter as the message names it, its
 # range); numpy raised TypeError for the first three, assemble for True
 # after passing it as a degree, the counts of True made one-point rules,
-# 3.0 got the cached rule of 3 points, and the patch test's polynomial
-# raised TypeError for a degree of 2.5
+# 3.0 got the cached rule of 3 points, the patch test's polynomial
+# raised TypeError for a degree of 2.5, and a polygon rule's order of True
+# gave the rule of order 1, 2.5 and 64 named the Gauss-Legendre count M + 1
+# and text raised a comparison's TypeError
 INTEGER_CASES = [
     (build_mapped_tensor_mesh, 2.5, MeshError, "build_mapped_tensor_mesh: n", ">= 1"),
     (lambda n: build_annulus_interface_mesh(n, 8), 2.5, MeshError,
@@ -53,13 +58,22 @@ INTEGER_CASES = [
     (gauss_lobatto, np.int64(1), QuadratureError, "gauss_lobatto: n", "in [2, 64]"),
     (lambda k: rule_points(k, 2), np.True_, QuadratureError, "rule_points: k", ">= 1"),
     (lambda k: next(run_patch_test((k,))), 2.5, ElementOperatorError, "degree k", ">= 1"),
+    (lambda M: polygon_quadrature(_SQUARE, M), True, QuadratureError,
+     "polygon_quadrature: M", "in [0, 63]"),
+    (lambda M: polygon_quadrature(_SQUARE, M), 2.5, QuadratureError,
+     "polygon_quadrature: M", "in [0, 63]"),
+    (lambda M: polygon_quadrature(_SQUARE, M), "1", QuadratureError,
+     "polygon_quadrature: M", "in [0, 63]"),
+    (lambda M: polygon_quadrature(_SQUARE, M), 64, QuadratureError,
+     "polygon_quadrature: M", "in [0, 63]"),
 ]
 
 
 @pytest.mark.parametrize("call, value, error, name, bounds", INTEGER_CASES, ids=[
     "tensor-n-float", "annulus-rings-float", "annulus-sectors-float", "tensor-n-bool",
     "assemble-k-bool", "assemble-k-float", "assemble-boost-bool", "legendre-bool",
-    "legendre-float-after-int", "lobatto-numpy-1", "rule-k-numpy-bool", "patch-k-float"])
+    "legendre-float-after-int", "lobatto-numpy-1", "rule-k-numpy-bool", "patch-k-float",
+    "polygon-M-bool", "polygon-M-float", "polygon-M-text", "polygon-M-64"])
 def test_counts_and_degrees_must_be_integers(call, value, error, name, bounds):
     with pytest.raises(error) as info:
         call(value)
@@ -111,7 +125,9 @@ def _radius(value):
 # TypeError, and True was diffusion 1.0.  A curve's center dropped a third
 # entry and raised IndexError for one, text was read as a number, None and
 # 1j raised float()'s TypeError, True was 1.0, and a segment bound given as
-# text raised a comparison's TypeError
+# text raised a comparison's TypeError.  A polygon rule took a non-finite
+# corner to weights that sum to nan, and numpy raised ValueError for corners
+# of the wrong shape or text, IndexError for a flat list of coordinates
 ENTRY_CASES = [
     (lambda rhs: _solve(rhs=rhs), 1e300, SolverError,
      "CG right-hand side is finite but its norm overflows (largest entry 1.000e+300)"),
@@ -151,6 +167,18 @@ ENTRY_CASES = [
      "curve 'g': param_interval must be two real numbers, got (0.0, '1')"),
     (lambda t1: CurveSegment(graph_curve("g", 0.05, np.pi), 0.0, t1), "1", GeometryError,
      "curve 'g': segment t1 must be a real number, got '1'"),
+    (lambda y: polygon_quadrature([[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.0, 1.0]], 2), np.nan,
+     QuadratureError, "polygon_quadrature: vertex 2 is not finite, got [1.0, nan]"),
+    (lambda y: polygon_quadrature([[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.0, 1.0]], 2), np.inf,
+     QuadratureError, "polygon_quadrature: vertex 2 is not finite, got [1.0, inf]"),
+    (lambda z: polygon_quadrature([[x, y, z] for x, y in _SQUARE], 2), 0.0, QuadratureError,
+     "polygon_quadrature: vertices must be an (n, 2) array with n >= 3, got shape (4, 3)"),
+    (lambda flat: polygon_quadrature(flat, 2), sum(_SQUARE, []), QuadratureError,
+     "polygon_quadrature: vertices must be an (n, 2) array with n >= 3, got shape (8,)"),
+    (lambda corners: polygon_quadrature(corners, 2), _SQUARE[:2], QuadratureError,
+     "polygon_quadrature: vertices must be an (n, 2) array with n >= 3, got shape (2, 2)"),
+    (lambda corners: polygon_quadrature(corners, 2), "abc", QuadratureError,
+     "polygon_quadrature: vertices must be real numbers, got dtype <U3"),
 ]
 
 
@@ -160,7 +188,8 @@ ENTRY_CASES = [
     "diffusion-bool", "dirichlet-complex", "dirichlet-text", "source-wrong-count",
     "source-complex", "exact-solution-complex", "interpolate-complex", "center-three",
     "center-one", "radius-text", "radius-complex", "radius-bool", "frequency-none",
-    "interval-text", "segment-text"])
+    "interval-text", "segment-text", "polygon-nan", "polygon-inf", "polygon-three-columns",
+    "polygon-flat", "polygon-two-corners", "polygon-text"])
 def test_solver_inputs_are_checked_on_entry(call, value, error, message):
     with pytest.raises(error) as info:
         call(value)

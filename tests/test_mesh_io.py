@@ -275,7 +275,17 @@ _CURVED = {"counts 4 0 4 1": "counts 4 1 4 1", "v 0 0": "c g graph 0 1 0 1 0\nv 
      "line 8: curve 'g': segment [0.0, 2.0] leaves parameter interval [0.0, 1.0]"),
     ({"p 4 1 2 3 4": "p"}, "line 11: expected 'p <n> <signed edge refs>'"),
     ({"label 1": "label 1 2"}, "line 12: expected 'label <integer>'"),
-], ids=["curve", "vertex", "edge", "edge-leaves-its-curve", "element", "label"])
+    # each record's tag swapped for another, its fields kept
+    ({"curvem-mesh 1": "curvem_mesh 1"}, "line 1: expected header 'curvem-mesh 1'"),
+    ({"counts 4 0 4 1": "count 4 0 4 1"}, "line 2: expected 'counts <nv> <nc> <ne> <np>'"),
+    ({**_CURVED, "c g graph": "e g graph"},
+     "line 3: expected 'c <id> <kind> <a> <b> <params...>'"),
+    ({"v 1 0": "e 1 0"}, "line 4: expected 'v <x> <y>'"),
+    ({"e 1 2": "v 1 2"}, "line 8: expected 'e <v0> <v1> [<curve_id> <t0> <t1>]'"),
+    ({"p 4 1 2 3 4": "label 4 1 2 3 4"}, "line 11: expected 'p <n> <signed edge refs>'"),
+    ({"label 1": "p 1"}, "line 12: expected 'label <integer>'"),
+], ids=["curve", "vertex", "edge", "edge-leaves-its-curve", "element", "label", "header-tag",
+        "counts-tag", "curve-tag", "vertex-tag", "edge-tag", "element-tag", "label-tag"])
 def test_malformed_records_name_their_line_and_grammar(edits, message):
     text = _square_text()
     for old, new in edits.items():
@@ -301,6 +311,27 @@ def test_truncated_file_reports_what_was_expected():
     text = "\n".join(_square_text().splitlines()[:6]) + "\n"
     with pytest.raises(MeshFormatError, match="unexpected end of file"):
         parse_mesh(text)
+
+
+def _curved_square_text():
+    text = _square_text()
+    for old, new in _CURVED.items():
+        text = text.replace(old, new)
+    return text
+
+
+# the curved square's records: header, counts, one curve, 4 vertices, 4
+# edges, then one element and its label
+@pytest.mark.parametrize("kept, what", [
+    (0, "header"), (1, "counts"), (2, "curve record"), (3, "vertex record"),
+    (7, "edge record"), (11, "element record"), (12, "label record"),
+], ids=["header", "counts", "curve", "vertex", "edge", "element", "label"])
+def test_truncation_in_each_section_names_the_record_it_expected(kept, what):
+    lines = _curved_square_text().splitlines(keepends=True)
+    assert len(lines) == 13
+    with pytest.raises(MeshFormatError) as err:
+        parse_mesh("".join(lines[:kept]))
+    assert str(err.value) == f"unexpected end of file, expected {what}"
 
 
 def test_duplicate_curve_id_is_rejected():

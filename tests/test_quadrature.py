@@ -134,7 +134,7 @@ def test_polygon_quadrature_rejects_a_negative_order():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     with pytest.raises(QuadratureError) as info:
         polygon_quadrature(verts, -1)
-    assert str(info.value) == "polygon_quadrature: M=-1 must be nonnegative"
+    assert str(info.value) == "polygon_quadrature: M must be an integer in [0, 63], got -1"
 
 
 def _curved_side(start, end, curve, t0, t1):
